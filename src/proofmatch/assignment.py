@@ -37,13 +37,11 @@ _BRUTE_LIMIT = 9
 
 @dataclass
 class SparseScores:
-    """Top-k-pruned score matrix: per row, retained columns sorted by
-    descending score (ties by lower column index)."""
+    """Top-k-pruned score matrix as two (n, k) arrays: per row, retained
+    columns sorted by descending score (ties by lower column index)."""
 
-    n: int
-    k: int
-    cols: list[np.ndarray]
-    vals: list[np.ndarray]
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 def solve_brute(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -74,12 +72,18 @@ def prune_topk(m: np.ndarray, k: int) -> SparseScores:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise BadK(f"k={k} outside [1, {n}]")
-    cols_out, vals_out = [], []
-    for i in range(n):
-        order = np.argsort(-m[i], kind="stable")[:k]
-        cols_out.append(order.astype(np.int64))
-        vals_out.append(m[i, order].astype(np.float64))
-    return SparseScores(n, k, cols_out, vals_out)
+    kth = np.argpartition(-m, k - 1, axis=1)[:, k - 1, None]
+    threshold = np.take_along_axis(m, kth, 1)
+    above = m > threshold
+    tied = m == threshold
+    # Of the columns tied at the k-th value, keep the lowest-indexed ones.
+    keep = above | (tied & (np.cumsum(tied, axis=1)
+                            <= k - above.sum(1, keepdims=True)))
+    cols = np.nonzero(keep)[1].reshape(n, k)
+    vals = np.take_along_axis(m, cols, 1).astype(np.float64)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return SparseScores(np.take_along_axis(cols, order, 1),
+                        np.take_along_axis(vals, order, 1))
 
 
 def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
@@ -89,38 +93,27 @@ def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
     treated as a large negative sentinel (min retained score - 1e6) and the
     padded flag is set; the reported objective covers genuine edges only.
     """
-    n = sparse.n
-    row_idx = np.concatenate([np.full(len(c), i, dtype=np.int64)
-                              for i, c in enumerate(sparse.cols)])
-    col_idx = np.concatenate(sparse.cols)
-    vals = np.concatenate(sparse.vals)
+    n, k = sparse.cols.shape
     # Shift to strictly positive minimization weights; perfect matchings all
     # have n edges, so a constant shift preserves the argmax.
-    weights = (vals.max() - vals) + 1.0
-    graph = csr_matrix((weights, (row_idx, col_idx)), shape=(n, n))
+    weights = (sparse.vals.max() - sparse.vals) + 1.0
+    graph = csr_matrix((weights.ravel(),
+                        (np.repeat(np.arange(n), k), sparse.cols.ravel())),
+                       shape=(n, n))
     try:
         rows, cols = min_weight_full_bipartite_matching(graph)
     except ValueError:
-        return _solve_padded(sparse)
-    proof_of = np.empty(n, dtype=np.int64)
-    proof_of[rows] = cols
-    retained = {(int(i), int(j)): float(v)
-                for i, j, v in zip(row_idx, col_idx, vals)}
-    objective = sum(retained[(i, int(proof_of[i]))] for i in range(n))
-    return proof_of, objective, False
+        proof_of, padded = _solve_padded(sparse), True
+    else:
+        proof_of = np.empty(n, dtype=np.int64)
+        proof_of[rows] = cols
+        padded = False
+    objective = float(sparse.vals[sparse.cols == proof_of[:, None]].sum())
+    return proof_of, objective, padded
 
 
-def _solve_padded(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
-    n = sparse.n
-    min_val = min(float(v.min()) for v in sparse.vals)
-    sentinel = min_val - SENTINEL_GAP
-    dense = np.full((n, n), sentinel)
-    genuine = np.zeros((n, n), dtype=bool)
-    for i, (cols, vals) in enumerate(zip(sparse.cols, sparse.vals)):
-        dense[i, cols] = vals
-        genuine[i, cols] = True
-    proof_of, _ = solve_dense(dense)
-    rows = np.arange(n)
-    used = genuine[rows, proof_of]
-    objective = float(dense[rows[used], proof_of[used]].sum())
-    return proof_of, objective, True
+def _solve_padded(sparse: SparseScores) -> np.ndarray:
+    n = sparse.cols.shape[0]
+    dense = np.full((n, n), sparse.vals.min() - SENTINEL_GAP)
+    np.put_along_axis(dense, sparse.cols, sparse.vals, 1)
+    return solve_dense(dense)[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import replace as dc_replace
@@ -92,15 +91,17 @@ def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPa
     file_values = _read_config_file(args.config)
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, raw in file_values.items():
-        if key in explicit or not hasattr(args, key):
+        if key in explicit or key not in actions:
             continue
-        current = getattr(args, key)
-        caster = type(current) if current is not None else str
-        if caster is bool:
+        action = actions[key]
+        if isinstance(action.default, bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes"))
         else:
-            setattr(args, key, caster(raw))
+            setattr(args, key, (action.type or str)(raw))
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, command: str,
@@ -300,10 +301,15 @@ def cmd_eval(args) -> int:
                            [p.proof for p in corpus.pairs])
     if args.decode == "global":
         k = None if args.k in (None, 0) else args.k
-        report = report_global(decode_global(m, k))
+        result = decode_global(m, k)
+        report = report_global(result)
         k_name = "all" if k is None else str(k)
         line = (f"decode=global\tk={k_name}\tmrr=-\t"
-                f"accuracy={report.accuracy:.6f}\tn={report.n}")
+                f"accuracy={report.accuracy:.6f}\tn={report.n}\t"
+                f"padded={int(result.padded_flag)}")
+        if result.padded_flag:
+            print(f"warning: the top-{k} edges admit no perfect matching; "
+                  "the assignment uses pruned cells", file=sys.stderr)
     else:
         report = report_local(decode_local(m))
         line = (f"decode=local\tmrr={report.mrr:.6f}\t"
@@ -441,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # MATCH_THREADS caps worker parallelism; all current code paths are
-    # single-threaded, so the value is recorded in the manifest only.
-    os.environ.setdefault("MATCH_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config_defaults(args, parser, argv)

@@ -25,11 +25,11 @@ class EmptyCollection(DecodingError):
 
 @dataclass
 class RankingResult:
-    """Per-statement rankings of all proofs, plus the 1-based rank of the
-    gold (same-index) proof."""
+    """Per statement, the 1-based rank of the gold (same-index) proof and the
+    index of the top-ranked proof, under (score desc, index asc) order."""
 
-    rankings: list[list[tuple[int, float]]]
     gold_rank: np.ndarray
+    top1: np.ndarray
 
 
 @dataclass
@@ -72,18 +72,12 @@ def build_score_matrix(state: ModelState,
 
 
 def decode_local(m: np.ndarray) -> RankingResult:
-    """Rank every proof for every statement by (score desc, index asc);
-    gold is the same-index proof."""
-    n = m.shape[0]
-    rankings = []
-    gold_rank = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        order = np.argsort(-m[i], kind="stable")
-        rankings.append([(int(j), float(m[i, j])) for j in order])
-        gold = m[i, i]
-        gold_rank[i] = 1 + int(np.sum(m[i] > gold)) \
-            + int(np.sum(m[i, :i] == gold))
-    return RankingResult(rankings, gold_rank)
+    """Gold rank and top-1 proof of every statement, ranking proofs by
+    (score desc, index asc); gold is the same-index proof."""
+    gold = np.diag(m)[:, None]
+    gold_rank = 1 + (m > gold).sum(1) + np.tril(m == gold, -1).sum(1)
+    return RankingResult(gold_rank.astype(np.int64),
+                         np.argmax(m, axis=1).astype(np.int64))
 
 
 def decode_global(m: np.ndarray, k: int | None = None) -> MatchResult:

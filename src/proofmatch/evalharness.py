@@ -10,7 +10,7 @@ import numpy as np
 from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
-from .symbols import ProtectedSet, ReplacementLevel, replace_corpus
+from .symbols import ProtectedSet, ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
 
 
@@ -27,12 +27,12 @@ class MetricReport:
 
 def mrr(gold_ranks) -> float:
     """Mean reciprocal rank: (1/N) sum of 1/rank."""
-    ranks = list(gold_ranks)
-    if not ranks:
+    ranks = np.asarray(gold_ranks)
+    if ranks.size == 0:
         raise EmptyInput("mrr over an empty rank list")
-    if any(r < 1 for r in ranks):
+    if (ranks < 1).any():
         raise ValueError("ranks must be >= 1")
-    return float(np.mean([1.0 / r for r in ranks]))
+    return float(np.mean(1.0 / ranks))
 
 
 def accuracy_local(result: RankingResult) -> float:
@@ -80,13 +80,10 @@ class AssignHistogram:
 
 
 def assignment_distribution(result: RankingResult) -> AssignHistogram:
-    n = len(result.rankings)
-    chosen = np.zeros(n, dtype=np.int64)
-    for ranking in result.rankings:
-        chosen[ranking[0][0]] += 1
-    counts: dict[int, int] = {}
-    for c in chosen:
-        counts[int(c)] = counts.get(int(c), 0) + 1
+    n = len(result.top1)
+    chosen = np.bincount(result.top1, minlength=n)
+    values, freqs = np.unique(chosen, return_counts=True)
+    counts = dict(zip(values.tolist(), freqs.tolist()))
     cum = [int(np.sum(chosen >= t)) for t in _CUM_THRESHOLDS]
     return AssignHistogram(*cum, int(np.sum(chosen == 1)),
                            int(np.sum(chosen == 0)), n, counts)
@@ -126,12 +123,6 @@ class GridReport:
         return out
 
 
-def _mix_seed(seed: int, salt: str) -> int:
-    import hashlib
-    digest = hashlib.sha256(salt.encode()).digest()
-    return (seed ^ int.from_bytes(digest[:8], "little")) & 0xFFFFFFFFFFFFFFFF
-
-
 def evaluate_local(state: ModelState, corpus: Corpus) -> MetricReport:
     m = build_score_matrix(state,
                            [p.statement for p in corpus.pairs],
@@ -151,14 +142,14 @@ def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
     cells: dict[tuple[str, str], MetricReport] = {}
     targets = {
         lv.level.value: replace_corpus(test_corpus, lv, protected,
-                                       _mix_seed(seed, f"test:{lv.level.value}"))
+                                       mix_seed(seed, f"test:{lv.level.value}"))
         for lv in levels
     }
     for src in levels:
         src_train = replace_corpus(train_corpus, src, protected,
-                                   _mix_seed(seed, f"train:{src.level.value}"))
+                                   mix_seed(seed, f"train:{src.level.value}"))
         src_dev = replace_corpus(dev_corpus, src, protected,
-                                 _mix_seed(seed, f"dev:{src.level.value}"))
+                                 mix_seed(seed, f"dev:{src.level.value}"))
         vocab = build_vocab(src_train, min_freq)
         state = init_model(vocab, encoder_config, seed)
         best, _ = train(src_train, src_dev, state, train_config)

@@ -246,8 +246,9 @@ def apply_replacement(proof: list[Token], rmap: ReplacementMap) -> list[Token]:
     return out
 
 
-def _pair_seed(seed: int, pair_id: str) -> int:
-    digest = hashlib.sha256(pair_id.encode("utf-8")).digest()
+def mix_seed(seed: int, salt: str) -> int:
+    """Independent 64-bit sub-seed of ``seed`` for the string ``salt``."""
+    digest = hashlib.sha256(salt.encode("utf-8")).digest()
     sub = int.from_bytes(digest[:8], "little")
     return (seed ^ sub) & 0xFFFFFFFFFFFFFFFF
 
@@ -260,7 +261,7 @@ def _pair_forbidden(pair: PairRecord) -> set[str]:
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
                  protected: ProtectedSet | None = None,
                  seed: int = 0) -> PairRecord:
-    sub_seed = _pair_seed(seed, pair.pair_id)
+    sub_seed = mix_seed(seed, pair.pair_id)
     shared = extract_shared_symbols(pair, protected)
     rmap = build_replacement_map(shared, level, protected, sub_seed,
                                  forbidden=_pair_forbidden(pair))

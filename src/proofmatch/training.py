@@ -194,16 +194,6 @@ class _TailAverage:
         avg.head.b += w * (state.head.b - avg.head.b)
 
 
-def _dev_accuracy(state: ModelState, dev_corpus: Corpus) -> float:
-    from .decoding import build_score_matrix, decode_local
-
-    m = build_score_matrix(state,
-                           [p.statement for p in dev_corpus.pairs],
-                           [p.proof for p in dev_corpus.pairs])
-    result = decode_local(m)
-    return float(np.mean(result.gold_rank == 1))
-
-
 def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
           config: TrainConfig) -> tuple[ModelState, TrainHistory]:
     """SGD/ASGD loop with per-epoch exponential learning-rate decay.
@@ -214,6 +204,8 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     dev accuracy under local decoding; with averaged SGD, evaluation and
     the returned state use the tail average of the parameters.
     """
+    from .evalharness import evaluate_local  # evalharness imports this module
+
     if not corpus.pairs or not dev_corpus.pairs:
         raise ValueError("train and dev corpora must be non-empty")
     rng = np.random.default_rng(config.seed)
@@ -259,7 +251,7 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
             eval_state = state
             if config.optimizer is Optimizer.AVERAGED_SGD and tail.state is not None:
                 eval_state = tail.state
-            acc = _dev_accuracy(eval_state, dev_corpus)
+            acc = evaluate_local(eval_state, dev_corpus).accuracy
             history.dev_accuracy.append((epoch, acc))
             if acc > best_acc:
                 best_acc = acc

@@ -82,6 +82,19 @@ class TestPrune:
         for i in range(5):
             assert sorted(sp.cols[i]) == list(range(5))
 
+    def test_matches_stable_argsort_on_ties(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            m = rng.integers(0, 3, size=(n, n)).astype(float)
+            order = np.argsort(-m, axis=1, kind="stable")
+            for k in range(1, n + 1):
+                sp = prune_topk(m, k)
+                assert sp.cols.shape == sp.vals.shape == (n, k)
+                assert np.array_equal(sp.cols, order[:, :k])
+                assert np.array_equal(sp.vals,
+                                      np.take_along_axis(m, order[:, :k], 1))
+
     def test_bad_k(self):
         m = np.zeros((3, 3))
         with pytest.raises(BadK):
@@ -137,9 +150,8 @@ class TestSparse:
         assert val == 1.0
 
     def test_padded_objective_excludes_sentinels(self):
-        sp = SparseScores(3, 1,
-                          [np.array([1]), np.array([1]), np.array([2])],
-                          [np.array([5.0]), np.array([4.0]), np.array([3.0])])
+        sp = SparseScores(np.array([[1], [1], [2]]),
+                          np.array([[5.0], [4.0], [3.0]]))
         perm, val, padded = solve_sparse(sp)
         assert padded
         assert_permutation(perm, 3)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace as dc_replace
+
 from proofmatch.cli import main
-from proofmatch.corpus import _escape, read_corpus, write_corpus
-from conftest import separable_corpus
+from proofmatch.corpus import Corpus, _escape, read_corpus, write_corpus
+from conftest import repeated_token_pair, separable_corpus
 
 
 def raw_line(pair_id, n_statement=25, n_proof=25, mathml=None):
@@ -153,10 +155,27 @@ class TestTrainEval:
         main(["eval", str(out / "model.pmm"), str(corpus_file),
               "--decode", "global", "--out-dir", str(eval_out), "--quiet"])
         assert "k=all\tmrr=-" in (eval_out / "eval.tsv").read_text()
+        assert "padded=0" in (eval_out / "eval.tsv").read_text()
         main(["eval", str(out / "model.pmm"), str(corpus_file),
               "--decode", "global", "--k", "3",
               "--out-dir", str(eval_out), "--quiet"])
         assert "k=3\t" in (eval_out / "eval.tsv").read_text()
+
+    def test_eval_global_reports_padding(self, tmp_path, corpus_file, capsys):
+        # identical pairs share one top-1 proof, so the k=1 edges admit no
+        # perfect matching
+        args, out = train_args(tmp_path, corpus_file)
+        main(args)
+        dup = tmp_path / "dup.tsv"
+        write_corpus(Corpus([dc_replace(repeated_token_pair(0), pair_id=f"d{i}")
+                             for i in range(3)]), dup)
+        eval_out = tmp_path / "e"
+        capsys.readouterr()
+        assert main(["eval", str(out / "model.pmm"), str(dup),
+                     "--decode", "global", "--k", "1",
+                     "--out-dir", str(eval_out), "--quiet"]) == 0
+        assert (eval_out / "eval.tsv").read_text().rstrip().endswith("padded=1")
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_manifest_written(self, tmp_path, corpus_file):
         args, out = train_args(tmp_path, corpus_file)
@@ -179,6 +198,18 @@ class TestTrainEval:
         assert manifest["config"]["epochs"] == 2
         assert manifest["config"]["dim"] == 16
         assert manifest["config"]["batch_size"] == 5
+
+    def test_config_file_casts_by_option_type(self, tmp_path, corpus_file):
+        # --k defaults to None, so only the option's declared type gives int
+        args, out = train_args(tmp_path, corpus_file)
+        main(args)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("k = 5\n")
+        eval_out = tmp_path / "e"
+        assert main(["eval", str(out / "model.pmm"), str(corpus_file),
+                     "--decode", "global", "--config", str(cfg),
+                     "--out-dir", str(eval_out), "--quiet"]) == 0
+        assert "k=5\t" in (eval_out / "eval.tsv").read_text()
 
     def test_channel_math_only(self, tmp_path, corpus_file):
         args, out = train_args(tmp_path, corpus_file,
