@@ -16,8 +16,10 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from .errors import ProofmatchError
 
-class AssignmentError(Exception):
+
+class AssignmentError(ProofmatchError):
     pass
 
 

@@ -42,6 +42,7 @@ from .encoders import (
     load_model,
     save_model,
 )
+from .errors import ProofmatchError
 from .evalharness import (
     mrr,
     report_global,
@@ -449,11 +450,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_defaults(args, parser, argv)
     started = time.time()
     try:
+        _apply_config_defaults(args, parser, argv)
         code = args.func(args)
-    except (CorpusError, MalformedXml, FileNotFoundError) as exc:
+    except (ProofmatchError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(args, Path(args.out_dir), args.command,

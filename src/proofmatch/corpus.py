@@ -20,8 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ProofmatchError
 
-class CorpusError(Exception):
+
+class CorpusError(ProofmatchError):
     """Base class for corpus-layer errors."""
 
 

@@ -9,9 +9,10 @@ import numpy as np
 from . import assignment
 from .corpus import Token
 from .encoders import ModelState, forward, score_matrix
+from .errors import ProofmatchError
 
 
-class DecodingError(Exception):
+class DecodingError(ProofmatchError):
     pass
 
 

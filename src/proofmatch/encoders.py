@@ -16,16 +16,19 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, Font, Token, TokenKind
 from .corpus import EmptyCorpus
+from .errors import ProofmatchError
 
 
-class EncoderError(Exception):
+class EncoderError(ProofmatchError):
     pass
 
 
@@ -164,7 +167,8 @@ class EncoderConfig:
     use_positions: bool = True
 
     def __post_init__(self):
-        if self.kind is EncoderKind.SELF_ATTENTIVE and self.d % self.heads:
+        if self.kind is EncoderKind.SELF_ATTENTIVE and (
+                self.heads < 1 or self.d % self.heads):
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
 
 
@@ -243,12 +247,24 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
     )
 
 
+# One read-only sinusoid table per width d. Row p does not depend on the
+# table length, so a longer document regrows the table and every caller
+# gets an exact slice of the same values.
+_POSITION_TABLES: dict[int, np.ndarray] = {}
+
+
 def positional_encoding(n: int, d: int) -> np.ndarray:
-    pos = np.arange(n)[:, None]
-    i = np.arange(d)[None, :]
-    angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
-    enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc
+    """Sinusoidal position encodings for positions 0..n-1, shape (n, d).
+    The returned array is a read-only view of a shared table."""
+    table = _POSITION_TABLES.get(d)
+    if table is None or table.shape[0] < n:
+        pos = np.arange(n)[:, None]
+        i = np.arange(d)[None, :]
+        angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
+        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+        table.flags.writeable = False
+        _POSITION_TABLES[d] = table
+    return table[:n]
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -290,9 +306,9 @@ def forward(state: ModelState, doc: list[Token]) -> tuple[np.ndarray, ForwardCac
     x0 = x
     caches: list[LayerCache] = []
     for lp in state.layers:
-        q = np.einsum("td,hdk->htk", x, lp.wq)
-        k = np.einsum("td,hdk->htk", x, lp.wk)
-        v = np.einsum("td,hdv->htv", x, lp.wv)
+        q = x @ lp.wq                          # (H, T, d_k)
+        k = x @ lp.wk
+        v = x @ lp.wv                          # (H, T, d_v)
         attn = _softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_k))
         heads = attn @ v                       # (H, T, d_v)
         concat = heads.transpose(1, 0, 2).reshape(x.shape[0], cfg.d)
@@ -335,22 +351,12 @@ class Gradients:
         ]
         self.w = np.zeros_like(state.head.w)
         self.b = 0.0
-        self._d = state.config.d
 
     def add_embedding(self, row: int, grad: np.ndarray) -> None:
         if row in self.embedding_rows:
             self.embedding_rows[row] += grad
         else:
             self.embedding_rows[row] = grad.copy()
-
-    def merge(self, other: "Gradients") -> None:
-        for row, g in other.embedding_rows.items():
-            self.add_embedding(row, g)
-        for mine, theirs in zip(self.layers, other.layers):
-            for name in mine:
-                mine[name] += theirs[name]
-        self.w += other.w
-        self.b += other.b
 
     def global_norm(self) -> float:
         total = sum(float(np.sum(g * g)) for g in self.embedding_rows.values())
@@ -396,12 +402,12 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
         d_q = d_scores @ lc.k                               # (H, T, d_k)
         d_k = d_scores.transpose(0, 2, 1) @ lc.q            # (H, T, d_k)
         dx_in = d_out.copy()                                # residual branch
-        dx_in += np.einsum("htk,hdk->td", d_q, lp.wq)
-        dx_in += np.einsum("htk,hdk->td", d_k, lp.wk)
-        dx_in += np.einsum("htv,hdv->td", d_v, lp.wv)
-        lg["wq"] += np.einsum("td,htk->hdk", lc.x_in, d_q)
-        lg["wk"] += np.einsum("td,htk->hdk", lc.x_in, d_k)
-        lg["wv"] += np.einsum("td,htv->hdv", lc.x_in, d_v)
+        dx_in += (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
+        dx_in += (d_k @ lp.wk.transpose(0, 2, 1)).sum(0)
+        dx_in += (d_v @ lp.wv.transpose(0, 2, 1)).sum(0)
+        lg["wq"] += lc.x_in.T @ d_q
+        lg["wk"] += lc.x_in.T @ d_k
+        lg["wv"] += lc.x_in.T @ d_v
         dx = dx_in
 
     for pos, row in enumerate(cache.ids):
@@ -497,9 +503,20 @@ def save_model(state: ModelState, path) -> None:
     chunks.append(_pack_tensor(state.head.w))
     chunks.append(struct.pack("<f", state.head.b))
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(hashlib.sha256(body).digest())
+    # Write a temporary file beside the target and rename it over the
+    # target, so an interrupted save leaves the previous checkpoint intact.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path) -> ModelState:
@@ -510,7 +527,23 @@ def load_model(path) -> ModelState:
     body, checksum = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != checksum:
         raise ModelFormatError("checksum mismatch")
-    buf = memoryview(body)
+    try:
+        state, off = _read_body(memoryview(body))
+    except (struct.error, ValueError) as exc:  # short body, bad UTF-8 or config
+        raise ModelFormatError(f"malformed model body: {exc}") from exc
+    if off != len(body):
+        raise ModelFormatError(f"{len(body) - off} bytes after the model body")
+    return state
+
+
+def _decode(codes: dict, code: int, what: str):
+    if code not in codes:
+        raise ModelFormatError(f"unknown {what} code {code}")
+    return codes[code]
+
+
+def _read_body(buf: memoryview) -> tuple[ModelState, int]:
+    """Parse a checksummed body; returns the model and the end offset."""
     off = 4
     version = struct.unpack_from("<I", buf, off)[0]
     off += 4
@@ -527,15 +560,16 @@ def load_model(path) -> ModelState:
             continue
         surface = bytes(buf[off:off + length]).decode("utf-8")
         off += length
-        tokens.append(Token(_CODE_TOKEN_KINDS[kind_c], surface,
-                            _CODE_FONTS[font_c]))
+        tokens.append(Token(_decode(_CODE_TOKEN_KINDS, kind_c, "token kind"),
+                            surface, _decode(_CODE_FONTS, font_c, "font")))
     id_of = {t: i for i, t in enumerate(tokens) if t is not None}
     vocab = Vocabulary(id_of, tokens, min_freq)
     kind_c, d, layers_n, heads, d_k, pool_c, pos_c = struct.unpack_from(
         "<BIIIIBB", buf, off)
     off += 19
-    cfg = EncoderConfig(_CODE_KINDS[kind_c], d, layers_n, heads, d_k,
-                        _CODE_POOLS[pool_c], bool(pos_c))
+    cfg = EncoderConfig(_decode(_CODE_KINDS, kind_c, "encoder"), d, layers_n,
+                        heads, d_k, _decode(_CODE_POOLS, pool_c, "pooling"),
+                        bool(pos_c))
     seed = struct.unpack_from("<Q", buf, off)[0]
     off += 8
     embeddings, off = _unpack_tensor(buf, off)
@@ -549,5 +583,12 @@ def load_model(path) -> ModelState:
             layers.append(LayerParams(wq, wk, wv, wo))
     w, off = _unpack_tensor(buf, off)
     b = struct.unpack_from("<f", buf, off)[0]
-    return ModelState(vocab, cfg, embeddings, layers,
-                      BilinearHead(w, float(b)), seed)
+    off += 4
+    state = ModelState(vocab, cfg, embeddings, layers,
+                       BilinearHead(w, float(b)), seed)
+    want = [(n_tokens, d)]
+    for _ in layers:
+        want += [(heads, d, d_k), (heads, d, d_k), (heads, d, d // heads), (d, d)]
+    if [a.shape for a in state.param_arrays()] != want + [(d, d)]:
+        raise ModelFormatError("tensor shapes do not match the model config")
+    return state, off

@@ -1,0 +1,6 @@
+"""The package's one error base: every error proofmatch raises on bad input
+or an infeasible request derives from it, so a caller can catch them all."""
+
+
+class ProofmatchError(Exception):
+    pass

@@ -10,11 +10,12 @@ import numpy as np
 from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
+from .errors import ProofmatchError
 from .symbols import ProtectedSet, ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
 
 
-class EmptyInput(Exception):
+class EmptyInput(ProofmatchError):
     pass
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from .corpus import Font, Token, TokenKind
+from .errors import ProofmatchError
 
 
-class MalformedXml(Exception):
+class MalformedXml(ProofmatchError):
     pass
 
 

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .corpus import Corpus, Font, PairRecord, Token, TokenKind
+from .errors import ProofmatchError
 
 
-class PoolExhausted(Exception):
+class PoolExhausted(ProofmatchError):
     pass
 
 

@@ -28,9 +28,10 @@ from .encoders import (
     score_matrix,
     score_matrix_backward,
 )
+from .errors import ProofmatchError
 
 
-class TrainingError(Exception):
+class TrainingError(ProofmatchError):
     pass
 
 

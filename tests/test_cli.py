@@ -7,6 +7,7 @@ from dataclasses import replace as dc_replace
 
 from proofmatch.cli import main
 from proofmatch.corpus import Corpus, _escape, read_corpus, write_corpus
+from proofmatch.encoders import EncoderConfig, build_vocab, init_model, save_model
 from conftest import repeated_token_pair, separable_corpus
 
 
@@ -220,6 +221,25 @@ class TestTrainEval:
         assert main(["split", str(tmp_path / "nope.tsv"),
                      "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_corrupted_checkpoint_is_one_error_line(self, tmp_path,
+                                                    corpus_file, capsys):
+        model = tmp_path / "m.pmm"
+        save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                              EncoderConfig(d=8)), model)
+        blob = bytearray(model.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        model.write_bytes(bytes(blob))
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text("no equals sign\n")
+        for argv in (["eval", str(model), str(corpus_file)],
+                     ["split", str(corpus_file), "--config", str(bad_cfg)]):
+            capsys.readouterr()
+            assert main(argv + ["--out-dir", str(tmp_path / "e")]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
 
 
 class TestGrid:

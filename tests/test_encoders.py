@@ -1,7 +1,17 @@
+import errno
+import hashlib
+import functools
 import math
+import struct
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from proofmatch import encoders
 
 from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
 from proofmatch.encoders import (
@@ -9,9 +19,12 @@ from proofmatch.encoders import (
     EmptyDocument,
     EncoderConfig,
     EncoderKind,
+    Gradients,
+    ModelFormatError,
     ModelState,
     Pooling,
     UNK_ID,
+    backward,
     build_stats,
     build_vocab,
     cosine,
@@ -19,6 +32,7 @@ from proofmatch.encoders import (
     forward,
     init_model,
     load_model,
+    positional_encoding,
     save_model,
     score,
     tfidf_encode,
@@ -157,6 +171,112 @@ class TestEncode:
         assert np.array_equal(encode(state, doc), encode(state, doc))
 
 
+def einsum_forward_backward(state, doc, grad_vec):
+    """The self-attentive encoder's forward and backward with the Q/K/V
+    projections and their gradients as einsum contractions: the reference
+    for the matmul forms in encoders.forward and encoders.backward.
+    Returns the pooled vector, per-layer gradients and embedding rows."""
+    cfg = state.config
+    ids = state.vocab.encode_ids(doc)
+    t_len = len(doc)
+    x = state.embeddings[ids] + positional_encoding(t_len, cfg.d)
+    caches = []
+    for lp in state.layers:
+        q = np.einsum("td,hdk->htk", x, lp.wq)
+        k = np.einsum("td,hdk->htk", x, lp.wk)
+        v = np.einsum("td,hdv->htv", x, lp.wv)
+        z = q @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_k)
+        attn = np.exp(z - z.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        concat = (attn @ v).transpose(1, 0, 2).reshape(t_len, cfg.d)
+        caches.append((x, q, k, v, attn, concat))
+        x = x + concat @ lp.wo
+    dx = np.zeros_like(x)
+    if cfg.pooling is Pooling.MAX:
+        pool_idx = np.argmax(x, axis=0)
+        vec = x[pool_idx, np.arange(cfg.d)]
+        dx[pool_idx, np.arange(cfg.d)] = grad_vec
+    else:
+        vec = x.mean(axis=0)
+        dx += grad_vec / t_len
+    layer_grads = []
+    for lp, (x_in, q, k, v, attn, concat) in zip(reversed(state.layers),
+                                                 reversed(caches)):
+        d_heads = (dx @ lp.wo.T).reshape(t_len, cfg.heads, -1).transpose(1, 0, 2)
+        d_attn = d_heads @ v.transpose(0, 2, 1)
+        d_v = attn.transpose(0, 2, 1) @ d_heads
+        d_z = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_z /= math.sqrt(cfg.d_k)
+        d_q = d_z @ k
+        d_k = d_z.transpose(0, 2, 1) @ q
+        layer_grads.append({
+            "wq": np.einsum("td,htk->hdk", x_in, d_q),
+            "wk": np.einsum("td,htk->hdk", x_in, d_k),
+            "wv": np.einsum("td,htv->hdv", x_in, d_v),
+            "wo": concat.T @ dx,
+        })
+        dx = (dx + np.einsum("htk,hdk->td", d_q, lp.wq)
+              + np.einsum("htk,hdk->td", d_k, lp.wk)
+              + np.einsum("htv,hdv->td", d_v, lp.wv))
+    rows = {}
+    for pos, row in enumerate(ids):
+        rows[int(row)] = rows.get(int(row), 0.0) + dx[pos]
+    return vec, layer_grads[::-1], rows
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestAttentionMatmul:
+    # The benchmark's train-selfattn shape, then four heads with d_k != d_v.
+    @pytest.mark.parametrize("d,heads,d_k,layers,pooling", [
+        (64, 2, 32, 1, Pooling.MAX),
+        (32, 4, 12, 2, Pooling.MEAN),
+    ])
+    def test_matches_einsum_reference(self, d, heads, d_k, layers, pooling):
+        rng = np.random.default_rng(7)
+        vocab = build_vocab(one_pair_corpus(
+            [math_token(f"v{i}") for i in range(60)]), 1)
+        state = init_model(vocab, EncoderConfig(
+            EncoderKind.SELF_ATTENTIVE, d=d, layers=layers, heads=heads,
+            d_k=d_k, pooling=pooling), seed=3)
+        doc = [math_token(f"v{i}") for i in rng.integers(0, 60, size=150)]
+        grad_vec = rng.normal(size=d)
+
+        vec, cache = forward(state, doc)
+        grads = Gradients(state)
+        backward(state, cache, grad_vec, grads)
+        ref_vec, ref_layers, ref_rows = einsum_forward_backward(
+            state, doc, grad_vec)
+
+        assert_rel_close(vec, ref_vec)
+        for got, want in zip(grads.layers, ref_layers, strict=True):
+            for name in ("wq", "wk", "wv", "wo"):
+                assert_rel_close(got[name], want[name])
+        assert grads.embedding_rows.keys() == ref_rows.keys()
+        for row, want in ref_rows.items():
+            assert_rel_close(grads.embedding_rows[row], want)
+
+
+class TestPositionalEncoding:
+    def test_closed_form_across_table_growth(self, monkeypatch):
+        monkeypatch.setattr(encoders, "_POSITION_TABLES", {})
+        d = 6
+        first = positional_encoding(10, d).copy()
+        for n in (10, 600, 10):
+            table = positional_encoding(n, d)
+            assert table.shape == (n, d)
+            assert not table.flags.writeable
+            for p in (0, 1, n // 2, n - 1):
+                for i in range(d):
+                    angle = p / 10000.0 ** (2 * (i // 2) / d)
+                    want = math.sin(angle) if i % 2 == 0 else math.cos(angle)
+                    assert table[p, i] == pytest.approx(want, rel=0, abs=1e-12)
+            # growing the table leaves the rows already handed out unchanged
+            assert np.array_equal(table[:10], first)
+
+
 class TestScore:
     def test_identity_w_is_dot(self):
         state = small_state()
@@ -215,3 +335,83 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_interrupted_save_keeps_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.pmm"
+        save_model(small_state(seed=1), path)
+        before = path.read_bytes()
+
+        def full_disk(_body):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # the checksum is written after the body, so this fails mid-file
+        monkeypatch.setattr(encoders, "hashlib",
+                            types.SimpleNamespace(sha256=full_disk))
+        with pytest.raises(OSError):
+            save_model(small_state(seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
+
+
+@functools.cache
+def model_body() -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
+    """A self-attentive model's checksummed body, the offsets of its code
+    bytes (token kind, font, encoder, pooling) and of its config integers."""
+    state = small_state(EncoderKind.SELF_ATTENTIVE, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.pmm"
+        save_model(state, path)
+        body = path.read_bytes()[:-32]
+    codes, off = [], 16
+    for _ in state.vocab.tokens:
+        codes += [off, off + 1]
+        off += 4 + struct.unpack_from("<H", body, off + 2)[0]
+    codes += [off, off + 17]
+    return body, tuple(codes), (off + 1, off + 5, off + 9, off + 13)
+
+
+def resigned(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()
+
+
+@st.composite
+def mutated_bodies(draw):
+    body, codes, fields = model_body()
+    how = draw(st.sampled_from(("truncate", "extend", "code", "field")))
+    if how == "truncate":
+        return how, body[:draw(st.integers(0, len(body) - 1))]
+    if how == "extend":
+        return how, body + draw(st.binary(min_size=1, max_size=16))
+    out = bytearray(body)
+    if how == "code":
+        out[draw(st.sampled_from(codes))] = draw(st.integers(0, 255))
+    else:
+        struct.pack_into("<I", out, draw(st.sampled_from(fields)),
+                         draw(st.integers(0, 2**32 - 1)))
+    return how, bytes(out)
+
+
+class TestMalformedBody:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_bodies())
+    def test_load_returns_or_raises_format_error(self, mutation):
+        how, body = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.pmm"
+            path.write_bytes(resigned(body))
+            try:
+                state = load_model(path)
+            except ModelFormatError:
+                return
+        assert how in ("code", "field")
+        assert isinstance(state, ModelState)
+
+    def test_unknown_token_kind_and_trailing_bytes(self, tmp_path):
+        body, codes, _ = model_body()
+        bad_kind = bytearray(body)
+        bad_kind[codes[2]] = 7  # first real token's kind byte
+        path = tmp_path / "m.pmm"
+        for bad in (bytes(bad_kind), body + b"\0"):
+            path.write_bytes(resigned(bad))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
