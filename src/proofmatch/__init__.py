@@ -3,7 +3,7 @@ similarity models, local/global decoding, and evaluation."""
 
 __version__ = "0.1.0"
 
-from .errors import ProofmatchError  # noqa: F401
+from .errors import InvalidValue, ProofmatchError  # noqa: F401
 from .corpus import (  # noqa: F401
     Corpus,
     Font,

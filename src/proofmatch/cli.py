@@ -9,6 +9,7 @@ supply defaults; explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import enum
 import hashlib
 import json
 import sys
@@ -19,15 +20,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import corpus as corpus_mod
 from .corpus import (
     Corpus,
     CorpusError,
     FilterResult,
+    FormatError,
     SplitMode,
     SplitSpec,
+    Token,
+    _unescape,
     filter_channel,
     filter_pair,
+    format_token,
+    parse_record,
+    parse_token,
     read_corpus,
     split_corpus,
     write_corpus,
@@ -42,7 +48,7 @@ from .encoders import (
     load_model,
     save_model,
 )
-from .errors import ProofmatchError
+from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
     mrr,
     report_global,
@@ -59,7 +65,10 @@ from .symbols import (
 )
 from .training import Objective, Optimizer, TrainConfig, train, write_history
 
-_LEVELS = {lv.value: lv for lv in Level}
+
+def _values(kind: type[enum.Enum]) -> tuple[str, ...]:
+    """The command-line choices of an option that names an enum member."""
+    return tuple(member.value for member in kind)
 
 
 def _sha256(path) -> str:
@@ -99,10 +108,16 @@ def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPa
         if key in explicit or key not in actions:
             continue
         action = actions[key]
-        if isinstance(action.default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, (action.type or str)(raw))
+        try:
+            value = (raw.lower() in ("1", "true", "yes")
+                     if isinstance(action.default, bool)
+                     else (action.type or str)(raw))
+        except ValueError:
+            raise InvalidValue(f"{args.config}: bad {key} {raw!r}") from None
+        if action.choices and value not in action.choices:
+            raise InvalidValue(f"{args.config}: {key} must be one of "
+                               f"{', '.join(action.choices)}, not {raw!r}")
+        setattr(args, key, value)
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path, command: str,
@@ -139,21 +154,20 @@ def _channel_corpus(corpus: Corpus, channel: str) -> Corpus:
 
 
 def _encoder_config(args) -> EncoderConfig:
-    kinds = {"pooled": EncoderKind.POOLED, "selfattn": EncoderKind.SELF_ATTENTIVE}
     return EncoderConfig(
-        kind=kinds[args.encoder],
+        kind=EncoderKind(args.encoder),
         d=args.dim, layers=args.layers, heads=args.heads, d_k=args.dk,
-        pooling=Pooling.MEAN if args.pooling == "mean" else Pooling.MAX,
+        pooling=Pooling(args.pooling),
     )
 
 
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
-        objective=Objective.HYBRID if args.objective == "hybrid" else Objective.LOCAL,
+        objective=Objective(args.objective),
         batch_size=args.batch_size,
         epochs=args.epochs,
         lr=args.lr,
-        optimizer=Optimizer.SGD if args.optimizer == "sgd" else Optimizer.AVERAGED_SGD,
+        optimizer=Optimizer(args.optimizer),
         lr_decay=args.lr_decay,
         eval_every=args.eval_every,
         seed=args.seed,
@@ -164,10 +178,6 @@ def _load_protected(args) -> ProtectedSet | None:
     if getattr(args, "protected", None):
         return read_protected_set(args.protected)
     return None
-
-
-def _replacement_level(args) -> ReplacementLevel:
-    return ReplacementLevel(_LEVELS[args.level], args.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +193,7 @@ def cmd_ingest(args) -> int:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            record = _parse_raw_record(line, lineno)
+            record = parse_record(line, lineno, _parse_raw_tokens)
             verdict = filter_pair(record)
             if verdict is FilterResult.KEEP:
                 kept.append(record)
@@ -200,46 +210,29 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_raw_record(line: str, lineno: int):
-    """Raw records use the corpus grammar plus ``x:payload`` items carrying
-    percent-encoded Presentation-MathML to linearize in place."""
-    fields = line.split("\t")
-    if len(fields) != 5:
-        raise corpus_mod.FormatError(
-            f"expected 5 tab-separated fields, got {len(fields)}", lineno)
-
-    def parse_list(s):
-        toks = []
-        for item in s.split(" "):
-            if not item:
-                continue
-            if item.startswith("x:"):
-                fragment = corpus_mod._unescape(item[2:])
-                try:
-                    toks.extend(linearize_mathml(fragment))
-                except MalformedXml as exc:
-                    raise corpus_mod.FormatError(str(exc), lineno) from exc
-            else:
-                toks.append(corpus_mod.parse_token(item, lineno))
-        return toks
-
-    return corpus_mod.PairRecord(
-        pair_id=corpus_mod._unescape(fields[0]),
-        article_id=corpus_mod._unescape(fields[1]),
-        categories=[corpus_mod._unescape(c) for c in fields[2].split(",")]
-        if fields[2] else [],
-        statement=parse_list(fields[3]),
-        proof=parse_list(fields[4]),
-    )
+def _parse_raw_tokens(text: str, line: int, column: int) -> list[Token]:
+    """Corpus token items plus ``x:payload`` items carrying percent-encoded
+    Presentation-MathML, linearized in place."""
+    toks = []
+    for item in text.split(" "):
+        if item.startswith("x:"):
+            try:
+                toks.extend(linearize_mathml(_unescape(item[2:])))
+            except MalformedXml as exc:
+                raise FormatError(str(exc), line, column) from exc
+        elif item:
+            toks.append(parse_token(item, line, column))
+        column += len(item) + 1
+    return toks
 
 
 def cmd_split(args) -> int:
     corpus = read_corpus(args.corpus)
-    spec = SplitSpec(
-        mode=SplitMode.UNMIXED if args.mode == "unmixed" else SplitMode.MIXED,
-        ratios=tuple(float(r) for r in args.ratios.split(",")),
-        seed=args.seed,
-    )
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        raise InvalidValue(f"split ratios are not numbers: {args.ratios!r}") from None
+    spec = SplitSpec(mode=SplitMode(args.mode), ratios=ratios, seed=args.seed)
     parts = split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +246,7 @@ def cmd_split(args) -> int:
 
 def cmd_replace(args) -> int:
     corpus = read_corpus(args.corpus)
-    level = _replacement_level(args)
+    level = ReplacementLevel(Level(args.level), args.alpha)
     replaced = replace_corpus(corpus, level, _load_protected(args), args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -271,7 +264,7 @@ def cmd_vocab(args) -> int:
     out_path = out_dir / args.output
     with open(out_path, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(vocab.tokens):
-            item = "<unk>" if tok is None else corpus_mod.format_token(tok)
+            item = "<unk>" if tok is None else format_token(tok)
             fh.write(f"{i}\t{item}\n")
     _say(args, f"vocabulary of {len(vocab)} entries -> {out_path}")
     return 0
@@ -327,8 +320,10 @@ def cmd_grid(args) -> int:
     train_c = _channel_corpus(read_corpus(args.train_corpus), args.channel)
     dev_c = _channel_corpus(read_corpus(args.dev_corpus), args.channel)
     test_c = _channel_corpus(read_corpus(args.test_corpus), args.channel)
-    levels = [ReplacementLevel(_LEVELS[name], args.alpha)
-              for name in args.levels.split(",")]
+    names = args.levels.split(",")
+    if unknown := set(names) - set(_values(Level)):
+        raise InvalidValue(f"unknown replacement levels: {sorted(unknown)}")
+    levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
     report = run_grid(train_c, dev_c, test_c, levels, _encoder_config(args),
                       _train_config(args), _load_protected(args),
                       seed=args.seed, min_freq=args.min_freq)
@@ -355,21 +350,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder", choices=("pooled", "selfattn"), default="pooled")
+    p.add_argument("--encoder", choices=_values(EncoderKind), default="pooled")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--heads", type=int, default=2)
     p.add_argument("--dk", type=int, default=32)
-    p.add_argument("--pooling", choices=("max", "mean"), default="max")
+    p.add_argument("--pooling", choices=_values(Pooling), default="max")
     p.add_argument("--min-freq", type=int, default=1)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--objective", choices=("local", "hybrid"), default="local")
+    p.add_argument("--objective", choices=_values(Objective), default="local")
     p.add_argument("--batch-size", type=int, default=60)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--optimizer", choices=("sgd", "asgd"), default="asgd")
+    p.add_argument("--optimizer", choices=_values(Optimizer), default="asgd")
     p.add_argument("--lr-decay", type=float, default=0.996)
     p.add_argument("--eval-every", type=int, default=20)
 
@@ -389,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="train/dev/test split")
     p.add_argument("corpus", type=Path)
-    p.add_argument("--mode", choices=("mixed", "unmixed"), default="mixed")
+    p.add_argument("--mode", choices=_values(SplitMode), default="mixed")
     p.add_argument("--ratios", default="0.8,0.1,0.1")
     _add_common(p)
     p.set_defaults(func=cmd_split, inputs=lambda a: [a.corpus])
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replace", help="apply a symbol-replacement level")
     p.add_argument("corpus", type=Path)
     p.add_argument("--output", default="replaced.tsv")
-    p.add_argument("--level", choices=tuple(_LEVELS), default="full")
+    p.add_argument("--level", choices=_values(Level), default="full")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--protected", type=Path, default=None)
     _add_common(p)

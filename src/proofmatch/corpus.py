@@ -16,11 +16,11 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProofmatchError
+from .errors import InvalidValue, ProofmatchError
 
 
 class CorpusError(ProofmatchError):
@@ -69,11 +69,11 @@ class Token:
 
     def __post_init__(self):
         if not self.surface:
-            raise ValueError("empty token surface")
+            raise InvalidValue("empty token surface")
         if any(c.isspace() for c in self.surface):
-            raise ValueError(f"whitespace in token surface: {self.surface!r}")
+            raise InvalidValue(f"whitespace in token surface: {self.surface!r}")
         if self.kind is TokenKind.TEXT and self.font is not Font.NORMAL:
-            raise ValueError("text tokens must carry the normal font")
+            raise InvalidValue("text tokens must carry the normal font")
 
 
 def text_token(surface: str) -> Token:
@@ -112,7 +112,7 @@ class Corpus:
         seen = set()
         for p in self.pairs:
             if p.pair_id in seen:
-                raise ValueError(f"duplicate pair_id: {p.pair_id}")
+                raise InvalidValue(f"duplicate pair_id: {p.pair_id}")
             seen.add(p.pair_id)
 
 
@@ -128,10 +128,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise InvalidValue(f"expected 3 split ratios, got {len(self.ratios)}")
         if any(r < 0 for r in self.ratios):
-            raise ValueError("negative split ratio")
+            raise InvalidValue("negative split ratio")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios sum to {sum(self.ratios)}, not 1")
+            raise InvalidValue(f"split ratios sum to {sum(self.ratios)}, not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def filter_channel(tokens: list[Token], channel: str) -> list[Token]:
         return [t for t in tokens if t.kind is TokenKind.TEXT]
     if channel == "math":
         return [t for t in tokens if t.kind is TokenKind.MATH]
-    raise ValueError(f"unknown channel: {channel}")
+    raise InvalidValue(f"unknown channel: {channel}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +268,11 @@ def parse_token(item: str, line: int = 0, column: int = 0) -> Token:
     if len(item) < 3 or item[1] != ":":
         raise FormatError(f"bad token item {item!r}", line, column)
     sigil, rest = item[0], item[2:]
+    font = Font.NORMAL
     if sigil == "t":
-        return Token(TokenKind.TEXT, _unescape(rest))
-    if sigil == "m":
-        font = Font.NORMAL
+        kind = TokenKind.TEXT
+    elif sigil == "m":
+        kind = TokenKind.MATH
         if "#" in rest:
             rest, fname = rest.rsplit("#", 1)
             if fname not in _SIGIL_FONTS:
@@ -277,8 +280,12 @@ def parse_token(item: str, line: int = 0, column: int = 0) -> Token:
             font = _SIGIL_FONTS[fname]
         if not rest:
             raise FormatError("empty math surface", line, column)
-        return Token(TokenKind.MATH, _unescape(rest), font)
-    raise FormatError(f"unknown token-kind sigil {sigil!r}", line, column)
+    else:
+        raise FormatError(f"unknown token-kind sigil {sigil!r}", line, column)
+    try:
+        return Token(kind, _unescape(rest), font)
+    except InvalidValue as exc:  # an escaped space in the surface
+        raise FormatError(str(exc), line, column) from exc
 
 
 def format_record(rec: PairRecord) -> str:
@@ -288,31 +295,31 @@ def format_record(rec: PairRecord) -> str:
     return "\t".join((_escape(rec.pair_id), _escape(rec.article_id), cats, stmt, proof))
 
 
-def parse_record(line: str, lineno: int) -> PairRecord:
+def parse_tokens(text: str, line: int, column: int) -> list[Token]:
+    """The space-separated token items of a field starting at ``column``."""
+    toks = []
+    for item in text.split(" "):
+        if item:
+            toks.append(parse_token(item, line, column))
+        column += len(item) + 1
+    return toks
+
+
+def parse_record(line: str, lineno: int, parse_list=parse_tokens) -> PairRecord:
+    """One corpus line. ``parse_list(field, lineno, column)`` parses each
+    token field; a caller may pass one that accepts further item kinds."""
     fields = line.split("\t")
     if len(fields) != 5:
         raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}",
                           lineno)
     pair_id, article_id, cats_s, stmt_s, proof_s = fields
-    cats = [_unescape(c) for c in cats_s.split(",")] if cats_s else []
-
-    def parse_list(s: str, col0: int) -> list[Token]:
-        toks = []
-        col = col0
-        for item in s.split(" "):
-            if item:
-                toks.append(parse_token(item, lineno, col))
-            col += len(item) + 1
-        return toks
-
-    stmt_col = len(fields[0]) + len(fields[1]) + len(fields[2]) + 3
-    proof_col = stmt_col + len(stmt_s) + 1
+    stmt_col = len(pair_id) + len(article_id) + len(cats_s) + 3
     return PairRecord(
         pair_id=_unescape(pair_id),
         article_id=_unescape(article_id),
-        categories=cats,
-        statement=parse_list(stmt_s, stmt_col),
-        proof=parse_list(proof_s, proof_col),
+        categories=[_unescape(c) for c in cats_s.split(",")] if cats_s else [],
+        statement=parse_list(stmt_s, lineno, stmt_col),
+        proof=parse_list(proof_s, lineno, stmt_col + len(stmt_s) + 1),
     )
 
 

@@ -41,35 +41,22 @@ class MatchResult:
     k_used: int | None  # None = no pruning ("All")
 
 
-DEFAULT_BLOCK_SIZE = 1024
-
-
 def encode_collection(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
     return np.stack([forward(state, doc)[0] for doc in docs])
 
 
 def build_score_matrix(state: ModelState,
                        statements: list[list[Token]],
-                       proofs: list[list[Token]],
-                       block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """m[i][j] = score(encode(statement i), encode(proof j)).
-
-    Each text is encoded exactly once; statements are processed in row
-    blocks so large matrices never hold all statement activations at once.
-    """
+                       proofs: list[list[Token]]) -> np.ndarray:
+    """m[i][j] = score(encode(statement i), encode(proof j)); each text is
+    encoded exactly once."""
     if not statements or not proofs:
         raise EmptyCollection("empty statement or proof collection")
     if len(statements) != len(proofs):
         raise SizeMismatch(
             f"{len(statements)} statements vs {len(proofs)} proofs")
-    p_vecs = encode_collection(state, proofs)
-    n = len(statements)
-    m = np.empty((n, n))
-    for start in range(0, n, block_size):
-        block = statements[start:start + block_size]
-        s_vecs = encode_collection(state, block)
-        m[start:start + len(block)] = score_matrix(state, s_vecs, p_vecs)
-    return m
+    return score_matrix(state, encode_collection(state, statements),
+                        encode_collection(state, proofs))
 
 
 def decode_local(m: np.ndarray) -> RankingResult:

@@ -1,10 +1,10 @@
 """Text encoders and the bilinear score head.
 
-Three encoders: a TF-IDF baseline, a pooled-embedding encoder, and a
-self-attentive encoder (multi-head scaled dot-product attention with a
-residual connection around each layer, sinusoidal position encodings, then
-max or mean pooling). Gradients are computed manually and are exact for
-the implemented forward pass.
+Two trainable encoders: a pooled-embedding encoder, and a self-attentive
+encoder (multi-head scaled dot-product attention with a residual
+connection around each layer, sinusoidal position encodings, then max or
+mean pooling). Gradients are computed manually and are exact for the
+implemented forward pass.
 
 Model files are a versioned binary container: magic ``PMM1``, vocabulary,
 config, row-major little-endian float32 parameter tensors, and a trailing
@@ -18,14 +18,14 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, Font, Token, TokenKind
 from .corpus import EmptyCorpus
-from .errors import ProofmatchError
+from .errors import InvalidValue, ProofmatchError
 
 
 class EncoderError(ProofmatchError):
@@ -33,10 +33,6 @@ class EncoderError(ProofmatchError):
 
 
 class EmptyDocument(EncoderError):
-    pass
-
-
-class EmptyStats(EncoderError):
     pass
 
 
@@ -76,7 +72,7 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
     if not corpus.pairs:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     if min_freq < 1:
-        raise ValueError("min_freq must be >= 1")
+        raise InvalidValue("min_freq must be >= 1")
     freq: dict[Token, int] = {}
     first: dict[Token, int] = {}
     pos = 0
@@ -94,57 +90,10 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
 
 
 # ---------------------------------------------------------------------------
-# TF-IDF baseline
-
-
-@dataclass
-class DocumentStats:
-    df: dict[Token, int]
-    n_docs: int
-
-
-def build_stats(corpus: Corpus) -> DocumentStats:
-    """Each statement and each proof is one document."""
-    if not corpus.pairs:
-        raise EmptyCorpus("cannot build stats from an empty corpus")
-    df: dict[Token, int] = {}
-    n_docs = 0
-    for pair in corpus.pairs:
-        for doc in (pair.statement, pair.proof):
-            n_docs += 1
-            for tok in set(doc):
-                df[tok] = df.get(tok, 0) + 1
-    return DocumentStats(df, n_docs)
-
-
-def tfidf_encode(doc: list[Token], stats: DocumentStats) -> dict[Token, float]:
-    """weight(t) = tf(t, doc) * ln(N / (1 + df(t))); unknown tokens dropped."""
-    if stats.n_docs == 0:
-        raise EmptyStats("document-frequency table is empty")
-    tf: dict[Token, int] = {}
-    for tok in doc:
-        tf[tok] = tf.get(tok, 0) + 1
-    return {
-        tok: count * math.log(stats.n_docs / (1 + stats.df[tok]))
-        for tok, count in tf.items() if tok in stats.df
-    }
-
-
-def cosine(u: dict[Token, float], v: dict[Token, float]) -> float:
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    dot = sum(x * v[t] for t, x in u.items() if t in v)
-    return dot / (nu * nv)
-
-
-# ---------------------------------------------------------------------------
-# Trainable encoders
+# Encoders
 
 
 class EncoderKind(enum.Enum):
-    TFIDF = "tfidf"
     POOLED = "pooled"
     SELF_ATTENTIVE = "selfattn"
 
@@ -167,9 +116,14 @@ class EncoderConfig:
     use_positions: bool = True
 
     def __post_init__(self):
+        # d, layers, heads and d_k are stored as unsigned checkpoint fields
+        if self.d < 1 or min(self.layers, self.heads, self.d_k) < 0:
+            raise InvalidValue(f"bad encoder shape: d={self.d}, layers="
+                               f"{self.layers}, heads={self.heads}, d_k={self.d_k}")
         if self.kind is EncoderKind.SELF_ATTENTIVE and (
-                self.heads < 1 or self.d % self.heads):
-            raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
+                self.heads < 1 or self.d % self.heads or self.d_k < 1):
+            raise InvalidValue(f"self-attention needs d={self.d} divisible by "
+                               f"heads={self.heads} and d_k={self.d_k} >= 1")
 
 
 # Full-scale reference shape; the desk-scale default is the dataclass default.
@@ -183,6 +137,9 @@ class LayerParams:
     wk: np.ndarray  # (H, d, d_k)
     wv: np.ndarray  # (H, d, d_v)
     wo: np.ndarray  # (d, d)
+
+    def tensors(self) -> tuple[np.ndarray, ...]:
+        return (self.wq, self.wk, self.wv, self.wo)
 
 
 @dataclass
@@ -201,20 +158,36 @@ class ModelState:
     rng_seed: int = 0
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            self.vocab, self.config, self.embeddings.copy(),
-            [LayerParams(l.wq.copy(), l.wk.copy(), l.wv.copy(), l.wo.copy())
-             for l in self.layers],
-            BilinearHead(self.head.w.copy(), self.head.b),
-            self.rng_seed,
-        )
+        return _assemble(self.vocab, self.config,
+                         [a.copy() for a in self.param_arrays()],
+                         self.head.b, self.rng_seed)
 
     def param_arrays(self) -> list[np.ndarray]:
-        out = [self.embeddings]
-        for l in self.layers:
-            out.extend((l.wq, l.wk, l.wv, l.wo))
-        out.append(self.head.w)
-        return out
+        """Every tensor of the model: embeddings, each layer's tensors in
+        order, then the head's W (the bias is a scalar)."""
+        return [self.embeddings, *(a for l in self.layers for a in l.tensors()),
+                self.head.w]
+
+
+def _param_shapes(n_tokens: int, config: EncoderConfig):
+    """Shapes of ``param_arrays()`` for a model of this config, in order."""
+    d, h = config.d, config.heads
+    yield (n_tokens, d)
+    if config.kind is EncoderKind.SELF_ATTENTIVE:
+        for _ in range(config.layers):
+            yield from ((h, d, config.d_k), (h, d, config.d_k),
+                        (h, d, d // h), (d, d))
+    yield (d, d)
+
+
+def _assemble(vocab: Vocabulary, config: EncoderConfig,
+              arrays: list[np.ndarray], b: float, seed: int) -> ModelState:
+    """The model whose ``param_arrays()`` are ``arrays``."""
+    embeddings, *layer_arrays, w = arrays
+    n = len(fields(LayerParams))
+    layers = [LayerParams(*layer_arrays[i:i + n])
+              for i in range(0, len(layer_arrays), n)]
+    return ModelState(vocab, config, embeddings, layers, BilinearHead(w, b), seed)
 
 
 def init_model(vocab: Vocabulary, config: EncoderConfig,
@@ -222,29 +195,14 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
     """Uniform(-1/sqrt(d), 1/sqrt(d)) embeddings and projections,
     W = I/sqrt(d), b = 0."""
     rng = np.random.default_rng(seed)
-    d = config.d
-    scale = 1.0 / math.sqrt(d)
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    layers = []
-    if config.kind is EncoderKind.SELF_ATTENTIVE:
-        d_v = d // config.heads
-        for _ in range(config.layers):
-            layers.append(LayerParams(
-                wq=u(config.heads, d, config.d_k),
-                wk=u(config.heads, d, config.d_k),
-                wv=u(config.heads, d, d_v),
-                wo=u(d, d),
-            ))
-    return ModelState(
-        vocab=vocab, config=config,
-        embeddings=u(len(vocab), d),
-        layers=layers,
-        head=BilinearHead(np.eye(d) * scale, 0.0),
-        rng_seed=seed,
-    )
+    scale = 1.0 / math.sqrt(config.d)
+    emb_shape, *layer_shapes, _ = _param_shapes(len(vocab), config)
+    # The draw order is part of what a seed means: layers, then embeddings.
+    layer_arrays = [rng.uniform(-scale, scale, size=s) for s in layer_shapes]
+    embeddings = rng.uniform(-scale, scale, size=emb_shape)
+    return _assemble(vocab, config,
+                     [embeddings, *layer_arrays, np.eye(config.d) * scale],
+                     0.0, seed)
 
 
 # One read-only sinusoid table per width d. Row p does not depend on the
@@ -297,8 +255,6 @@ def forward(state: ModelState, doc: list[Token]) -> tuple[np.ndarray, ForwardCac
     if not doc:
         raise EmptyDocument("cannot encode an empty document")
     cfg = state.config
-    if cfg.kind is EncoderKind.TFIDF:
-        raise EncoderError("tf-idf encoding has no trainable forward pass")
     ids = state.vocab.encode_ids(doc)
     x = state.embeddings[ids].astype(np.float64, copy=True)
     if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers and cfg.use_positions:
@@ -344,13 +300,14 @@ class Gradients:
 
     def __init__(self, state: ModelState):
         self.embedding_rows: dict[int, np.ndarray] = {}
-        self.layers = [
-            {"wq": np.zeros_like(l.wq), "wk": np.zeros_like(l.wk),
-             "wv": np.zeros_like(l.wv), "wo": np.zeros_like(l.wo)}
-            for l in state.layers
-        ]
+        self.layers = [LayerParams(*map(np.zeros_like, l.tensors()))
+                       for l in state.layers]
         self.w = np.zeros_like(state.head.w)
         self.b = 0.0
+
+    def dense_arrays(self) -> list[np.ndarray]:
+        """Layer and head gradients, aligned with ``param_arrays()[1:]``."""
+        return [*(a for l in self.layers for a in l.tensors()), self.w]
 
     def add_embedding(self, row: int, grad: np.ndarray) -> None:
         if row in self.embedding_rows:
@@ -359,19 +316,13 @@ class Gradients:
             self.embedding_rows[row] = grad.copy()
 
     def global_norm(self) -> float:
-        total = sum(float(np.sum(g * g)) for g in self.embedding_rows.values())
-        for layer in self.layers:
-            total += sum(float(np.sum(g * g)) for g in layer.values())
-        total += float(np.sum(self.w * self.w)) + self.b * self.b
-        return math.sqrt(total)
+        total = sum(float(np.sum(g * g)) for g in
+                    [*self.embedding_rows.values(), *self.dense_arrays()])
+        return math.sqrt(total + self.b * self.b)
 
     def scale(self, factor: float) -> None:
-        for g in self.embedding_rows.values():
+        for g in [*self.embedding_rows.values(), *self.dense_arrays()]:
             g *= factor
-        for layer in self.layers:
-            for g in layer.values():
-                g *= factor
-        self.w *= factor
         self.b *= factor
 
 
@@ -391,7 +342,7 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
                           reversed(grads.layers)):
         # x_out = x_in + concat @ wo
         d_out = dx
-        lg["wo"] += lc.concat.T @ d_out
+        lg.wo += lc.concat.T @ d_out
         d_concat = d_out @ lp.wo.T
         d_heads = d_concat.reshape(t_len, cfg.heads, -1).transpose(1, 0, 2)
         d_attn = d_heads @ lc.v.transpose(0, 2, 1)          # (H, T, T)
@@ -405,9 +356,9 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
         dx_in += (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
         dx_in += (d_k @ lp.wk.transpose(0, 2, 1)).sum(0)
         dx_in += (d_v @ lp.wv.transpose(0, 2, 1)).sum(0)
-        lg["wq"] += lc.x_in.T @ d_q
-        lg["wk"] += lc.x_in.T @ d_k
-        lg["wv"] += lc.x_in.T @ d_v
+        lg.wq += lc.x_in.T @ d_q
+        lg.wk += lc.x_in.T @ d_k
+        lg.wv += lc.x_in.T @ d_v
         dx = dx_in
 
     for pos, row in enumerate(cache.ids):
@@ -436,12 +387,8 @@ def apply_gradients(state: ModelState, grads: Gradients, lr: float) -> None:
     """Plain gradient-descent update (loss minimization)."""
     for row, g in grads.embedding_rows.items():
         state.embeddings[row] -= lr * g
-    for lp, lg in zip(state.layers, grads.layers):
-        lp.wq -= lr * lg["wq"]
-        lp.wk -= lr * lg["wk"]
-        lp.wv -= lr * lg["wv"]
-        lp.wo -= lr * lg["wo"]
-    state.head.w -= lr * grads.w
+    for p, g in zip(state.param_arrays()[1:], grads.dense_arrays(), strict=True):
+        p -= lr * g
     state.head.b -= lr * grads.b
 
 
@@ -450,8 +397,8 @@ def apply_gradients(state: ModelState, grads: Gradients, lr: float) -> None:
 
 _MAGIC = b"PMM1"
 _VERSION = 1
-_KIND_CODES = {EncoderKind.TFIDF: 0, EncoderKind.POOLED: 1,
-               EncoderKind.SELF_ATTENTIVE: 2}
+# Code 0 was an untrainable TF-IDF kind; it is no longer accepted.
+_KIND_CODES = {EncoderKind.POOLED: 1, EncoderKind.SELF_ATTENTIVE: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _POOL_CODES = {Pooling.MAX: 0, Pooling.MEAN: 1}
 _CODE_POOLS = {v: k for k, v in _POOL_CODES.items()}
@@ -496,11 +443,7 @@ def save_model(state: ModelState, path) -> None:
                               _POOL_CODES[cfg.pooling],
                               1 if cfg.use_positions else 0))
     chunks.append(struct.pack("<Q", state.rng_seed & 0xFFFFFFFFFFFFFFFF))
-    chunks.append(_pack_tensor(state.embeddings))
-    for lp in state.layers:
-        for arr in (lp.wq, lp.wk, lp.wv, lp.wo):
-            chunks.append(_pack_tensor(arr))
-    chunks.append(_pack_tensor(state.head.w))
+    chunks.extend(_pack_tensor(a) for a in state.param_arrays())
     chunks.append(struct.pack("<f", state.head.b))
     body = b"".join(chunks)
     # Write a temporary file beside the target and rename it over the
@@ -572,23 +515,12 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
                         bool(pos_c))
     seed = struct.unpack_from("<Q", buf, off)[0]
     off += 8
-    embeddings, off = _unpack_tensor(buf, off)
-    layers = []
-    if cfg.kind is EncoderKind.SELF_ATTENTIVE:
-        for _ in range(cfg.layers):
-            wq, off = _unpack_tensor(buf, off)
-            wk, off = _unpack_tensor(buf, off)
-            wv, off = _unpack_tensor(buf, off)
-            wo, off = _unpack_tensor(buf, off)
-            layers.append(LayerParams(wq, wk, wv, wo))
-    w, off = _unpack_tensor(buf, off)
+    arrays = []
+    for shape in _param_shapes(n_tokens, cfg):
+        arr, off = _unpack_tensor(buf, off)
+        if arr.shape != shape:
+            raise ModelFormatError("tensor shapes do not match the model config")
+        arrays.append(arr)
     b = struct.unpack_from("<f", buf, off)[0]
     off += 4
-    state = ModelState(vocab, cfg, embeddings, layers,
-                       BilinearHead(w, float(b)), seed)
-    want = [(n_tokens, d)]
-    for _ in layers:
-        want += [(heads, d, d_k), (heads, d, d_k), (heads, d, d // heads), (d, d)]
-    if [a.shape for a in state.param_arrays()] != want + [(d, d)]:
-        raise ModelFormatError("tensor shapes do not match the model config")
-    return state, off
+    return _assemble(vocab, cfg, arrays, float(b), seed), off

@@ -4,3 +4,7 @@ or an infeasible request derives from it, so a caller can catch them all."""
 
 class ProofmatchError(Exception):
     pass
+
+
+class InvalidValue(ProofmatchError, ValueError):
+    """A configuration or data value outside its allowed range."""

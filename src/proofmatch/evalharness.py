@@ -10,7 +10,7 @@ import numpy as np
 from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
-from .errors import ProofmatchError
+from .errors import InvalidValue, ProofmatchError
 from .symbols import ProtectedSet, ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
 
@@ -32,7 +32,7 @@ def mrr(gold_ranks) -> float:
     if ranks.size == 0:
         raise EmptyInput("mrr over an empty rank list")
     if (ranks < 1).any():
-        raise ValueError("ranks must be >= 1")
+        raise InvalidValue("ranks must be >= 1")
     return float(np.mean(1.0 / ranks))
 
 

@@ -37,7 +37,7 @@ _VARIANTS = {
 }
 
 
-def _local(tag: str) -> str:
+def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
@@ -49,7 +49,7 @@ def _font_of(elem: ET.Element, inherited: Font) -> Font:
 
 
 def _emit(elem: ET.Element, inherited: Font, out: list[Token]) -> None:
-    tag = _local(elem.tag)
+    tag = _local_name(elem.tag)
     if tag in _CONTENT_MARKUP:
         raise MalformedXml(f"content markup element <{tag}> is not supported")
     font = _font_of(elem, inherited)
@@ -78,8 +78,8 @@ def linearize_mathml(fragment: str) -> list[Token]:
         root = ET.fromstring(fragment)
     except ET.ParseError as exc:
         raise MalformedXml(str(exc)) from exc
-    if _local(root.tag) != "math":
-        raise MalformedXml(f"root element is <{_local(root.tag)}>, expected <math>")
+    if _local_name(root.tag) != "math":
+        raise MalformedXml(f"root element is <{_local_name(root.tag)}>, expected <math>")
     out: list[Token] = []
     _emit(root, Font.NORMAL, out)
     return out

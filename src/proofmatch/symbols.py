@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .corpus import Corpus, Font, PairRecord, Token, TokenKind
-from .errors import ProofmatchError
+from .corpus import Corpus, Font, PairRecord, Token, TokenKind, parse_token
+from .errors import InvalidValue, ProofmatchError
 
 
 class PoolExhausted(ProofmatchError):
@@ -76,7 +76,7 @@ class ReplacementLevel:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha out of [0,1]: {self.alpha}")
+            raise InvalidValue(f"alpha out of [0,1]: {self.alpha}")
         if self.level is Level.FULL and self.alpha != 1.0:
             object.__setattr__(self, "alpha", 1.0)
 
@@ -106,20 +106,16 @@ def probability_protected() -> ProtectedSet:
 
 
 def read_protected_set(path, domain_label: str = "") -> ProtectedSet:
-    """One symbol per line, ``surface`` or ``surface#font``; # comments."""
-    from .corpus import _SIGIL_FONTS  # shared font sigils
-
+    """One symbol per line, ``surface`` or ``surface#font`` in the corpus
+    math-token syntax; # comments. A bad line raises ``FormatError``."""
     keys = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            font = Font.NORMAL
-            if "#" in line:
-                line, fname = line.rsplit("#", 1)
-                font = _SIGIL_FONTS[fname]
-            keys.add(SymbolKey(line.casefold(), font))
+            tok = parse_token("m:" + line, lineno)
+            keys.add(SymbolKey(tok.surface.casefold(), tok.font))
     return ProtectedSet(frozenset(keys), domain_label)
 
 
@@ -188,11 +184,11 @@ def build_replacement_map(shared: set[SymbolKey],
     if level.level is Level.CONSERVATION or not keys:
         return ReplacementMap(entries, seed)
 
-    if level.level is Level.TRANSPOSITION and len(keys) > 1:
-        perm = _derangement(keys, rng)
-        if perm is not None:
-            for k, target in zip(keys, perm):
-                entries[k] = SymbolKey(target.base, k.font)
+    if level.level is Level.TRANSPOSITION:
+        sigma = _derangement(sorted({k.base for k in keys}), rng)
+        if sigma is not None:
+            for k in keys:
+                entries[k] = SymbolKey(sigma[k.base], k.font)
             return ReplacementMap(entries, seed)
         # All shared keys carry one base (font variants only): derangement
         # cannot change any base, fall back to fresh names.
@@ -216,17 +212,17 @@ def build_replacement_map(shared: set[SymbolKey],
     return ReplacementMap(entries, seed)
 
 
-def _derangement(keys: list[SymbolKey],
-                 rng: np.random.Generator) -> list[SymbolKey] | None:
-    """Seeded derangement of keys with all bases changed, or None when the
-    shared bases make one impossible."""
-    bases = {k.base for k in keys}
+def _derangement(bases: list[str],
+                 rng: np.random.Generator) -> dict[str, str] | None:
+    """Seeded permutation of the distinct bases that moves every one, or
+    None when there are fewer than two. Every key of a base then maps to
+    the same new base in its own font, so the map stays injective."""
     if len(bases) < 2:
         return None
     for _ in range(10000):
-        perm = [keys[i] for i in rng.permutation(len(keys))]
-        if all(p.base != k.base for p, k in zip(perm, keys)):
-            return perm
+        perm = [bases[i] for i in rng.permutation(len(bases))]
+        if all(p != b for p, b in zip(perm, bases)):
+            return dict(zip(bases, perm))
     return None
 
 

@@ -28,7 +28,7 @@ from .encoders import (
     score_matrix,
     score_matrix_backward,
 )
-from .errors import ProofmatchError
+from .errors import InvalidValue, ProofmatchError
 
 
 class TrainingError(ProofmatchError):
@@ -69,11 +69,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (in-batch negatives)")
+            raise InvalidValue("batch_size must be >= 2 (in-batch negatives)")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise InvalidValue("lr must be positive")
         if not 0 < self.lr_decay <= 1:
-            raise ValueError("lr_decay must be in (0, 1]")
+            raise InvalidValue("lr_decay must be in (0, 1]")
+        if self.eval_every < 1:
+            raise InvalidValue("eval_every must be >= 1")
 
 
 @dataclass
@@ -160,10 +162,6 @@ def batch_loss_and_grads(state: ModelState, batch_pairs,
     return loss, grads
 
 
-def _local(m):
-    return local_loss(m)
-
-
 def _global(m):
     loss, grad, _ = global_loss(m)
     return loss, grad
@@ -185,13 +183,8 @@ class _TailAverage:
             return
         w = 1.0 / self.count
         avg = self.state
-        avg.embeddings += w * (state.embeddings - avg.embeddings)
-        for al, sl in zip(avg.layers, state.layers):
-            al.wq += w * (sl.wq - al.wq)
-            al.wk += w * (sl.wk - al.wk)
-            al.wv += w * (sl.wv - al.wv)
-            al.wo += w * (sl.wo - al.wo)
-        avg.head.w += w * (state.head.w - avg.head.w)
+        for a, s in zip(avg.param_arrays(), state.param_arrays(), strict=True):
+            a += w * (s - a)
         avg.head.b += w * (state.head.b - avg.head.b)
 
 
@@ -208,7 +201,7 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     from .evalharness import evaluate_local  # evalharness imports this module
 
     if not corpus.pairs or not dev_corpus.pairs:
-        raise ValueError("train and dev corpora must be non-empty")
+        raise InvalidValue("train and dev corpora must be non-empty")
     rng = np.random.default_rng(config.seed)
     n = len(corpus.pairs)
     b = config.batch_size
@@ -229,9 +222,9 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
                 continue  # in-batch losses need negatives
             batch = [corpus.pairs[i] for i in chunk]
             if config.objective is Objective.LOCAL:
-                tag, loss_fn = "local", _local
+                tag, loss_fn = "local", local_loss
             else:
-                tag, loss_fn = (("local", _local) if hybrid_parity == 0
+                tag, loss_fn = (("local", local_loss) if hybrid_parity == 0
                                 else ("global", _global))
                 hybrid_parity ^= 1
             loss, grads = batch_loss_and_grads(state, batch, loss_fn)

@@ -66,8 +66,8 @@ def max_gradient_error(state, batch, loss_fn,
         dense_emb[row] = g
     targets = [(state.embeddings, dense_emb), (state.head.w, grads.w)]
     for lp, lg in zip(state.layers, grads.layers):
-        targets.extend([(lp.wq, lg["wq"]), (lp.wk, lg["wk"]),
-                        (lp.wv, lg["wv"]), (lp.wo, lg["wo"])])
+        targets.extend([(lp.wq, lg.wq), (lp.wk, lg.wk),
+                        (lp.wv, lg.wv), (lp.wo, lg.wo)])
 
     worst = 0.0
     for arr, analytic in targets:

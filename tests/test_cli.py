@@ -6,7 +6,8 @@ import pytest
 from dataclasses import replace as dc_replace
 
 from proofmatch.cli import main
-from proofmatch.corpus import Corpus, _escape, read_corpus, write_corpus
+from proofmatch.corpus import (
+    Corpus, _escape, format_record, read_corpus, write_corpus)
 from proofmatch.encoders import EncoderConfig, build_vocab, init_model, save_model
 from conftest import repeated_token_pair, separable_corpus
 
@@ -69,6 +70,15 @@ class TestIngest:
         write_raw(raw, [raw_line("bad", mathml="<math><mi>x</math>")])
         assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_token_error_names_column(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        line = raw_line("p1")
+        write_raw(raw, [line + " q:oops"])
+        assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 1
+        # the comment is line 1; the bad item starts after the last space
+        assert (f"line 2, col {len(line) + 1}: unknown token-kind sigil"
+                in capsys.readouterr().err)
 
     def test_idempotent(self, tmp_path):
         raw = tmp_path / "raw.tsv"
@@ -240,6 +250,55 @@ class TestTrainEval:
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ")
             assert "Traceback" not in err
+
+
+# Each bad value ends `match` in one error line, never a traceback.
+BAD_VALUES = {
+    "heads_not_dividing_dim": ["train", "{corpus}", "{corpus}",
+                               "--encoder", "selfattn", "--dim", "15",
+                               "--heads", "2"],
+    "unknown_protected_font": ["replace", "{corpus}",
+                               "--protected", "{protected}"],
+    "ratios_not_summing_to_one": ["split", "{corpus}",
+                                  "--ratios", "0.5,0.5,0.5"],
+    "two_ratios": ["split", "{corpus}", "--ratios", "0.5,0.5"],
+    "ratio_not_a_number": ["split", "{corpus}", "--ratios", "0.8,a,0.1"],
+    "alpha_above_one": ["replace", "{corpus}", "--level", "partial",
+                        "--alpha", "2"],
+    "batch_of_one": ["train", "{corpus}", "{corpus}", "--batch-size", "1"],
+    "zero_lr": ["train", "{corpus}", "{corpus}", "--lr", "0"],
+    "zero_eval_every": ["train", "{corpus}", "{corpus}", "--eval-every", "0"],
+    "zero_min_freq": ["vocab", "{corpus}", "--min-freq", "0"],
+    "zero_dim": ["train", "{corpus}", "{corpus}", "--dim", "0"],
+    "negative_layers": ["train", "{corpus}", "{corpus}", "--encoder",
+                        "selfattn", "--dim", "8", "--layers", "-1"],
+    "zero_dk": ["train", "{corpus}", "{corpus}", "--encoder", "selfattn",
+                "--dim", "8", "--dk", "0"],
+    "duplicate_pair_id": ["split", "{duplicated}"],
+    "space_in_token": ["vocab", "{spaced}"],
+    "unknown_grid_level": ["grid", "{corpus}", "{corpus}", "{corpus}",
+                           "--levels", "full,bogus"],
+    "config_value_outside_choices": ["train", "{corpus}", "{corpus}",
+                                     "--config", "{bad_choice}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
+    pair = format_record(separable_corpus(1).pairs[0])
+    files = {"corpus": corpus_file}
+    for name, text in (("protected", "P\nx#zz\n"),
+                       ("duplicated", f"{pair}\n{pair}\n"),
+                       ("spaced", pair + " t:a%20b\n"),
+                       ("bad_choice", "encoder = tfidf\n")):
+        files[name] = tmp_path / name
+        files[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**files) for arg in BAD_VALUES[case]]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestGrid:

@@ -20,14 +20,13 @@ from proofmatch.encoders import (
     EncoderConfig,
     EncoderKind,
     Gradients,
+    LayerParams,
     ModelFormatError,
     ModelState,
     Pooling,
     UNK_ID,
     backward,
-    build_stats,
     build_vocab,
-    cosine,
     encode,
     forward,
     init_model,
@@ -35,7 +34,6 @@ from proofmatch.encoders import (
     positional_encoding,
     save_model,
     score,
-    tfidf_encode,
 )
 from proofmatch.corpus import EmptyCorpus
 from conftest import random_corpus
@@ -77,39 +75,6 @@ class TestVocabulary:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             build_vocab(Corpus([]), 1)
-
-
-class TestTfIdf:
-    def test_all_unknown_is_zero_vector(self):
-        corpus = one_pair_corpus([text_token("known")])
-        stats = build_stats(corpus)
-        assert tfidf_encode([text_token("unseen")], stats) == {}
-
-    def test_ubiquitous_token_negative_weight(self):
-        # token in every one of 9 documents: idf = ln(9/10) < 0
-        from proofmatch.encoders import DocumentStats
-        stats = DocumentStats(df={text_token("the"): 9}, n_docs=9)
-        vec = tfidf_encode([text_token("the")] * 3, stats)
-        expected = 3 * math.log(9 / (1 + 9))
-        assert vec[text_token("the")] == pytest.approx(expected)
-        assert vec[text_token("the")] < 0
-
-    def test_cosine_self_is_one(self):
-        corpus = one_pair_corpus([text_token("a"), text_token("b")])
-        stats = build_stats(corpus)
-        doc = [text_token("a"), text_token("b"), text_token("b")]
-        v = tfidf_encode(doc, stats)
-        assert cosine(v, v) == pytest.approx(1.0)
-
-    def test_cosine_symmetry_and_scale_invariance(self):
-        u = {text_token("a"): 1.0, text_token("b"): 2.0}
-        v = {text_token("b"): 3.0, text_token("c"): -1.0}
-        assert cosine(u, v) == pytest.approx(cosine(v, u))
-        scaled = {t: 7.5 * x for t, x in u.items()}
-        assert cosine(scaled, v) == pytest.approx(cosine(u, v))
-
-    def test_cosine_zero_vector_is_zero(self):
-        assert cosine({}, {text_token("a"): 1.0}) == 0.0
 
 
 def small_state(kind=EncoderKind.POOLED, pooling=Pooling.MAX, layers=1,
@@ -209,12 +174,12 @@ def einsum_forward_backward(state, doc, grad_vec):
         d_z /= math.sqrt(cfg.d_k)
         d_q = d_z @ k
         d_k = d_z.transpose(0, 2, 1) @ q
-        layer_grads.append({
-            "wq": np.einsum("td,htk->hdk", x_in, d_q),
-            "wk": np.einsum("td,htk->hdk", x_in, d_k),
-            "wv": np.einsum("td,htv->hdv", x_in, d_v),
-            "wo": concat.T @ dx,
-        })
+        layer_grads.append(LayerParams(
+            wq=np.einsum("td,htk->hdk", x_in, d_q),
+            wk=np.einsum("td,htk->hdk", x_in, d_k),
+            wv=np.einsum("td,htv->hdv", x_in, d_v),
+            wo=concat.T @ dx,
+        ))
         dx = (dx + np.einsum("htk,hdk->td", d_q, lp.wq)
               + np.einsum("htk,hdk->td", d_k, lp.wk)
               + np.einsum("htv,hdv->td", d_v, lp.wv))
@@ -253,7 +218,7 @@ class TestAttentionMatmul:
         assert_rel_close(vec, ref_vec)
         for got, want in zip(grads.layers, ref_layers, strict=True):
             for name in ("wq", "wk", "wv", "wo"):
-                assert_rel_close(got[name], want[name])
+                assert_rel_close(getattr(got, name), getattr(want, name))
         assert grads.embedding_rows.keys() == ref_rows.keys()
         for row, want in ref_rows.items():
             assert_rel_close(grads.embedding_rows[row], want)
@@ -353,6 +318,31 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
 
 
+def arange_state(kind, layers):
+    """A model whose tensors are filled from np.arange, so its file does
+    not depend on any random draw."""
+    state = small_state(kind, layers=layers, seed=9)
+    for i, a in enumerate(state.param_arrays()):
+        a[...] = (np.arange(a.size).reshape(a.shape) % 17 - 8) / 16 + i
+    state.head.b = 0.25
+    return state
+
+
+class TestCheckpointBytes:
+    # Pinned SHA-256 of each file: any change to the bytes a checkpoint is
+    # written with, tensor order included, shows here.
+    @pytest.mark.parametrize("kind,layers,digest", [
+        (EncoderKind.POOLED, 1,
+         "cdf2e1ac45656a598e06c1df5b814097df48891adef2315dbe5056254b53efee"),
+        (EncoderKind.SELF_ATTENTIVE, 2,
+         "4b5664b95e4087526f34e33d36050e94ecbd1a0eb6bed028d25f0f48b878aad6"),
+    ])
+    def test_pinned_digest(self, tmp_path, kind, layers, digest):
+        path = tmp_path / "m.pmm"
+        save_model(arange_state(kind, layers), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @functools.cache
 def model_body() -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     """A self-attentive model's checksummed body, the offsets of its code
@@ -405,6 +395,17 @@ class TestMalformedBody:
                 return
         assert how in ("code", "field")
         assert isinstance(state, ModelState)
+
+    def test_retired_encoder_code_zero(self, tmp_path):
+        path = tmp_path / "m.pmm"
+        save_model(arange_state(EncoderKind.POOLED, 1), path)
+        body = bytearray(path.read_bytes()[:-32])
+        # kind, d, layers, heads, d_k, pooling, positions
+        kind_at = body.index(struct.pack("<BIIIIBB", 1, 8, 1, 2, 3, 0, 1))
+        body[kind_at] = 0
+        path.write_bytes(resigned(bytes(body)))
+        with pytest.raises(ModelFormatError, match="unknown encoder code 0"):
+            load_model(path)
 
     def test_unknown_token_kind_and_trailing_bytes(self, tmp_path):
         body, codes, _ = model_body()

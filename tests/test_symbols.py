@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from proofmatch.corpus import Corpus, Font, PairRecord, math_token, text_token
+from proofmatch.corpus import (
+    Corpus, Font, FormatError, PairRecord, math_token, text_token)
 from proofmatch.symbols import (
     CONSERVATION,
     FULL,
@@ -118,6 +119,20 @@ class TestBuildMap:
         (src, dst), = rmap.entries.items()
         assert src == SymbolKey("a") and dst.base != "a"
 
+    def test_transposition_deranges_bases_of_font_variants(self):
+        # one letter shared in two fonts next to other letters: every key of
+        # a base moves to the same new base and keeps its own font
+        shared = {SymbolKey("a"), SymbolKey("a", Font.BOLD),
+                  SymbolKey("b"), SymbolKey("c")}
+        for seed in range(200):
+            rmap = build_replacement_map(shared, TRANSPOSITION, seed=seed)
+            assert rmap.entries.keys() == shared
+            sigma = {src.base: dst.base for src, dst in rmap.entries.items()}
+            assert sorted(sigma.values()) == ["a", "b", "c"]
+            assert all(src != dst for src, dst in sigma.items())
+            for key, target in rmap.entries.items():
+                assert target == SymbolKey(sigma[key.base], key.font)
+
     def test_injective_over_random_inputs(self):
         rng = np.random.default_rng(0)
         letters = "abcdefghijkmnopqrstuvwxyz"
@@ -218,6 +233,13 @@ class TestProtectedSetFile:
         assert SymbolKey("p") in ps.keys
         assert SymbolKey("σ") in ps.keys
         assert SymbolKey("x", Font.BOLD) in ps.keys
+
+    def test_unknown_font_names_line(self, tmp_path):
+        path = tmp_path / "prot.txt"
+        path.write_text("P\nx#zz\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_protected_set(path)
+        assert err.value.line == 2
 
     def test_default_probability_set(self):
         assert probability_protected().bases == {"p", "e", "v", "σ", "ρ"}
