@@ -38,7 +38,6 @@ from .encoders import (  # noqa: F401
     init_model,
     load_model,
     save_model,
-    score,
 )
 from .assignment import prune_topk, solve_brute, solve_dense, solve_sparse  # noqa: F401
 from .decoding import build_score_matrix, decode_global, decode_local  # noqa: F401

@@ -32,9 +32,9 @@ from .corpus import (
     filter_channel,
     filter_pair,
     format_token,
-    parse_record,
     parse_token,
     read_corpus,
+    read_records,
     split_corpus,
     write_corpus,
 )
@@ -188,17 +188,12 @@ def cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     kept, rejected = [], {"too_short": 0, "too_long": 0}
-    with open(args.input, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            record = parse_record(line, lineno, _parse_raw_tokens)
-            verdict = filter_pair(record)
-            if verdict is FilterResult.KEEP:
-                kept.append(record)
-            else:
-                rejected[verdict.value] += 1
+    for record in read_records(args.input, _parse_raw_tokens):
+        verdict = filter_pair(record)
+        if verdict is FilterResult.KEEP:
+            kept.append(record)
+        else:
+            rejected[verdict.value] += 1
     out_path = out_dir / args.output
     write_corpus(Corpus(kept), out_path)
     n_rej = sum(rejected.values())
@@ -281,9 +276,9 @@ def cmd_train(args) -> int:
     model_path = out_dir / args.output
     save_model(best, model_path)
     write_history(history, out_dir / (Path(args.output).stem + ".log"))
-    last = history.dev_accuracy[-1] if history.dev_accuracy else (0, 0.0)
-    _say(args, f"model -> {model_path} (dev accuracy {last[1]:.4f} "
-               f"at epoch {last[0]})")
+    epoch, acc = history.dev_accuracy[-1]
+    _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
+               f"at epoch {epoch})")
     return 0
 
 
@@ -449,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_defaults(args, parser, argv)
         code = args.func(args)
-    except (ProofmatchError, FileNotFoundError) as exc:
+    except (ProofmatchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(args, Path(args.out_dir), args.command,

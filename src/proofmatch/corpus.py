@@ -329,14 +329,17 @@ def write_corpus(corpus: Corpus, path) -> None:
             fh.write(format_record(rec) + "\n")
 
 
-def read_corpus(path) -> Corpus:
-    pairs = []
+def read_records(path, parse_list=parse_tokens):
+    """Each record of a corpus file; blank and ``#`` lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            pairs.append(parse_record(line, lineno))
+            if line and not line.startswith("#"):
+                yield parse_record(line, lineno, parse_list)
+
+
+def read_corpus(path) -> Corpus:
+    pairs = list(read_records(path))
     if not pairs:
         raise EmptyCorpus(f"no records in {path}")
     return Corpus(pairs)

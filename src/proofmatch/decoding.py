@@ -48,8 +48,8 @@ def encode_collection(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
 def build_score_matrix(state: ModelState,
                        statements: list[list[Token]],
                        proofs: list[list[Token]]) -> np.ndarray:
-    """m[i][j] = score(encode(statement i), encode(proof j)); each text is
-    encoded exactly once."""
+    """m[i][j] = s_i^T W p_j + b (``score_matrix``), where s_i encodes
+    statement i and p_j proof j; each text is encoded exactly once."""
     if not statements or not proofs:
         raise EmptyCollection("empty statement or proof collection")
     if len(statements) != len(proofs):

@@ -36,10 +36,6 @@ class EmptyDocument(EncoderError):
     pass
 
 
-class DimensionMismatch(EncoderError):
-    pass
-
-
 class ModelFormatError(EncoderError):
     pass
 
@@ -162,11 +158,22 @@ class ModelState:
                          [a.copy() for a in self.param_arrays()],
                          self.head.b, self.rng_seed)
 
+    def zeros(self) -> "ModelState":
+        """Same shape, every parameter zero: the buffer a gradient fills."""
+        return _assemble(self.vocab, self.config,
+                         [np.zeros_like(a) for a in self.param_arrays()],
+                         0.0, self.rng_seed)
+
     def param_arrays(self) -> list[np.ndarray]:
         """Every tensor of the model: embeddings, each layer's tensors in
         order, then the head's W (the bias is a scalar)."""
         return [self.embeddings, *(a for l in self.layers for a in l.tensors()),
                 self.head.w]
+
+    def global_norm(self) -> float:
+        """The L2 norm over every parameter, bias included."""
+        total = sum(float(np.sum(a * a)) for a in self.param_arrays())
+        return math.sqrt(total + self.head.b * self.head.b)
 
 
 def _param_shapes(n_tokens: int, config: EncoderConfig):
@@ -283,53 +290,14 @@ def encode(state: ModelState, doc: list[Token]) -> np.ndarray:
     return forward(state, doc)[0]
 
 
-def score(state: ModelState, s_vec: np.ndarray, p_vec: np.ndarray) -> float:
-    if s_vec.shape != (state.config.d,) or p_vec.shape != (state.config.d,):
-        raise DimensionMismatch(
-            f"expected vectors of dim {state.config.d}, "
-            f"got {s_vec.shape} and {p_vec.shape}")
-    return float(s_vec @ state.head.w @ p_vec + state.head.b)
-
-
 # ---------------------------------------------------------------------------
 # Gradients
 
 
-class Gradients:
-    """Per-call gradient buffer; embedding rows are kept sparse."""
-
-    def __init__(self, state: ModelState):
-        self.embedding_rows: dict[int, np.ndarray] = {}
-        self.layers = [LayerParams(*map(np.zeros_like, l.tensors()))
-                       for l in state.layers]
-        self.w = np.zeros_like(state.head.w)
-        self.b = 0.0
-
-    def dense_arrays(self) -> list[np.ndarray]:
-        """Layer and head gradients, aligned with ``param_arrays()[1:]``."""
-        return [*(a for l in self.layers for a in l.tensors()), self.w]
-
-    def add_embedding(self, row: int, grad: np.ndarray) -> None:
-        if row in self.embedding_rows:
-            self.embedding_rows[row] += grad
-        else:
-            self.embedding_rows[row] = grad.copy()
-
-    def global_norm(self) -> float:
-        total = sum(float(np.sum(g * g)) for g in
-                    [*self.embedding_rows.values(), *self.dense_arrays()])
-        return math.sqrt(total + self.b * self.b)
-
-    def scale(self, factor: float) -> None:
-        for g in [*self.embedding_rows.values(), *self.dense_arrays()]:
-            g *= factor
-        self.b *= factor
-
-
 def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
-             grads: Gradients) -> None:
-    """Accumulate d(loss)/d(params) for one encoded document, given the
-    gradient with respect to its pooled vector."""
+             grads: ModelState) -> None:
+    """Add d(loss)/d(params) for one encoded document to ``grads``, given
+    the gradient with respect to its pooled vector."""
     cfg = state.config
     t_len = cache.x0.shape[0]
     dx = np.zeros((t_len, cfg.d))
@@ -361,8 +329,7 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
         lg.wv += lc.x_in.T @ d_v
         dx = dx_in
 
-    for pos, row in enumerate(cache.ids):
-        grads.add_embedding(int(row), dx[pos])
+    np.add.at(grads.embeddings, cache.ids, dx)
 
 
 def score_matrix(state: ModelState, s_vecs: np.ndarray,
@@ -373,23 +340,21 @@ def score_matrix(state: ModelState, s_vecs: np.ndarray,
 
 def score_matrix_backward(state: ModelState, s_vecs: np.ndarray,
                           p_vecs: np.ndarray, d_m: np.ndarray,
-                          grads: Gradients) -> tuple[np.ndarray, np.ndarray]:
+                          grads: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through the all-pairs score matrix.
     Returns (d_s_vecs, d_p_vecs) for the encoder backward passes."""
-    grads.w += s_vecs.T @ d_m @ p_vecs
-    grads.b += float(d_m.sum())
+    grads.head.w += s_vecs.T @ d_m @ p_vecs
+    grads.head.b += float(d_m.sum())
     d_s = d_m @ (p_vecs @ state.head.w.T)
     d_p = d_m.T @ (s_vecs @ state.head.w)
     return d_s, d_p
 
 
-def apply_gradients(state: ModelState, grads: Gradients, lr: float) -> None:
+def apply_gradients(state: ModelState, grads: ModelState, lr: float) -> None:
     """Plain gradient-descent update (loss minimization)."""
-    for row, g in grads.embedding_rows.items():
-        state.embeddings[row] -= lr * g
-    for p, g in zip(state.param_arrays()[1:], grads.dense_arrays(), strict=True):
+    for p, g in zip(state.param_arrays(), grads.param_arrays(), strict=True):
         p -= lr * g
-    state.head.b -= lr * grads.b
+    state.head.b -= lr * grads.head.b
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from scipy.special import logsumexp
 from . import assignment
 from .corpus import Corpus
 from .encoders import (
-    Gradients,
     ModelState,
     apply_gradients,
     backward,
@@ -68,6 +67,8 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise InvalidValue("epochs must be >= 1")
         if self.batch_size < 2:
             raise InvalidValue("batch_size must be >= 2 (in-batch negatives)")
         if self.lr <= 0:
@@ -144,7 +145,7 @@ def global_loss(m_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def batch_loss_and_grads(state: ModelState, batch_pairs,
-                         loss_fn) -> tuple[float, Gradients]:
+                         loss_fn) -> tuple[float, ModelState]:
     """Encode a batch, apply loss_fn to the in-batch score matrix, and
     backpropagate to all parameters."""
     s_out = [forward(state, p.statement) for p in batch_pairs]
@@ -153,7 +154,7 @@ def batch_loss_and_grads(state: ModelState, batch_pairs,
     p_vecs = np.stack([v for v, _ in p_out])
     m_b = score_matrix(state, s_vecs, p_vecs)
     loss, d_m = loss_fn(m_b)
-    grads = Gradients(state)
+    grads = state.zeros()
     d_s, d_p = score_matrix_backward(state, s_vecs, p_vecs, d_m, grads)
     for (_, cache), g in zip(s_out, d_s):
         backward(state, cache, g, grads)
@@ -231,9 +232,10 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
             if not math.isfinite(loss):
                 raise NonFiniteLoss([p.pair_id for p in batch])
             norm = grads.global_norm()
+            step_size = lr
             if config.clip_norm and norm > config.clip_norm:
-                grads.scale(config.clip_norm / norm)
-            apply_gradients(state, grads, lr)
+                step_size = lr * config.clip_norm / norm
+            apply_gradients(state, grads, step_size)
             step_count += 1
             history.steps.append(LossReport(
                 epoch, step_count, tag, loss, lr, norm,

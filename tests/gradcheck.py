@@ -61,10 +61,7 @@ def max_gradient_error(state, batch, loss_fn,
         value, _ = batch_loss_and_grads(state, batch, loss_fn)
         return value
 
-    dense_emb = np.zeros_like(state.embeddings)
-    for row, g in grads.embedding_rows.items():
-        dense_emb[row] = g
-    targets = [(state.embeddings, dense_emb), (state.head.w, grads.w)]
+    targets = [(state.embeddings, grads.embeddings), (state.head.w, grads.head.w)]
     for lp, lg in zip(state.layers, grads.layers):
         targets.extend([(lp.wq, lg.wq), (lp.wk, lg.wk),
                         (lp.wv, lg.wv), (lp.wo, lg.wo)])
@@ -91,5 +88,5 @@ def max_gradient_error(state, batch, loss_fn,
     down = loss_now()
     state.head.b = old
     fd = (up - down) / (2 * h)
-    worst = max(worst, abs(fd - grads.b) / max(1.0, abs(grads.b)))
+    worst = max(worst, abs(fd - grads.head.b) / max(1.0, abs(grads.head.b)))
     return worst

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
 
 from dataclasses import replace as dc_replace
+from hypothesis import given, settings, strategies as st
+from pathlib import Path
 
 from proofmatch.cli import main
 from proofmatch.corpus import (
@@ -280,25 +285,52 @@ BAD_VALUES = {
                            "--levels", "full,bogus"],
     "config_value_outside_choices": ["train", "{corpus}", "{corpus}",
                                      "--config", "{bad_choice}"],
+    "zero_epochs": ["train", "{corpus}", "{corpus}", "--epochs", "0"],
+    "non_utf8_corpus": ["split", "{non_utf8}"],
+    "corpus_is_a_directory": ["split", "{directory}"],
+    "out_dir_is_a_file": ["split", "{corpus}", "--out-dir", "{corpus}"],
+    "non_utf8_config": ["train", "{corpus}", "{corpus}",
+                        "--config", "{non_utf8}"],
+    "non_utf8_protected": ["replace", "{corpus}", "--protected", "{non_utf8}"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
-    pair = format_record(separable_corpus(1).pairs[0])
-    files = {"corpus": corpus_file}
-    for name, text in (("protected", "P\nx#zz\n"),
-                       ("duplicated", f"{pair}\n{pair}\n"),
-                       ("spaced", pair + " t:a%20b\n"),
-                       ("bad_choice", "encoder = tfidf\n")):
+    pair = format_record(separable_corpus(1).pairs[0]).encode()
+    files = {"corpus": corpus_file, "directory": tmp_path}
+    for name, data in (("protected", b"P\nx#zz\n"),
+                       ("duplicated", pair + b"\n" + pair + b"\n"),
+                       ("spaced", pair + b" t:a%20b\n"),
+                       ("bad_choice", b"encoder = tfidf\n"),
+                       ("non_utf8", b"\xff\n")):
         files[name] = tmp_path / name
-        files[name].write_text(text, encoding="utf-8")
-    argv = [arg.format(**files) for arg in BAD_VALUES[case]]
-    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        files[name].write_bytes(data)
+    command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
+    # a case's own --out-dir comes later and wins
+    assert main([command, "--out-dir", str(tmp_path / "o"), *rest]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=40))
+def test_any_protected_file_runs_or_is_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_corpus(separable_corpus(4), tmp / "corpus.tsv")
+        (tmp / "protected").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["replace", str(tmp / "corpus.tsv"), "--protected",
+                         str(tmp / "protected"), "--out-dir", str(tmp),
+                         "--quiet"])
+    assert code in (0, 1)
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 class TestGrid:

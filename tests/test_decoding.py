@@ -10,7 +10,7 @@ from proofmatch.decoding import (
     decode_global,
     decode_local,
 )
-from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model, score
+from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.corpus import math_token
 from conftest import separable_corpus
 
@@ -31,8 +31,8 @@ class TestBuildScoreMatrix:
         from proofmatch.encoders import encode
         for i in (0, 2, 4):
             for j in (1, 3):
-                expected = score(state, encode(state, statements[i]),
-                                 encode(state, proofs[j]))
+                expected = (encode(state, statements[i]) @ state.head.w
+                            @ encode(state, proofs[j]) + state.head.b)
                 assert m[i, j] == pytest.approx(expected)
 
     def test_each_text_encoded_once(self, monkeypatch):

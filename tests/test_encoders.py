@@ -15,11 +15,9 @@ from proofmatch import encoders
 
 from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
 from proofmatch.encoders import (
-    DimensionMismatch,
     EmptyDocument,
     EncoderConfig,
     EncoderKind,
-    Gradients,
     LayerParams,
     ModelFormatError,
     ModelState,
@@ -33,7 +31,7 @@ from proofmatch.encoders import (
     load_model,
     positional_encoding,
     save_model,
-    score,
+    score_matrix,
 )
 from proofmatch.corpus import EmptyCorpus
 from conftest import random_corpus
@@ -210,7 +208,7 @@ class TestAttentionMatmul:
         grad_vec = rng.normal(size=d)
 
         vec, cache = forward(state, doc)
-        grads = Gradients(state)
+        grads = state.zeros()
         backward(state, cache, grad_vec, grads)
         ref_vec, ref_layers, ref_rows = einsum_forward_backward(
             state, doc, grad_vec)
@@ -219,9 +217,10 @@ class TestAttentionMatmul:
         for got, want in zip(grads.layers, ref_layers, strict=True):
             for name in ("wq", "wk", "wv", "wo"):
                 assert_rel_close(getattr(got, name), getattr(want, name))
-        assert grads.embedding_rows.keys() == ref_rows.keys()
+        touched = np.flatnonzero(np.any(grads.embeddings != 0, axis=1))
+        assert set(touched.tolist()) == ref_rows.keys()
         for row, want in ref_rows.items():
-            assert_rel_close(grads.embedding_rows[row], want)
+            assert_rel_close(grads.embeddings[row], want)
 
 
 class TestPositionalEncoding:
@@ -249,12 +248,14 @@ class TestScore:
         state.head.b = 0.0
         s = np.arange(8.0)
         p = np.ones(8)
-        assert score(state, s, p) == pytest.approx(float(s @ p))
+        assert score_matrix(state, s[None], p[None])[0, 0] == pytest.approx(
+            float(s @ p))
 
     def test_zero_statement_gives_bias(self):
         state = small_state()
         state.head.b = -2.5
-        assert score(state, np.zeros(8), np.ones(8)) == pytest.approx(-2.5)
+        assert score_matrix(state, np.zeros((1, 8)),
+                            np.ones((1, 8)))[0, 0] == pytest.approx(-2.5)
 
     def test_worked_two_dim_example(self):
         corpus = one_pair_corpus([math_token("v0")])
@@ -263,13 +264,8 @@ class TestScore:
                                                 heads=1, d_k=2), seed=0)
         state.head.w = np.eye(2)
         state.head.b = 0.5
-        assert score(state, np.array([1.0, 2.0]),
-                     np.array([3.0, 4.0])) == pytest.approx(11.5)
-
-    def test_dimension_mismatch(self):
-        state = small_state()
-        with pytest.raises(DimensionMismatch):
-            score(state, np.zeros(3), np.zeros(8))
+        assert score_matrix(state, np.array([[1.0, 2.0]]),
+                            np.array([[3.0, 4.0]]))[0, 0] == pytest.approx(11.5)
 
 
 class TestSerialization:

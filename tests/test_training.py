@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from proofmatch.assignment import solve_brute
-from proofmatch.encoders import EncoderConfig, EncoderKind, Pooling, build_vocab, init_model
+from proofmatch.encoders import (
+    EncoderConfig, EncoderKind, Pooling, apply_gradients, build_vocab, init_model)
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
     DegenerateBatch,
     Objective,
     Optimizer,
     TrainConfig,
+    batch_loss_and_grads,
     global_loss,
     local_loss,
     structured_cost,
@@ -139,6 +141,52 @@ class TestGradientsThroughModel:
             state = random_model(rng, config)
             batch = random_batch(rng)
             assert max_gradient_error(state, batch, loss_fn) < FD_TOL
+
+
+class TestUpdate:
+    @staticmethod
+    def model(corpus):
+        return init_model(build_vocab(corpus, 1), EncoderConfig(
+            EncoderKind.SELF_ATTENTIVE, d=8, heads=2, d_k=3), seed=0)
+
+    def test_rows_absent_from_the_batch_do_not_move(self):
+        corpus = separable_corpus(8)  # disjoint vocabulary per pair
+        state = self.model(corpus)
+        batch = corpus.pairs[:4]
+        before = state.embeddings.copy()
+        _, grads = batch_loss_and_grads(state, batch, local_loss)
+        assert ([g.shape for g in grads.param_arrays()]
+                == [p.shape for p in state.param_arrays()])
+        apply_gradients(state, grads, 0.1)
+        used = set(state.vocab.encode_ids(
+            [t for p in batch for t in p.statement + p.proof]).tolist())
+        absent = [r for r in range(len(state.vocab)) if r not in used]
+        assert len(absent) > len(used) > 0
+        assert state.embeddings[absent].tobytes() == before[absent].tobytes()
+        assert not np.array_equal(state.embeddings[sorted(used)],
+                                  before[sorted(used)])
+
+    def test_clipping_shortens_the_step(self):
+        corpus = separable_corpus(4)
+        state = self.model(corpus)
+        before = state.copy()
+        # the one batch of the first epoch, in train's order
+        order = np.random.default_rng(0).permutation(4)
+        _, grads = batch_loss_and_grads(
+            before, [corpus.pairs[i] for i in order], local_loss)
+        norm = grads.global_norm()
+        cfg = quick_config(batch_size=4, epochs=1, eval_every=1, lr=1.0,
+                           optimizer=Optimizer.SGD, clip_norm=norm / 4)
+        best, history = train(corpus, corpus, state, cfg)
+        [step] = history.steps
+        assert step.grad_norm == pytest.approx(norm, rel=1e-12)
+        factor = cfg.lr * cfg.clip_norm / norm
+        for new, old, g in zip(best.param_arrays(), before.param_arrays(),
+                               grads.param_arrays(), strict=True):
+            moved, want = old - new, factor * g
+            assert np.abs(moved - want).max() <= 1e-12 * np.abs(want).max()
+        assert before.head.b - best.head.b == pytest.approx(
+            factor * grads.head.b, rel=1e-12)
 
 
 def quick_config(**kw):
