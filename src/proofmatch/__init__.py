@@ -34,12 +34,11 @@ from .encoders import (  # noqa: F401
     Pooling,
     Vocabulary,
     build_vocab,
-    encode,
     init_model,
     load_model,
     save_model,
 )
-from .assignment import prune_topk, solve_brute, solve_dense, solve_sparse  # noqa: F401
+from .assignment import prune_topk, solve_dense, solve_sparse  # noqa: F401
 from .decoding import build_score_matrix, decode_global, decode_local  # noqa: F401
 from .training import Objective, Optimizer, TrainConfig, train  # noqa: F401
 from .evalharness import mrr, run_grid  # noqa: F401

@@ -1,5 +1,5 @@
-"""Maximization linear assignment: brute-force oracle, exact dense solver,
-and a sparse solver over top-k-pruned score matrices.
+"""Maximization linear assignment: an exact dense solver and a sparse
+solver over top-k-pruned score matrices.
 
 The public contract is maximization of the summed scores of a perfect
 matching; negation to a minimization problem is an internal detail of the
@@ -8,7 +8,6 @@ library solvers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +22,12 @@ class AssignmentError(ProofmatchError):
     pass
 
 
-class TooLarge(AssignmentError):
-    pass
-
-
 class BadK(AssignmentError):
     pass
 
 
 # Gap below the smallest retained score used for cells removed by pruning.
 SENTINEL_GAP = 1e6
-
-_BRUTE_LIMIT = 9
 
 
 @dataclass
@@ -44,23 +37,6 @@ class SparseScores:
 
     cols: np.ndarray
     vals: np.ndarray
-
-
-def solve_brute(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exhaustive maximum over all permutations; ties break to the
-    lexicographically smallest permutation. Only for n <= 9."""
-    n = m.shape[0]
-    if n > _BRUTE_LIMIT:
-        raise TooLarge(f"brute-force enumeration limited to n <= {_BRUTE_LIMIT}")
-    best_perm = None
-    best = -np.inf
-    rows = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        total = float(m[rows, perm].sum())
-        if total > best:
-            best = total
-            best_perm = perm
-    return np.array(best_perm, dtype=np.int64), best
 
 
 def solve_dense(m: np.ndarray) -> tuple[np.ndarray, float]:

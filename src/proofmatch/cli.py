@@ -32,6 +32,7 @@ from .corpus import (
     filter_channel,
     filter_pair,
     format_token,
+    numbered_lines,
     parse_token,
     read_corpus,
     read_records,
@@ -81,15 +82,14 @@ def _sha256(path) -> str:
 
 def _read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CorpusError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -132,7 +132,6 @@ def _write_manifest(args: argparse.Namespace, out_dir: Path, command: str,
         "wall_clock_sec": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -186,7 +185,6 @@ def _load_protected(args) -> ProtectedSet | None:
 
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kept, rejected = [], {"too_short": 0, "too_long": 0}
     for record in read_records(args.input, _parse_raw_tokens):
         verdict = filter_pair(record)
@@ -205,9 +203,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_raw_tokens(text: str, line: int, column: int) -> list[Token]:
+def _parse_raw_tokens(text: str, line: int, column: int,
+                      memo: dict[str, Token]) -> list[Token]:
     """Corpus token items plus ``x:payload`` items carrying percent-encoded
-    Presentation-MathML, linearized in place."""
+    Presentation-MathML, linearized in place. ``memo`` is the read's map
+    from corpus items to tokens, as in ``parse_tokens``."""
     toks = []
     for item in text.split(" "):
         if item.startswith("x:"):
@@ -216,7 +216,10 @@ def _parse_raw_tokens(text: str, line: int, column: int) -> list[Token]:
             except MalformedXml as exc:
                 raise FormatError(str(exc), line, column) from exc
         elif item:
-            toks.append(parse_token(item, line, column))
+            tok = memo.get(item)
+            if tok is None:
+                tok = memo[item] = parse_token(item, line, column)
+            toks.append(tok)
         column += len(item) + 1
     return toks
 
@@ -230,7 +233,6 @@ def cmd_split(args) -> int:
     spec = SplitSpec(mode=SplitMode(args.mode), ratios=ratios, seed=args.seed)
     parts = split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.corpus).stem
     for part, name in zip(parts, ("train", "dev", "test")):
         path = out_dir / f"{stem}.{name}.tsv"
@@ -244,7 +246,6 @@ def cmd_replace(args) -> int:
     level = ReplacementLevel(Level(args.level), args.alpha)
     replaced = replace_corpus(corpus, level, _load_protected(args), args.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / args.output
     write_corpus(replaced, out_path)
     _say(args, f"replaced ({args.level}, alpha={args.alpha}) -> {out_path}")
@@ -255,7 +256,6 @@ def cmd_vocab(args) -> int:
     corpus = _channel_corpus(read_corpus(args.corpus), args.channel)
     vocab = build_vocab(corpus, args.min_freq)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / args.output
     with open(out_path, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(vocab.tokens):
@@ -272,7 +272,6 @@ def cmd_train(args) -> int:
     state = init_model(vocab, _encoder_config(args), args.seed)
     best, history = train(train_c, dev_c, state, _train_config(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / args.output
     save_model(best, model_path)
     write_history(history, out_dir / (Path(args.output).stem + ".log"))
@@ -304,7 +303,6 @@ def cmd_eval(args) -> int:
         line = (f"decode=local\tmrr={report.mrr:.6f}\t"
                 f"accuracy={report.accuracy:.6f}\tn={report.n}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "eval.tsv", "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     _say(args, line)
@@ -323,7 +321,6 @@ def cmd_grid(args) -> int:
                       _train_config(args), _load_protected(args),
                       seed=args.seed, min_freq=args.min_freq)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "grid.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
     with open(out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
@@ -443,8 +440,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         _apply_config_defaults(args, parser, argv)
+        # before the work, so that an unusable --out-dir costs no training
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         code = args.func(args)
-    except (ProofmatchError, OSError, UnicodeDecodeError) as exc:
+    except (ProofmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(args, Path(args.out_dir), args.command,

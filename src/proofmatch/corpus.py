@@ -75,6 +75,22 @@ class Token:
         if self.kind is TokenKind.TEXT and self.font is not Font.NORMAL:
             raise InvalidValue("text tokens must carry the normal font")
 
+    def __hash__(self) -> int:
+        # Computed on first use and kept on the instance: every vocabulary
+        # lookup hashes a token, and hashing the enum fields themselves
+        # calls Python-level ``Enum.__hash__``.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.kind.value, self.surface, self.font.value))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the cached hash must
+        # not travel with a pickled or copied token.
+        return (Token, (self.kind, self.surface, self.font))
+
 
 def text_token(surface: str) -> Token:
     return Token(TokenKind.TEXT, surface)
@@ -288,26 +304,45 @@ def parse_token(item: str, line: int = 0, column: int = 0) -> Token:
         raise FormatError(str(exc), line, column) from exc
 
 
-def format_record(rec: PairRecord) -> str:
+class _FormatMemo(dict):
+    """``Token -> item`` for one write: each distinct token is formatted
+    once."""
+
+    def __missing__(self, tok: Token) -> str:
+        item = self[tok] = format_token(tok)
+        return item
+
+
+def format_record(rec: PairRecord, items: dict[Token, str] | None = None) -> str:
+    """One corpus line; ``items`` carries the formatted tokens of a write."""
+    items = _FormatMemo() if items is None else items
     cats = ",".join(_escape(c) for c in rec.categories)
-    stmt = " ".join(format_token(t) for t in rec.statement)
-    proof = " ".join(format_token(t) for t in rec.proof)
+    stmt = " ".join(map(items.__getitem__, rec.statement))
+    proof = " ".join(map(items.__getitem__, rec.proof))
     return "\t".join((_escape(rec.pair_id), _escape(rec.article_id), cats, stmt, proof))
 
 
-def parse_tokens(text: str, line: int, column: int) -> list[Token]:
-    """The space-separated token items of a field starting at ``column``."""
+def parse_tokens(text: str, line: int, column: int,
+                 memo: dict[str, Token]) -> list[Token]:
+    """The space-separated token items of a field starting at ``column``.
+    ``memo`` maps each item already accepted in this read to its token."""
     toks = []
     for item in text.split(" "):
         if item:
-            toks.append(parse_token(item, line, column))
+            tok = memo.get(item)
+            if tok is None:
+                tok = memo[item] = parse_token(item, line, column)
+            toks.append(tok)
         column += len(item) + 1
     return toks
 
 
-def parse_record(line: str, lineno: int, parse_list=parse_tokens) -> PairRecord:
-    """One corpus line. ``parse_list(field, lineno, column)`` parses each
-    token field; a caller may pass one that accepts further item kinds."""
+def parse_record(line: str, lineno: int, parse_list=parse_tokens,
+                 memo: dict[str, Token] | None = None) -> PairRecord:
+    """One corpus line. ``parse_list(field, lineno, column, memo)`` parses
+    each token field; a caller may pass one that accepts further item kinds.
+    A reader passes one ``memo`` for all of its lines."""
+    memo = {} if memo is None else memo
     fields = line.split("\t")
     if len(fields) != 5:
         raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}",
@@ -318,24 +353,58 @@ def parse_record(line: str, lineno: int, parse_list=parse_tokens) -> PairRecord:
         pair_id=_unescape(pair_id),
         article_id=_unescape(article_id),
         categories=[_unescape(c) for c in cats_s.split(",")] if cats_s else [],
-        statement=parse_list(stmt_s, lineno, stmt_col),
-        proof=parse_list(proof_s, lineno, stmt_col + len(stmt_s) + 1),
+        statement=parse_list(stmt_s, lineno, stmt_col, memo),
+        proof=parse_list(proof_s, lineno, stmt_col + len(stmt_s) + 1, memo),
     )
 
 
 def write_corpus(corpus: Corpus, path) -> None:
+    items = _FormatMemo()
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.pairs:
-            fh.write(format_record(rec) + "\n")
+            fh.write(format_record(rec, items) + "\n")
+
+
+def _line_breaks(data: bytes) -> int:
+    """Line breaks as text mode counts them: ``\\n``, ``\\r`` and ``\\r\\n``."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _undecodable_line(path) -> int:
+    """The line of the first byte of ``path`` that is not UTF-8. A UTF-8
+    sequence never holds a newline byte, so each line decodes alone."""
+    line = 1
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return line + _line_breaks(raw[:exc.start])
+            line += _line_breaks(raw)
+    return line
+
+
+def numbered_lines(path):
+    """``(line number, line)`` for each line of a UTF-8 text file, newline
+    kept. A file that is not UTF-8 raises ``CorpusError`` naming the path
+    and the line of the bad byte."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
+                              f"({exc.reason})") from exc
 
 
 def read_records(path, parse_list=parse_tokens):
-    """Each record of a corpus file; blank and ``#`` lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line and not line.startswith("#"):
-                yield parse_record(line, lineno, parse_list)
+    """Each record of a corpus file; blank and ``#`` lines are skipped.
+    Equal token items of one read share one ``Token``."""
+    memo: dict[str, Token] = {}
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if line and not line.startswith("#"):
+            yield parse_record(line, lineno, parse_list, memo)
 
 
 def read_corpus(path) -> Corpus:

@@ -18,6 +18,7 @@ import hashlib
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -69,17 +70,12 @@ def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     if min_freq < 1:
         raise InvalidValue("min_freq must be >= 1")
-    freq: dict[Token, int] = {}
-    first: dict[Token, int] = {}
-    pos = 0
+    freq: Counter[Token] = Counter()  # keys in order of first occurrence
     for pair in corpus.pairs:
-        for tok in pair.statement + pair.proof:
-            freq[tok] = freq.get(tok, 0) + 1
-            if tok not in first:
-                first[tok] = pos
-            pos += 1
+        freq.update(pair.statement)
+        freq.update(pair.proof)
     kept = [t for t, c in freq.items() if c >= min_freq]
-    kept.sort(key=lambda t: (-freq[t], first[t]))
+    kept.sort(key=lambda t: -freq[t])  # stable: ties keep first occurrence
     tokens: list[Token | None] = [None] + kept
     id_of = {t: i for i, t in enumerate(tokens) if t is not None}
     return Vocabulary(id_of, tokens, min_freq)
@@ -284,10 +280,6 @@ def forward(state: ModelState, doc: list[Token]) -> tuple[np.ndarray, ForwardCac
         pool_idx = None
         vec = x.mean(axis=0)
     return vec, ForwardCache(ids, x0, caches, x, pool_idx)
-
-
-def encode(state: ModelState, doc: list[Token]) -> np.ndarray:
-    return forward(state, doc)[0]
 
 
 # ---------------------------------------------------------------------------

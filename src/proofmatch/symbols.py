@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .corpus import Corpus, Font, PairRecord, Token, TokenKind, parse_token
+from .corpus import (Corpus, Font, PairRecord, Token, TokenKind, numbered_lines,
+                     parse_token)
 from .errors import InvalidValue, ProofmatchError
 
 
@@ -109,13 +110,12 @@ def read_protected_set(path, domain_label: str = "") -> ProtectedSet:
     """One symbol per line, ``surface`` or ``surface#font`` in the corpus
     math-token syntax; # comments. A bad line raises ``FormatError``."""
     keys = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = parse_token("m:" + line, lineno)
-            keys.add(SymbolKey(tok.surface.casefold(), tok.font))
+    for lineno, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tok = parse_token("m:" + line, lineno)
+        keys.add(SymbolKey(tok.surface.casefold(), tok.font))
     return ProtectedSet(frozenset(keys), domain_label)
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from proofmatch.assignment import prune_topk, solve_brute, solve_dense, solve_sparse
+from proofmatch.assignment import prune_topk, solve_dense, solve_sparse
 from proofmatch.corpus import (
     Corpus,
     Font,
@@ -59,6 +59,7 @@ from proofmatch.training import (
     structured_cost,
     train,
 )
+from brute import solve_brute
 from conftest import random_corpus, replacement_grid_corpora, separable_corpus
 from gradcheck import max_gradient_error, random_batch, random_config, random_model
 from test_mathml import random_mathml, reference_leaves

@@ -4,12 +4,11 @@ import pytest
 from proofmatch.assignment import (
     BadK,
     SparseScores,
-    TooLarge,
     prune_topk,
-    solve_brute,
     solve_dense,
     solve_sparse,
 )
+from brute import TooLarge, solve_brute
 
 
 def assert_permutation(assignment, n):

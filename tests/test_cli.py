@@ -303,7 +303,7 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                        ("duplicated", pair + b"\n" + pair + b"\n"),
                        ("spaced", pair + b" t:a%20b\n"),
                        ("bad_choice", b"encoder = tfidf\n"),
-                       ("non_utf8", b"\xff\n")):
+                       ("non_utf8", b"# a comment\r\n\xff\n")):
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
@@ -313,6 +313,36 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if case.startswith("non_utf8"):  # the bad byte is on line 2
+        assert f"{files['non_utf8']}:2:" in err
+
+
+OUT_DIR_IS_A_FILE = {
+    "train": (["{corpus}", "{corpus}"], "train"),
+    "grid": (["{corpus}", "{corpus}", "{corpus}"], "run_grid"),
+    "split": (["{corpus}"], "split_corpus"),
+    "replace": (["{corpus}"], "replace_corpus"),
+    "eval": (["{model}", "{corpus}"], "build_score_matrix"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_DIR_IS_A_FILE))
+def test_out_dir_is_checked_before_the_work(tmp_path, corpus_file, capsys,
+                                            monkeypatch, command):
+    import proofmatch.cli as cli
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    args, work = OUT_DIR_IS_A_FILE[command]
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran although --out-dir is a file")
+
+    monkeypatch.setattr(cli, work, never)
+    argv = [a.format(corpus=corpus_file, model=model) for a in args]
+    assert main([command, *argv, "--out-dir", str(corpus_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,10 +1,16 @@
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from proofmatch.cli import _parse_raw_tokens
 from proofmatch.corpus import (
     Corpus,
     EmptyCorpus,
     FilterResult,
+    Font,
     FormatError,
     MissingArticleIds,
     PairRecord,
@@ -17,12 +23,21 @@ from proofmatch.corpus import (
     format_record,
     math_token,
     parse_record,
+    parse_tokens,
     read_corpus,
+    read_records,
     split_corpus,
     text_token,
     write_corpus,
 )
 from conftest import random_corpus
+
+# Few surfaces and fonts, so that drawn tokens are often equal.
+tokens = st.one_of(
+    st.builds(Token, st.just(TokenKind.TEXT), st.sampled_from(["a", "b", "%"])),
+    st.builds(Token, st.just(TokenKind.MATH), st.sampled_from(["a", "b", "∑"]),
+              st.sampled_from([Font.NORMAL, Font.BOLD])),
+)
 
 
 def make_pair(pair_id, n_stmt, n_proof, article="a"):
@@ -44,8 +59,25 @@ class TestToken:
         assert text_token("a") != math_token("a")
 
     def test_fonts_distinguish_math_tokens(self):
-        from proofmatch.corpus import Font
         assert math_token("x", Font.BOLD) != math_token("x")
+
+    @given(tokens, tokens)
+    def test_equality_hash_and_frozen_fields(self, a, b):
+        assert (a == b) == ((a.kind, a.surface, a.font)
+                            == (b.kind, b.surface, b.font))
+        first = hash(a)
+        if a == b:
+            assert hash(b) == first
+        with pytest.raises(FrozenInstanceError):
+            a.surface = "z"
+        assert hash(a) == first
+        assert hash(Token(a.kind, a.surface, a.font)) == first
+        assert [f.name for f in fields(a)] == ["kind", "surface", "font"]
+        assert repr(a) == (f"Token(kind={a.kind!r}, surface={a.surface!r}, "
+                           f"font={a.font!r})")
+        # string hashes differ between processes: the cached one stays home
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and sorted(vars(copy)) == ["font", "kind", "surface"]
 
 
 class TestFilterPair:
@@ -138,6 +170,36 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             read_corpus(path)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("parse_list", [parse_tokens, _parse_raw_tokens])
+    def test_equal_items_share_one_token(self, tmp_path, parse_list):
+        path = tmp_path / "c.tsv"
+        path.write_text("p1\ta\t\tt:w m:x#bold\tm:x#bold\n"
+                        "p2\ta\t\tm:x#bold t:w\tt:w\n")
+        first, second = read_records(path, parse_list)
+        assert first.statement[1] is first.proof[0] is second.statement[0]
+        assert first.statement[0] is second.statement[1] is second.proof[0]
+
+    @pytest.mark.parametrize("parse_list", [parse_tokens, _parse_raw_tokens])
+    def test_bad_item_after_memoised_lines_names_line_and_column(
+            self, tmp_path, parse_list):
+        path = tmp_path / "bad.tsv"
+        path.write_text("p1\ta\t\tt:ok m:x\tt:ok\n"
+                        "p2\ta\t\tt:ok m:x\tt:ok\n"
+                        "p3\ta\t\tt:ok m:x#zz\tt:ok\n")
+        with pytest.raises(FormatError) as err:
+            list(read_records(path, parse_list))
+        assert (err.value.line, err.value.column) == (3, 11)
+
+    def test_write_of_read_is_byte_identical(self, tmp_path):
+        text = ("p%3A1\tart%2C1\tmath.NT,math.PR\t"
+                "t:a%25b m:x#bold m:%23#fraktur t:c%3Ad m:x\t"
+                "m:x#bold m:y t:a%25b m:∑#dstruck m:x#script\n"
+                "p2\tart%2C1\t\tm:x#bold t:a%25b t:%2C\tm:%23#fraktur\n")
+        src, out = tmp_path / "src.tsv", tmp_path / "out.tsv"
+        src.write_bytes(text.encode("utf-8"))
+        write_corpus(read_corpus(src), out)
+        assert out.read_bytes() == src.read_bytes()
 
     def test_comments_skipped(self, tmp_path):
         rec = format_record(make_pair("p1", 2, 2))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import proofmatch.decoding as decoding
-from proofmatch.assignment import solve_brute
 from proofmatch.decoding import (
     EmptyCollection,
     SizeMismatch,
@@ -12,6 +11,7 @@ from proofmatch.decoding import (
 )
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.corpus import math_token
+from brute import solve_brute
 from conftest import separable_corpus
 
 
@@ -28,11 +28,11 @@ class TestBuildScoreMatrix:
         statements = [p.statement for p in corpus.pairs]
         proofs = [p.proof for p in corpus.pairs]
         m = build_score_matrix(state, statements, proofs)
-        from proofmatch.encoders import encode
+        from proofmatch.encoders import forward
         for i in (0, 2, 4):
             for j in (1, 3):
-                expected = (encode(state, statements[i]) @ state.head.w
-                            @ encode(state, proofs[j]) + state.head.b)
+                expected = (forward(state, statements[i])[0] @ state.head.w
+                            @ forward(state, proofs[j])[0] + state.head.b)
                 assert m[i, j] == pytest.approx(expected)
 
     def test_each_text_encoded_once(self, monkeypatch):

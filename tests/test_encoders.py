@@ -25,7 +25,6 @@ from proofmatch.encoders import (
     UNK_ID,
     backward,
     build_vocab,
-    encode,
     forward,
     init_model,
     load_model,
@@ -88,19 +87,19 @@ class TestEncode:
     def test_single_token_max_pool_is_embedding(self):
         state = small_state()
         doc = [math_token("v3")]
-        vec = encode(state, doc)
+        vec = forward(state, doc)[0]
         row = state.vocab.id_of[math_token("v3")]
         assert np.allclose(vec, state.embeddings[row])
 
     def test_mean_of_identical_tokens(self):
         state = small_state(pooling=Pooling.MEAN)
-        one = encode(state, [math_token("v1")])
-        two = encode(state, [math_token("v1")] * 2)
+        one = forward(state, [math_token("v1")])[0]
+        two = forward(state, [math_token("v1")] * 2)[0]
         assert np.allclose(one, two)
 
     def test_empty_document_raises(self):
         with pytest.raises(EmptyDocument):
-            encode(small_state(), [])
+            forward(small_state(), [])
 
     def test_zeroed_self_attention_reduces_to_pooled(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE, use_positions=False)
@@ -109,17 +108,17 @@ class TestEncode:
         doc = [math_token("v1"), math_token("v5"), math_token("v2")]
         pooled_state = small_state()
         pooled_state.embeddings = state.embeddings
-        assert np.allclose(encode(state, doc), encode(pooled_state, doc))
+        assert np.allclose(forward(state, doc)[0], forward(pooled_state, doc)[0])
 
     def test_max_pool_permutation_invariance(self):
         rng = np.random.default_rng(1)
         for state in (small_state(),
                       small_state(EncoderKind.SELF_ATTENTIVE, layers=0)):
             doc = [math_token(f"v{i}") for i in rng.integers(0, 10, size=6)]
-            base = encode(state, doc)
+            base = forward(state, doc)[0]
             for _ in range(5):
                 perm = [doc[i] for i in rng.permutation(len(doc))]
-                assert np.allclose(encode(state, perm), base)
+                assert np.allclose(forward(state, perm)[0], base)
 
     def test_attention_rows_sum_to_one(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
@@ -131,7 +130,7 @@ class TestEncode:
     def test_deterministic(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE)
         doc = [math_token("v1"), math_token("v2")]
-        assert np.array_equal(encode(state, doc), encode(state, doc))
+        assert np.array_equal(forward(state, doc)[0], forward(state, doc)[0])
 
 
 def einsum_forward_backward(state, doc, grad_vec):

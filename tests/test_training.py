@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from proofmatch.assignment import solve_brute
 from proofmatch.encoders import (
     EncoderConfig, EncoderKind, Pooling, apply_gradients, build_vocab, init_model)
 from proofmatch.evalharness import evaluate_local
@@ -19,6 +18,7 @@ from proofmatch.training import (
     train,
     write_history,
 )
+from brute import solve_brute
 from conftest import separable_corpus
 from gradcheck import FD_TOL, max_gradient_error, random_batch, random_config, random_model
 
