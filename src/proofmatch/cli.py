@@ -33,7 +33,7 @@ from .corpus import (
     filter_pair,
     format_token,
     numbered_lines,
-    parse_token,
+    parse_item,
     read_corpus,
     read_records,
     split_corpus,
@@ -95,7 +95,8 @@ def _read_config_file(path) -> dict[str, str]:
 
 def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser,
                            argv: list[str]) -> None:
-    """File values fill in only options the user did not pass explicitly."""
+    """File values fill in only options the user did not pass explicitly.
+    A key that names a positional argument is rejected."""
     if not args.config:
         return
     file_values = _read_config_file(args.config)
@@ -108,6 +109,9 @@ def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPa
         if key in explicit or key not in actions:
             continue
         action = actions[key]
+        if not action.option_strings:
+            raise InvalidValue(f"{args.config}: {key} is a positional argument; "
+                               "give it on the command line")
         try:
             value = (raw.lower() in ("1", "true", "yes")
                      if isinstance(action.default, bool)
@@ -149,7 +153,7 @@ def _channel_corpus(corpus: Corpus, channel: str) -> Corpus:
         dc_replace(p, statement=filter_channel(p.statement, channel),
                    proof=filter_channel(p.proof, channel))
         for p in corpus.pairs
-    ], split_tag=corpus.split_tag)
+    ])
 
 
 def _encoder_config(args) -> EncoderConfig:
@@ -186,7 +190,7 @@ def _load_protected(args) -> ProtectedSet | None:
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
     kept, rejected = [], {"too_short": 0, "too_long": 0}
-    for record in read_records(args.input, _parse_raw_tokens):
+    for record in read_records(args.input, _parse_raw_item):
         verdict = filter_pair(record)
         if verdict is FilterResult.KEEP:
             kept.append(record)
@@ -203,25 +207,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_raw_tokens(text: str, line: int, column: int,
-                      memo: dict[str, Token]) -> list[Token]:
-    """Corpus token items plus ``x:payload`` items carrying percent-encoded
-    Presentation-MathML, linearized in place. ``memo`` is the read's map
-    from corpus items to tokens, as in ``parse_tokens``."""
-    toks = []
-    for item in text.split(" "):
-        if item.startswith("x:"):
-            try:
-                toks.extend(linearize_mathml(_unescape(item[2:])))
-            except MalformedXml as exc:
-                raise FormatError(str(exc), line, column) from exc
-        elif item:
-            tok = memo.get(item)
-            if tok is None:
-                tok = memo[item] = parse_token(item, line, column)
-            toks.append(tok)
-        column += len(item) + 1
-    return toks
+def _parse_raw_item(item: str, line: int, column: int) -> tuple[Token, ...]:
+    """A corpus item, or an ``x:payload`` item carrying percent-encoded
+    Presentation-MathML, linearized."""
+    if not item.startswith("x:"):
+        return parse_item(item, line, column)
+    try:
+        return tuple(linearize_mathml(_unescape(item[2:])))
+    except MalformedXml as exc:
+        raise FormatError(str(exc), line, column) from exc
 
 
 def cmd_split(args) -> int:

@@ -109,17 +109,9 @@ class PairRecord:
     proof: list[Token]
 
 
-class SplitTag(enum.Enum):
-    UNSPLIT = "unsplit"
-    TRAIN = "train"
-    DEV = "dev"
-    TEST = "test"
-
-
 @dataclass
 class Corpus:
     pairs: list[PairRecord]
-    split_tag: SplitTag = SplitTag.UNSPLIT
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -236,11 +228,7 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
             assigned[s] += len(articles[name])
         groups = tuple(sorted(b) for b in buckets)
 
-    tags = (SplitTag.TRAIN, SplitTag.DEV, SplitTag.TEST)
-    return tuple(
-        Corpus([corpus.pairs[i] for i in idx], split_tag=tag)
-        for idx, tag in zip(groups, tags)
-    )
+    return tuple(Corpus([corpus.pairs[i] for i in idx]) for idx in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +310,33 @@ def format_record(rec: PairRecord, items: dict[Token, str] | None = None) -> str
     return "\t".join((_escape(rec.pair_id), _escape(rec.article_id), cats, stmt, proof))
 
 
+def parse_item(item: str, line: int, column: int) -> tuple[Token, ...]:
+    """The tokens a corpus item stands for: the one from ``parse_token``."""
+    return (parse_token(item, line, column),)
+
+
 def parse_tokens(text: str, line: int, column: int,
-                 memo: dict[str, Token]) -> list[Token]:
-    """The space-separated token items of a field starting at ``column``.
-    ``memo`` maps each item already accepted in this read to its token."""
+                 memo: dict[str, tuple[Token, ...]], parse_item) -> list[Token]:
+    """The tokens of the space-separated items of a field starting at
+    ``column``. ``parse_item`` runs once for each item not yet in ``memo``,
+    the read's map from accepted items to their tokens."""
     toks = []
     for item in text.split(" "):
         if item:
-            tok = memo.get(item)
-            if tok is None:
-                tok = memo[item] = parse_token(item, line, column)
-            toks.append(tok)
+            got = memo.get(item)
+            if got is None:
+                got = memo[item] = parse_item(item, line, column)
+            toks.extend(got)
         column += len(item) + 1
     return toks
 
 
-def parse_record(line: str, lineno: int, parse_list=parse_tokens,
-                 memo: dict[str, Token] | None = None) -> PairRecord:
-    """One corpus line. ``parse_list(field, lineno, column, memo)`` parses
-    each token field; a caller may pass one that accepts further item kinds.
-    A reader passes one ``memo`` for all of its lines."""
+def parse_record(line: str, lineno: int, parse_item=parse_item,
+                 memo: dict[str, tuple[Token, ...]] | None = None) -> PairRecord:
+    """One corpus line. ``parse_item(item, lineno, column)`` returns the
+    tuple of tokens an item stands for, or raises ``FormatError``; a caller
+    may pass one that accepts further item kinds. A reader passes one
+    ``memo`` for all of its lines."""
     memo = {} if memo is None else memo
     fields = line.split("\t")
     if len(fields) != 5:
@@ -353,8 +348,9 @@ def parse_record(line: str, lineno: int, parse_list=parse_tokens,
         pair_id=_unescape(pair_id),
         article_id=_unescape(article_id),
         categories=[_unescape(c) for c in cats_s.split(",")] if cats_s else [],
-        statement=parse_list(stmt_s, lineno, stmt_col, memo),
-        proof=parse_list(proof_s, lineno, stmt_col + len(stmt_s) + 1, memo),
+        statement=parse_tokens(stmt_s, lineno, stmt_col, memo, parse_item),
+        proof=parse_tokens(proof_s, lineno, stmt_col + len(stmt_s) + 1, memo,
+                           parse_item),
     )
 
 
@@ -397,14 +393,15 @@ def numbered_lines(path):
                               f"({exc.reason})") from exc
 
 
-def read_records(path, parse_list=parse_tokens):
+def read_records(path, parse_item=parse_item):
     """Each record of a corpus file; blank and ``#`` lines are skipped.
-    Equal token items of one read share one ``Token``."""
-    memo: dict[str, Token] = {}
+    ``parse_item`` runs once per distinct item of the read, as in
+    ``parse_record``, so equal items share their tokens."""
+    memo: dict[str, tuple[Token, ...]] = {}
     for lineno, line in numbered_lines(path):
         line = line.rstrip("\n")
         if line and not line.startswith("#"):
-            yield parse_record(line, lineno, parse_list, memo)
+            yield parse_record(line, lineno, parse_item, memo)
 
 
 def read_corpus(path) -> Corpus:

@@ -38,7 +38,6 @@ class MatchResult:
     assignment: np.ndarray
     objective: float
     padded_flag: bool
-    k_used: int | None  # None = no pruning ("All")
 
 
 def encode_collection(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
@@ -73,7 +72,7 @@ def decode_global(m: np.ndarray, k: int | None = None) -> MatchResult:
     its k best proofs before the sparse solve, None solves densely."""
     if k is None:
         proof_of, objective = assignment.solve_dense(m)
-        return MatchResult(proof_of, objective, False, None)
+        return MatchResult(proof_of, objective, False)
     sparse = assignment.prune_topk(m, k)
     proof_of, objective, padded = assignment.solve_sparse(sparse)
-    return MatchResult(proof_of, objective, padded, k)
+    return MatchResult(proof_of, objective, padded)

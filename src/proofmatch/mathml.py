@@ -18,12 +18,6 @@ class MalformedXml(ProofmatchError):
     pass
 
 
-# Elements whose structure we understand; anything else is recursed into.
-_SUPPORTED = {
-    "math", "mrow", "mi", "mo", "mn", "msup", "msub", "msubsup",
-    "mfrac", "msqrt", "mtext", "mspace",
-}
-
 # Content-MathML markup is rejected rather than converted.
 _CONTENT_MARKUP = {"apply", "ci", "cn"}
 

@@ -91,7 +91,6 @@ TRANSPOSITION = ReplacementLevel(Level.TRANSPOSITION)
 @dataclass(frozen=True)
 class ProtectedSet:
     keys: frozenset[SymbolKey]
-    domain_label: str = ""
 
     @property
     def bases(self) -> set[str]:
@@ -100,13 +99,10 @@ class ProtectedSet:
 
 def probability_protected() -> ProtectedSet:
     """The probability-theory protected set: P, E, V, sigma, rho."""
-    return ProtectedSet(
-        frozenset(SymbolKey(b) for b in ("p", "e", "v", "σ", "ρ")),
-        domain_label="probability",
-    )
+    return ProtectedSet(frozenset(SymbolKey(b) for b in ("p", "e", "v", "σ", "ρ")))
 
 
-def read_protected_set(path, domain_label: str = "") -> ProtectedSet:
+def read_protected_set(path) -> ProtectedSet:
     """One symbol per line, ``surface`` or ``surface#font`` in the corpus
     math-token syntax; # comments. A bad line raises ``FormatError``."""
     keys = set()
@@ -116,13 +112,12 @@ def read_protected_set(path, domain_label: str = "") -> ProtectedSet:
             continue
         tok = parse_token("m:" + line, lineno)
         keys.add(SymbolKey(tok.surface.casefold(), tok.font))
-    return ProtectedSet(frozenset(keys), domain_label)
+    return ProtectedSet(frozenset(keys))
 
 
 @dataclass
 class ReplacementMap:
     entries: dict[SymbolKey, SymbolKey]
-    seed: int = 0
 
     def __post_init__(self):
         targets = list(self.entries.values())
@@ -133,17 +128,27 @@ class ReplacementMap:
 # ---------------------------------------------------------------------------
 
 
+def _candidates(tokens: list[Token]) -> dict[Token, SymbolKey]:
+    """The key of each distinct candidate-variable token of ``tokens``."""
+    return {t: k for t in set(tokens) if (k := symbol_key(t)) is not None}
+
+
+def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
+            protected: ProtectedSet | None) -> set[SymbolKey]:
+    shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
+    if protected is not None:
+        # a protected key's base is in ``bases``: this check covers the keys too
+        bases = protected.bases
+        shared = {k for k in shared if k.base not in bases}
+    return shared
+
+
 def extract_shared_symbols(pair: PairRecord,
                            protected: ProtectedSet | None = None) -> set[SymbolKey]:
     """Candidate variables occurring in both the statement and the proof,
     minus constants and the protected set."""
-    stmt = {k for t in pair.statement if (k := symbol_key(t)) is not None}
-    proof = {k for t in pair.proof if (k := symbol_key(t)) is not None}
-    shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
-    if protected is not None:
-        shared = {k for k in shared
-                  if k not in protected.keys and k.base not in protected.bases}
-    return shared
+    return _shared(set(_candidates(pair.statement).values()),
+                   set(_candidates(pair.proof).values()), protected)
 
 
 def _round_half_away(x: float) -> int:
@@ -182,14 +187,14 @@ def build_replacement_map(shared: set[SymbolKey],
     entries: dict[SymbolKey, SymbolKey] = {}
 
     if level.level is Level.CONSERVATION or not keys:
-        return ReplacementMap(entries, seed)
+        return ReplacementMap(entries)
 
     if level.level is Level.TRANSPOSITION:
         sigma = _derangement(sorted({k.base for k in keys}), rng)
         if sigma is not None:
             for k in keys:
                 entries[k] = SymbolKey(sigma[k.base], k.font)
-            return ReplacementMap(entries, seed)
+            return ReplacementMap(entries)
         # All shared keys carry one base (font variants only): derangement
         # cannot change any base, fall back to fresh names.
 
@@ -209,7 +214,7 @@ def build_replacement_map(shared: set[SymbolKey],
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
     for k, name in zip(targets_of, names):
         entries[k] = SymbolKey(name, k.font)
-    return ReplacementMap(entries, seed)
+    return ReplacementMap(entries)
 
 
 def _derangement(bases: list[str],
@@ -228,19 +233,23 @@ def _derangement(bases: list[str],
 
 def apply_replacement(proof: list[Token], rmap: ReplacementMap) -> list[Token]:
     """Rewrite mapped symbols in the proof, preserving case and font."""
+    return _rename(proof, _candidates(proof), rmap)
+
+
+def _rename(proof: list[Token], candidates: dict[Token, SymbolKey],
+            rmap: ReplacementMap) -> list[Token]:
+    """``proof`` with each of its ``candidates`` whose key ``rmap`` maps
+    renamed; every occurrence of one token gets the same new token."""
     if not rmap.entries:
         return list(proof)
-    out = []
-    for tok in proof:
-        key = symbol_key(tok)
-        target = rmap.entries.get(key) if key is not None else None
-        if target is None:
-            out.append(tok)
-            continue
-        surface = target.base.upper() if tok.surface != tok.surface.casefold() \
-            else target.base
-        out.append(Token(TokenKind.MATH, surface, tok.font))
-    return out
+    rename = {}
+    for tok, key in candidates.items():
+        target = rmap.entries.get(key)
+        if target is not None:
+            surface = target.base.upper() if tok.surface != tok.surface.casefold() \
+                else target.base
+            rename[tok] = Token(TokenKind.MATH, surface, tok.font)
+    return [rename.get(t, t) for t in proof]
 
 
 def mix_seed(seed: int, salt: str) -> int:
@@ -250,19 +259,16 @@ def mix_seed(seed: int, salt: str) -> int:
     return (seed ^ sub) & 0xFFFFFFFFFFFFFFFF
 
 
-def _pair_forbidden(pair: PairRecord) -> set[str]:
-    return {k.base for t in pair.statement + pair.proof
-            if (k := symbol_key(t)) is not None}
-
-
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
                  protected: ProtectedSet | None = None,
                  seed: int = 0) -> PairRecord:
-    sub_seed = mix_seed(seed, pair.pair_id)
-    shared = extract_shared_symbols(pair, protected)
-    rmap = build_replacement_map(shared, level, protected, sub_seed,
-                                 forbidden=_pair_forbidden(pair))
-    return dc_replace(pair, proof=apply_replacement(pair.proof, rmap))
+    stmt = set(_candidates(pair.statement).values())
+    proof = _candidates(pair.proof)
+    proof_keys = set(proof.values())
+    rmap = build_replacement_map(_shared(stmt, proof_keys, protected), level,
+                                 protected, mix_seed(seed, pair.pair_id),
+                                 forbidden={k.base for k in stmt | proof_keys})
+    return dc_replace(pair, proof=_rename(pair.proof, proof, rmap))
 
 
 def replace_corpus(corpus: Corpus, level: ReplacementLevel,
@@ -271,5 +277,4 @@ def replace_corpus(corpus: Corpus, level: ReplacementLevel,
     """Apply one replacement level to every proof; statements untouched.
     Each pair derives an independent sub-seed from its pair_id, so a single
     pair can be replayed in isolation."""
-    return Corpus([replace_pair(p, level, protected, seed) for p in corpus.pairs],
-                  split_tag=corpus.split_tag)
+    return Corpus([replace_pair(p, level, protected, seed) for p in corpus.pairs])

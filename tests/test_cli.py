@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -12,8 +13,10 @@ from pathlib import Path
 
 from proofmatch.cli import main
 from proofmatch.corpus import (
-    Corpus, _escape, format_record, read_corpus, write_corpus)
+    Corpus, _escape, format_record, math_token, read_corpus, read_records,
+    write_corpus)
 from proofmatch.encoders import EncoderConfig, build_vocab, init_model, save_model
+from proofmatch.mathml import linearize_mathml
 from conftest import repeated_token_pair, separable_corpus
 
 
@@ -63,6 +66,27 @@ class TestIngest:
         corpus = read_corpus(tmp_path / "o" / "corpus.tsv")
         surfaces = [t.surface for t in corpus.pairs[0].proof]
         assert surfaces[-3:] == ["a", "n", "holds"]  # 18 + 3 = 21 tokens kept
+
+    def test_equal_mathml_items_linearized_once(self, tmp_path, monkeypatch):
+        import proofmatch.cli as cli
+        payloads = []
+
+        def counting(fragment):
+            payloads.append(fragment)
+            return linearize_mathml(fragment)
+
+        monkeypatch.setattr(cli, "linearize_mathml", counting)
+        raw = tmp_path / "raw.tsv"
+        same = "<math><mi>a</mi><mi mathvariant=\"bold\">b</mi></math>"
+        other = "<math><mi>c</mi></math>"
+        write_raw(raw, [raw_line("p1", mathml=same) + " x:" + _escape(same),
+                        raw_line("p2", mathml=other),
+                        raw_line("p3", mathml=same)])
+        records = list(read_records(raw, cli._parse_raw_item))
+        assert sorted(payloads) == sorted([same, other])
+        p1, p2, p3 = (r.proof for r in records)
+        assert p1[-4:] == p3[-2:] * 2 and p2[-1:] == [math_token("c")]
+        assert p1[-4] is p1[-2] is p3[-2] and p1[-3] is p1[-1] is p3[-1]
 
     def test_strict_exit_code(self, tmp_path):
         raw = tmp_path / "raw.tsv"
@@ -292,6 +316,8 @@ BAD_VALUES = {
     "non_utf8_config": ["train", "{corpus}", "{corpus}",
                         "--config", "{non_utf8}"],
     "non_utf8_protected": ["replace", "{corpus}", "--protected", "{non_utf8}"],
+    "config_names_a_positional": ["split", "{corpus}", "--config",
+                                  "{positional}"],
 }
 
 
@@ -303,7 +329,8 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                        ("duplicated", pair + b"\n" + pair + b"\n"),
                        ("spaced", pair + b" t:a%20b\n"),
                        ("bad_choice", b"encoder = tfidf\n"),
-                       ("non_utf8", b"# a comment\r\n\xff\n")):
+                       ("non_utf8", b"# a comment\r\n\xff\n"),
+                       ("positional", f"corpus = {corpus_file}\n".encode())):
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
@@ -313,6 +340,7 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("o/*.train.tsv"))  # no split was written
     if case.startswith("non_utf8"):  # the bad byte is on line 2
         assert f"{files['non_utf8']}:2:" in err
 
@@ -375,3 +403,69 @@ class TestGrid:
         assert len(records) == 4
         text = (out / "grid.txt").read_text()
         assert "conservation" in text and "full" in text
+
+
+# Repeated and distinct MathML items, fonts, case variants, constants,
+# multi-letter and double-struck symbols, and percent escapes.
+PINNED_FRAGMENTS = (
+    "<math><msub><mi>a</mi><mi>n</mi></msub><mo>=</mo><mi>A</mi></math>",
+    "<math><mi mathvariant=\"bold\">x</mi><mo>+</mo>"
+    "<mi mathvariant=\"double-struck\">R</mi><mtext>for all</mtext></math>",
+    "<math><mi>π</mi><mi>e</mi><mi>sin</mi><mi mathvariant=\"fraktur\">g</mi></math>",
+    "<math><mrow><mi>λ</mi><mo>%</mo><mi>Λ</mi>"
+    "<mi mathvariant=\"script\">b</mi></mrow></math>",
+)
+
+
+def pinned_raw_text():
+    xs = ["x:" + _escape(f) for f in PINNED_FRAGMENTS]
+    lines = ["# pinned raw records",
+             "short\tart0\tmath.NT\tm:a t:b\tm:a"]  # rejected as too short
+    for i in range(8):
+        letters = "abcdefgh"[i:] + "abcdefgh"[:i]
+        statement = ([f"m:{c}" for c in letters[:4]]
+                     + ["t:a%25b", "m:X", xs[i % 4], "m:x#bold", "t:x%3Ay",
+                        xs[(i + 1) % 4]] + ["t:so"] * 10)
+        proof = ([f"m:{c.upper() if j % 2 else c}"
+                  for j, c in enumerate(letters[2:7])]
+                 + [xs[i % 4], "m:y#italic", "m:ℝ", "m:R#dstruck", "m:π",
+                    "m:e", "m:sin", "t:%2C", "m:%23#fraktur", "m:Α", "m:α"]
+                 + ["t:hence"] * 8)
+        lines.append("\t".join([f"p{i}", f"art{i % 4}", "math.NT",
+                                " ".join(statement), " ".join(proof)]))
+    return "\n".join(lines) + "\n"
+
+
+PINNED_OUTPUTS = {
+    "raw.tsv": "d0746796334ef5022077f212e825e3c4c924c169b6cb9503734212015d63e644",
+    "corpus.tsv": "b4bff9d207b5ebc5fc38e7c158a1e230a9b8bdacb328656b15ed9e06c1f1cbb2",
+    "corpus.train.tsv": "a56c5366244cb82be61ac2e5ff2cc9601abe1b566ecc1aa2b9bd4d1fe8abd3cb",
+    "corpus.dev.tsv": "5a92f29fcef630b11ab3dff0cab6fc25754e5762eea4227730dd9d3b9fe9e7e2",
+    "corpus.test.tsv": "210df7572793981bd028d8d9fd301841ed8484e202f8e4971d279687490923a1",
+    # conservation renames nothing, so its output is the ingested corpus
+    "replaced-conservation.tsv":
+        "b4bff9d207b5ebc5fc38e7c158a1e230a9b8bdacb328656b15ed9e06c1f1cbb2",
+    "replaced-partial.tsv":
+        "72fe3bdcb4bc897c00ab837e8ccc26db3558d0d96083368ce3da81434d920d63",
+    "replaced-full.tsv":
+        "12c70ecfd4d2ea57150234717d6291b60ee353e3793c76891f30be27e8c190bf",
+    "replaced-transposition.tsv":
+        "b16062159d93645ed093e3fd2f39746eaf705084f561bede61df171642987add",
+}
+
+
+def test_pinned_text_outputs(tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pinned_raw_text(), encoding="utf-8")
+    out = tmp_path / "out"
+    common = ["--out-dir", str(out), "--quiet"]
+    assert main(["ingest", str(raw), *common]) == 0
+    corpus = str(out / "corpus.tsv")
+    assert main(["split", corpus, "--mode", "unmixed", "--seed", "3",
+                 "--ratios", "0.5,0.25,0.25", *common]) == 0
+    for level in ("conservation", "partial", "full", "transposition"):
+        assert main(["replace", corpus, "--level", level, "--seed", "5",
+                     "--output", f"replaced-{level}.tsv", *common]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (raw, *out.glob("*.tsv"))}
+    assert digests == PINNED_OUTPUTS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from proofmatch.cli import _parse_raw_tokens
+from proofmatch.cli import _parse_raw_item
 from proofmatch.corpus import (
     Corpus,
     EmptyCorpus,
@@ -22,8 +22,8 @@ from proofmatch.corpus import (
     filter_pair,
     format_record,
     math_token,
+    parse_item,
     parse_record,
-    parse_tokens,
     read_corpus,
     read_records,
     split_corpus,
@@ -105,9 +105,9 @@ class TestSplit:
         corpus = Corpus(pairs)
         parts = split_corpus(corpus, SplitSpec(mode=SplitMode.UNMIXED, seed=3))
         placed = {}
-        for part in parts:
+        for index, part in enumerate(parts):
             for p in part.pairs:
-                assert placed.setdefault(p.article_id, part.split_tag) == part.split_tag
+                assert placed.setdefault(p.article_id, index) == index
 
     def test_partition_no_loss_no_duplication(self):
         rng = np.random.default_rng(0)
@@ -171,24 +171,29 @@ class TestSerialization:
             read_corpus(path)
         assert err.value.line == 1
 
-    @pytest.mark.parametrize("parse_list", [parse_tokens, _parse_raw_tokens])
-    def test_equal_items_share_one_token(self, tmp_path, parse_list):
+    @pytest.mark.parametrize("parse_item", [parse_item, _parse_raw_item])
+    def test_equal_items_share_one_token(self, tmp_path, parse_item):
         path = tmp_path / "c.tsv"
         path.write_text("p1\ta\t\tt:w m:x#bold\tm:x#bold\n"
                         "p2\ta\t\tm:x#bold t:w\tt:w\n")
-        first, second = read_records(path, parse_list)
+        first, second = read_records(path, parse_item)
         assert first.statement[1] is first.proof[0] is second.statement[0]
         assert first.statement[0] is second.statement[1] is second.proof[0]
 
-    @pytest.mark.parametrize("parse_list", [parse_tokens, _parse_raw_tokens])
+    @pytest.mark.parametrize("parse_item, bad", [
+        pytest.param(parse_item, "m:x#zz", id="parse_item"),
+        pytest.param(_parse_raw_item, "m:x#zz", id="_parse_raw_item"),
+        pytest.param(_parse_raw_item, "x:%3Cmath%3E%3Cmi%3Ex%3C/math%3E",
+                     id="_parse_raw_item-malformed_mathml"),
+    ])
     def test_bad_item_after_memoised_lines_names_line_and_column(
-            self, tmp_path, parse_list):
+            self, tmp_path, parse_item, bad):
         path = tmp_path / "bad.tsv"
         path.write_text("p1\ta\t\tt:ok m:x\tt:ok\n"
                         "p2\ta\t\tt:ok m:x\tt:ok\n"
-                        "p3\ta\t\tt:ok m:x#zz\tt:ok\n")
+                        f"p3\ta\t\tt:ok {bad}\tt:ok\n")
         with pytest.raises(FormatError) as err:
-            list(read_records(path, parse_list))
+            list(read_records(path, parse_item))
         assert (err.value.line, err.value.column) == (3, 11)
 
     def test_write_of_read_is_byte_identical(self, tmp_path):

@@ -109,7 +109,7 @@ class TestDecodeGlobal:
             m = rng.normal(size=(n, n))
             result = decode_global(m)
             _, brute_val = solve_brute(m)
-            assert result.k_used is None and not result.padded_flag
+            assert not result.padded_flag
             assert result.objective == pytest.approx(brute_val, abs=1e-9)
 
     def test_pruned_matches_dense_when_k_is_n(self):
@@ -117,7 +117,6 @@ class TestDecodeGlobal:
         m = rng.normal(size=(8, 8))
         dense = decode_global(m)
         pruned = decode_global(m, k=8)
-        assert pruned.k_used == 8
         assert pruned.objective == pytest.approx(dense.objective, abs=1e-9)
 
     def test_dominant_column(self):

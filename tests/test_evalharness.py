@@ -60,7 +60,7 @@ class TestReports:
         assert rep.mrr == pytest.approx((0.5 + 1.0) / 2)
 
     def test_global_report_has_no_mrr(self):
-        result = MatchResult(np.array([0, 2, 1]), 1.0, False, None)
+        result = MatchResult(np.array([0, 2, 1]), 1.0, False)
         rep = report_global(result)
         assert rep.mrr is None
         assert rep.accuracy == pytest.approx(1 / 3)

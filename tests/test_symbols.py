@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofmatch.corpus import (
     Corpus, Font, FormatError, PairRecord, math_token, text_token)
@@ -16,12 +17,14 @@ from proofmatch.symbols import (
     apply_replacement,
     build_replacement_map,
     extract_shared_symbols,
+    mix_seed,
     probability_protected,
     read_protected_set,
     replace_corpus,
     replace_pair,
     symbol_key,
 )
+from replace_reference import replace_pair_reference, shared_reference
 
 
 def pair_with(statement_syms, proof_syms, pair_id="p0", extra_proof=()):
@@ -229,7 +232,7 @@ class TestProtectedSetFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "prot.txt"
         path.write_text("# probability\nP\nσ\nx#bold\n", encoding="utf-8")
-        ps = read_protected_set(path, "probability")
+        ps = read_protected_set(path)
         assert SymbolKey("p") in ps.keys
         assert SymbolKey("σ") in ps.keys
         assert SymbolKey("x", Font.BOLD) in ps.keys
@@ -243,3 +246,37 @@ class TestProtectedSetFile:
 
     def test_default_probability_set(self):
         assert probability_protected().bases == {"p", "e", "v", "σ", "ρ"}
+
+
+# Case variants in several fonts, double-struck letters, the constants,
+# multi-letter and non-letter math, and text that looks like a letter.
+LETTERS = "abxyABXYλΛπΠeE"
+FONTS = [Font.NORMAL, Font.BOLD, Font.SCRIPT, Font.DOUBLE_STRUCK]
+symbols = st.one_of(
+    st.builds(math_token, st.sampled_from(LETTERS), st.sampled_from(FONTS)),
+    st.builds(math_token, st.sampled_from(["sin", "ab", "=", "1", "ℝ"])),
+    st.builds(text_token, st.sampled_from(["a", "x", "so"])),
+)
+protected_sets = st.none() | st.builds(
+    ProtectedSet, st.frozensets(st.builds(
+        SymbolKey, st.sampled_from("abxλ"), st.sampled_from(FONTS[:3]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(symbols, max_size=12), st.lists(symbols, max_size=12),
+       st.sampled_from(["p0", "p1", "a:b"]), protected_sets,
+       st.integers(0, 2**32), st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_replace_pair_matches_per_occurrence_reference(
+        statement, proof, pair_id, protected, seed, alpha):
+    pair = PairRecord(pair_id, "a1", [], statement, proof)
+    shared = shared_reference(pair, protected)
+    assert extract_shared_symbols(pair, protected) == shared
+    for level in Level:
+        replacement = ReplacementLevel(level, alpha)
+        expected = replace_pair_reference(pair, replacement, protected, seed)
+        assert replace_pair(pair, replacement, protected, seed) == expected
+        rmap = build_replacement_map(
+            shared, replacement, protected, mix_seed(seed, pair_id),
+            forbidden={k.base for t in statement + proof
+                       if (k := symbol_key(t)) is not None})
+        assert apply_replacement(proof, rmap) == expected.proof
