@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import hashlib
 import json
 import sys
@@ -356,10 +357,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: _apply_config_defaults tells options given on
+    # the command line from the literal --name words of argv.
     parser = argparse.ArgumentParser(
-        prog="match",
+        prog="match", allow_abbrev=False,
         description="Match mathematical proofs to statements.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     p = sub.add_parser("ingest", help="validate, linearize and filter raw records")
     p.add_argument("input", type=Path)

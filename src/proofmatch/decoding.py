@@ -1,4 +1,9 @@
-"""Local (per-statement ranking) and global (bipartite matching) decoding."""
+"""Local (per-statement ranking) and global (bipartite matching) decoding.
+
+Both decode a score matrix from ``build_score_matrix``, which encodes each
+collection once: one ``Vocabulary.encode_ids`` call maps all of its tokens
+to ids, then ``forward`` runs on each document's id slice.
+"""
 
 from __future__ import annotations
 
@@ -41,7 +46,10 @@ class MatchResult:
 
 
 def encode_collection(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
-    return np.stack([forward(state, doc)[0] for doc in docs])
+    """One pooled vector per document: the whole collection goes through one
+    ``encode_ids`` call, then ``forward`` runs on each document's ids."""
+    return np.stack([forward(state, ids)[0]
+                     for ids in state.vocab.encode_docs(docs)])
 
 
 def build_score_matrix(state: ModelState,

@@ -6,6 +6,11 @@ connection around each layer, sinusoidal position encodings, then max or
 mean pooling). Gradients are computed manually and are exact for the
 implemented forward pass.
 
+The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
+turns tokens into ids, looking each distinct token object up once per
+call, so collections and batches are encoded in one call
+(``Vocabulary.encode_docs``) and ``forward`` takes each document's ids.
+
 Model files are a versioned binary container: magic ``PMM1``, vocabulary,
 config, row-major little-endian float32 parameter tensors, and a trailing
 SHA-256 checksum.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -60,7 +66,29 @@ class Vocabulary:
         return len(self.tokens)
 
     def encode_ids(self, doc: list[Token]) -> np.ndarray:
-        return np.array([self.id_of.get(t, UNK_ID) for t in doc], dtype=np.int64)
+        """The id of every token of ``doc``, UNK_ID where it has none.
+
+        Each distinct token *object* is looked up once per call: readers
+        share one Token between equal items, so a call over a whole
+        collection makes far fewer lookups than one call per document.
+        Grouping the tokens by object costs a sort per call, so callers
+        encode whole collections and batches in one call
+        (``encode_docs``), not documents one by one in a loop."""
+        keys = np.fromiter(map(id, doc), dtype=np.uint64, count=len(doc))
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        # One position of each distinct object; any one will do.
+        position = np.empty(len(distinct), dtype=np.intp)
+        position[inverse] = np.arange(len(doc))
+        table = np.array([self.id_of.get(doc[i], UNK_ID)
+                          for i in position.tolist()], dtype=np.int64)
+        return table[inverse]
+
+    def encode_docs(self, docs: list[list[Token]]) -> list[np.ndarray]:
+        """One id array per document, from a single ``encode_ids`` call
+        over all of them."""
+        ids = self.encode_ids([t for doc in docs for t in doc])
+        ends = list(itertools.accumulate(len(doc) for doc in docs))
+        return [ids[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
@@ -253,15 +281,15 @@ class ForwardCache:
     pool_idx: np.ndarray | None  # argmax positions for max pooling
 
 
-def forward(state: ModelState, doc: list[Token]) -> tuple[np.ndarray, ForwardCache]:
-    """Encode a document, keeping the activations needed for backward."""
-    if not doc:
+def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Encode a document given as its token ids (``Vocabulary.encode_ids``),
+    keeping the activations needed for backward."""
+    if len(ids) == 0:
         raise EmptyDocument("cannot encode an empty document")
     cfg = state.config
-    ids = state.vocab.encode_ids(doc)
-    x = state.embeddings[ids].astype(np.float64, copy=True)
+    x = state.embeddings[ids].astype(np.float64, copy=False)  # a gather copies
     if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers and cfg.use_positions:
-        x = x + positional_encoding(len(doc), cfg.d)
+        x = x + positional_encoding(len(ids), cfg.d)
     x0 = x
     caches: list[LayerCache] = []
     for lp in state.layers:

@@ -49,6 +49,13 @@ def _emit(elem: ET.Element, inherited: Font, out: list[Token]) -> None:
     font = _font_of(elem, inherited)
     children = list(elem)
     if children:
+        # Text beside child elements (mixed content) is not Presentation
+        # MathML; linearizing only the leaves would drop its symbols.
+        stray = [t for t in (elem.text, *(c.tail for c in children))
+                 if t and not t.isspace()]
+        if stray:
+            raise MalformedXml(f"text {stray[0].strip()!r} beside child "
+                               f"elements of <{tag}>")
         for child in children:
             _emit(child, font, out)
         return
@@ -64,8 +71,9 @@ def _emit(elem: ET.Element, inherited: Font, out: list[Token]) -> None:
 def linearize_mathml(fragment: str) -> list[Token]:
     """Flatten a Presentation-MathML fragment to tokens in document order.
 
-    Raises MalformedXml on unparseable input, a non-``math`` root, or
-    content-markup elements. A formula with no leaf content yields an
+    Raises MalformedXml on unparseable input, a non-``math`` root,
+    content-markup elements, or non-blank text beside child elements
+    (mixed content). A formula with no leaf content yields an
     empty list.
     """
     try:

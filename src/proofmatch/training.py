@@ -147,9 +147,13 @@ def global_loss(m_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 def batch_loss_and_grads(state: ModelState, batch_pairs,
                          loss_fn) -> tuple[float, ModelState]:
     """Encode a batch, apply loss_fn to the in-batch score matrix, and
-    backpropagate to all parameters."""
-    s_out = [forward(state, p.statement) for p in batch_pairs]
-    p_out = [forward(state, p.proof) for p in batch_pairs]
+    backpropagate to all parameters. The batch's statements and proofs go
+    through one ``encode_ids`` call."""
+    b = len(batch_pairs)
+    ids = state.vocab.encode_docs([p.statement for p in batch_pairs]
+                                  + [p.proof for p in batch_pairs])
+    s_out = [forward(state, x) for x in ids[:b]]
+    p_out = [forward(state, x) for x in ids[b:]]
     s_vecs = np.stack([v for v, _ in s_out])
     p_vecs = np.stack([v for v, _ in p_out])
     m_b = score_matrix(state, s_vecs, p_vecs)
@@ -256,8 +260,10 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
 
 
 def write_history(history: TrainHistory, path) -> None:
-    """Line-delimited log: epoch<TAB>step<TAB>objective<TAB>loss<TAB>lr."""
+    """Line-delimited log:
+    epoch<TAB>step<TAB>objective<TAB>loss<TAB>lr<TAB>grad_norm, where
+    grad_norm is the step's global gradient norm before clipping."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in history.steps:
             fh.write(f"{rec.epoch}\t{rec.step}\t{rec.objective}\t"
-                     f"{rec.loss:.10g}\t{rec.lr:.10g}\n")
+                     f"{rec.loss:.10g}\t{rec.lr:.10g}\t{rec.grad_norm:.10g}\n")

@@ -100,6 +100,19 @@ class TestIngest:
         assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_mixed_content_mathml_names_line_and_column(self, tmp_path,
+                                                         capsys):
+        raw = tmp_path / "raw.tsv"
+        mixed = "<math><mi>a</mi>b<mrow>c<mi>d</mi></mrow></math>"
+        line = raw_line("bad", mathml=mixed)
+        write_raw(raw, [raw_line("ok"), line])
+        assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        # the comment is line 1; the x: item starts after the last space
+        assert err == (f"error: line 3, col {line.rindex(' ') + 1}: "
+                       "text 'b' beside child elements of <math>\n")
+        assert not (tmp_path / "o" / "corpus.tsv").exists()
+
     def test_bad_token_error_names_column(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
         line = raw_line("p1")
@@ -238,6 +251,26 @@ class TestTrainEval:
         assert manifest["config"]["epochs"] == 2
         assert manifest["config"]["dim"] == 16
         assert manifest["config"]["batch_size"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "{corpus}", "{corpus}", "--epo", "3"],
+        ["train", "{corpus}", "{corpus}", "--epochs", "3", "--dim=8", "--bat", "5"],
+        ["eval", "{corpus}", "{corpus}", "--dec", "global"],
+        ["split", "{corpus}", "--rat", "0.5,0.25,0.25"],
+    ])
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, corpus_file,
+                                               capsys, argv):
+        # An abbreviation would lose to a config-file value, so argparse
+        # must not accept it at all.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\n")
+        out = tmp_path / "out"
+        argv = [a.replace("{corpus}", str(corpus_file)) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--out-dir", str(out), "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_casts_by_option_type(self, tmp_path, corpus_file):
         # --k defaults to None, so only the option's declared type gives int

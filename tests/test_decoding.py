@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import proofmatch.decoding as decoding
 from proofmatch.decoding import (
@@ -8,9 +9,19 @@ from proofmatch.decoding import (
     build_score_matrix,
     decode_global,
     decode_local,
+    encode_collection,
 )
-from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
-from proofmatch.corpus import math_token
+from proofmatch.encoders import (
+    EncoderConfig,
+    EncoderKind,
+    Pooling,
+    UNK_ID,
+    Vocabulary,
+    build_vocab,
+    forward,
+    init_model,
+)
+from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
 from brute import solve_brute
 from conftest import separable_corpus
 
@@ -28,26 +39,40 @@ class TestBuildScoreMatrix:
         statements = [p.statement for p in corpus.pairs]
         proofs = [p.proof for p in corpus.pairs]
         m = build_score_matrix(state, statements, proofs)
-        from proofmatch.encoders import forward
+        vocab = state.vocab
         for i in (0, 2, 4):
             for j in (1, 3):
-                expected = (forward(state, statements[i])[0] @ state.head.w
-                            @ forward(state, proofs[j])[0] + state.head.b)
+                expected = (forward(state, vocab.encode_ids(statements[i]))[0]
+                            @ state.head.w
+                            @ forward(state, vocab.encode_ids(proofs[j]))[0]
+                            + state.head.b)
                 assert m[i, j] == pytest.approx(expected)
 
     def test_each_text_encoded_once(self, monkeypatch):
+        # One encode_ids call per collection, covering each token once,
+        # then one forward per text on that text's ids.
         state, corpus = small_state(10)
-        calls = {"n": 0}
+        lookups, forwarded = [], []
+        real_encode_ids = Vocabulary.encode_ids
         real_forward = decoding.forward
 
-        def counting_forward(st, doc):
-            calls["n"] += 1
-            return real_forward(st, doc)
+        def counting_encode_ids(vocab, doc):
+            lookups.append(len(doc))
+            return real_encode_ids(vocab, doc)
 
+        def counting_forward(model, ids):
+            forwarded.append(ids)
+            return real_forward(model, ids)
+
+        monkeypatch.setattr(Vocabulary, "encode_ids", counting_encode_ids)
         monkeypatch.setattr(decoding, "forward", counting_forward)
-        build_score_matrix(state, [p.statement for p in corpus.pairs],
-                           [p.proof for p in corpus.pairs])
-        assert calls["n"] == 20
+        statements = [p.statement for p in corpus.pairs]
+        proofs = [p.proof for p in corpus.pairs]
+        build_score_matrix(state, statements, proofs)
+        assert lookups == [sum(map(len, statements)), sum(map(len, proofs))]
+        assert len(forwarded) == 20
+        for ids, doc in zip(forwarded, statements + proofs, strict=True):
+            assert np.array_equal(ids, real_encode_ids(state.vocab, doc))
 
     def test_size_mismatch(self):
         state, corpus = small_state(3)
@@ -59,6 +84,53 @@ class TestBuildScoreMatrix:
         state, _ = small_state(2)
         with pytest.raises(EmptyCollection):
             build_score_matrix(state, [], [])
+
+
+_VOCAB_SURFACES = [f"v{i}" for i in range(8)]
+
+
+def three_encoders():
+    """Pooled max, pooled mean and self-attentive models over v0..v7 (math
+    and text), so that u-prefixed surfaces are UNK."""
+    tokens = ([math_token(s) for s in _VOCAB_SURFACES]
+              + [text_token(s) for s in _VOCAB_SURFACES])
+    vocab = build_vocab(Corpus([PairRecord("p0", "a", [], tokens, tokens)]))
+    configs = [EncoderConfig(EncoderKind.POOLED, d=8, pooling=Pooling.MAX),
+               EncoderConfig(EncoderKind.POOLED, d=8, pooling=Pooling.MEAN),
+               EncoderConfig(EncoderKind.SELF_ATTENTIVE, d=8, layers=2,
+                             heads=2, d_k=3)]
+    return [init_model(vocab, cfg, seed=5) for cfg in configs]
+
+
+# An occurrence: (surface index, math or text, reuse the shared object?).
+# Surfaces 8..10 are not in the vocabulary.
+_occurrence = st.tuples(st.integers(0, 10), st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_occurrence, min_size=1, max_size=12),
+                min_size=1, max_size=8))
+def test_encode_collection_matches_per_document_forward(layout):
+    """Equal tokens arrive as shared and as distinct objects, some UNK; the
+    one-lookup-per-collection encoding gives the per-document vectors bit
+    for bit."""
+    surfaces = _VOCAB_SURFACES + ["u0", "u1", "u2"]
+
+    def make(i, is_math):
+        return math_token(surfaces[i]) if is_math else text_token(surfaces[i])
+
+    shared = {(i, m): make(i, m) for i in range(len(surfaces))
+              for m in (True, False)}
+    docs = [[shared[i, m] if reuse else make(i, m) for i, m, reuse in doc]
+            for doc in layout]
+    for state in three_encoders():
+        vocab = state.vocab
+        for d in docs:  # the per-occurrence lookup is the reference
+            assert vocab.encode_ids(d).tolist() == [
+                vocab.id_of.get(t, UNK_ID) for t in d]
+        per_doc = np.stack([forward(state, vocab.encode_ids(d))[0]
+                            for d in docs])
+        assert np.array_equal(encode_collection(state, docs), per_doc)
 
 
 class TestDecodeLocal:

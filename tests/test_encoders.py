@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from proofmatch import encoders
 
-from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
+from proofmatch.corpus import Corpus, Font, PairRecord, math_token, text_token
 from proofmatch.encoders import (
     EmptyDocument,
     EncoderConfig,
@@ -73,6 +73,27 @@ class TestVocabulary:
         with pytest.raises(EmptyCorpus):
             build_vocab(Corpus([]), 1)
 
+    def test_one_lookup_per_distinct_token_object(self):
+        class CountingDict(dict):
+            calls = 0
+
+            def get(self, key, default=None):
+                CountingDict.calls += 1
+                return super().get(key, default)
+
+        corpus = one_pair_corpus([math_token("a"), text_token("a"),
+                                  math_token("b", Font.BOLD)])
+        vocab = build_vocab(corpus, 1)
+        vocab.id_of = CountingDict(vocab.id_of)
+        a, b, unk = math_token("a"), math_token("b", Font.BOLD), text_token("z")
+        a_again = math_token("a")  # equal to a, another object
+        doc = [a, b, a, unk, a_again, b, unk, a, text_token("a")]
+        ids = vocab.encode_ids(doc)
+        assert CountingDict.calls == 5  # a, b, unk, a_again, text a
+        reference = [vocab.id_of.get(t, UNK_ID) for t in doc]  # per occurrence
+        assert ids.dtype == np.int64 and ids.tolist() == reference
+        assert ids[3] == UNK_ID and ids[0] == ids[4] != ids[8]
+
 
 def small_state(kind=EncoderKind.POOLED, pooling=Pooling.MAX, layers=1,
                 seed=0, **kwargs):
@@ -87,19 +108,20 @@ class TestEncode:
     def test_single_token_max_pool_is_embedding(self):
         state = small_state()
         doc = [math_token("v3")]
-        vec = forward(state, doc)[0]
+        vec = forward(state, state.vocab.encode_ids(doc))[0]
         row = state.vocab.id_of[math_token("v3")]
         assert np.allclose(vec, state.embeddings[row])
 
     def test_mean_of_identical_tokens(self):
         state = small_state(pooling=Pooling.MEAN)
-        one = forward(state, [math_token("v1")])[0]
-        two = forward(state, [math_token("v1")] * 2)[0]
+        one = forward(state, state.vocab.encode_ids([math_token("v1")]))[0]
+        two = forward(state, state.vocab.encode_ids([math_token("v1")] * 2))[0]
         assert np.allclose(one, two)
 
     def test_empty_document_raises(self):
+        state = small_state()
         with pytest.raises(EmptyDocument):
-            forward(small_state(), [])
+            forward(state, state.vocab.encode_ids([]))
 
     def test_zeroed_self_attention_reduces_to_pooled(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE, use_positions=False)
@@ -108,29 +130,32 @@ class TestEncode:
         doc = [math_token("v1"), math_token("v5"), math_token("v2")]
         pooled_state = small_state()
         pooled_state.embeddings = state.embeddings
-        assert np.allclose(forward(state, doc)[0], forward(pooled_state, doc)[0])
+        ids = state.vocab.encode_ids(doc)
+        assert np.allclose(forward(state, ids)[0], forward(pooled_state, ids)[0])
 
     def test_max_pool_permutation_invariance(self):
         rng = np.random.default_rng(1)
         for state in (small_state(),
                       small_state(EncoderKind.SELF_ATTENTIVE, layers=0)):
             doc = [math_token(f"v{i}") for i in rng.integers(0, 10, size=6)]
-            base = forward(state, doc)[0]
+            base = forward(state, state.vocab.encode_ids(doc))[0]
             for _ in range(5):
                 perm = [doc[i] for i in rng.permutation(len(doc))]
-                assert np.allclose(forward(state, perm)[0], base)
+                assert np.allclose(
+                    forward(state, state.vocab.encode_ids(perm))[0], base)
 
     def test_attention_rows_sum_to_one(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
         doc = [math_token(f"v{i}") for i in range(5)]
-        _, cache = forward(state, doc)
+        _, cache = forward(state, state.vocab.encode_ids(doc))
         for lc in cache.layers:
             assert np.allclose(lc.attn.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_deterministic(self):
         state = small_state(EncoderKind.SELF_ATTENTIVE)
         doc = [math_token("v1"), math_token("v2")]
-        assert np.array_equal(forward(state, doc)[0], forward(state, doc)[0])
+        ids = state.vocab.encode_ids(doc)
+        assert np.array_equal(forward(state, ids)[0], forward(state, ids)[0])
 
 
 def einsum_forward_backward(state, doc, grad_vec):
@@ -206,7 +231,7 @@ class TestAttentionMatmul:
         doc = [math_token(f"v{i}") for i in rng.integers(0, 60, size=150)]
         grad_vec = rng.normal(size=d)
 
-        vec, cache = forward(state, doc)
+        vec, cache = forward(state, state.vocab.encode_ids(doc))
         grads = state.zeros()
         backward(state, cache, grad_vec, grads)
         ref_vec, ref_layers, ref_rows = einsum_forward_backward(

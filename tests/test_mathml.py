@@ -67,6 +67,20 @@ class TestLinearize:
         with pytest.raises(MalformedXml):
             linearize_mathml("<math><apply><ci>x</ci></apply></math>")
 
+    @pytest.mark.parametrize("fragment,stray", [
+        ("<math><mi>a</mi>b<mrow>c<mi>d</mi></mrow></math>", "b"),  # a tail
+        ("<math><mrow>c<mi>d</mi></mrow></math>", "c"),  # text before a child
+        ("<math><msub><mi>a</mi><mi>n</mi>  k </msub></math>", "k"),
+    ])
+    def test_mixed_content_rejected(self, fragment, stray):
+        with pytest.raises(MalformedXml, match=f"text '{stray}' beside"):
+            linearize_mathml(fragment)
+
+    def test_whitespace_between_elements_allowed(self):
+        toks = linearize_mathml(
+            "<math>\n  <mrow> <mi>a</mi>\t<mi>b</mi> </mrow>\n</math>")
+        assert toks == [math("a"), math("b")]
+
     def test_unknown_mathvariant_maps_to_other(self):
         toks = linearize_mathml(
             '<math><mi mathvariant="sans-serif">x</mi></math>')

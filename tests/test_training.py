@@ -245,10 +245,13 @@ class TestTrainLoop:
         _, history = train(corpus, corpus, state, quick_config(epochs=2))
         path = tmp_path / "train.log"
         write_history(history, path)
-        for line in path.read_text().splitlines():
-            epoch, step, objective, loss, lr = line.split("\t")
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(history.steps)
+        for line, rec in zip(lines, history.steps):
+            epoch, step, objective, loss, lr, grad_norm = line.split("\t")
             assert objective in ("local", "global")
             float(loss), float(lr), int(epoch), int(step)
+            assert float(grad_norm) == pytest.approx(rec.grad_norm, rel=1e-9)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
