@@ -52,7 +52,7 @@ from .encoders import (
 )
 from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
-    mrr,
+    assignment_distribution,
     report_global,
     report_local,
     run_grid,
@@ -94,19 +94,27 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser,
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _apply_config_defaults(args: argparse.Namespace,
+                           tables: dict[str, dict[str, argparse.Action]],
                            argv: list[str]) -> None:
     """File values fill in only options the user did not pass explicitly.
-    A key that names a positional argument is rejected."""
+    A key of another subcommand is skipped, so one file can serve a whole
+    pipeline. A key that no subcommand accepts, a key that names a
+    positional argument and a boolean that is not one of
+    1/0/true/false/yes/no are rejected."""
     if not args.config:
         return
     file_values = _read_config_file(args.config)
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
                 for a in argv if a.startswith("--")}
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+    actions = tables[args.command]
     for key, raw in file_values.items():
+        if not any(key in table for table in tables.values()):
+            raise InvalidValue(f"{args.config}: no subcommand takes {key}")
         if key in explicit or key not in actions:
             continue
         action = actions[key]
@@ -114,10 +122,9 @@ def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPa
             raise InvalidValue(f"{args.config}: {key} is a positional argument; "
                                "give it on the command line")
         try:
-            value = (raw.lower() in ("1", "true", "yes")
-                     if isinstance(action.default, bool)
+            value = (_BOOLEANS[raw.lower()] if isinstance(action.default, bool)
                      else (action.type or str)(raw))
-        except ValueError:
+        except (KeyError, ValueError):
             raise InvalidValue(f"{args.config}: bad {key} {raw!r}") from None
         if action.choices and value not in action.choices:
             raise InvalidValue(f"{args.config}: {key} must be one of "
@@ -125,19 +132,19 @@ def _apply_config_defaults(args: argparse.Namespace, parser: argparse.ArgumentPa
         setattr(args, key, value)
 
 
-def _write_manifest(args: argparse.Namespace, out_dir: Path, command: str,
-                    inputs: list[Path], started: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: list[Path],
+                    started: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v)
-                   for k, v in sorted(vars(args).items())
-                   if k not in ("func", "inputs")},
-        "inputs": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
+                   for k, v in sorted(vars(args).items()) if k != "func"},
+        "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "wall_clock_sec": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    with open(out_dir / f"manifest-{command}.json", "w", encoding="utf-8") as fh:
+    with open(args.out_dir / f"manifest-{args.command}.json", "w",
+              encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -179,7 +186,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _load_protected(args) -> ProtectedSet | None:
-    if getattr(args, "protected", None):
+    if args.protected:
         return read_protected_set(args.protected)
     return None
 
@@ -189,7 +196,6 @@ def _load_protected(args) -> ProtectedSet | None:
 
 
 def cmd_ingest(args) -> int:
-    out_dir = Path(args.out_dir)
     kept, rejected = [], {"too_short": 0, "too_long": 0}
     for record in read_records(args.input, _parse_raw_item):
         verdict = filter_pair(record)
@@ -197,7 +203,7 @@ def cmd_ingest(args) -> int:
             kept.append(record)
         else:
             rejected[verdict.value] += 1
-    out_path = out_dir / args.output
+    out_path = args.out_dir / args.output
     write_corpus(Corpus(kept), out_path)
     n_rej = sum(rejected.values())
     _say(args, f"kept {len(kept)}, rejected {n_rej} "
@@ -227,10 +233,8 @@ def cmd_split(args) -> int:
         raise InvalidValue(f"split ratios are not numbers: {args.ratios!r}") from None
     spec = SplitSpec(mode=SplitMode(args.mode), ratios=ratios, seed=args.seed)
     parts = split_corpus(corpus, spec)
-    out_dir = Path(args.out_dir)
-    stem = Path(args.corpus).stem
     for part, name in zip(parts, ("train", "dev", "test")):
-        path = out_dir / f"{stem}.{name}.tsv"
+        path = args.out_dir / f"{args.corpus.stem}.{name}.tsv"
         write_corpus(part, path)
         _say(args, f"{name}: {len(part)} pairs -> {path}")
     return 0
@@ -240,18 +244,16 @@ def cmd_replace(args) -> int:
     corpus = read_corpus(args.corpus)
     level = ReplacementLevel(Level(args.level), args.alpha)
     replaced = replace_corpus(corpus, level, _load_protected(args), args.seed)
-    out_dir = Path(args.out_dir)
-    out_path = out_dir / args.output
+    out_path = args.out_dir / args.output
     write_corpus(replaced, out_path)
-    _say(args, f"replaced ({args.level}, alpha={args.alpha}) -> {out_path}")
+    _say(args, f"replaced ({args.level}, alpha={level.alpha}) -> {out_path}")
     return 0
 
 
 def cmd_vocab(args) -> int:
     corpus = _channel_corpus(read_corpus(args.corpus), args.channel)
     vocab = build_vocab(corpus, args.min_freq)
-    out_dir = Path(args.out_dir)
-    out_path = out_dir / args.output
+    out_path = args.out_dir / args.output
     with open(out_path, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(vocab.tokens):
             item = "<unk>" if tok is None else format_token(tok)
@@ -266,11 +268,11 @@ def cmd_train(args) -> int:
     vocab = build_vocab(train_c, args.min_freq)
     state = init_model(vocab, _encoder_config(args), args.seed)
     best, history = train(train_c, dev_c, state, _train_config(args))
-    out_dir = Path(args.out_dir)
-    model_path = out_dir / args.output
+    model_path = args.out_dir / args.output
     save_model(best, model_path)
-    write_history(history, out_dir / (Path(args.output).stem + ".log"))
-    epoch, acc = history.dev_accuracy[-1]
+    write_history(history, args.out_dir / (Path(args.output).stem + ".log"))
+    # the saved model is the first evaluation that reached the best accuracy
+    epoch, acc = max(history.dev_accuracy, key=lambda e: e[1])
     _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
                f"at epoch {epoch})")
     return 0
@@ -294,11 +296,14 @@ def cmd_eval(args) -> int:
             print(f"warning: the top-{k} edges admit no perfect matching; "
                   "the assignment uses pruned cells", file=sys.stderr)
     else:
-        report = report_local(decode_local(m))
+        ranking = decode_local(m)
+        report = report_local(ranking)
         line = (f"decode=local\tmrr={report.mrr:.6f}\t"
                 f"accuracy={report.accuracy:.6f}\tn={report.n}")
-    out_dir = Path(args.out_dir)
-    with open(out_dir / "eval.tsv", "w", encoding="utf-8") as fh:
+        with open(args.out_dir / "assign.tsv", "w", encoding="utf-8") as fh:
+            for label, count, percent in assignment_distribution(ranking).rows():
+                fh.write(f"{label}\t{count}\t{percent:.2f}\n")
+    with open(args.out_dir / "eval.tsv", "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     _say(args, line)
     return 0
@@ -311,14 +316,15 @@ def cmd_grid(args) -> int:
     names = args.levels.split(",")
     if unknown := set(names) - set(_values(Level)):
         raise InvalidValue(f"unknown replacement levels: {sorted(unknown)}")
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise InvalidValue(f"repeated replacement levels: {repeated}")
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
     report = run_grid(train_c, dev_c, test_c, levels, _encoder_config(args),
                       _train_config(args), _load_protected(args),
                       seed=args.seed, min_freq=args.min_freq)
-    out_dir = Path(args.out_dir)
-    with open(out_dir / "grid.txt", "w", encoding="utf-8") as fh:
+    with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
-    with open(out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
+    with open(args.out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.to_records()) + "\n")
     _say(args, report.to_text())
     return 0
@@ -329,10 +335,8 @@ def cmd_grid(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -344,6 +348,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dk", type=int, default=32)
     p.add_argument("--pooling", choices=_values(Pooling), default="max")
     p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -354,9 +359,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimizer", choices=_values(Optimizer), default="asgd")
     p.add_argument("--lr-decay", type=float, default=0.996)
     p.add_argument("--eval-every", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, dict[str, argparse.Action]]]:
+    """The parser, and each subcommand's actions by destination in
+    declaration order. Every positional argument names an input file."""
     # No abbreviated flags: _apply_config_defaults tells options given on
     # the command line from the literal --name words of argv.
     parser = argparse.ArgumentParser(
@@ -372,14 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="corpus.tsv")
     p.add_argument("--strict", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_ingest, inputs=lambda a: [a.input])
+    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="train/dev/test split")
     p.add_argument("corpus", type=Path)
     p.add_argument("--mode", choices=_values(SplitMode), default="mixed")
     p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_split, inputs=lambda a: [a.corpus])
+    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("replace", help="apply a symbol-replacement level")
     p.add_argument("corpus", type=Path)
@@ -387,15 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=_values(Level), default="full")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--protected", type=Path, default=None)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_replace, inputs=lambda a: [a.corpus])
+    p.set_defaults(func=cmd_replace)
 
     p = sub.add_parser("vocab", help="build and dump a vocabulary")
     p.add_argument("corpus", type=Path)
     p.add_argument("--output", default="vocab.tsv")
     p.add_argument("--min-freq", type=int, default=1)
+    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
     _add_common(p)
-    p.set_defaults(func=cmd_vocab, inputs=lambda a: [a.corpus])
+    p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("train", help="train a matching model")
     p.add_argument("train_corpus", type=Path)
@@ -404,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoder_flags(p)
     _add_train_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_train,
-                   inputs=lambda a: [a.train_corpus, a.dev_corpus])
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a corpus")
     p.add_argument("model", type=Path)
@@ -413,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decode", choices=("local", "global"), default="local")
     p.add_argument("--k", type=int, default=None,
                    help="top-k pruning for global decoding (default: dense)")
+    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
     _add_common(p)
-    p.set_defaults(func=cmd_eval, inputs=lambda a: [a.model, a.corpus])
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="cross-replacement experiment grid")
     p.add_argument("train_corpus", type=Path)
@@ -427,27 +439,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_encoder_flags(p)
     _add_train_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_grid,
-                   inputs=lambda a: [a.train_corpus, a.dev_corpus, a.test_corpus])
+    p.set_defaults(func=cmd_grid)
 
-    return parser
+    tables = {name: {a.dest: a for a in p._actions if a.dest != "help"}
+              for name, p in sub.choices.items()}
+    return parser, tables
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, tables = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
     try:
-        _apply_config_defaults(args, parser, argv)
+        _apply_config_defaults(args, tables, argv)
         # before the work, so that an unusable --out-dir costs no training
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         code = args.func(args)
     except (ProofmatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, Path(args.out_dir), args.command,
-                    args.inputs(args), started)
+    inputs = [getattr(args, a.dest) for a in tables[args.command].values()
+              if not a.option_strings]
+    _write_manifest(args, inputs, started)
     return code
 
 

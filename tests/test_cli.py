@@ -15,8 +15,12 @@ from proofmatch.cli import main
 from proofmatch.corpus import (
     Corpus, _escape, format_record, math_token, read_corpus, read_records,
     write_corpus)
-from proofmatch.encoders import EncoderConfig, build_vocab, init_model, save_model
+from proofmatch.decoding import build_score_matrix, decode_local
+from proofmatch.encoders import (
+    EncoderConfig, build_vocab, init_model, load_model, save_model)
+from proofmatch.evalharness import assignment_distribution
 from proofmatch.mathml import linearize_mathml
+from proofmatch.training import TrainHistory
 from conftest import repeated_token_pair, separable_corpus
 
 
@@ -163,6 +167,13 @@ class TestSplit:
 
 
 class TestReplaceVocab:
+    def test_replace_reports_the_alpha_it_used(self, tmp_path, corpus_file,
+                                               capsys):
+        # a full replacement renames every shared symbol whatever --alpha says
+        assert main(["replace", str(corpus_file), "--level", "full",
+                     "--alpha", "0.3", "--out-dir", str(tmp_path / "r")]) == 0
+        assert "(full, alpha=1.0)" in capsys.readouterr().out
+
     def test_replace_conservation_identity(self, tmp_path, corpus_file):
         out = tmp_path / "r"
         assert main(["replace", str(corpus_file), "--level", "conservation",
@@ -230,14 +241,48 @@ class TestTrainEval:
         assert (eval_out / "eval.tsv").read_text().rstrip().endswith("padded=1")
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    def test_train_reports_the_model_it_saved(self, tmp_path, corpus_file,
+                                              capsys, monkeypatch):
+        import proofmatch.cli as cli
+        history = TrainHistory(dev_accuracy=[(1, 0.5), (2, 0.9), (3, 0.9),
+                                             (4, 0.7)])
+        monkeypatch.setattr(cli, "train",
+                            lambda train_c, dev_c, state, config: (state, history))
+        args, _ = train_args(tmp_path, corpus_file)
+        assert main([a for a in args if a != "--quiet"]) == 0
+        # train keeps the first evaluation with the best accuracy
+        assert "(dev accuracy 0.9000 at epoch 2)" in capsys.readouterr().out
+
     def test_manifest_written(self, tmp_path, corpus_file):
-        args, out = train_args(tmp_path, corpus_file)
-        main(args)
-        manifest = json.loads((out / "manifest-train.json").read_text())
-        assert manifest["command"] == "train"
-        assert manifest["config"]["epochs"] == 60
-        assert str(corpus_file) in manifest["inputs"]
-        assert len(manifest["inputs"][str(corpus_file)]) == 64
+        dev, test, model = (tmp_path / "dev.tsv", tmp_path / "test.tsv",
+                            tmp_path / "model.pmm")
+        dev.write_bytes(corpus_file.read_bytes())
+        test.write_bytes(corpus_file.read_bytes())
+        save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                              EncoderConfig(d=4), 0), model)
+        small = ["--dim", "4", "--batch-size", "5", "--epochs", "2",
+                 "--eval-every", "2"]
+        runs = {
+            "ingest": ([corpus_file], []),
+            "split": ([corpus_file], []),
+            "replace": ([corpus_file], []),
+            "vocab": ([corpus_file], []),
+            "train": ([corpus_file, dev], small),
+            "eval": ([model, corpus_file], []),
+            "grid": ([corpus_file, dev, test], small + ["--levels", "full"]),
+        }
+        for command, (inputs, flags) in runs.items():
+            out = tmp_path / command
+            assert main([command, *map(str, inputs), *flags,
+                         "--out-dir", str(out), "--quiet"]) == 0
+            manifest = json.loads((out / f"manifest-{command}.json").read_text())
+            assert manifest["command"] == command
+            # the inputs are exactly the positional files
+            assert manifest["inputs"] == {
+                str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in inputs}
+            assert "inputs" not in manifest["config"]
+        assert manifest["config"]["epochs"] == 2
 
     def test_config_file_defaults_and_cli_precedence(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"
@@ -351,6 +396,17 @@ BAD_VALUES = {
     "non_utf8_protected": ["replace", "{corpus}", "--protected", "{non_utf8}"],
     "config_names_a_positional": ["split", "{corpus}", "--config",
                                   "{positional}"],
+    "unknown_config_key": ["split", "{corpus}", "--config", "{typo}"],
+    "config_bool_not_a_bool": ["split", "{corpus}", "--config", "{not_bool}"],
+    "repeated_grid_level": ["grid", "{corpus}", "{corpus}", "{corpus}",
+                            "--levels", "full,partial,full"],
+}
+
+# What the error line of a BAD_VALUES case must name.
+NAMED_IN_ERROR = {
+    "unknown_config_key": ["{typo}:", "epohcs"],
+    "config_bool_not_a_bool": ["{not_bool}:", "quiet", "ture"],
+    "repeated_grid_level": ["['full']"],
 }
 
 
@@ -363,7 +419,9 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                        ("spaced", pair + b" t:a%20b\n"),
                        ("bad_choice", b"encoder = tfidf\n"),
                        ("non_utf8", b"# a comment\r\n\xff\n"),
-                       ("positional", f"corpus = {corpus_file}\n".encode())):
+                       ("positional", f"corpus = {corpus_file}\n".encode()),
+                       ("typo", b"ratios = 0.5,0.25,0.25\nepohcs = 3\n"),
+                       ("not_bool", b"epochs = 3\nquiet = ture\n")):
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
@@ -376,6 +434,8 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
     assert not list(tmp_path.glob("o/*.train.tsv"))  # no split was written
     if case.startswith("non_utf8"):  # the bad byte is on line 2
         assert f"{files['non_utf8']}:2:" in err
+    for name in NAMED_IN_ERROR.get(case, []):
+        assert name.format(**files) in err
 
 
 OUT_DIR_IS_A_FILE = {
@@ -422,6 +482,59 @@ def test_any_protected_file_runs_or_is_one_error_line(data):
     if code == 1:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+
+REMOVED_FLAGS = [("ingest", "--seed"), ("ingest", "--channel"),
+                 ("split", "--channel"), ("replace", "--channel"),
+                 ("vocab", "--seed"), ("eval", "--seed")]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_subcommand_rejects_an_option_it_would_ignore(tmp_path, corpus_file,
+                                                       capsys, command, flag):
+    inputs = [str(corpus_file)] * (2 if command == "eval" else 1)
+    value = "1" if flag == "--seed" else "math"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_skips_other_subcommands_keys(tmp_path, corpus_file,
+                                                  capsys):
+    # one file serves the whole pipeline: split takes seed and quiet, and
+    # skips the training keys
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("epochs = 3\nencoder = selfattn\nseed = 1\nquiet = yes\n")
+    out = tmp_path / "out"
+    assert main(["split", str(corpus_file), "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    config = json.loads((out / "manifest-split.json").read_text())["config"]
+    assert config["seed"] == 1 and config["quiet"] is True
+    assert "epochs" not in config and "encoder" not in config
+
+
+def test_eval_writes_the_assignment_histogram_under_local_decoding(
+        tmp_path, corpus_file):
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    local, glob = tmp_path / "local", tmp_path / "global"
+    assert main(["eval", str(model), str(corpus_file),
+                 "--out-dir", str(local), "--quiet"]) == 0
+    pairs = read_corpus(corpus_file).pairs
+    m = build_score_matrix(load_model(model), [p.statement for p in pairs],
+                           [p.proof for p in pairs])
+    rows = assignment_distribution(decode_local(m)).rows()
+    assert (local / "assign.tsv").read_text().splitlines() == [
+        f"{label}\t{count}\t{percent:.2f}" for label, count, percent in rows]
+    assert main(["eval", str(model), str(corpus_file), "--decode", "global",
+                 "--out-dir", str(glob), "--quiet"]) == 0
+    assert (glob / "eval.tsv").is_file()
+    assert not (glob / "assign.tsv").exists()
 
 
 class TestGrid:
