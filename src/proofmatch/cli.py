@@ -295,6 +295,8 @@ def cmd_eval(args) -> int:
         if result.padded_flag:
             print(f"warning: the top-{k} edges admit no perfect matching; "
                   "the assignment uses pruned cells", file=sys.stderr)
+        # A local run's histogram would otherwise sit beside this eval.tsv.
+        (args.out_dir / "assign.tsv").unlink(missing_ok=True)
     else:
         ranking = decode_local(m)
         report = report_local(ranking)

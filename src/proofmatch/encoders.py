@@ -319,6 +319,11 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
     """Add d(loss)/d(params) for one encoded document to ``grads``, given
     the gradient with respect to its pooled vector."""
     cfg = state.config
+    if cfg.pooling is Pooling.MAX and not state.layers:
+        # Only the d pooled cells carry gradient; scatter those, not T×d.
+        np.add.at(grads.embeddings,
+                  (cache.ids[cache.pool_idx], np.arange(cfg.d)), grad_vec)
+        return
     t_len = cache.x0.shape[0]
     dx = np.zeros((t_len, cfg.d))
     if cfg.pooling is Pooling.MAX:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proofmatch import assignment
 from proofmatch.assignment import (
     BadK,
     SparseScores,
@@ -8,7 +12,8 @@ from proofmatch.assignment import (
     solve_dense,
     solve_sparse,
 )
-from brute import TooLarge, solve_brute
+from brute import TooLarge, solve_brute, solve_brute_padded
+from padded_reference import solve_padded_reference
 
 
 def assert_permutation(assignment, n):
@@ -165,3 +170,100 @@ class TestSparse:
         assert_permutation(perm, n)
         _, exact = solve_dense(m)
         assert val <= exact + 1e-9
+
+    def test_uncovered_statements_take_unused_proofs_in_descending_order(self):
+        # rows 0-2 retain only proof 0 and row 3 only proof 3
+        sp = SparseScores(np.array([[0], [0], [0], [3]]),
+                          np.array([[1.0], [5.0], [2.0], [4.0]]))
+        perm, val, padded = solve_sparse(sp)
+        assert padded
+        assert np.array_equal(perm, [2, 0, 1, 3])
+        assert val == 9.0
+
+    @pytest.mark.parametrize("n,k", [(8, 1), (40, 1), (40, 3), (200, 5)])
+    def test_completions_add_at_most_one_diagonal_hit(self, n, k):
+        # Gold is the diagonal and every gold cell is pruned, so any hit
+        # comes from a pruned-cell completion.
+        rng = np.random.default_rng(n + k)
+        m = rng.normal(size=(n, n))
+        m[:, :2] += 5.0  # two favoured proofs, so most statements pad
+        m[np.arange(n), np.arange(n)] = m.min() - 1.0
+        sp = prune_topk(m, k)
+        assert not (sp.cols == np.arange(n)[:, None]).any()
+        perm, _, padded = solve_sparse(sp)
+        assert padded
+        assert_permutation(perm, n)
+        assert int((perm == np.arange(n)).sum()) <= 1
+
+    def test_padded_objective_matches_dense_reference(self):
+        rng = np.random.default_rng(8)
+        padded_cases = 0
+        for n in (50, 120, 300):
+            for k in (1, 2, 3, 5, 10):
+                # low rank makes some proofs everyone's favourite
+                m = (rng.normal(size=(n, 4)) @ rng.normal(size=(4, n))
+                     + 3.0 * np.eye(n) + 0.1 * rng.normal(size=(n, n)))
+                sp = prune_topk(m, k)
+                perm, val, padded = solve_sparse(sp)
+                ref_perm, ref = solve_padded_reference(sp)
+                assert_permutation(perm, n)
+                assert (int((sp.cols == perm[:, None]).sum())
+                        == int((sp.cols == ref_perm[:, None]).sum()))
+                assert val == pytest.approx(ref, rel=1e-9)
+                padded_cases += padded
+        assert padded_cases >= 10
+
+
+@st.composite
+def pruned_grids(draw):
+    """A top-k-pruned n×n grid of few distinct values, so ties abound."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    cells = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    m = 0.5 * np.array(cells, dtype=float).reshape(n, n)
+    # Statements compete for a favoured prefix of proofs, so most grids pad.
+    m[:, :draw(st.integers(0, n))] += 3.0
+    return prune_topk(m, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pruned_grids())
+def test_sparse_objective_matches_padded_brute_force(sp):
+    n = sp.cols.shape[0]
+    perm, val, padded = solve_sparse(sp)
+    most, best = solve_brute_padded(sp)
+    assert_permutation(perm, n)
+    assert padded == (most < n)
+    assert int((sp.cols == perm[:, None]).sum()) == most
+    assert val == pytest.approx(best, abs=1e-9)
+
+
+class TestSparseScale:
+    def test_padded_solve_needs_no_dense_solver(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("solve_sparse called the dense solver")
+        monkeypatch.setattr(assignment, "solve_dense", refuse)
+        m = np.zeros((6, 6))
+        m[:, 0] = 1.0
+        perm, val, padded = solve_sparse(prune_topk(m, 2))
+        assert padded
+        assert_permutation(perm, 6)
+        assert val == 1.0
+
+    @pytest.mark.parametrize("span", [5000, 2500])
+    def test_padded_memory_stays_linear_in_retained_edges(self, span):
+        # Built without a dense matrix: a dense n×n float64 copy is 200 MB.
+        # Every statement retains proofs among the first ``span`` only.
+        n, k = 5000, 5
+        rng = np.random.default_rng(span)
+        cols = (rng.integers(0, span, n)[:, None] + 7 * np.arange(k)) % span
+        vals = -np.sort(-rng.normal(size=(n, k)), axis=1)
+        tracemalloc.start()
+        try:
+            perm, _, padded = solve_sparse(SparseScores(cols, vals))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert padded
+        assert_permutation(perm, n)
+        assert peak < 50 * 2**20

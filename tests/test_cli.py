@@ -537,6 +537,20 @@ def test_eval_writes_the_assignment_histogram_under_local_decoding(
     assert not (glob / "assign.tsv").exists()
 
 
+def test_global_eval_removes_a_local_runs_histogram(tmp_path, corpus_file):
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    out = tmp_path / "eval"
+    assert main(["eval", str(model), str(corpus_file),
+                 "--out-dir", str(out), "--quiet"]) == 0
+    assert (out / "assign.tsv").is_file()
+    assert main(["eval", str(model), str(corpus_file), "--decode", "global",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    assert (out / "eval.tsv").read_text().startswith("decode=global")
+    assert not (out / "assign.tsv").exists()
+
+
 class TestGrid:
     def test_grid_outputs(self, tmp_path, corpus_file):
         out = tmp_path / "g"
