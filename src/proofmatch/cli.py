@@ -133,13 +133,14 @@ def _apply_config_defaults(args: argparse.Namespace,
 
 
 def _write_manifest(args: argparse.Namespace, inputs: list[Path],
-                    started: float) -> None:
+                    started: float, error: str | None) -> None:
     manifest = {
         "command": args.command,
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v)
                    for k, v in sorted(vars(args).items()) if k != "func"},
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
+        "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
@@ -270,7 +271,11 @@ def cmd_train(args) -> int:
     best, history = train(train_c, dev_c, state, _train_config(args))
     model_path = args.out_dir / args.output
     save_model(best, model_path)
-    write_history(history, args.out_dir / (Path(args.output).stem + ".log"))
+    stem = Path(args.output).stem
+    write_history(history, args.out_dir / f"{stem}.log")
+    with open(args.out_dir / f"{stem}.dev.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{epoch}\t{acc:.10g}\n"
+                      for epoch, acc in history.dev_accuracy)
     # the saved model is the first evaluation that reached the best accuracy
     epoch, acc = max(history.dev_accuracy, key=lambda e: e[1])
     _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
@@ -453,17 +458,24 @@ def main(argv: list[str] | None = None) -> int:
     parser, tables = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    error = None
     try:
         _apply_config_defaults(args, tables, argv)
         # before the work, so that an unusable --out-dir costs no training
         args.out_dir.mkdir(parents=True, exist_ok=True)
         code = args.func(args)
     except (ProofmatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code = str(exc), 1
     inputs = [getattr(args, a.dest) for a in tables[args.command].values()
               if not a.option_strings]
-    _write_manifest(args, inputs, started)
+    try:
+        # a failed run records its error too, wherever --out-dir is usable
+        _write_manifest(args, inputs, started, error)
+    except OSError as exc:
+        # say an unusable --out-dir, which a failed run already reported
+        error, code = error or str(exc), 1
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
     return code
 
 

@@ -6,6 +6,14 @@ connection around each layer, sinusoidal position encodings, then max or
 mean pooling). Gradients are computed manually and are exact for the
 implemented forward pass.
 
+Under max pooling only the pooled rows R of the last layer's output carry
+gradient, so ``backward`` runs that layer on R alone: the attention
+backward reads the (H, |R|, T) rows of the attention matrix, and the
+residual and query gradients reach those rows only; earlier layers and
+mean pooling run the same loop over all T rows. The attention softmax,
+forward and backward, works in place in its (H, T, T) score array instead
+of allocating a new one at each step; the arithmetic is unchanged.
+
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
 turns tokens into ids, looking each distinct token object up once per
 call, so collections and batches are encoded in one call
@@ -257,9 +265,11 @@ def positional_encoding(n: int, d: int) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: returns ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 @dataclass
@@ -296,7 +306,9 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
         q = x @ lp.wq                          # (H, T, d_k)
         k = x @ lp.wk
         v = x @ lp.wv                          # (H, T, d_v)
-        attn = _softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_k))
+        scores = q @ k.transpose(0, 2, 1)      # (H, T, T)
+        scores /= math.sqrt(cfg.d_k)
+        attn = _softmax_rows(scores)
         heads = attn @ v                       # (H, T, d_v)
         concat = heads.transpose(1, 0, 2).reshape(x.shape[0], cfg.d)
         caches.append(LayerCache(x, q, k, v, attn, concat))
@@ -325,34 +337,43 @@ def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
                   (cache.ids[cache.pool_idx], np.arange(cfg.d)), grad_vec)
         return
     t_len = cache.x0.shape[0]
-    dx = np.zeros((t_len, cfg.d))
     if cfg.pooling is Pooling.MAX:
-        dx[cache.pool_idx, np.arange(cfg.d)] = grad_vec
+        # Only the pooled rows R of the last layer's output carry gradient,
+        # so that layer's backward runs on those rows: d_out is (|R|, d).
+        rows, row_of = np.unique(cache.pool_idx, return_inverse=True)
+        dx = np.zeros((len(rows), cfg.d))
+        dx[row_of, np.arange(cfg.d)] = grad_vec
     else:
+        rows = slice(None)
+        dx = np.zeros((t_len, cfg.d))
         dx += grad_vec[None, :] / t_len
 
     for lp, lc, lg in zip(reversed(state.layers), reversed(cache.layers),
                           reversed(grads.layers)):
-        # x_out = x_in + concat @ wo
+        # x_out = x_in + concat @ wo, on ``rows``; earlier layers need all T
         d_out = dx
-        lg.wo += lc.concat.T @ d_out
+        attn = lc.attn[:, rows]                             # (H, R, T)
+        lg.wo += lc.concat[rows].T @ d_out
         d_concat = d_out @ lp.wo.T
-        d_heads = d_concat.reshape(t_len, cfg.heads, -1).transpose(1, 0, 2)
-        d_attn = d_heads @ lc.v.transpose(0, 2, 1)          # (H, T, T)
-        d_v = lc.attn.transpose(0, 2, 1) @ d_heads          # (H, T, d_v)
-        # softmax rows backward
-        tmp = (d_attn * lc.attn).sum(axis=-1, keepdims=True)
-        d_scores = lc.attn * (d_attn - tmp) / math.sqrt(cfg.d_k)
-        d_q = d_scores @ lc.k                               # (H, T, d_k)
-        d_k = d_scores.transpose(0, 2, 1) @ lc.q            # (H, T, d_k)
-        dx_in = d_out.copy()                                # residual branch
-        dx_in += (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
+        d_heads = d_concat.reshape(len(d_out), cfg.heads, -1).transpose(1, 0, 2)
+        d_attn = d_heads @ lc.v.transpose(0, 2, 1)          # (H, R, T)
+        d_v = attn.transpose(0, 2, 1) @ d_heads             # (H, T, d_v)
+        # softmax rows backward, in place: d_attn becomes d_scores
+        d_attn -= (d_attn * attn).sum(axis=-1, keepdims=True)
+        d_attn *= attn
+        d_attn /= math.sqrt(cfg.d_k)
+        d_q = d_attn @ lc.k                                 # (H, R, d_k)
+        d_k = d_attn.transpose(0, 2, 1) @ lc.q[:, rows]     # (H, T, d_k)
+        dx_in = np.zeros((t_len, cfg.d))
+        # residual branch and queries reach x_in only on ``rows``
+        dx_in[rows] = d_out + (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
         dx_in += (d_k @ lp.wk.transpose(0, 2, 1)).sum(0)
         dx_in += (d_v @ lp.wv.transpose(0, 2, 1)).sum(0)
-        lg.wq += lc.x_in.T @ d_q
+        lg.wq += lc.x_in[rows].T @ d_q
         lg.wk += lc.x_in.T @ d_k
         lg.wv += lc.x_in.T @ d_v
         dx = dx_in
+        rows = slice(None)
 
     np.add.at(grads.embeddings, cache.ids, dx)
 

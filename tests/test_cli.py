@@ -284,6 +284,55 @@ class TestTrainEval:
             assert "inputs" not in manifest["config"]
         assert manifest["config"]["epochs"] == 2
 
+    def test_train_writes_the_dev_curve(self, tmp_path, corpus_file,
+                                        monkeypatch):
+        import proofmatch.cli as cli
+        histories = []
+
+        def recording_train(*args):
+            best, history = cli_train(*args)
+            histories.append(history)
+            return best, history
+
+        cli_train = cli.train
+        monkeypatch.setattr(cli, "train", recording_train)
+        args, out = train_args(tmp_path, corpus_file,
+                               ["--epochs", "5", "--eval-every", "2",
+                                "--output", "run.pmm"])
+        assert main(args) == 0
+        (history,) = histories
+        assert [e for e, _ in history.dev_accuracy] == [2, 4, 5]
+        assert (out / "run.dev.tsv").read_text() == "".join(
+            f"{e}\t{a:.10g}\n" for e, a in history.dev_accuracy)
+
+    def test_failed_run_manifest_names_the_error(self, tmp_path, corpus_file,
+                                                 capsys):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.tsv"
+        assert main(["train", str(corpus_file), str(missing),
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert manifest["error"] == err[len("error: "):].rstrip("\n")
+        assert str(missing) in manifest["error"]
+        assert manifest["inputs"] == {
+            str(corpus_file): hashlib.sha256(corpus_file.read_bytes()).hexdigest()}
+
+        assert main(["split", str(corpus_file), "--out-dir", str(out),
+                     "--quiet"]) == 0
+        assert json.loads(
+            (out / "manifest-split.json").read_text())["error"] is None
+
+    def test_unusable_out_dir_is_one_error_line(self, tmp_path, corpus_file,
+                                                capsys):
+        assert main(["split", str(corpus_file),
+                     "--out-dir", str(corpus_file / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [corpus_file.name]
+
     def test_config_file_defaults_and_cli_precedence(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 2\ndim = 4\n# comment\nbatch-size = 3\n")

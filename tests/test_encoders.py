@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proofmatch import encoders
 
@@ -33,6 +33,7 @@ from proofmatch.encoders import (
     score_matrix,
 )
 from proofmatch.corpus import EmptyCorpus
+from attention_reference import backward_dense, forward_dense
 from conftest import random_corpus
 
 
@@ -245,6 +246,72 @@ class TestAttentionMatmul:
         assert set(touched.tolist()) == ref_rows.keys()
         for row, want in ref_rows.items():
             assert_rel_close(grads.embeddings[row], want)
+
+
+def attention_state(d, heads, d_k, layers, pooling, n_tokens=50):
+    vocab = build_vocab(one_pair_corpus(
+        [math_token(f"v{i}") for i in range(n_tokens)]), 1)
+    return init_model(vocab, EncoderConfig(
+        EncoderKind.SELF_ATTENTIVE, d=d, layers=layers, heads=heads,
+        d_k=d_k, pooling=pooling), seed=3)
+
+
+def gradients(state, cache, grad_vec, backward_fn):
+    grads = state.zeros()
+    backward_fn(state, cache, grad_vec, grads)
+    return grads.param_arrays()
+
+
+class TestPooledRowBackward:
+    """``backward`` runs the last layer over the max-pooled rows only and
+    the softmax in place; the dense reference runs every row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([4, 8, 16, 64]), heads=st.sampled_from([1, 2, 4]),
+           d_k=st.integers(1, 32), layers=st.integers(1, 2),
+           pooling=st.sampled_from(list(Pooling)), t_len=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=64, heads=2, d_k=32, layers=1, pooling=Pooling.MAX, t_len=5,
+             seed=0)
+    @example(d=4, heads=2, d_k=3, layers=2, pooling=Pooling.MAX, t_len=300,
+             seed=1)
+    def test_matches_dense_reference(self, d, heads, d_k, layers, pooling,
+                                     t_len, seed):
+        rng = np.random.default_rng(seed)
+        state = attention_state(d, heads, d_k, layers, pooling)
+        ids = rng.integers(0, len(state.vocab), size=t_len)
+        grad_vec = rng.normal(size=d)
+
+        vec, cache = forward(state, ids)
+        ref_vec, ref_cache = forward_dense(state, ids)
+        assert np.array_equal(vec, ref_vec)
+        got = gradients(state, cache, grad_vec, backward)
+        want = gradients(state, ref_cache, grad_vec, backward_dense)
+        for g, w in zip(got, want, strict=True):
+            if pooling is Pooling.MEAN:
+                assert np.array_equal(g, w)
+            else:
+                assert_rel_close(g, w)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_reads_only_pooled_rows_of_last_layer(self, layers):
+        rng = np.random.default_rng(5)
+        state = attention_state(8, 2, 4, layers, Pooling.MAX)
+        ids = rng.integers(0, len(state.vocab), size=120)
+        grad_vec = rng.normal(size=8)
+        _, cache = forward(state, ids)
+        want = gradients(state, cache, grad_vec, backward)
+
+        last = cache.layers[-1]
+        other = np.setdiff1d(np.arange(len(ids)), cache.pool_idx)
+        assert len(other) > 0
+        last.attn[:, other] = np.nan
+        last.q[:, other] = np.nan
+        last.concat[other] = np.nan
+        got = gradients(state, cache, grad_vec, backward)
+        for g, w in zip(got, want, strict=True):
+            assert np.isfinite(g).all()
+            assert np.array_equal(g, w)
 
 
 class TestPositionalEncoding:
