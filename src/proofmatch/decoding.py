@@ -2,7 +2,9 @@
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
 collection once: one ``Vocabulary.encode_ids`` call maps all of its tokens
-to ids, then ``forward`` runs on each document's id slice.
+to ids, then ``forward`` runs on each document's id slice. A caller that
+scores one collection repeatedly (the dev set during training) passes the
+id arrays it made once instead.
 """
 
 from __future__ import annotations
@@ -45,25 +47,33 @@ class MatchResult:
     padded_flag: bool
 
 
-def encode_collection(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
-    """One pooled vector per document: the whole collection goes through one
-    ``encode_ids`` call, then ``forward`` runs on each document's ids."""
-    return np.stack([forward(state, ids)[0]
-                     for ids in state.vocab.encode_docs(docs)])
+def encode_collection(state: ModelState, docs: list[list[Token]],
+                      ids: list[np.ndarray] | None = None) -> np.ndarray:
+    """One pooled vector per document: ``forward`` runs on each document's
+    ids, which ``ids`` holds when the caller has them already; otherwise
+    the whole collection goes through one ``encode_ids`` call."""
+    if ids is None:
+        ids = state.vocab.encode_docs(docs)
+    return np.stack([forward(state, x)[0] for x in ids])
 
 
 def build_score_matrix(state: ModelState,
                        statements: list[list[Token]],
-                       proofs: list[list[Token]]) -> np.ndarray:
+                       proofs: list[list[Token]],
+                       ids: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+                       ) -> np.ndarray:
     """m[i][j] = s_i^T W p_j + b (``score_matrix``), where s_i encodes
-    statement i and p_j proof j; each text is encoded exactly once."""
+    statement i and p_j proof j; each text is encoded exactly once.
+    ``ids``, the statements' and the proofs' id arrays, lets a caller that
+    scores one collection many times turn it into ids once."""
     if not statements or not proofs:
         raise EmptyCollection("empty statement or proof collection")
     if len(statements) != len(proofs):
         raise SizeMismatch(
             f"{len(statements)} statements vs {len(proofs)} proofs")
-    return score_matrix(state, encode_collection(state, statements),
-                        encode_collection(state, proofs))
+    s_ids, p_ids = ids if ids is not None else (None, None)
+    return score_matrix(state, encode_collection(state, statements, s_ids),
+                        encode_collection(state, proofs, p_ids))
 
 
 def decode_local(m: np.ndarray) -> RankingResult:

@@ -6,14 +6,26 @@ symbols deranged among themselves). Only symbols occurring in both the
 statement and the proof are touched; case variants of a letter are renamed
 as a pair, fonts are preserved, and double-struck letters, standard
 constants and an optional protected set are exempt.
+
+``replace_corpus`` does its token work once per distinct token *object*
+per call, as ``Vocabulary.encode_ids`` does: readers share one Token
+between equal items, so one candidate table, keyed by ``id(token)`` and
+built once over the whole corpus, gives every document's candidates by a
+set intersection of object ids, and the rename is a dict lookup by id.
+The table lives for one call, while the corpus keeps its tokens alive.
+Keying by object never changes a result, since equal tokens that are
+distinct objects each get their own entry with the same key. Each call
+builds one renamed Token per (surface, font) and shares it between the
+pairs, and conservation copies the proofs without looking at a token.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import unicodedata
-from dataclasses import dataclass, field, replace as dc_replace
+import math
+from dataclasses import dataclass, replace as dc_replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +104,10 @@ TRANSPOSITION = ReplacementLevel(Level.TRANSPOSITION)
 class ProtectedSet:
     keys: frozenset[SymbolKey]
 
-    @property
-    def bases(self) -> set[str]:
-        return {k.base for k in self.keys}
+    @cached_property
+    def bases(self) -> frozenset[str]:
+        """The keys' bases, computed on first use: the set is immutable."""
+        return frozenset(k.base for k in self.keys)
 
 
 def probability_protected() -> ProtectedSet:
@@ -127,10 +140,26 @@ class ReplacementMap:
 
 # ---------------------------------------------------------------------------
 
+# id(token) -> (token, key) for each distinct candidate-variable token object
+# of the documents the table was built over.
+_Table = dict[int, tuple[Token, SymbolKey]]
 
-def _candidates(tokens: list[Token]) -> dict[Token, SymbolKey]:
-    """The key of each distinct candidate-variable token of ``tokens``."""
-    return {t: k for t in set(tokens) if (k := symbol_key(t)) is not None}
+
+def _candidate_table(docs: list[list[Token]]) -> _Table:
+    """The candidate-variable token objects of ``docs`` with their keys, by
+    object identity: ``symbol_key`` runs once per distinct object. The
+    table holds its tokens, so their ids stay unique while it lives."""
+    objects: dict[int, Token] = {}
+    for doc in docs:
+        objects.update(zip(map(id, doc), doc))
+    return {i: (t, k) for i, t in objects.items()
+            if (k := symbol_key(t)) is not None}
+
+
+def _candidates(doc: list[Token], table: _Table) -> tuple[set[int], set[SymbolKey]]:
+    """The ids of ``doc``'s candidate token objects, and their keys."""
+    ids = table.keys() & map(id, doc)
+    return ids, {table[i][1] for i in ids}
 
 
 def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
@@ -147,12 +176,12 @@ def extract_shared_symbols(pair: PairRecord,
                            protected: ProtectedSet | None = None) -> set[SymbolKey]:
     """Candidate variables occurring in both the statement and the proof,
     minus constants and the protected set."""
-    return _shared(set(_candidates(pair.statement).values()),
-                   set(_candidates(pair.proof).values()), protected)
+    table = _candidate_table([pair.statement, pair.proof])
+    return _shared(_candidates(pair.statement, table)[1],
+                   _candidates(pair.proof, table)[1], protected)
 
 
 def _round_half_away(x: float) -> int:
-    import math
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
@@ -182,15 +211,16 @@ def build_replacement_map(shared: set[SymbolKey],
     fresh names cannot collide with existing ones; ``pool`` overrides the
     seeded fresh-name ordering (used to pin down worked examples).
     """
-    rng = np.random.default_rng(seed)
     keys = sorted(shared, key=lambda k: (k.base, k.font.value))
     entries: dict[SymbolKey, SymbolKey] = {}
 
     if level.level is Level.CONSERVATION or not keys:
         return ReplacementMap(entries)
 
+    rng = np.random.default_rng(seed)
+    taken = {k.base for k in keys}
     if level.level is Level.TRANSPOSITION:
-        sigma = _derangement(sorted({k.base for k in keys}), rng)
+        sigma = _derangement(sorted(taken), rng)
         if sigma is not None:
             for k in keys:
                 entries[k] = SymbolKey(sigma[k.base], k.font)
@@ -206,9 +236,8 @@ def build_replacement_map(shared: set[SymbolKey],
         targets_of = keys
 
     names = pool if pool is not None else _fresh_pool(
-        forbidden if forbidden is not None else {k.base for k in keys},
-        protected, rng)
-    names = [n for n in names if n not in {k.base for k in keys}]
+        forbidden if forbidden is not None else taken, protected, rng)
+    names = [n for n in names if n not in taken]
     if len(names) < len(targets_of):
         raise PoolExhausted(
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
@@ -233,23 +262,30 @@ def _derangement(bases: list[str],
 
 def apply_replacement(proof: list[Token], rmap: ReplacementMap) -> list[Token]:
     """Rewrite mapped symbols in the proof, preserving case and font."""
-    return _rename(proof, _candidates(proof), rmap)
+    table = _candidate_table([proof])
+    return _rename(proof, table.keys(), table, rmap, {})
 
 
-def _rename(proof: list[Token], candidates: dict[Token, SymbolKey],
-            rmap: ReplacementMap) -> list[Token]:
-    """``proof`` with each of its ``candidates`` whose key ``rmap`` maps
-    renamed; every occurrence of one token gets the same new token."""
+def _rename(proof: list[Token], candidate_ids, table: _Table,
+            rmap: ReplacementMap,
+            renamed: dict[tuple[str, Font], Token]) -> list[Token]:
+    """``proof`` with each candidate token object whose key ``rmap`` maps
+    renamed. The new token comes from ``renamed``, by surface and font, or
+    is made and added to it, so all its occurrences share one object."""
     if not rmap.entries:
         return list(proof)
     rename = {}
-    for tok, key in candidates.items():
+    for i in candidate_ids:
+        tok, key = table[i]
         target = rmap.entries.get(key)
         if target is not None:
-            surface = target.base.upper() if tok.surface != tok.surface.casefold() \
-                else target.base
-            rename[tok] = Token(TokenKind.MATH, surface, tok.font)
-    return [rename.get(t, t) for t in proof]
+            surface = target.base.upper() if tok.surface != key.base else target.base
+            new = renamed.get((surface, tok.font))
+            if new is None:
+                new = renamed[surface, tok.font] = Token(TokenKind.MATH, surface,
+                                                          tok.font)
+            rename[i] = new
+    return list(map(rename.get, map(id, proof), proof))
 
 
 def mix_seed(seed: int, salt: str) -> int:
@@ -262,13 +298,7 @@ def mix_seed(seed: int, salt: str) -> int:
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
                  protected: ProtectedSet | None = None,
                  seed: int = 0) -> PairRecord:
-    stmt = set(_candidates(pair.statement).values())
-    proof = _candidates(pair.proof)
-    proof_keys = set(proof.values())
-    rmap = build_replacement_map(_shared(stmt, proof_keys, protected), level,
-                                 protected, mix_seed(seed, pair.pair_id),
-                                 forbidden={k.base for k in stmt | proof_keys})
-    return dc_replace(pair, proof=_rename(pair.proof, proof, rmap))
+    return _replace_pairs([pair], level, protected, seed)[0]
 
 
 def replace_corpus(corpus: Corpus, level: ReplacementLevel,
@@ -277,4 +307,24 @@ def replace_corpus(corpus: Corpus, level: ReplacementLevel,
     """Apply one replacement level to every proof; statements untouched.
     Each pair derives an independent sub-seed from its pair_id, so a single
     pair can be replayed in isolation."""
-    return Corpus([replace_pair(p, level, protected, seed) for p in corpus.pairs])
+    return Corpus(_replace_pairs(corpus.pairs, level, protected, seed))
+
+
+def _replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
+                   protected: ProtectedSet | None, seed: int) -> list[PairRecord]:
+    """Each pair with ``level`` applied to its proof, from one candidate
+    table over all of them and one renamed token per (surface, font)."""
+    if level.level is Level.CONSERVATION:
+        return [dc_replace(p, proof=list(p.proof)) for p in pairs]
+    table = _candidate_table([doc for p in pairs for doc in (p.statement, p.proof)])
+    renamed: dict[tuple[str, Font], Token] = {}
+    out = []
+    for pair in pairs:
+        stmt = _candidates(pair.statement, table)[1]
+        proof_ids, proof = _candidates(pair.proof, table)
+        rmap = build_replacement_map(_shared(stmt, proof, protected), level,
+                                     protected, mix_seed(seed, pair.pair_id),
+                                     forbidden={k.base for k in stmt | proof})
+        out.append(dc_replace(pair, proof=_rename(pair.proof, proof_ids, table,
+                                                  rmap, renamed)))
+    return out

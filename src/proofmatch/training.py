@@ -145,14 +145,17 @@ def global_loss(m_b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 # Batch forward/backward through encoder + head
 
 
-def batch_loss_and_grads(state: ModelState, batch_pairs,
-                         loss_fn) -> tuple[float, ModelState]:
+def batch_loss_and_grads(state: ModelState, batch_pairs, loss_fn,
+                         ids: list[np.ndarray] | None = None
+                         ) -> tuple[float, ModelState]:
     """Encode a batch, apply loss_fn to the in-batch score matrix, and
-    backpropagate to all parameters. The batch's statements and proofs go
-    through one ``encode_ids`` call."""
+    backpropagate to all parameters. ``ids`` holds the batch's statement
+    id arrays, then its proof id arrays, when the caller has them already;
+    otherwise statements and proofs go through one ``encode_ids`` call."""
     b = len(batch_pairs)
-    ids = state.vocab.encode_docs([p.statement for p in batch_pairs]
-                                  + [p.proof for p in batch_pairs])
+    if ids is None:
+        ids = state.vocab.encode_docs([p.statement for p in batch_pairs]
+                                      + [p.proof for p in batch_pairs])
     s_out = [forward(state, x) for x in ids[:b]]
     p_out = [forward(state, x) for x in ids[b:]]
     s_vecs = np.stack([v for v, _ in s_out])
@@ -202,7 +205,9 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     epoch). The hybrid objective alternates one local and one global step
     on fresh batches. The returned state is the checkpoint with the best
     dev accuracy under local decoding; with averaged SGD, evaluation and
-    the returned state use the tail average of the parameters.
+    the returned state use the tail average of the parameters. The train
+    and dev corpora are each turned into ids once, by one ``encode_docs``
+    call, and the steps and evaluations read those id arrays.
     """
     if not corpus.pairs or not dev_corpus.pairs:
         raise InvalidValue("train and dev corpora must be non-empty")
@@ -216,8 +221,10 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     best_acc = -1.0
     best_state = state.copy()
     step_count = 0
+    train_s, train_p = _pair_ids(state, corpus)
     dev_statements = [p.statement for p in dev_corpus.pairs]
     dev_proofs = [p.proof for p in dev_corpus.pairs]
+    dev_ids = _pair_ids(state, dev_corpus)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -233,7 +240,9 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
                 tag, loss_fn = (("local", local_loss) if hybrid_parity == 0
                                 else ("global", _global))
                 hybrid_parity ^= 1
-            loss, grads = batch_loss_and_grads(state, batch, loss_fn)
+            loss, grads = batch_loss_and_grads(
+                state, batch, loss_fn,
+                [train_s[i] for i in chunk] + [train_p[i] for i in chunk])
             if not math.isfinite(loss):
                 raise NonFiniteLoss([p.pair_id for p in batch])
             norm = grads.global_norm()
@@ -252,13 +261,23 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
             eval_state = state
             if config.optimizer is Optimizer.AVERAGED_SGD and tail.state is not None:
                 eval_state = tail.state
-            m = build_score_matrix(eval_state, dev_statements, dev_proofs)
+            m = build_score_matrix(eval_state, dev_statements, dev_proofs, dev_ids)
             acc = float(np.mean(decode_local(m).gold_rank == 1))
             history.dev_accuracy.append((epoch, acc))
             if acc > best_acc:
                 best_acc = acc
                 best_state = eval_state.copy()
     return best_state, history
+
+
+def _pair_ids(state: ModelState, corpus: Corpus
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The statements' and the proofs' id arrays, from one ``encode_docs``
+    call over the corpus."""
+    n = len(corpus.pairs)
+    ids = state.vocab.encode_docs([p.statement for p in corpus.pairs]
+                                  + [p.proof for p in corpus.pairs])
+    return ids[:n], ids[n:]
 
 
 def write_history(history: TrainHistory, path) -> None:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofmatch.corpus import (
-    Corpus, Font, FormatError, PairRecord, math_token, text_token)
+    Corpus, Font, FormatError, PairRecord, Token, math_token, text_token)
 from proofmatch.symbols import (
     CONSERVATION,
     FULL,
@@ -216,6 +216,28 @@ class TestReplaceCorpus:
         solo = replace_pair(corpus.pairs[2], FULL, seed=17)
         assert solo == full.pairs[2]
 
+    def test_conservation_copies_each_proof(self):
+        corpus = Corpus([pair_with(["a"], ["a", "b"], "p1")])
+        out = replace_corpus(corpus, CONSERVATION, seed=1)
+        assert out.pairs[0].proof == corpus.pairs[0].proof
+        assert out.pairs[0].proof is not corpus.pairs[0].proof
+
+    def test_one_object_per_renamed_surface_and_font(self):
+        # every pair builds fresh token objects; 20 pairs draw fresh names
+        # from 23 letters, so some renamed (surface, font) recurs across pairs
+        corpus = Corpus([pair_with(["a", "n"], ["a", "A", "n", "a"], f"p{i}",
+                                   extra_proof=[math_token("a", Font.BOLD)])
+                         for i in range(20)])
+        out = replace_corpus(corpus, FULL, seed=4)
+        objects, pairs_of = {}, {}
+        for i, (before, after) in enumerate(zip(corpus.pairs, out.pairs)):
+            for old, new in zip(before.proof, after.proof):
+                if new is not old:
+                    objects.setdefault((new.surface, new.font), set()).add(id(new))
+                    pairs_of.setdefault((new.surface, new.font), set()).add(i)
+        assert any(len(pairs) > 1 for pairs in pairs_of.values())
+        assert all(len(ids) == 1 for ids in objects.values())
+
     def test_protection_preserves_occurrence_counts(self):
         protected = probability_protected()
         pair = pair_with(["p", "σ", "x"], ["P", "p", "σ", "x"], "pp")
@@ -280,3 +302,39 @@ def test_replace_pair_matches_per_occurrence_reference(
             forbidden={k.base for t in statement + proof
                        if (k := symbol_key(t)) is not None})
         assert apply_replacement(proof, rmap) == expected.proof
+
+
+def _corpus_of(docs, share):
+    """Pairs p0, p1, ... of ``docs``. With ``share``, equal tokens are one
+    object across the corpus, as the readers make them; without, every
+    occurrence is a fresh, equal object."""
+    if share:
+        pool = {}
+        make = lambda doc: [pool.setdefault(t, t) for t in doc]  # noqa: E731
+    else:
+        make = lambda doc: [Token(t.kind, t.surface, t.font) for t in doc]  # noqa: E731
+    return Corpus([PairRecord(f"p{i}", "a1", [], make(s), make(p))
+                   for i, (s, p) in enumerate(docs)])
+
+
+# Few letters, so that one token recurs across the pairs of a corpus and is
+# renamed in some pairs but not in others.
+corpus_symbols = st.one_of(
+    st.builds(math_token, st.sampled_from("abxAB"), st.sampled_from(FONTS[:2])),
+    symbols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(corpus_symbols, max_size=12),
+                          st.lists(corpus_symbols, max_size=12)),
+                min_size=1, max_size=6),
+       st.booleans(), protected_sets, st.integers(0, 2**32),
+       st.sampled_from([0.0, 0.5, 1.0]))
+def test_replace_corpus_matches_per_occurrence_reference(
+        docs, share, protected, seed, alpha):
+    corpus = _corpus_of(docs, share)
+    for level in Level:
+        replacement = ReplacementLevel(level, alpha)
+        out = replace_corpus(corpus, replacement, protected, seed)
+        assert out.pairs == [replace_pair_reference(p, replacement, protected, seed)
+                             for p in corpus.pairs]

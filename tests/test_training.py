@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from proofmatch.encoders import (
-    EncoderConfig, EncoderKind, Pooling, apply_gradients, build_vocab, init_model)
+    EncoderConfig, EncoderKind, Pooling, Vocabulary, apply_gradients, build_vocab,
+    init_model)
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
     DegenerateBatch,
@@ -252,6 +253,39 @@ class TestTrainLoop:
             assert objective in ("local", "global")
             float(loss), float(lr), int(epoch), int(step)
             assert float(grad_norm) == pytest.approx(rec.grad_norm, rel=1e-9)
+
+    def test_each_corpus_is_turned_into_ids_once(self, monkeypatch):
+        corpus, dev = separable_corpus(8), separable_corpus(4)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 0)
+        calls = []
+        encode_ids = Vocabulary.encode_ids
+
+        def counted(self, doc):
+            calls.append(len(doc))
+            return encode_ids(self, doc)
+
+        monkeypatch.setattr(Vocabulary, "encode_ids", counted)
+        _, history = train(corpus, dev, state,
+                           quick_config(batch_size=2, epochs=3, eval_every=1))
+        assert len(history.steps) == 12 and len(history.dev_accuracy) == 3
+        tokens = [sum(len(p.statement) + len(p.proof) for p in c.pairs)
+                  for c in (corpus, dev)]
+        assert calls == tokens
+
+    def test_step_on_given_ids_equals_step_on_tokens(self):
+        corpus = separable_corpus(6)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 3)
+        batch = corpus.pairs[1:5]
+        ids = state.vocab.encode_docs([p.statement for p in corpus.pairs]
+                                      + [p.proof for p in corpus.pairs])
+        given = ids[1:5] + ids[7:11]
+        loss, grads = batch_loss_and_grads(state, batch, local_loss)
+        loss_ids, grads_ids = batch_loss_and_grads(state, batch, local_loss, given)
+        assert loss_ids == loss
+        for a, b in zip(grads_ids.param_arrays(), grads.param_arrays(), strict=True):
+            assert np.array_equal(a, b)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
