@@ -18,8 +18,6 @@ import time
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
     Corpus,
@@ -290,15 +288,14 @@ def cmd_eval(args) -> int:
                            [p.statement for p in corpus.pairs],
                            [p.proof for p in corpus.pairs])
     if args.decode == "global":
-        k = None if args.k in (None, 0) else args.k
-        result = decode_global(m, k)
+        result = decode_global(m, args.k)
         report = report_global(result)
-        k_name = "all" if k is None else str(k)
+        k_name = "all" if args.k is None else str(args.k)
         line = (f"decode=global\tk={k_name}\tmrr=-\t"
                 f"accuracy={report.accuracy:.6f}\tn={report.n}\t"
                 f"padded={int(result.padded_flag)}")
         if result.padded_flag:
-            print(f"warning: the top-{k} edges admit no perfect matching; "
+            print(f"warning: the top-{args.k} edges admit no perfect matching; "
                   "the assignment uses pruned cells", file=sys.stderr)
         # A local run's histogram would otherwise sit beside this eval.tsv.
         (args.out_dir / "assign.tsv").unlink(missing_ok=True)
@@ -430,7 +427,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("corpus", type=Path)
     p.add_argument("--decode", choices=("local", "global"), default="local")
     p.add_argument("--k", type=int, default=None,
-                   help="top-k pruning for global decoding (default: dense)")
+                   help="top-k pruning for global decoding, K >= 1 (default: dense)")
     p.add_argument("--channel", choices=("both", "text", "math"), default="both")
     _add_common(p)
     p.set_defaults(func=cmd_eval)

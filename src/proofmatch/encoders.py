@@ -139,9 +139,6 @@ class EncoderConfig:
     heads: int = 2
     d_k: int = 32
     pooling: Pooling = Pooling.MAX
-    # Sinusoidal position encodings for the self-attentive encoder; without
-    # them self-attention is order-blind.
-    use_positions: bool = True
 
     def __post_init__(self):
         # d, layers, heads and d_k are stored as unsigned checkpoint fields
@@ -298,7 +295,7 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
         raise EmptyDocument("cannot encode an empty document")
     cfg = state.config
     x = state.embeddings[ids].astype(np.float64, copy=False)  # a gather copies
-    if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers and cfg.use_positions:
+    if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers:
         x = x + positional_encoding(len(ids), cfg.d)
     x0 = x
     caches: list[LayerCache] = []
@@ -413,6 +410,9 @@ _KIND_CODES = {EncoderKind.POOLED: 1, EncoderKind.SELF_ATTENTIVE: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _POOL_CODES = {Pooling.MAX: 0, Pooling.MEAN: 1}
 _CODE_POOLS = {v: k for k, v in _POOL_CODES.items()}
+# Self-attentive encoders add the sinusoidal position table to the
+# embeddings; code 0 (no positions) is no longer accepted.
+_POSITION_CODE = 1
 _TOKEN_KIND_CODES = {TokenKind.TEXT: 0, TokenKind.MATH: 1}
 _CODE_TOKEN_KINDS = {v: k for k, v in _TOKEN_KIND_CODES.items()}
 _FONT_CODES = {f: i for i, f in enumerate(Font)}
@@ -451,8 +451,7 @@ def save_model(state: ModelState, path) -> None:
     cfg = state.config
     chunks.append(struct.pack("<BIIIIBB", _KIND_CODES[cfg.kind], cfg.d,
                               cfg.layers, cfg.heads, cfg.d_k,
-                              _POOL_CODES[cfg.pooling],
-                              1 if cfg.use_positions else 0))
+                              _POOL_CODES[cfg.pooling], _POSITION_CODE))
     chunks.append(struct.pack("<Q", state.rng_seed & 0xFFFFFFFFFFFFFFFF))
     chunks.extend(_pack_tensor(a) for a in state.param_arrays())
     chunks.append(struct.pack("<f", state.head.b))
@@ -521,9 +520,10 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     kind_c, d, layers_n, heads, d_k, pool_c, pos_c = struct.unpack_from(
         "<BIIIIBB", buf, off)
     off += 19
+    if pos_c != _POSITION_CODE:
+        raise ModelFormatError(f"unknown position code {pos_c}")
     cfg = EncoderConfig(_decode(_CODE_KINDS, kind_c, "encoder"), d, layers_n,
-                        heads, d_k, _decode(_CODE_POOLS, pool_c, "pooling"),
-                        bool(pos_c))
+                        heads, d_k, _decode(_CODE_POOLS, pool_c, "pooling"))
     seed = struct.unpack_from("<Q", buf, off)[0]
     off += 8
     arrays = []

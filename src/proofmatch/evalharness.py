@@ -3,7 +3,7 @@ and the cross-replacement experiment grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ _CUM_THRESHOLDS = (20, 10, 5, 2)
 @dataclass
 class AssignHistogram:
     """Cumulative buckets of proofs by the number of statements whose top-1
-    choice they are, plus the non-cumulative counts behind them."""
+    choice they are."""
 
     ge20: int
     ge10: int
@@ -72,7 +72,6 @@ class AssignHistogram:
     eq1: int
     lt1: int
     n: int
-    counts: dict[int, int] = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, int, float]]:
         labels = (">=20", ">=10", ">=5", ">=2", "=1", "<1")
@@ -83,11 +82,9 @@ class AssignHistogram:
 def assignment_distribution(result: RankingResult) -> AssignHistogram:
     n = len(result.top1)
     chosen = np.bincount(result.top1, minlength=n)
-    values, freqs = np.unique(chosen, return_counts=True)
-    counts = dict(zip(values.tolist(), freqs.tolist()))
     cum = [int(np.sum(chosen >= t)) for t in _CUM_THRESHOLDS]
     return AssignHistogram(*cum, int(np.sum(chosen == 1)),
-                           int(np.sum(chosen == 0)), n, counts)
+                           int(np.sum(chosen == 0)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +95,6 @@ def assignment_distribution(result: RankingResult) -> AssignHistogram:
 class GridReport:
     levels: list[ReplacementLevel]
     cells: dict[tuple[str, str], MetricReport]
-
-    def cell(self, source: ReplacementLevel, target: ReplacementLevel) -> MetricReport:
-        return self.cells[(source.level.value, target.level.value)]
 
     def to_text(self) -> str:
         names = [lv.level.value for lv in self.levels]

@@ -110,11 +110,6 @@ class ProtectedSet:
         return frozenset(k.base for k in self.keys)
 
 
-def probability_protected() -> ProtectedSet:
-    """The probability-theory protected set: P, E, V, sigma, rho."""
-    return ProtectedSet(frozenset(SymbolKey(b) for b in ("p", "e", "v", "σ", "ρ")))
-
-
 def read_protected_set(path) -> ProtectedSet:
     """One symbol per line, ``surface`` or ``surface#font`` in the corpus
     math-token syntax; # comments. A bad line raises ``FormatError``."""
@@ -172,15 +167,6 @@ def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
     return shared
 
 
-def extract_shared_symbols(pair: PairRecord,
-                           protected: ProtectedSet | None = None) -> set[SymbolKey]:
-    """Candidate variables occurring in both the statement and the proof,
-    minus constants and the protected set."""
-    table = _candidate_table([pair.statement, pair.proof])
-    return _shared(_candidates(pair.statement, table)[1],
-                   _candidates(pair.proof, table)[1], protected)
-
-
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
@@ -202,14 +188,12 @@ def _fresh_pool(forbidden: set[str], protected: ProtectedSet | None,
 def build_replacement_map(shared: set[SymbolKey],
                           level: ReplacementLevel,
                           protected: ProtectedSet | None = None,
-                          seed: int = 0,
-                          forbidden: set[str] | None = None,
-                          pool: list[str] | None = None) -> ReplacementMap:
+                          seed: int = 0, *,
+                          forbidden: set[str]) -> ReplacementMap:
     """Build the per-pair bijection for one replacement level.
 
     ``forbidden`` holds symbol bases occurring anywhere in the pair, so
-    fresh names cannot collide with existing ones; ``pool`` overrides the
-    seeded fresh-name ordering (used to pin down worked examples).
+    fresh names cannot collide with existing ones.
     """
     keys = sorted(shared, key=lambda k: (k.base, k.font.value))
     entries: dict[SymbolKey, SymbolKey] = {}
@@ -235,9 +219,7 @@ def build_replacement_map(shared: set[SymbolKey],
     else:  # FULL, or degenerate TRANSPOSITION
         targets_of = keys
 
-    names = pool if pool is not None else _fresh_pool(
-        forbidden if forbidden is not None else taken, protected, rng)
-    names = [n for n in names if n not in taken]
+    names = [n for n in _fresh_pool(forbidden, protected, rng) if n not in taken]
     if len(names) < len(targets_of):
         raise PoolExhausted(
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
@@ -258,12 +240,6 @@ def _derangement(bases: list[str],
         if all(p != b for p, b in zip(perm, bases)):
             return dict(zip(bases, perm))
     return None
-
-
-def apply_replacement(proof: list[Token], rmap: ReplacementMap) -> list[Token]:
-    """Rewrite mapped symbols in the proof, preserving case and font."""
-    table = _candidate_table([proof])
-    return _rename(proof, table.keys(), table, rmap, {})
 
 
 def _rename(proof: list[Token], candidate_ids, table: _Table,

@@ -33,7 +33,7 @@ def forward_dense(state: ModelState,
                   ids: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     cfg = state.config
     x = state.embeddings[ids].astype(np.float64, copy=False)
-    if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers and cfg.use_positions:
+    if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers:
         x = x + positional_encoding(len(ids), cfg.d)
     x0 = x
     caches = []

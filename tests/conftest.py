@@ -14,6 +14,7 @@ from proofmatch.corpus import (
     math_token,
     text_token,
 )
+from proofmatch.symbols import ProtectedSet, SymbolKey
 
 FONTS = list(Font)
 SURFACE_ALPHABET = (
@@ -52,6 +53,11 @@ def random_corpus(rng: np.random.Generator, n_pairs: int,
         random_pair(rng, f"p{i}", f"art{int(rng.integers(0, n_articles))}")
         for i in range(n_pairs)
     ])
+
+
+def probability_protected() -> ProtectedSet:
+    """The paper's probability-theory protected set: P, E, V, sigma, rho."""
+    return ProtectedSet(frozenset(SymbolKey(b) for b in "pevσρ"))
 
 
 def repeated_token_pair(i: int, n_tokens: int = 20) -> PairRecord:

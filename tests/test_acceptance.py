@@ -15,6 +15,7 @@ from proofmatch.assignment import prune_topk, solve_dense, solve_sparse
 from proofmatch.corpus import (
     Corpus,
     Font,
+    PairRecord,
     Token,
     TokenKind,
     math_token,
@@ -47,9 +48,8 @@ from proofmatch.symbols import (
     Level,
     ReplacementLevel,
     SymbolKey,
-    apply_replacement,
     build_replacement_map,
-    probability_protected,
+    replace_pair,
 )
 from proofmatch.training import (
     TrainConfig,
@@ -60,7 +60,8 @@ from proofmatch.training import (
     train,
 )
 from brute import solve_brute
-from conftest import random_corpus, replacement_grid_corpora, separable_corpus
+from conftest import (probability_protected, random_corpus,
+                      replacement_grid_corpora, separable_corpus)
 from gradcheck import max_gradient_error, random_batch, random_config, random_model
 from test_mathml import random_mathml, reference_leaves
 
@@ -196,10 +197,10 @@ def test_07_cross_replacement_grid():
                          seed=0)
         report = run_grid(train_c, dev_c, test_c, [CONSERVATION, FULL],
                           config, tc, seed=0)
-        cc = report.cell(CONSERVATION, CONSERVATION).accuracy
-        cf = report.cell(CONSERVATION, FULL).accuracy
-        fc = report.cell(FULL, CONSERVATION).accuracy
-        ff = report.cell(FULL, FULL).accuracy
+        cc = report.cells[("conservation", "conservation")].accuracy
+        cf = report.cells[("conservation", "full")].accuracy
+        fc = report.cells[("full", "conservation")].accuracy
+        ff = report.cells[("full", "full")].accuracy
         # models trained without renaming collapse on renamed proofs
         assert cc - cf >= 0.20
         # models trained on renamed proofs never relied on the symbol cue
@@ -212,17 +213,14 @@ RECURRENCE = [math_token(s) for s in
 
 def test_08_replacement_correctness():
     with criterion(8, "symbol replacement invariants"):
-        shared = {SymbolKey("a"), SymbolKey("n")}
-        unchanged = apply_replacement(
-            RECURRENCE, build_replacement_map(shared, CONSERVATION, seed=0))
-        assert unchanged == RECURRENCE
-        full = apply_replacement(
-            RECURRENCE,
-            build_replacement_map(shared, FULL, seed=0, pool=["x", "i"]))
-        assert [t.surface for t in full] == \
-            ["x", "i", "=", "x", "i", "−", "1", "+", "x", "i", "−", "2"]
-        transposed = apply_replacement(
-            RECURRENCE, build_replacement_map(shared, TRANSPOSITION, seed=0))
+        pair = PairRecord("rec", "a1", [], RECURRENCE, RECURRENCE)
+        assert replace_pair(pair, CONSERVATION).proof == RECURRENCE
+        full = replace_pair(pair, FULL).proof
+        x, i = full[0].surface, full[1].surface
+        assert x != i and not {x, i} & {"a", "n"}
+        assert full == [math_token(s) for s in
+                        [x, i, "=", x, i, "−", "1", "+", x, i, "−", "2"]]
+        transposed = replace_pair(pair, TRANSPOSITION).proof
         assert [t.surface for t in transposed] == \
             ["n", "a", "=", "n", "a", "−", "1", "+", "n", "a", "−", "2"]
 

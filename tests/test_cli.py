@@ -241,6 +241,19 @@ class TestTrainEval:
         assert (eval_out / "eval.tsv").read_text().rstrip().endswith("padded=1")
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    def test_eval_k_zero_is_an_error(self, tmp_path, corpus_file, capsys):
+        # omitting --k solves densely; --k takes K >= 1 and has no 0 alias
+        model = tmp_path / "m.pmm"
+        save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                              EncoderConfig(d=8)), model)
+        capsys.readouterr()
+        assert main(["eval", str(model), str(corpus_file), "--decode", "global",
+                     "--k", "0", "--out-dir", str(tmp_path / "e"),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: k=0 outside [1, 10]\n"
+        assert not (tmp_path / "e" / "eval.tsv").exists()
+
     def test_train_reports_the_model_it_saved(self, tmp_path, corpus_file,
                                               capsys, monkeypatch):
         import proofmatch.cli as cli

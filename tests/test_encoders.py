@@ -125,14 +125,15 @@ class TestEncode:
             forward(state, state.vocab.encode_ids([]))
 
     def test_zeroed_self_attention_reduces_to_pooled(self):
-        state = small_state(EncoderKind.SELF_ATTENTIVE, use_positions=False)
+        # with wo zeroed the residual passes the layer input through, so the
+        # encoding is the max-pool of the position-shifted embeddings
+        state = small_state(EncoderKind.SELF_ATTENTIVE)
         for lp in state.layers:
             lp.wo[:] = 0.0
         doc = [math_token("v1"), math_token("v5"), math_token("v2")]
-        pooled_state = small_state()
-        pooled_state.embeddings = state.embeddings
         ids = state.vocab.encode_ids(doc)
-        assert np.allclose(forward(state, ids)[0], forward(pooled_state, ids)[0])
+        x0 = state.embeddings[ids] + positional_encoding(len(ids), state.config.d)
+        assert np.allclose(forward(state, ids)[0], x0.max(axis=0))
 
     def test_max_pool_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -433,7 +434,8 @@ class TestCheckpointBytes:
 @functools.cache
 def model_body() -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     """A self-attentive model's checksummed body, the offsets of its code
-    bytes (token kind, font, encoder, pooling) and of its config integers."""
+    bytes (token kind, font, encoder, pooling, positions) and of its config
+    integers."""
     state = small_state(EncoderKind.SELF_ATTENTIVE, seed=4)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.pmm"
@@ -443,7 +445,7 @@ def model_body() -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     for _ in state.vocab.tokens:
         codes += [off, off + 1]
         off += 4 + struct.unpack_from("<H", body, off + 2)[0]
-    codes += [off, off + 17]
+    codes += [off, off + 17, off + 18]
     return body, tuple(codes), (off + 1, off + 5, off + 9, off + 13)
 
 
@@ -492,6 +494,16 @@ class TestMalformedBody:
         body[kind_at] = 0
         path.write_bytes(resigned(bytes(body)))
         with pytest.raises(ModelFormatError, match="unknown encoder code 0"):
+            load_model(path)
+
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_unknown_position_code(self, tmp_path, code):
+        body, codes, _ = model_body()
+        bad = bytearray(body)
+        bad[codes[-1]] = code
+        path = tmp_path / "m.pmm"
+        path.write_bytes(resigned(bytes(bad)))
+        with pytest.raises(ModelFormatError, match=f"unknown position code {code}"):
             load_model(path)
 
     def test_unknown_token_kind_and_trailing_bytes(self, tmp_path):

@@ -82,7 +82,6 @@ class TestAssignHistogram:
         hist = assignment_distribution(decode_local(m))
         assert hist.ge5 == 1 and hist.ge2 == 1
         assert hist.eq1 == 0 and hist.lt1 == 5
-        assert hist.counts == {6: 1, 0: 5}
 
     def test_identity_matrix(self):
         hist = assignment_distribution(decode_local(np.eye(5)))
@@ -93,14 +92,11 @@ class TestAssignHistogram:
         for _ in range(100):
             n = int(rng.integers(1, 40))
             hist = assignment_distribution(decode_local(rng.normal(size=(n, n))))
-            ge2_noncum = sum(v for c, v in hist.counts.items() if c >= 2)
-            assert hist.eq1 + hist.lt1 + ge2_noncum == n
+            assert hist.eq1 + hist.lt1 + hist.ge2 == n
             assert hist.ge20 <= hist.ge10 <= hist.ge5 <= hist.ge2 <= n
-            # total top-1 choices equals the number of statements
-            assert sum(c * v for c, v in hist.counts.items()) == n
 
     def test_rows_percentages(self):
-        hist = AssignHistogram(0, 0, 1, 2, 3, 5, 10, {})
+        hist = AssignHistogram(0, 0, 1, 2, 3, 5, 10)
         rows = hist.rows()
         assert rows[4] == ("=1", 3, 30.0)
         assert rows[5] == ("<1", 5, 50.0)
@@ -117,7 +113,7 @@ class TestGrid:
         cfg = EncoderConfig(EncoderKind.POOLED, d=16)
         report = run_grid(corpus, corpus, corpus, [CONSERVATION], cfg,
                           tiny_train_config(), seed=0)
-        cell = report.cell(CONSERVATION, CONSERVATION)
+        cell = report.cells[("conservation", "conservation")]
         # conservation leaves the corpus untouched, so the cell equals a
         # fresh train-and-evaluate run on the raw corpus
         from proofmatch.training import train

@@ -14,17 +14,14 @@ from proofmatch.symbols import (
     ProtectedSet,
     ReplacementLevel,
     SymbolKey,
-    apply_replacement,
     build_replacement_map,
-    extract_shared_symbols,
-    mix_seed,
-    probability_protected,
     read_protected_set,
     replace_corpus,
     replace_pair,
     symbol_key,
 )
-from replace_reference import replace_pair_reference, shared_reference
+from conftest import probability_protected
+from replace_reference import replace_pair_reference
 
 
 def pair_with(statement_syms, proof_syms, pair_id="p0", extra_proof=()):
@@ -39,10 +36,22 @@ def pair_with(statement_syms, proof_syms, pair_id="p0", extra_proof=()):
 # Tokens of the running example  a_n = a_{n-1} + a_{n-2}
 RECURRENCE = [math_token(s) for s in
               ["a", "n", "=", "a", "n", "−", "1", "+", "a", "n", "−", "2"]]
+RECURRENCE_PAIR = PairRecord("rec", "a1", [], RECURRENCE, RECURRENCE)
+
+LATIN = "abcdefghijklmnopqrstuvwxyz"
+GREEK = "αβγδεζηθικλμνξοπρστυφχψω"
 
 
 def surfaces(tokens):
     return [t.surface for t in tokens]
+
+
+def renamed_keys(pair, protected=None):
+    """Keys of the proof tokens that full replacement renames, which are
+    exactly the pair's shared symbols: every one is renamed, nothing else."""
+    out = replace_pair(pair, FULL, protected)
+    return {symbol_key(old) for old, new in zip(pair.proof, out.proof)
+            if new != old}
 
 
 class TestSymbolKey:
@@ -65,41 +74,41 @@ class TestSymbolKey:
 class TestExtractShared:
     def test_intersection(self):
         pair = pair_with(["a", "n"], ["a", "n", "t"])
-        assert extract_shared_symbols(pair) == {SymbolKey("a"), SymbolKey("n")}
+        assert renamed_keys(pair) == {SymbolKey("a"), SymbolKey("n")}
 
     def test_constants_excluded(self):
         pair = pair_with(["π", "a"], ["π", "a"])
-        assert extract_shared_symbols(pair) == {SymbolKey("a")}
+        assert renamed_keys(pair) == {SymbolKey("a")}
 
     def test_double_struck_excluded(self):
         r = math_token("ℝ")  # not a plain letter, never a candidate
         pair = PairRecord("p", "a", [], [r] * 3, [r] * 3)
-        assert extract_shared_symbols(pair) == set()
+        assert renamed_keys(pair) == set()
 
     def test_protected_excluded(self):
         pair = pair_with(["p", "x"], ["P", "x"])
-        shared = extract_shared_symbols(pair, probability_protected())
-        assert shared == {SymbolKey("x")}
+        assert renamed_keys(pair, probability_protected()) == {SymbolKey("x")}
 
 
 class TestBuildMap:
     def test_conservation_empty(self):
         rmap = build_replacement_map({SymbolKey("a"), SymbolKey("n")},
-                                     CONSERVATION, seed=0)
+                                     CONSERVATION, seed=0, forbidden={"a", "n"})
         assert rmap.entries == {}
 
     def test_full_worked_example(self):
-        # Fix the fresh-name draw to x then i: a_n = ... becomes x_i = ...
-        shared = {SymbolKey("a"), SymbolKey("n")}
-        rmap = build_replacement_map(shared, FULL, seed=0, pool=["x", "i"])
-        out = apply_replacement(RECURRENCE, rmap)
-        assert surfaces(out) == ["x", "i", "=", "x", "i", "−", "1",
-                                 "+", "x", "i", "−", "2"]
+        # a_n = ... becomes x_i = ... for one fresh base x for every a and
+        # one fresh base i for every n; test_pinned_text_outputs pins the
+        # seeded names
+        out = replace_pair(RECURRENCE_PAIR, FULL).proof
+        x, i = out[0].surface, out[1].surface
+        assert x != i and not {x, i} & {"a", "n"}
+        assert out == [math_token(s) for s in
+                       [x, i, "=", x, i, "−", "1", "+", x, i, "−", "2"]]
 
     def test_transposition_worked_example(self):
-        shared = {SymbolKey("a"), SymbolKey("n")}
-        rmap = build_replacement_map(shared, TRANSPOSITION, seed=0)
-        out = apply_replacement(RECURRENCE, rmap)
+        # the only derangement of two bases swaps them
+        out = replace_pair(RECURRENCE_PAIR, TRANSPOSITION).proof
         assert surfaces(out) == ["n", "a", "=", "n", "a", "−", "1",
                                  "+", "n", "a", "−", "2"]
 
@@ -112,7 +121,8 @@ class TestBuildMap:
     def test_transposition_is_derangement(self):
         for seed in range(50):
             shared = {SymbolKey(c) for c in "anbt"}
-            rmap = build_replacement_map(shared, TRANSPOSITION, seed=seed)
+            rmap = build_replacement_map(shared, TRANSPOSITION, seed=seed,
+                                         forbidden=set("anbt"))
             assert all(src != dst for src, dst in rmap.entries.items())
             assert len(rmap.entries) == 4
 
@@ -128,7 +138,8 @@ class TestBuildMap:
         shared = {SymbolKey("a"), SymbolKey("a", Font.BOLD),
                   SymbolKey("b"), SymbolKey("c")}
         for seed in range(200):
-            rmap = build_replacement_map(shared, TRANSPOSITION, seed=seed)
+            rmap = build_replacement_map(shared, TRANSPOSITION, seed=seed,
+                                         forbidden={"a", "b", "c"})
             assert rmap.entries.keys() == shared
             sigma = {src.base: dst.base for src, dst in rmap.entries.items()}
             assert sorted(sigma.values()) == ["a", "b", "c"]
@@ -150,41 +161,41 @@ class TestBuildMap:
             assert len(set(targets)) == len(targets)
 
     def test_pool_exhausted(self):
-        shared = {SymbolKey("a")}
-        with pytest.raises(PoolExhausted):
-            build_replacement_map(shared, FULL, seed=0, pool=[])
+        # every letter but the shared one is protected: no fresh name is left
+        others = frozenset(SymbolKey(c) for c in LATIN + GREEK if c != "a")
+        pair = pair_with(["a"], ["a"])
+        with pytest.raises(PoolExhausted, match="pool has 0"):
+            replace_pair(pair, FULL, ProtectedSet(others))
 
 
 class TestApply:
     def test_case_paired(self):
-        rmap = build_replacement_map(set(), CONSERVATION, seed=0)
-        rmap.entries = {SymbolKey("a"): SymbolKey("b")}
-        out = apply_replacement([math_token("a"), math_token("A"),
-                                 math_token("∑")], rmap)
-        assert surfaces(out) == ["b", "B", "∑"]
+        # swapping a and b renames the capital A with its lower-case key
+        pair = pair_with(["a", "b"], ["a", "A", "b", "∑"])
+        out = replace_pair(pair, TRANSPOSITION).proof
+        assert surfaces(out)[:4] == ["b", "B", "a", "∑"]
 
     def test_empty_map_identity(self):
-        proof = [math_token("a"), text_token("so")]
-        rmap = build_replacement_map(set(), CONSERVATION, seed=0)
-        assert apply_replacement(proof, rmap) == proof
+        # nothing shared: every level leaves the proof as it was
+        pair = pair_with(["x"], ["a"], extra_proof=[text_token("so")])
+        for level in (CONSERVATION, PARTIAL, FULL, TRANSPOSITION):
+            assert replace_pair(pair, level).proof == pair.proof
 
     def test_inverse_composition(self):
-        # fresh names never collide with names in the pair, so the target
-        # letter b does not occur in the proof
-        proof = [math_token(s) for s in "aAxn"]
-        fwd = build_replacement_map(set(), CONSERVATION, seed=0)
-        fwd.entries = {SymbolKey("a"): SymbolKey("b")}
-        back = build_replacement_map(set(), CONSERVATION, seed=0)
-        back.entries = {SymbolKey("b"): SymbolKey("a")}
-        assert apply_replacement(apply_replacement(proof, fwd), back) == proof
+        # a two-base transposition is its own inverse
+        pair = pair_with(["a", "n"], ["a", "A", "x", "n"])
+        once = replace_pair(pair, TRANSPOSITION)
+        assert surfaces(once.proof)[:4] == ["n", "N", "x", "a"]
+        assert replace_pair(once, TRANSPOSITION).proof == pair.proof
 
     def test_font_channel_preserved(self):
-        rmap = build_replacement_map(set(), CONSERVATION, seed=0)
-        rmap.entries = {SymbolKey("a", Font.BOLD): SymbolKey("c", Font.BOLD)}
-        out = apply_replacement([math_token("a", Font.BOLD), math_token("a")],
-                                rmap)
-        assert out[0] == math_token("c", Font.BOLD)
-        assert out[1] == math_token("a")  # normal-font key not mapped
+        # the bold keys are shared and swap within bold; the normal-font a
+        # occurs only in the proof and is left alone
+        bold_a, bold_b = math_token("a", Font.BOLD), math_token("b", Font.BOLD)
+        pair = PairRecord("p0", "a1", [], [bold_a, bold_b],
+                          [bold_a, math_token("a"), bold_b])
+        out = replace_pair(pair, TRANSPOSITION).proof
+        assert out == [bold_b, math_token("a"), bold_a]
 
 
 class TestReplaceCorpus:
@@ -266,7 +277,11 @@ class TestProtectedSetFile:
             read_protected_set(path)
         assert err.value.line == 2
 
-    def test_default_probability_set(self):
+    def test_default_probability_set(self, tmp_path):
+        # the paper's probability set as a --protected file (see README)
+        path = tmp_path / "probability.txt"
+        path.write_text("P\nE\nV\nσ\nρ\n", encoding="utf-8")
+        assert read_protected_set(path) == probability_protected()
         assert probability_protected().bases == {"p", "e", "v", "σ", "ρ"}
 
 
@@ -291,17 +306,10 @@ protected_sets = st.none() | st.builds(
 def test_replace_pair_matches_per_occurrence_reference(
         statement, proof, pair_id, protected, seed, alpha):
     pair = PairRecord(pair_id, "a1", [], statement, proof)
-    shared = shared_reference(pair, protected)
-    assert extract_shared_symbols(pair, protected) == shared
     for level in Level:
         replacement = ReplacementLevel(level, alpha)
         expected = replace_pair_reference(pair, replacement, protected, seed)
         assert replace_pair(pair, replacement, protected, seed) == expected
-        rmap = build_replacement_map(
-            shared, replacement, protected, mix_seed(seed, pair_id),
-            forbidden={k.base for t in statement + proof
-                       if (k := symbol_key(t)) is not None})
-        assert apply_replacement(proof, rmap) == expected.proof
 
 
 def _corpus_of(docs, share):
