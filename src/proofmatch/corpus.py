@@ -9,6 +9,11 @@ Token lists are space-separated items: ``t:surface`` (text) or
 ``m:surface`` / ``m:surface#font`` (math). Literal ``%``, tab, space,
 ``#``, ``:`` and newline inside surfaces are percent-encoded. Lines
 starting with ``#`` are comments.
+
+A ``Token`` is an immutable (kind, surface, font) value, a named tuple
+whose hashing and equality run in C. The readers share one Token between
+equal items to save parsing and memory; no result or speed depends on
+which objects are shared.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +48,12 @@ class FormatError(CorpusError):
         self.column = column
 
 
-class TokenKind(enum.Enum):
+class TokenKind(str, enum.Enum):
     TEXT = "t"
     MATH = "m"
 
 
-class Font(enum.Enum):
+class Font(str, enum.Enum):
     NORMAL = "normal"
     BOLD = "bold"
     ITALIC = "italic"
@@ -57,39 +63,32 @@ class Font(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Token:
-    """A typed lexical unit. Text and math vocabularies are disjoint because
-    kind participates in equality; math symbols additionally carry a font
-    channel."""
-
+class _TokenFields(NamedTuple):
     kind: TokenKind
     surface: str
     font: Font = Font.NORMAL
 
-    def __post_init__(self):
-        if not self.surface:
+
+class Token(_TokenFields):
+    """A typed lexical unit. Text and math vocabularies are disjoint because
+    kind participates in equality; math symbols additionally carry a font
+    channel."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: TokenKind, surface: str, font: Font = Font.NORMAL):
+        if not surface:
             raise InvalidValue("empty token surface")
-        if any(c.isspace() for c in self.surface):
-            raise InvalidValue(f"whitespace in token surface: {self.surface!r}")
-        if self.kind is TokenKind.TEXT and self.font is not Font.NORMAL:
+        if any(c.isspace() for c in surface):
+            raise InvalidValue(f"whitespace in token surface: {surface!r}")
+        if kind is TokenKind.TEXT and font is not Font.NORMAL:
             raise InvalidValue("text tokens must carry the normal font")
+        return super().__new__(cls, kind, surface, font)
 
-    def __hash__(self) -> int:
-        # Computed on first use and kept on the instance: every vocabulary
-        # lookup hashes a token, and hashing the enum fields themselves
-        # calls Python-level ``Enum.__hash__``.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.kind.value, self.surface, self.font.value))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        # String hashes differ between processes, so the cached hash must
-        # not travel with a pickled or copied token.
-        return (Token, (self.kind, self.surface, self.font))
+    @classmethod
+    def _make(cls, iterable) -> "Token":
+        # ``_replace`` builds through ``_make``: both validate as ``__new__`` does
+        return cls(*iterable)
 
 
 def text_token(surface: str) -> Token:

@@ -2,9 +2,11 @@
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
 collection once: one ``Vocabulary.encode_ids`` call maps all of its tokens
-to ids, then ``forward`` runs on each document's id slice. A caller that
-scores one collection repeatedly (the dev set during training) passes the
-id arrays it made once instead.
+to ids by value (a token is an immutable value hashed and compared in C,
+so which token objects are shared changes no result), then ``forward``
+runs on each document's id slice. A caller that scores one collection
+repeatedly (the dev set during training) passes the id arrays it made once
+instead.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ forward and backward, works in place in its (H, T, T) score array instead
 of allocating a new one at each step; the arithmetic is unchanged.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
-turns tokens into ids, looking each distinct token object up once per
-call, so collections and batches are encoded in one call
-(``Vocabulary.encode_docs``) and ``forward`` takes each document's ids.
+turns tokens into ids with one dict lookup per token: a token is an
+immutable value hashed and compared in C, and readers share one Token per
+distinct item only to save parsing and memory, so no result or speed
+depends on object identity. Collections and batches are encoded in one
+call (``Vocabulary.encode_docs``) and ``forward`` takes each document's ids.
 
 Model files are a versioned binary container: magic ``PMM1``, vocabulary,
 config, row-major little-endian float32 parameter tensors, and a trailing
@@ -74,22 +76,9 @@ class Vocabulary:
         return len(self.tokens)
 
     def encode_ids(self, doc: list[Token]) -> np.ndarray:
-        """The id of every token of ``doc``, UNK_ID where it has none.
-
-        Each distinct token *object* is looked up once per call: readers
-        share one Token between equal items, so a call over a whole
-        collection makes far fewer lookups than one call per document.
-        Grouping the tokens by object costs a sort per call, so callers
-        encode whole collections and batches in one call
-        (``encode_docs``), not documents one by one in a loop."""
-        keys = np.fromiter(map(id, doc), dtype=np.uint64, count=len(doc))
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        # One position of each distinct object; any one will do.
-        position = np.empty(len(distinct), dtype=np.intp)
-        position[inverse] = np.arange(len(doc))
-        table = np.array([self.id_of.get(doc[i], UNK_ID)
-                          for i in position.tolist()], dtype=np.int64)
-        return table[inverse]
+        """The id of every token of ``doc``, UNK_ID where it has none."""
+        return np.fromiter(map(self.id_of.get, doc, itertools.repeat(UNK_ID)),
+                           dtype=np.int64, count=len(doc))
 
     def encode_docs(self, docs: list[list[Token]]) -> list[np.ndarray]:
         """One id array per document, from a single ``encode_ids`` call

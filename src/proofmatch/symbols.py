@@ -7,16 +7,14 @@ statement and the proof are touched; case variants of a letter are renamed
 as a pair, fonts are preserved, and double-struck letters, standard
 constants and an optional protected set are exempt.
 
-``replace_corpus`` does its token work once per distinct token *object*
-per call, as ``Vocabulary.encode_ids`` does: readers share one Token
-between equal items, so one candidate table, keyed by ``id(token)`` and
-built once over the whole corpus, gives every document's candidates by a
-set intersection of object ids, and the rename is a dict lookup by id.
-The table lives for one call, while the corpus keeps its tokens alive.
-Keying by object never changes a result, since equal tokens that are
-distinct objects each get their own entry with the same key. Each call
-builds one renamed Token per (surface, font) and shares it between the
-pairs, and conservation copies the proofs without looking at a token.
+A token is an immutable value hashed and compared in C; readers share one
+Token per distinct item to save parsing and memory, and no result or speed
+depends on object identity. ``replace_corpus`` keys its work by value: one
+candidate table, built once per call from the corpus's distinct tokens,
+gives every document's candidates by a set intersection, and the rename is
+a dict lookup per token. Each call builds one renamed Token per (surface,
+font) and shares it between the pairs, and conservation copies the proofs
+without looking at a token.
 """
 
 from __future__ import annotations
@@ -25,12 +23,12 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass, replace as dc_replace
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (Corpus, Font, PairRecord, Token, TokenKind, numbered_lines,
-                     parse_token)
+from .corpus import (Corpus, Font, FormatError, PairRecord, Token, TokenKind,
+                     numbered_lines, parse_token)
 from .errors import InvalidValue, ProofmatchError
 
 
@@ -46,8 +44,7 @@ _GREEK = "αβγδεζηθικλμνξοπρστυφχψω"
 CONSTANT_BASES = {"π", "e"}
 
 
-@dataclass(frozen=True)
-class SymbolKey:
+class SymbolKey(NamedTuple):
     """Case-folded identity of a candidate variable, per font channel."""
 
     base: str
@@ -102,25 +99,27 @@ TRANSPOSITION = ReplacementLevel(Level.TRANSPOSITION)
 
 @dataclass(frozen=True)
 class ProtectedSet:
-    keys: frozenset[SymbolKey]
+    """Case-folded letters never renamed, in any case or font."""
 
-    @cached_property
-    def bases(self) -> frozenset[str]:
-        """The keys' bases, computed on first use: the set is immutable."""
-        return frozenset(k.base for k in self.keys)
+    bases: frozenset[str]
 
 
 def read_protected_set(path) -> ProtectedSet:
     """One symbol per line, ``surface`` or ``surface#font`` in the corpus
-    math-token syntax; # comments. A bad line raises ``FormatError``."""
-    keys = set()
+    math-token syntax; # comments. The symbol must be a candidate variable:
+    one Latin or Greek letter, not double-struck. A bad line raises
+    ``FormatError``."""
+    bases = set()
     for lineno, line in numbered_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        tok = parse_token("m:" + line, lineno)
-        keys.add(SymbolKey(tok.surface.casefold(), tok.font))
-    return ProtectedSet(frozenset(keys))
+        key = symbol_key(parse_token("m:" + line, lineno))
+        if key is None:
+            raise FormatError(f"not a single Latin or Greek letter outside "
+                              f"double-struck: {line!r}", lineno)
+        bases.add(key.base)
+    return ProtectedSet(frozenset(bases))
 
 
 @dataclass
@@ -135,35 +134,29 @@ class ReplacementMap:
 
 # ---------------------------------------------------------------------------
 
-# id(token) -> (token, key) for each distinct candidate-variable token object
-# of the documents the table was built over.
-_Table = dict[int, tuple[Token, SymbolKey]]
+# The key of each distinct candidate-variable token of the documents the
+# table was built over.
+_Table = dict[Token, SymbolKey]
 
 
 def _candidate_table(docs: list[list[Token]]) -> _Table:
-    """The candidate-variable token objects of ``docs`` with their keys, by
-    object identity: ``symbol_key`` runs once per distinct object. The
-    table holds its tokens, so their ids stay unique while it lives."""
-    objects: dict[int, Token] = {}
-    for doc in docs:
-        objects.update(zip(map(id, doc), doc))
-    return {i: (t, k) for i, t in objects.items()
-            if (k := symbol_key(t)) is not None}
+    """The candidate-variable tokens of ``docs`` with their keys:
+    ``symbol_key`` runs once per distinct token."""
+    distinct = set().union(*docs)
+    return {t: k for t in distinct if (k := symbol_key(t)) is not None}
 
 
-def _candidates(doc: list[Token], table: _Table) -> tuple[set[int], set[SymbolKey]]:
-    """The ids of ``doc``'s candidate token objects, and their keys."""
-    ids = table.keys() & map(id, doc)
-    return ids, {table[i][1] for i in ids}
+def _candidates(doc: list[Token], table: _Table) -> tuple[set[Token], set[SymbolKey]]:
+    """``doc``'s distinct candidate tokens, and their keys."""
+    toks = table.keys() & doc
+    return toks, {table[t] for t in toks}
 
 
 def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
             protected: ProtectedSet | None) -> set[SymbolKey]:
     shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
     if protected is not None:
-        # a protected key's base is in ``bases``: this check covers the keys too
-        bases = protected.bases
-        shared = {k for k in shared if k.base not in bases}
+        shared = {k for k in shared if k.base not in protected.bases}
     return shared
 
 
@@ -195,7 +188,7 @@ def build_replacement_map(shared: set[SymbolKey],
     ``forbidden`` holds symbol bases occurring anywhere in the pair, so
     fresh names cannot collide with existing ones.
     """
-    keys = sorted(shared, key=lambda k: (k.base, k.font.value))
+    keys = sorted(shared)  # by (base, font value): a Font is its value string
     entries: dict[SymbolKey, SymbolKey] = {}
 
     if level.level is Level.CONSERVATION or not keys:
@@ -242,17 +235,17 @@ def _derangement(bases: list[str],
     return None
 
 
-def _rename(proof: list[Token], candidate_ids, table: _Table,
+def _rename(proof: list[Token], candidates: set[Token], table: _Table,
             rmap: ReplacementMap,
             renamed: dict[tuple[str, Font], Token]) -> list[Token]:
-    """``proof`` with each candidate token object whose key ``rmap`` maps
-    renamed. The new token comes from ``renamed``, by surface and font, or
-    is made and added to it, so all its occurrences share one object."""
+    """``proof`` with each candidate token whose key ``rmap`` maps renamed.
+    The new token comes from ``renamed``, by surface and font, or is made
+    and added to it, so all its occurrences share one object."""
     if not rmap.entries:
         return list(proof)
     rename = {}
-    for i in candidate_ids:
-        tok, key = table[i]
+    for tok in candidates:
+        key = table[tok]
         target = rmap.entries.get(key)
         if target is not None:
             surface = target.base.upper() if tok.surface != key.base else target.base
@@ -260,8 +253,8 @@ def _rename(proof: list[Token], candidate_ids, table: _Table,
             if new is None:
                 new = renamed[surface, tok.font] = Token(TokenKind.MATH, surface,
                                                           tok.font)
-            rename[i] = new
-    return list(map(rename.get, map(id, proof), proof))
+            rename[tok] = new
+    return list(map(rename.get, proof, proof))
 
 
 def mix_seed(seed: int, salt: str) -> int:
@@ -297,10 +290,10 @@ def _replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
     out = []
     for pair in pairs:
         stmt = _candidates(pair.statement, table)[1]
-        proof_ids, proof = _candidates(pair.proof, table)
+        proof_toks, proof = _candidates(pair.proof, table)
         rmap = build_replacement_map(_shared(stmt, proof, protected), level,
                                      protected, mix_seed(seed, pair.pair_id),
                                      forbidden={k.base for k in stmt | proof})
-        out.append(dc_replace(pair, proof=_rename(pair.proof, proof_ids, table,
+        out.append(dc_replace(pair, proof=_rename(pair.proof, proof_toks, table,
                                                   rmap, renamed)))
     return out

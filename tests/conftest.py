@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from proofmatch.corpus import (
     Corpus,
@@ -14,7 +13,7 @@ from proofmatch.corpus import (
     math_token,
     text_token,
 )
-from proofmatch.symbols import ProtectedSet, SymbolKey
+from proofmatch.symbols import ProtectedSet
 
 FONTS = list(Font)
 SURFACE_ALPHABET = (
@@ -55,9 +54,32 @@ def random_corpus(rng: np.random.Generator, n_pairs: int,
     ])
 
 
+def letter_corpus(rng: np.random.Generator, n_pairs: int) -> Corpus:
+    """Pairs drawn from a few letters in two fonts plus a few words, so
+    that statements and proofs share symbols that replacement renames."""
+    pool = ([math_token(c, f) for c in "abxyAB" for f in (Font.NORMAL, Font.BOLD)]
+            + [math_token("="), text_token("so"), text_token("let")])
+
+    def doc():
+        return [pool[i] for i in rng.integers(0, len(pool), size=10)]
+
+    return Corpus([PairRecord(f"p{i}", f"a{i % 3}", [], doc(), doc())
+                   for i in range(n_pairs)])
+
+
+def rebuilt_tokens(corpus: Corpus) -> Corpus:
+    """``corpus`` with every token occurrence a new object, rebuilt field
+    by field: equal tokens are equal values but never the same object."""
+    def rebuild(doc):
+        return [Token(t.kind, t.surface, t.font) for t in doc]
+    return Corpus([PairRecord(p.pair_id, p.article_id, list(p.categories),
+                              rebuild(p.statement), rebuild(p.proof))
+                   for p in corpus.pairs])
+
+
 def probability_protected() -> ProtectedSet:
     """The paper's probability-theory protected set: P, E, V, sigma, rho."""
-    return ProtectedSet(frozenset(SymbolKey(b) for b in "pevσρ"))
+    return ProtectedSet(frozenset("pevσρ"))
 
 
 def repeated_token_pair(i: int, n_tokens: int = 20) -> PairRecord:

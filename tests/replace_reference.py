@@ -26,8 +26,7 @@ def shared_reference(pair: PairRecord,
     proof = {k for t in pair.proof if (k := symbol_key(t)) is not None}
     shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
     if protected is not None:
-        shared = {k for k in shared
-                  if k not in protected.keys and k.base not in protected.bases}
+        shared = {k for k in shared if k.base not in protected.bases}
     return shared
 
 

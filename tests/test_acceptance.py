@@ -9,20 +9,10 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from proofmatch.assignment import prune_topk, solve_dense, solve_sparse
-from proofmatch.corpus import (
-    Corpus,
-    Font,
-    PairRecord,
-    Token,
-    TokenKind,
-    math_token,
-    read_corpus,
-    write_corpus,
-)
-from proofmatch.decoding import build_score_matrix, decode_global, decode_local
+from proofmatch.corpus import PairRecord, math_token, read_corpus, write_corpus
+from proofmatch.decoding import decode_global, decode_local
 from proofmatch.encoders import (
     EncoderConfig,
     EncoderKind,
@@ -53,7 +43,6 @@ from proofmatch.symbols import (
 )
 from proofmatch.training import (
     TrainConfig,
-    batch_loss_and_grads,
     global_loss,
     local_loss,
     structured_cost,

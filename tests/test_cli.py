@@ -4,7 +4,6 @@ import io
 import json
 import tempfile
 
-import numpy as np
 import pytest
 
 from dataclasses import replace as dc_replace
@@ -428,6 +427,8 @@ BAD_VALUES = {
                                "--heads", "2"],
     "unknown_protected_font": ["replace", "{corpus}",
                                "--protected", "{protected}"],
+    "double_struck_protected": ["replace", "{corpus}",
+                                "--protected", "{dstruck}"],
     "ratios_not_summing_to_one": ["split", "{corpus}",
                                   "--ratios", "0.5,0.5,0.5"],
     "two_ratios": ["split", "{corpus}", "--ratios", "0.5,0.5"],
@@ -469,6 +470,7 @@ NAMED_IN_ERROR = {
     "unknown_config_key": ["{typo}:", "epohcs"],
     "config_bool_not_a_bool": ["{not_bool}:", "quiet", "ture"],
     "repeated_grid_level": ["['full']"],
+    "double_struck_protected": ["line 2,", "R#dstruck"],
 }
 
 
@@ -477,6 +479,7 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
     pair = format_record(separable_corpus(1).pairs[0]).encode()
     files = {"corpus": corpus_file, "directory": tmp_path}
     for name, data in (("protected", b"P\nx#zz\n"),
+                       ("dstruck", b"P\nR#dstruck\n"),
                        ("duplicated", pair + b"\n" + pair + b"\n"),
                        ("spaced", pair + b" t:a%20b\n"),
                        ("bad_choice", b"encoder = tfidf\n"),

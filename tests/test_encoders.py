@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from proofmatch import encoders
 
-from proofmatch.corpus import Corpus, Font, PairRecord, math_token, text_token
+from proofmatch.corpus import (Corpus, Font, PairRecord, math_token, read_corpus,
+                               text_token, write_corpus)
 from proofmatch.encoders import (
     EmptyDocument,
     EncoderConfig,
@@ -34,7 +35,7 @@ from proofmatch.encoders import (
 )
 from proofmatch.corpus import EmptyCorpus
 from attention_reference import backward_dense, forward_dense
-from conftest import random_corpus
+from conftest import letter_corpus, random_corpus, rebuilt_tokens
 
 
 def one_pair_corpus(tokens):
@@ -74,23 +75,28 @@ class TestVocabulary:
         with pytest.raises(EmptyCorpus):
             build_vocab(Corpus([]), 1)
 
-    def test_one_lookup_per_distinct_token_object(self):
-        class CountingDict(dict):
-            calls = 0
+    def test_equal_tokens_need_not_be_one_object(self, tmp_path):
+        # the reader shares one Token per distinct item; rebuilt field by
+        # field, every occurrence is its own object and the ids are the same
+        write_corpus(letter_corpus(np.random.default_rng(6), 20), tmp_path / "c.tsv")
+        shared = read_corpus(tmp_path / "c.tsv")
+        rebuilt = rebuilt_tokens(shared)
+        vocab = build_vocab(shared, 27)  # about half the tokens are UNK
+        assert build_vocab(rebuilt, 27).tokens == vocab.tokens
+        docs = [p.proof for p in shared.pairs]
+        expected = vocab.encode_docs(docs)
+        assert any(UNK_ID in ids for ids in expected) and len(vocab) > 2
+        got = vocab.encode_docs([p.proof for p in rebuilt.pairs])
+        assert [a.tolist() for a in got] == [b.tolist() for b in expected]
 
-            def get(self, key, default=None):
-                CountingDict.calls += 1
-                return super().get(key, default)
-
+    def test_ids_are_per_occurrence_lookups(self):
         corpus = one_pair_corpus([math_token("a"), text_token("a"),
                                   math_token("b", Font.BOLD)])
         vocab = build_vocab(corpus, 1)
-        vocab.id_of = CountingDict(vocab.id_of)
         a, b, unk = math_token("a"), math_token("b", Font.BOLD), text_token("z")
         a_again = math_token("a")  # equal to a, another object
         doc = [a, b, a, unk, a_again, b, unk, a, text_token("a")]
         ids = vocab.encode_ids(doc)
-        assert CountingDict.calls == 5  # a, b, unk, a_again, text a
         reference = [vocab.id_of.get(t, UNK_ID) for t in doc]  # per occurrence
         assert ids.dtype == np.int64 and ids.tolist() == reference
         assert ids[3] == UNK_ID and ids[0] == ids[4] != ids[8]

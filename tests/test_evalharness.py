@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from proofmatch.corpus import Corpus
-from proofmatch.decoding import build_score_matrix, decode_local
+from proofmatch.decoding import decode_local
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.evalharness import (
     AssignHistogram,
     EmptyInput,
-    MetricReport,
-    accuracy_global,
-    accuracy_local,
     assignment_distribution,
     evaluate_local,
     mrr,

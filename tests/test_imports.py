@@ -1,4 +1,5 @@
-"""Every name a ``proofmatch`` module imports is used in that module.
+"""Every name a ``proofmatch`` module or a test file imports is used in
+that file.
 
 ``__init__.py`` is exempt: its imports are the package's re-exports.
 """
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "proofmatch"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "proofmatch"
+FILES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+         + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +35,6 @@ def test_detects_an_unused_import():
         == ["line 1: np"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofmatch.corpus import (
-    Corpus, Font, FormatError, PairRecord, Token, math_token, text_token)
+    Corpus, Font, FormatError, PairRecord, Token, math_token, read_corpus,
+    text_token, write_corpus)
 from proofmatch.symbols import (
     CONSERVATION,
     FULL,
@@ -20,7 +21,7 @@ from proofmatch.symbols import (
     replace_pair,
     symbol_key,
 )
-from conftest import probability_protected
+from conftest import letter_corpus, probability_protected, rebuilt_tokens
 from replace_reference import replace_pair_reference
 
 
@@ -69,6 +70,12 @@ class TestSymbolKey:
 
     def test_greek_candidate(self):
         assert symbol_key(math_token("λ")) == SymbolKey("λ")
+
+    def test_order_is_base_then_font_value(self):
+        # build_replacement_map sorts keys by value; this is the order
+        # the seeded draws have always been made in
+        keys = [SymbolKey(b, f) for b in "bBaβ" for f in Font]
+        assert sorted(keys) == sorted(keys, key=lambda k: (k.base, k.font.value))
 
 
 class TestExtractShared:
@@ -162,7 +169,7 @@ class TestBuildMap:
 
     def test_pool_exhausted(self):
         # every letter but the shared one is protected: no fresh name is left
-        others = frozenset(SymbolKey(c) for c in LATIN + GREEK if c != "a")
+        others = frozenset(c for c in LATIN + GREEK if c != "a")
         pair = pair_with(["a"], ["a"])
         with pytest.raises(PoolExhausted, match="pool has 0"):
             replace_pair(pair, FULL, ProtectedSet(others))
@@ -249,6 +256,19 @@ class TestReplaceCorpus:
         assert any(len(pairs) > 1 for pairs in pairs_of.values())
         assert all(len(ids) == 1 for ids in objects.values())
 
+    def test_equal_tokens_need_not_be_one_object(self, tmp_path):
+        # the reader shares one Token per distinct item; rebuilt field by
+        # field, every occurrence is its own object and nothing changes
+        write_corpus(letter_corpus(np.random.default_rng(5), 30), tmp_path / "c.tsv")
+        shared = read_corpus(tmp_path / "c.tsv")
+        rebuilt = rebuilt_tokens(shared)
+        assert rebuilt.pairs[0].proof[0] is not shared.pairs[0].proof[0]
+        for level in (PARTIAL, FULL, TRANSPOSITION):
+            out = replace_corpus(shared, level, probability_protected(), seed=11)
+            assert out.pairs != shared.pairs  # some symbols were renamed
+            assert replace_corpus(rebuilt, level, probability_protected(),
+                                  seed=11).pairs == out.pairs
+
     def test_protection_preserves_occurrence_counts(self):
         protected = probability_protected()
         pair = pair_with(["p", "σ", "x"], ["P", "p", "σ", "x"], "pp")
@@ -265,10 +285,26 @@ class TestProtectedSetFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "prot.txt"
         path.write_text("# probability\nP\nσ\nx#bold\n", encoding="utf-8")
-        ps = read_protected_set(path)
-        assert SymbolKey("p") in ps.keys
-        assert SymbolKey("σ") in ps.keys
-        assert SymbolKey("x", Font.BOLD) in ps.keys
+        assert read_protected_set(path) == ProtectedSet(frozenset("pσx"))
+
+    def test_font_sigil_protects_every_font(self, tmp_path):
+        # x#bold protects the letter x: a normal-font x shared by the pair
+        # is not renamed, while the unprotected y is
+        path = tmp_path / "prot.txt"
+        path.write_text("x#bold\n", encoding="utf-8")
+        protected = read_protected_set(path)
+        pair = pair_with(["x", "y"], ["x", "y"])
+        assert renamed_keys(pair, protected) == {SymbolKey("y")}
+
+    @pytest.mark.parametrize("line", ["sin", "1", "R#dstruck", "ℝ", "xy#bold"])
+    def test_non_candidate_symbol_names_line(self, tmp_path, line):
+        # replacement never renames these, so listing one protects nothing;
+        # R#dstruck would protect the ordinary r, a different symbol
+        path = tmp_path / "prot.txt"
+        path.write_text(f"# set\nP\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="single Latin or Greek letter") as err:
+            read_protected_set(path)
+        assert err.value.line == 3
 
     def test_unknown_font_names_line(self, tmp_path):
         path = tmp_path / "prot.txt"
@@ -295,8 +331,7 @@ symbols = st.one_of(
     st.builds(text_token, st.sampled_from(["a", "x", "so"])),
 )
 protected_sets = st.none() | st.builds(
-    ProtectedSet, st.frozensets(st.builds(
-        SymbolKey, st.sampled_from("abxλ"), st.sampled_from(FONTS[:3]))))
+    ProtectedSet, st.frozensets(st.sampled_from("abxλ")))
 
 
 @settings(max_examples=300, deadline=None)

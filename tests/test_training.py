@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proofmatch.encoders import (
-    EncoderConfig, EncoderKind, Pooling, Vocabulary, apply_gradients, build_vocab,
+    EncoderConfig, EncoderKind, Vocabulary, apply_gradients, build_vocab,
     init_model)
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
