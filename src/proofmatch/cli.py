@@ -1,8 +1,9 @@
 """Command-line front door: ingest, split, replace, vocab, train, eval, grid.
 
 Every run writes a manifest (resolved configuration, input checksums,
-version, wall-clock) next to its outputs so any reported number can be
-reproduced from the manifest alone. A flat ``key = value`` config file can
+version, wall-clock, and for the commands that encode documents the
+encoder's thread count) next to its outputs so any reported number can be
+reproduced and its time explained from the manifest alone. A flat ``key = value`` config file can
 supply defaults; explicit command-line flags win.
 """
 
@@ -47,6 +48,7 @@ from .encoders import (
     init_model,
     load_model,
     save_model,
+    threads,
 )
 from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
@@ -136,7 +138,10 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
         "command": args.command,
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v)
-                   for k, v in sorted(vars(args).items()) if k != "func"},
+                   for k, v in sorted(vars(args).items())
+                   if k not in ("func", "threads")},
+        # the encoder's thread count, which the commands that encode set
+        "threads": getattr(args, "threads", None),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
@@ -266,6 +271,7 @@ def cmd_train(args) -> int:
     dev_c = _channel_corpus(read_corpus(args.dev_corpus), args.channel)
     vocab = build_vocab(train_c, args.min_freq)
     state = init_model(vocab, _encoder_config(args), args.seed)
+    args.threads = threads(state.config)
     best, history = train(train_c, dev_c, state, _train_config(args))
     model_path = args.out_dir / args.output
     save_model(best, model_path)
@@ -283,6 +289,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_model(args.model)
+    args.threads = threads(state.config)
     corpus = _channel_corpus(read_corpus(args.corpus), args.channel)
     m = build_score_matrix(state,
                            [p.statement for p in corpus.pairs],
@@ -323,7 +330,9 @@ def cmd_grid(args) -> int:
     if repeated := sorted({name for name in names if names.count(name) > 1}):
         raise InvalidValue(f"repeated replacement levels: {repeated}")
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
-    report = run_grid(train_c, dev_c, test_c, levels, _encoder_config(args),
+    encoder = _encoder_config(args)
+    args.threads = threads(encoder)
+    report = run_grid(train_c, dev_c, test_c, levels, encoder,
                       _train_config(args), _load_protected(args),
                       seed=args.seed, min_freq=args.min_freq)
     with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import assignment
 from .corpus import Token
-from .encoders import ModelState, forward, score_matrix
+from .encoders import ModelState, forward, map_documents, score_matrix
 from .errors import ProofmatchError
 
 
@@ -56,7 +56,12 @@ def encode_collection(state: ModelState, docs: list[list[Token]],
     the whole collection goes through one ``encode_ids`` call."""
     if ids is None:
         ids = state.vocab.encode_docs(docs)
-    return np.stack([forward(state, x)[0] for x in ids])
+    return np.stack(list(map_documents(state, ids, _vector, ids)))
+
+
+def _vector(state: ModelState, ids: np.ndarray) -> np.ndarray:
+    """A document's pooled vector; its cache is dropped in the task."""
+    return forward(state, ids)[0]
 
 
 def build_score_matrix(state: ModelState,

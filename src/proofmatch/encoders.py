@@ -7,12 +7,24 @@ mean pooling). Gradients are computed manually and are exact for the
 implemented forward pass.
 
 Under max pooling only the pooled rows R of the last layer's output carry
-gradient, so ``backward`` runs that layer on R alone: the attention
-backward reads the (H, |R|, T) rows of the attention matrix, and the
-residual and query gradients reach those rows only; earlier layers and
-mean pooling run the same loop over all T rows. The attention softmax,
-forward and backward, works in place in its (H, T, T) score array instead
-of allocating a new one at each step; the arithmetic is unchanged.
+gradient. ``forward`` therefore keeps only those rows of that layer's
+queries, attention matrix and head outputs, (H, |R|, d_k), (H, |R|, T)
+and (|R|, d), and ``backward`` runs the layer on R alone: the residual and
+query gradients reach those rows only. Earlier layers and mean pooling
+keep and use all T rows. The attention softmax, forward and backward,
+works in place in its score array instead of allocating a new one at each
+step; the arithmetic is unchanged.
+
+``backward`` writes nothing: it returns one document's gradient products
+(``DocGrads``), and ``add_grads`` adds them into a model's gradient.
+Training and ``decoding.encode_collection`` map ``forward`` and
+``backward`` over a collection with ``map_documents``: one task per
+document on a pool with one thread per usable core, created on first use,
+with the results read in document order. The products are added on the
+calling thread, in document order, so every parameter gets the serial
+sequence of additions and results do not depend on the core count.
+Pooled encoders, and documents too short to pay for a hand-off to a
+thread, stay on the calling thread.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
 turns tokens into ids with one dict lookup per token: a token is an
@@ -29,12 +41,14 @@ SHA-256 checksum.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 import math
 import os
 import struct
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -232,7 +246,9 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
 
 # One read-only sinusoid table per width d. Row p does not depend on the
 # table length, so a longer document regrows the table and every caller
-# gets an exact slice of the same values.
+# gets an exact slice of the same values. Pool threads may regrow it at the
+# same time; each slices the table it read or built, so a lost update only
+# costs a rebuild.
 _POSITION_TABLES: dict[int, np.ndarray] = {}
 
 
@@ -260,12 +276,15 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerCache:
+    """One layer's activations. Under max pooling the last layer keeps only
+    the pooled rows R = ``np.unique(pool_idx)`` of ``q``, ``attn`` and
+    ``concat``, the only rows of them that ``backward`` reads."""
     x_in: np.ndarray          # (T, d)
-    q: np.ndarray             # (H, T, d_k)
+    q: np.ndarray             # (H, T, d_k), or (H, |R|, d_k)
     k: np.ndarray             # (H, T, d_k)
     v: np.ndarray             # (H, T, d_v)
-    attn: np.ndarray          # (H, T, T)
-    concat: np.ndarray        # (T, d)
+    attn: np.ndarray          # (H, T, T), or (H, |R|, T)
+    concat: np.ndarray        # (T, d), or (|R|, d)
 
 
 @dataclass
@@ -274,7 +293,10 @@ class ForwardCache:
     x0: np.ndarray            # embeddings (+ position) before layer 0
     layers: list[LayerCache]
     x_final: np.ndarray       # (T, d) after last layer
-    pool_idx: np.ndarray | None  # argmax positions for max pooling
+    # With layers and max pooling: the argmax positions, and R, the distinct
+    # ones in ascending order
+    pool_idx: np.ndarray | None = None
+    pool_rows: np.ndarray | None = None
 
 
 def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -299,69 +321,92 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
         concat = heads.transpose(1, 0, 2).reshape(x.shape[0], cfg.d)
         caches.append(LayerCache(x, q, k, v, attn, concat))
         x = x + concat @ lp.wo                 # residual connection
-    if cfg.pooling is Pooling.MAX:
-        pool_idx = np.argmax(x, axis=0)        # ties -> lowest position
-        vec = x[pool_idx, np.arange(cfg.d)]
-    else:
-        pool_idx = None
-        vec = x.mean(axis=0)
-    return vec, ForwardCache(ids, x0, caches, x, pool_idx)
+    if cfg.pooling is Pooling.MEAN:
+        return x.mean(axis=0), ForwardCache(ids, x0, caches, x)
+    if not caches:
+        # the max is the element at the argmax, which backward finds itself
+        return x.max(axis=0), ForwardCache(ids, x0, caches, x)
+    pool_idx = np.argmax(x, axis=0)            # ties -> lowest position
+    rows = np.unique(pool_idx)
+    last = caches[-1]
+    last.q, last.attn, last.concat = (last.q[:, rows], last.attn[:, rows],
+                                      last.concat[rows])
+    return x[pool_idx, np.arange(cfg.d)], ForwardCache(ids, x0, caches, x,
+                                                       pool_idx, rows)
 
 
 # ---------------------------------------------------------------------------
 # Gradients
 
 
-def backward(state: ModelState, cache: ForwardCache, grad_vec: np.ndarray,
-             grads: ModelState) -> None:
-    """Add d(loss)/d(params) for one encoded document to ``grads``, given
-    the gradient with respect to its pooled vector."""
+@dataclass
+class DocGrads:
+    """One document's gradient products, which ``add_grads`` adds into a
+    model's gradient: one term per tensor of each layer, in model order,
+    and ``emb_rows`` to add to the embeddings at ``emb_index``."""
+    layers: list[LayerParams]
+    emb_index: np.ndarray | tuple[np.ndarray, np.ndarray]
+    emb_rows: np.ndarray
+
+
+def backward(state: ModelState, cache: ForwardCache,
+             grad_vec: np.ndarray) -> DocGrads:
+    """d(loss)/d(params) for one encoded document, given the gradient with
+    respect to its pooled vector. It changes neither the model nor the
+    cache, so documents can run on the encoder pool."""
     cfg = state.config
     if cfg.pooling is Pooling.MAX and not state.layers:
         # Only the d pooled cells carry gradient; scatter those, not T×d.
-        np.add.at(grads.embeddings,
-                  (cache.ids[cache.pool_idx], np.arange(cfg.d)), grad_vec)
-        return
+        pool_idx = np.argmax(cache.x_final, axis=0)  # ties -> lowest position
+        return DocGrads([], (cache.ids[pool_idx], np.arange(cfg.d)), grad_vec)
     t_len = cache.x0.shape[0]
     if cfg.pooling is Pooling.MAX:
         # Only the pooled rows R of the last layer's output carry gradient,
         # so that layer's backward runs on those rows: d_out is (|R|, d).
-        rows, row_of = np.unique(cache.pool_idx, return_inverse=True)
+        rows = cache.pool_rows
         dx = np.zeros((len(rows), cfg.d))
-        dx[row_of, np.arange(cfg.d)] = grad_vec
+        dx[np.searchsorted(rows, cache.pool_idx), np.arange(cfg.d)] = grad_vec
     else:
         rows = slice(None)
         dx = np.zeros((t_len, cfg.d))
         dx += grad_vec[None, :] / t_len
 
-    for lp, lc, lg in zip(reversed(state.layers), reversed(cache.layers),
-                          reversed(grads.layers)):
-        # x_out = x_in + concat @ wo, on ``rows``; earlier layers need all T
+    layer_grads = []
+    for lp, lc in zip(reversed(state.layers), reversed(cache.layers)):
+        # x_out = x_in + concat @ wo, on ``rows``; earlier layers need all T.
+        # The cache of q, attn and concat holds ``rows`` only (LayerCache).
         d_out = dx
-        attn = lc.attn[:, rows]                             # (H, R, T)
-        lg.wo += lc.concat[rows].T @ d_out
+        g_wo = lc.concat.T @ d_out
         d_concat = d_out @ lp.wo.T
         d_heads = d_concat.reshape(len(d_out), cfg.heads, -1).transpose(1, 0, 2)
         d_attn = d_heads @ lc.v.transpose(0, 2, 1)          # (H, R, T)
-        d_v = attn.transpose(0, 2, 1) @ d_heads             # (H, T, d_v)
+        d_v = lc.attn.transpose(0, 2, 1) @ d_heads          # (H, T, d_v)
         # softmax rows backward, in place: d_attn becomes d_scores
-        d_attn -= (d_attn * attn).sum(axis=-1, keepdims=True)
-        d_attn *= attn
+        d_attn -= (d_attn * lc.attn).sum(axis=-1, keepdims=True)
+        d_attn *= lc.attn
         d_attn /= math.sqrt(cfg.d_k)
         d_q = d_attn @ lc.k                                 # (H, R, d_k)
-        d_k = d_attn.transpose(0, 2, 1) @ lc.q[:, rows]     # (H, T, d_k)
+        d_k = d_attn.transpose(0, 2, 1) @ lc.q              # (H, T, d_k)
         dx_in = np.zeros((t_len, cfg.d))
         # residual branch and queries reach x_in only on ``rows``
         dx_in[rows] = d_out + (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
         dx_in += (d_k @ lp.wk.transpose(0, 2, 1)).sum(0)
         dx_in += (d_v @ lp.wv.transpose(0, 2, 1)).sum(0)
-        lg.wq += lc.x_in[rows].T @ d_q
-        lg.wk += lc.x_in.T @ d_k
-        lg.wv += lc.x_in.T @ d_v
+        layer_grads.append(LayerParams(lc.x_in[rows].T @ d_q,
+                                       lc.x_in.T @ d_k, lc.x_in.T @ d_v, g_wo))
         dx = dx_in
         rows = slice(None)
+    return DocGrads(layer_grads[::-1], cache.ids, dx)
 
-    np.add.at(grads.embeddings, cache.ids, dx)
+
+def add_grads(grads: ModelState, doc: DocGrads) -> None:
+    """Add one document's ``backward`` products into ``grads``. Adding the
+    documents in order gives every parameter the same sequence of
+    floating-point additions however the products were computed."""
+    for lg, term in zip(grads.layers, doc.layers, strict=True):
+        for g, t in zip(lg.tensors(), term.tensors()):
+            g += t
+    np.add.at(grads.embeddings, doc.emb_index, doc.emb_rows)
 
 
 def score_matrix(state: ModelState, s_vecs: np.ndarray,
@@ -387,6 +432,65 @@ def apply_gradients(state: ModelState, grads: ModelState, lr: float) -> None:
     for p, g in zip(state.param_arrays(), grads.param_arrays(), strict=True):
         p -= lr * g
     state.head.b -= lr * grads.head.b
+
+
+# ---------------------------------------------------------------------------
+# The encoder pool
+
+# One thread per usable core. A self-attentive document spends its time in
+# matmul and in ufunc loops over the attention array, where numpy releases
+# the GIL, so long documents run side by side.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# A map stays serial when a document of its mean length takes fewer
+# multiply-adds per layer (``_layer_work``) than this: every numpy call on a
+# pool thread waits for the GIL, which costs more than a short document's
+# work. Pool time over serial time of ``batch_loss_and_grads`` on 30 pairs
+# of T tokens, 2 cores, with the work per document and layer:
+#   d=64, 2 heads, d_k=32:  T=64 (1.6M) 1.26, T=96 (2.8M) 0.98,
+#                           T=128 (4.2M) 0.90, T=192 (7.9M) 0.67;
+#   d=128, 4 heads, d_k=32: T=16 (1.1M) 1.36, T=32 (2.4M) 0.90;
+#   d=8, 2 heads, d_k=3:    T=128 (0.26M) 1.42, T=192 (0.56M) 1.08.
+_MIN_POOL_WORK = 1 << 21
+
+
+def _layer_work(config: EncoderConfig, t_len: float) -> float:
+    """Multiply-adds of one attention layer's forward pass over ``t_len``
+    tokens: the projections, the scores and the weighted values."""
+    d, hk = config.d, config.heads * config.d_k
+    return t_len * d * (2 * hk + 2 * d) + t_len * t_len * (hk + d)
+
+
+def threads(config: EncoderConfig) -> int:
+    """The number of threads that encode and backpropagate documents of
+    this encoder: one per usable core with attention layers, else 1, since
+    a pooled document is less work than a hand-off to a thread (2000
+    pooled statements at d=64 took 35 ms serially and 132 ms on 2
+    threads)."""
+    if config.kind is EncoderKind.SELF_ATTENTIVE and config.layers:
+        return _WORKERS
+    return 1
+
+
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="proofmatch-encoder")
+
+
+def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
+    """``fn(state, *args)`` for each document of ``ids``, with ``args``
+    drawn one per document from ``iterables``; the results come in document
+    order. Each document is one task on the encoder pool, created on first
+    use, unless the encoder has one thread, there is one document, or the
+    documents are too little work (``_MIN_POOL_WORK``). ``fn`` must not
+    write shared state."""
+    cfg = state.config
+    workers = threads(cfg)
+    args = (itertools.repeat(state), *iterables)
+    if (workers < 2 or len(ids) < 2
+            or _layer_work(cfg, sum(map(len, ids)) / len(ids)) < _MIN_POOL_WORK):
+        return map(fn, *args)
+    return _executor(workers).map(fn, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ every off-diagonal cell).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,9 +23,11 @@ from .corpus import Corpus
 from .decoding import build_score_matrix, decode_local
 from .encoders import (
     ModelState,
+    add_grads,
     apply_gradients,
     backward,
     forward,
+    map_documents,
     score_matrix,
     score_matrix_backward,
 )
@@ -156,18 +159,18 @@ def batch_loss_and_grads(state: ModelState, batch_pairs, loss_fn,
     if ids is None:
         ids = state.vocab.encode_docs([p.statement for p in batch_pairs]
                                       + [p.proof for p in batch_pairs])
-    s_out = [forward(state, x) for x in ids[:b]]
-    p_out = [forward(state, x) for x in ids[b:]]
-    s_vecs = np.stack([v for v, _ in s_out])
-    p_vecs = np.stack([v for v, _ in p_out])
+    vecs, caches = zip(*map_documents(state, ids, forward, ids))
+    s_vecs = np.stack(vecs[:b])
+    p_vecs = np.stack(vecs[b:])
     m_b = score_matrix(state, s_vecs, p_vecs)
     loss, d_m = loss_fn(m_b)
     grads = state.zeros()
     d_s, d_p = score_matrix_backward(state, s_vecs, p_vecs, d_m, grads)
-    for (_, cache), g in zip(s_out, d_s):
-        backward(state, cache, g, grads)
-    for (_, cache), g in zip(p_out, d_p):
-        backward(state, cache, g, grads)
+    # Documents backpropagate on the encoder pool; their products are added
+    # here in document order, so every sum is the serial one.
+    for doc in map_documents(state, ids, backward, caches,
+                             itertools.chain(d_s, d_p)):
+        add_grads(grads, doc)
     return loss, grads
 
 

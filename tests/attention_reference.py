@@ -1,10 +1,13 @@
 """Dense self-attentive forward and backward: a reference for the
 row-restricted ``encoders.backward`` and the in-place softmax.
 
-The forward allocates a fresh array at every softmax step, and the backward
-runs every layer over all T rows, so it reads every row of the last layer's
-cache even when max pooling gives gradient to a few of them. Both keep the
-``ForwardCache`` layout, so either cache feeds either backward.
+The forward allocates a fresh array at every softmax step and caches every
+row of every layer, and the backward runs every layer over all T rows, so
+it reads every row of the last layer's cache even when max pooling gives
+gradient to a few of them. Under max pooling ``encoders.forward`` caches
+only the pooled rows of the last layer's q, attn and concat, so its cache
+feeds ``encoders.backward`` only; under mean pooling the two layouts are
+the same.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from dataclasses import replace as dc_replace
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
+from proofmatch import encoders
 from proofmatch.cli import main
 from proofmatch.corpus import (
     Corpus, _escape, format_record, math_token, read_corpus, read_records,
@@ -316,6 +317,34 @@ class TestTrainEval:
         assert [e for e, _ in history.dev_accuracy] == [2, 4, 5]
         assert (out / "run.dev.tsv").read_text() == "".join(
             f"{e}\t{a:.10g}\n" for e, a in history.dev_accuracy)
+
+    def test_manifest_records_encoder_threads(self, tmp_path, corpus_file,
+                                              monkeypatch):
+        # one thread per usable core for attention layers, 1 for pooled
+        monkeypatch.setattr(encoders, "_WORKERS", 3)
+        small = ["--dim", "8", "--heads", "2", "--dk", "4", "--batch-size",
+                 "5", "--epochs", "1", "--quiet"]
+        files = [str(corpus_file)] * 3
+        for encoder, want in (("selfattn", 3), ("pooled", 1)):
+            out = tmp_path / encoder
+            runs = [["train", *files[:2], "--encoder", encoder, *small],
+                    ["eval", str(out / "model.pmm"), files[0], "--quiet"],
+                    ["grid", *files, "--encoder", encoder, "--levels", "full",
+                     *small]]
+            for argv in runs:
+                assert main([*argv, "--out-dir", str(out)]) == 0
+                manifest = json.loads(
+                    (out / f"manifest-{argv[0]}.json").read_text())
+                assert manifest["threads"] == want
+                assert "threads" not in manifest["config"]
+        out = tmp_path / "other"
+        assert main(["split", files[0], "--out-dir", str(out), "--quiet"]) == 0
+        assert main(["eval", str(tmp_path / "missing.pmm"), files[0],
+                     "--out-dir", str(out), "--quiet"]) == 1
+        for command in ("split", "eval"):
+            manifest = json.loads(
+                (out / f"manifest-{command}.json").read_text())
+            assert manifest["threads"] is None
 
     def test_failed_run_manifest_names_the_error(self, tmp_path, corpus_file,
                                                  capsys):

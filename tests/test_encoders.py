@@ -24,6 +24,7 @@ from proofmatch.encoders import (
     ModelState,
     Pooling,
     UNK_ID,
+    add_grads,
     backward,
     build_vocab,
     forward,
@@ -241,7 +242,7 @@ class TestAttentionMatmul:
 
         vec, cache = forward(state, state.vocab.encode_ids(doc))
         grads = state.zeros()
-        backward(state, cache, grad_vec, grads)
+        add_grads(grads, backward(state, cache, grad_vec))
         ref_vec, ref_layers, ref_rows = einsum_forward_backward(
             state, doc, grad_vec)
 
@@ -263,10 +264,26 @@ def attention_state(d, heads, d_k, layers, pooling, n_tokens=50):
         d_k=d_k, pooling=pooling), seed=3)
 
 
-def gradients(state, cache, grad_vec, backward_fn):
+def gradients(state, cache, grad_vec):
     grads = state.zeros()
-    backward_fn(state, cache, grad_vec, grads)
+    add_grads(grads, backward(state, cache, grad_vec))
     return grads.param_arrays()
+
+
+def dense_gradients(state, cache, grad_vec):
+    grads = state.zeros()
+    backward_dense(state, cache, grad_vec, grads)
+    return grads.param_arrays()
+
+
+def assert_matches_dense(got, want, pooling):
+    """Mean pooling does the dense arithmetic; max pooling sums the last
+    layer's rows in another order."""
+    for g, w in zip(got, want, strict=True):
+        if pooling is Pooling.MEAN:
+            assert np.array_equal(g, w)
+        else:
+            assert_rel_close(g, w)
 
 
 class TestPooledRowBackward:
@@ -292,33 +309,36 @@ class TestPooledRowBackward:
         vec, cache = forward(state, ids)
         ref_vec, ref_cache = forward_dense(state, ids)
         assert np.array_equal(vec, ref_vec)
-        got = gradients(state, cache, grad_vec, backward)
-        want = gradients(state, ref_cache, grad_vec, backward_dense)
-        for g, w in zip(got, want, strict=True):
-            if pooling is Pooling.MEAN:
-                assert np.array_equal(g, w)
-            else:
-                assert_rel_close(g, w)
+        assert_matches_dense(gradients(state, cache, grad_vec),
+                             dense_gradients(state, ref_cache, grad_vec),
+                             pooling)
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_reads_only_pooled_rows_of_last_layer(self, layers):
         rng = np.random.default_rng(5)
-        state = attention_state(8, 2, 4, layers, Pooling.MAX)
-        ids = rng.integers(0, len(state.vocab), size=120)
-        grad_vec = rng.normal(size=8)
+        d, heads, d_k, t_len = 8, 2, 4, 120
+        state = attention_state(d, heads, d_k, layers, Pooling.MAX)
+        ids = rng.integers(0, len(state.vocab), size=t_len)
+        grad_vec = rng.normal(size=d)
         _, cache = forward(state, ids)
-        want = gradients(state, cache, grad_vec, backward)
+        _, ref_cache = forward_dense(state, ids)
 
+        rows = np.unique(cache.pool_idx)
+        assert np.array_equal(cache.pool_rows, rows)
+        assert len(rows) < t_len
         last = cache.layers[-1]
-        other = np.setdiff1d(np.arange(len(ids)), cache.pool_idx)
-        assert len(other) > 0
-        last.attn[:, other] = np.nan
-        last.q[:, other] = np.nan
-        last.concat[other] = np.nan
-        got = gradients(state, cache, grad_vec, backward)
-        for g, w in zip(got, want, strict=True):
-            assert np.isfinite(g).all()
-            assert np.array_equal(g, w)
+        assert last.attn.shape == (heads, len(rows), t_len)
+        assert last.q.shape == (heads, len(rows), d_k)
+        assert last.concat.shape == (len(rows), d)
+        ref_last = ref_cache.layers[-1]
+        assert np.array_equal(last.attn, ref_last.attn[:, rows])
+        assert np.array_equal(last.q, ref_last.q[:, rows])
+        assert np.array_equal(last.concat, ref_last.concat[rows])
+        for lc in cache.layers[:-1]:  # earlier layers keep every row
+            assert lc.attn.shape == (heads, t_len, t_len)
+        assert_matches_dense(gradients(state, cache, grad_vec),
+                             dense_gradients(state, ref_cache, grad_vec),
+                             Pooling.MAX)
 
 
 class TestPositionalEncoding:

@@ -1,0 +1,190 @@
+"""Self-attentive documents on the encoder pool: results are bit-identical
+to a serial loop for any worker count, and an error raised in a worker
+reaches the caller."""
+
+from __future__ import annotations
+
+import itertools
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from proofmatch import decoding, encoders, training
+from proofmatch.cli import main
+from proofmatch.corpus import Corpus, PairRecord, math_token, write_corpus
+from proofmatch.encoders import (
+    EmptyDocument,
+    EncoderConfig,
+    EncoderKind,
+    Pooling,
+    add_grads,
+    backward,
+    build_vocab,
+    forward,
+    init_model,
+    save_model,
+    score_matrix,
+    score_matrix_backward,
+)
+from proofmatch.training import (
+    Objective,
+    TrainConfig,
+    batch_loss_and_grads,
+    local_loss,
+    train,
+)
+
+
+def corpus(rng: np.random.Generator, n_pairs: int, prefix: str) -> Corpus:
+    """Pairs of 100-140 tokens over v0..v29, long enough for the pool."""
+    def doc():
+        return [math_token(f"v{i}")
+                for i in rng.integers(0, 30, size=int(rng.integers(100, 141)))]
+    return Corpus([PairRecord(f"{prefix}{i}", "a", [], doc(), doc())
+                   for i in range(n_pairs)])
+
+
+def model(train_c: Corpus, layers: int = 1, pooling=Pooling.MAX):
+    return init_model(build_vocab(train_c), EncoderConfig(
+        EncoderKind.SELF_ATTENTIVE, d=64, layers=layers, heads=2, d_k=32,
+        pooling=pooling), seed=4)
+
+
+def serial_loss_and_grads(state, batch, loss_fn, ids=None):
+    """``batch_loss_and_grads`` as a loop over the documents."""
+    b = len(batch)
+    if ids is None:
+        ids = state.vocab.encode_docs([p.statement for p in batch]
+                                      + [p.proof for p in batch])
+    outs = [forward(state, x) for x in ids]
+    s_vecs = np.stack([v for v, _ in outs[:b]])
+    p_vecs = np.stack([v for v, _ in outs[b:]])
+    loss, d_m = loss_fn(score_matrix(state, s_vecs, p_vecs))
+    grads = state.zeros()
+    d_s, d_p = score_matrix_backward(state, s_vecs, p_vecs, d_m, grads)
+    for (_, cache), g in zip(outs, itertools.chain(d_s, d_p), strict=True):
+        add_grads(grads, backward(state, cache, g))
+    return loss, grads
+
+
+def serial_score_matrix(state, statements, proofs, ids=None):
+    """``build_score_matrix`` as a loop over the documents."""
+    s_ids, p_ids = ids or (state.vocab.encode_docs(statements),
+                           state.vocab.encode_docs(proofs))
+    return score_matrix(state, np.stack([forward(state, x)[0] for x in s_ids]),
+                        np.stack([forward(state, x)[0] for x in p_ids]))
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda w: f"workers{w}")
+def workers(request, monkeypatch):
+    """The encoder's worker count, 4 being more than this host may have;
+    thread switches are made frequent so that interleavings vary."""
+    monkeypatch.setattr(encoders, "_WORKERS", request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def pool_threads(monkeypatch, module) -> set[str]:
+    """Names of the threads that run ``module.forward`` from now on."""
+    names: set[str] = set()
+    real = module.forward
+
+    def recording_forward(state, ids):
+        names.add(threading.current_thread().name)
+        return real(state, ids)
+
+    monkeypatch.setattr(module, "forward", recording_forward)
+    return names
+
+
+def uses_pool(state, docs) -> bool:
+    """Whether ``map_documents`` runs these documents on other threads."""
+    ids = state.vocab.encode_docs(docs)
+    ran_on = set(encoders.map_documents(
+        state, ids, lambda s, x: threading.current_thread().name, ids))
+    return threading.current_thread().name not in ran_on
+
+
+def assert_models_equal(a, b):
+    for x, y in zip(a.param_arrays(), b.param_arrays(), strict=True):
+        assert np.array_equal(x, y)
+    assert a.head.b == b.head.b
+
+
+@pytest.mark.parametrize("layers,pooling", [(1, Pooling.MAX),
+                                            (2, Pooling.MAX),
+                                            (2, Pooling.MEAN)])
+def test_batch_grads_equal_serial_loop(workers, monkeypatch, layers, pooling):
+    rng = np.random.default_rng(1)
+    train_c = corpus(rng, 12, "t")
+    state = model(train_c, layers, pooling)
+    want_loss, want = serial_loss_and_grads(state, train_c.pairs, local_loss)
+    ran_on = pool_threads(monkeypatch, training)
+    loss, grads = batch_loss_and_grads(state, train_c.pairs, local_loss)
+    assert loss == want_loss
+    assert_models_equal(grads, want)
+    assert (ran_on != {threading.current_thread().name}) == (workers > 1)
+
+
+def test_score_matrix_equals_serial_loop(workers, monkeypatch):
+    rng = np.random.default_rng(2)
+    test_c = corpus(rng, 12, "e")
+    state = model(test_c)
+    statements = [p.statement for p in test_c.pairs]
+    proofs = [p.proof for p in test_c.pairs]
+    want = serial_score_matrix(state, statements, proofs)
+    ran_on = pool_threads(monkeypatch, decoding)
+    m = decoding.build_score_matrix(state, statements, proofs)
+    assert np.array_equal(m, want)
+    assert (ran_on != {threading.current_thread().name}) == (workers > 1)
+
+
+def test_train_equals_serial_loop(workers, monkeypatch):
+    rng = np.random.default_rng(3)
+    train_c, dev_c = corpus(rng, 24, "t"), corpus(rng, 12, "d")
+    config = TrainConfig(objective=Objective.HYBRID, batch_size=12, epochs=2,
+                         lr=0.1, eval_every=1)
+    got, got_history = train(train_c, dev_c, model(train_c), config)
+    with monkeypatch.context() as serial:
+        serial.setattr(training, "batch_loss_and_grads", serial_loss_and_grads)
+        serial.setattr(training, "build_score_matrix", serial_score_matrix)
+        want, want_history = train(train_c, dev_c, model(train_c), config)
+    assert_models_equal(got, want)
+    assert got_history == want_history
+
+
+def test_empty_document_raises_from_a_worker(monkeypatch):
+    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    rng = np.random.default_rng(4)
+    test_c = corpus(rng, 12, "e")
+    state = model(test_c)
+    statements = [p.statement for p in test_c.pairs]
+    statements[7] = []
+    assert uses_pool(state, statements)
+    with pytest.raises(EmptyDocument):
+        decoding.build_score_matrix(state, statements,
+                                    [p.proof for p in test_c.pairs])
+
+
+def test_eval_reports_an_empty_document_in_one_line(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    rng = np.random.default_rng(5)
+    test_c = corpus(rng, 12, "e")
+    state = model(test_c)
+    save_model(state, tmp_path / "model.pmm")
+    test_c.pairs[7].statement.clear()
+    assert uses_pool(state, [p.statement for p in test_c.pairs])
+    write_corpus(test_c, tmp_path / "test.tsv")
+    code = main(["eval", str(tmp_path / "model.pmm"), str(tmp_path / "test.tsv"),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot encode an empty document\n"
+    assert captured.out == ""
