@@ -33,6 +33,10 @@ class EmptyCollection(DecodingError):
     pass
 
 
+class NonFiniteScores(DecodingError):
+    pass
+
+
 @dataclass
 class RankingResult:
     """Per statement, the 1-based rank of the gold (same-index) proof and the
@@ -86,6 +90,7 @@ def build_score_matrix(state: ModelState,
 def decode_local(m: np.ndarray) -> RankingResult:
     """Gold rank and top-1 proof of every statement, ranking proofs by
     (score desc, index asc); gold is the same-index proof."""
+    _check_finite(m)
     gold = np.diag(m)[:, None]
     gold_rank = 1 + (m > gold).sum(1) + np.tril(m == gold, -1).sum(1)
     return RankingResult(gold_rank.astype(np.int64),
@@ -95,9 +100,18 @@ def decode_local(m: np.ndarray) -> RankingResult:
 def decode_global(m: np.ndarray, k: int | None = None) -> MatchResult:
     """One-to-one matching maximizing the total score; k prunes each row to
     its k best proofs before the sparse solve, None solves densely."""
+    _check_finite(m)
     if k is None:
         proof_of, objective = assignment.solve_dense(m)
         return MatchResult(proof_of, objective, False)
     sparse = assignment.prune_topk(m, k)
     proof_of, objective, padded = assignment.solve_sparse(sparse)
     return MatchResult(proof_of, objective, padded)
+
+
+def _check_finite(m: np.ndarray) -> None:
+    """Ranks and matchings are undefined on NaN, and the solvers' reduced
+    costs turn an infinite score into NaN."""
+    bad = m.size - int(np.count_nonzero(np.isfinite(m)))
+    if bad:
+        raise NonFiniteScores(f"non-finite scores in {bad} of {m.size} cells")

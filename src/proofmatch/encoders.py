@@ -627,4 +627,18 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
         arrays.append(arr)
     b = struct.unpack_from("<f", buf, off)[0]
     off += 4
-    return _assemble(vocab, cfg, arrays, float(b), seed), off
+    state = _assemble(vocab, cfg, arrays, float(b), seed)
+    for name, arr in _named_tensors(state):
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"non-finite values in tensor {name}")
+    return state, off
+
+
+def _named_tensors(state: ModelState):
+    """Each parameter with its name, the bias included."""
+    yield "embeddings", state.embeddings
+    for i, layer in enumerate(state.layers):
+        for f in fields(LayerParams):
+            yield f"layers[{i}].{f.name}", getattr(layer, f.name)
+    yield "head.w", state.head.w
+    yield "head.b", state.head.b

@@ -2,8 +2,8 @@
 ``solve_sparse``.
 
 Pruned cells get one sentinel score far below every retained score, and the
-full n×n matrix goes to the dense solver, so it shares no matching code with
-the implementation it checks. It finds the maximum-cardinality, then
+full n×n matrix goes to scipy's dense solver, so it shares no matching code
+with the implementation it checks. It finds the maximum-cardinality, then
 maximum-score matching only while n times the spread of the retained scores
 stays well below ``SENTINEL_GAP``.
 """
@@ -11,8 +11,9 @@ stays well below ``SENTINEL_GAP``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from proofmatch.assignment import SparseScores, solve_dense
+from proofmatch.assignment import SparseScores
 
 SENTINEL_GAP = 1e6
 
@@ -22,5 +23,5 @@ def solve_padded_reference(sparse: SparseScores) -> tuple[np.ndarray, float]:
     n = sparse.cols.shape[0]
     dense = np.full((n, n), sparse.vals.min() - SENTINEL_GAP)
     np.put_along_axis(dense, sparse.cols, sparse.vals, 1)
-    proof_of = solve_dense(dense)[0]
+    proof_of = linear_sum_assignment(dense, maximize=True)[1]
     return proof_of, float(sparse.vals[sparse.cols == proof_of[:, None]].sum())

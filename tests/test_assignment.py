@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from proofmatch import assignment
 from proofmatch.assignment import (
@@ -18,6 +19,25 @@ from padded_reference import solve_padded_reference
 
 def assert_permutation(assignment, n):
     assert sorted(assignment) == list(range(n))
+
+
+def hub_matrix(rng, n):
+    """Normal scores plus a large bias on a few "hub" proofs, which score
+    high for every statement."""
+    m = rng.normal(size=(n, n))
+    hubs = rng.choice(n, size=max(1, n // 10), replace=False)
+    m[:, hubs] += 2.0 + 3.0 * rng.random(hubs.size)
+    return m
+
+
+def low_rank_matrix(rng, n):
+    """Rank-2 scores with a little noise: some proofs are everyone's
+    favourite."""
+    return (rng.normal(size=(n, 2)) @ rng.normal(size=(2, n))
+            + 0.01 * rng.normal(size=(n, n)))
+
+
+SKEWED = [hub_matrix, low_rank_matrix]
 
 
 class TestBruteForce:
@@ -66,6 +86,28 @@ class TestDense:
             _, val_shifted = solve_dense(m + 13.25)
             assert val_shifted == pytest.approx(val + 13.25 * n, abs=1e-9)
 
+    @pytest.mark.parametrize("make", SKEWED)
+    def test_skewed_matrices_match_brute_force(self, make):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            m = make(rng, n)
+            perm, val = solve_dense(m)
+            b_perm, b_val = solve_brute(m)
+            assert np.array_equal(perm, b_perm)
+            assert val == b_val
+
+    @pytest.mark.parametrize("make", SKEWED)
+    def test_skewed_matrices_match_scipy_and_leave_scores_unwritten(self, make):
+        m = make(np.random.default_rng(12), 300)
+        before = m.copy()
+        m.flags.writeable = False
+        perm, val = solve_dense(m)
+        rows, cols = linear_sum_assignment(m, maximize=True)
+        assert np.array_equal(perm, cols)
+        assert val == float(m[rows, cols].sum())
+        assert np.array_equal(m, before)
+
 
 class TestPrune:
     def test_keeps_top_k_by_value(self):
@@ -98,6 +140,32 @@ class TestPrune:
                 assert np.array_equal(sp.cols, order[:, :k])
                 assert np.array_equal(sp.vals,
                                       np.take_along_axis(m, order[:, :k], 1))
+
+    @pytest.mark.parametrize("k", [1, 7, 50, 200])
+    def test_matches_stable_argsort_with_ties_at_the_kth_place(self, k):
+        n = 200
+        m = np.random.default_rng(k).integers(0, 3, size=(n, n)).astype(float)
+        order = np.argsort(-m, axis=1, kind="stable")
+        sp = prune_topk(m, k)
+        assert np.array_equal(sp.cols, order[:, :k])
+        assert np.array_equal(sp.vals, np.take_along_axis(m, order[:, :k], 1))
+        if k < n:  # most rows tie across the k-th place
+            kth, next_ = np.take_along_axis(m, order[:, k - 1:k + 1], 1).T
+            assert (kth == next_).sum() > n // 2
+
+    def test_builds_no_n_by_n_index_arrays(self):
+        # Past the one partitioned copy of m, only the kept mask (1 byte a
+        # cell) and (n, k) arrays remain; an n×n index, cumulative sum or
+        # negated copy (8 bytes a cell each) would break the bound.
+        n = 1000
+        m = np.random.default_rng(9).normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            prune_topk(m, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m.nbytes
 
     def test_bad_k(self):
         m = np.zeros((3, 3))
@@ -212,6 +280,48 @@ class TestSparse:
                 assert val == pytest.approx(ref, rel=1e-9)
                 padded_cases += padded
         assert padded_cases >= 10
+
+
+def rv_nonempty(sp, perm):
+    """Whether R_V is non-empty: some row retains a column that the maximum
+    matching of retained edges in ``perm`` leaves uncovered."""
+    covered = np.zeros(len(perm), dtype=bool)
+    covered[perm[(sp.cols == perm[:, None]).any(1)]] = True
+    return bool((~covered[sp.cols]).any())
+
+
+def two_block_matrix(rng, n):
+    """Statements [0, n/2) score high only on proofs [0, n/3), and the other
+    statements only on the other proofs. Top-k pruning with k <= n/3 then
+    pads the first block and leaves the second with spare proofs, so R_V is
+    non-empty."""
+    m = rng.normal(size=(n, n))
+    m[:n // 2, :n // 3] += 10.0
+    m[n // 2:, n // 3:] += 10.0
+    return m
+
+
+def test_sparse_matches_padded_reference_on_skewed_matrices():
+    rng = np.random.default_rng(13)
+    cases = {"feasible": 0, "padded": 0, "rv_nonempty": 0}
+    for make in (*SKEWED, two_block_matrix):
+        for n in (30, 80, 150):
+            for k in (1, 2, 4, 8, n // 2):
+                sp = prune_topk(make(rng, n), k)
+                perm, val, padded = solve_sparse(sp)
+                ref_perm, ref = solve_padded_reference(sp)
+                assert_permutation(perm, n)
+                # Generic scores have one best matching of retained edges.
+                on_edge = sp.cols == perm[:, None]
+                assert np.array_equal(on_edge, sp.cols == ref_perm[:, None])
+                assert padded == (not on_edge.any(1).all())
+                assert val == pytest.approx(ref, rel=1e-12)
+                if not padded:
+                    cases["feasible"] += 1
+                else:
+                    cases["padded"] += 1
+                    cases["rv_nonempty"] += rv_nonempty(sp, ref_perm)
+    assert min(cases.values()) >= 8, cases
 
 
 @st.composite

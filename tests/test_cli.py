@@ -449,6 +449,45 @@ class TestTrainEval:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("decode", ["local", "global"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_checkpoint_is_one_error_line(self, tmp_path, corpus_file,
+                                                     capsys, decode, value):
+        state = init_model(build_vocab(read_corpus(corpus_file)),
+                           EncoderConfig(d=8))
+        state.embeddings[1, 0] = value
+        model = tmp_path / "m.pmm"
+        save_model(state, model)
+        capsys.readouterr()
+        assert main(["eval", str(model), str(corpus_file), "--decode", decode,
+                     "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite values in tensor embeddings\n"
+        assert not (tmp_path / "e" / "eval.tsv").exists()
+
+    @pytest.mark.parametrize("decode", [[], ["--decode", "global"],
+                                        ["--decode", "global", "--k", "2"]])
+    def test_non_finite_scores_are_one_error_line(self, tmp_path, corpus_file,
+                                                  capsys, monkeypatch, decode):
+        import proofmatch.cli as cli
+        model = tmp_path / "m.pmm"
+        save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                              EncoderConfig(d=8)), model)
+
+        def overflowing(*args):
+            m = build_score_matrix(*args)
+            m[3, 4] = float("inf")
+            return m
+
+        monkeypatch.setattr(cli, "build_score_matrix", overflowing)
+        capsys.readouterr()
+        assert main(["eval", str(model), str(corpus_file), *decode,
+                     "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: non-finite scores in 1 of 100 cells\n"
+        assert not (tmp_path / "e" / "eval.tsv").exists()
+
+
 # Each bad value ends `match` in one error line, never a traceback.
 BAD_VALUES = {
     "heads_not_dividing_dim": ["train", "{corpus}", "{corpus}",

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import proofmatch.decoding as decoding
 from proofmatch.decoding import (
     EmptyCollection,
+    NonFiniteScores,
     SizeMismatch,
     build_score_matrix,
     decode_global,
@@ -202,6 +203,17 @@ class TestDecodeGlobal:
         assert list(local.top1) == [2] * n
         glob = decode_global(m)
         assert sorted(glob.assignment) == list(range(n))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("decode", [
+    decode_local, decode_global, lambda m: decode_global(m, 2)],
+    ids=["local", "global", "global_k2"])
+def test_non_finite_matrix_is_a_decoding_error(value, decode):
+    m = np.random.default_rng(5).normal(size=(4, 4))
+    m[2, 1] = value
+    with pytest.raises(NonFiniteScores, match="non-finite scores in 1 of 16"):
+        decode(m)
 
 
 class TestEndToEnd:

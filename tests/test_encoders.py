@@ -2,6 +2,7 @@ import errno
 import hashlib
 import functools
 import math
+import re
 import struct
 import tempfile
 import types
@@ -430,6 +431,30 @@ class TestSerialization:
             save_model(small_state(seed=2), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,cell", [
+        ("embeddings", lambda s: (s.embeddings, (1, 0))),
+        ("layers[1].wk", lambda s: (s.layers[1].wk, (0, 2, 1))),
+        ("head.w", lambda s: (s.head.w, (3, 4))),
+    ], ids=["embeddings", "layer1_wk", "head_w"])
+    def test_non_finite_tensor_is_a_format_error(self, tmp_path, value,
+                                                 name, cell):
+        state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
+        arr, idx = cell(state)
+        arr[idx] = value
+        path = tmp_path / "m.pmm"
+        save_model(state, path)
+        with pytest.raises(ModelFormatError,
+                           match=rf"non-finite values in tensor {re.escape(name)}$"):
+            load_model(path)
+
+    def test_non_finite_bias_is_a_format_error(self, tmp_path):
+        state = small_state()
+        state.head.b = float("nan")
+        save_model(state, tmp_path / "m.pmm")
+        with pytest.raises(ModelFormatError, match="tensor head.b"):
+            load_model(tmp_path / "m.pmm")
 
 
 def arange_state(kind, layers):
