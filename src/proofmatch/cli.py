@@ -16,11 +16,11 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    CHANNELS,
     Corpus,
     CorpusError,
     FilterResult,
@@ -158,16 +158,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _channel_corpus(corpus: Corpus, channel: str) -> Corpus:
-    if channel == "both":
-        return corpus
-    return Corpus([
-        dc_replace(p, statement=filter_channel(p.statement, channel),
-                   proof=filter_channel(p.proof, channel))
-        for p in corpus.pairs
-    ])
-
-
 def _encoder_config(args) -> EncoderConfig:
     return EncoderConfig(
         kind=EncoderKind(args.encoder),
@@ -255,7 +245,7 @@ def cmd_replace(args) -> int:
 
 
 def cmd_vocab(args) -> int:
-    corpus = _channel_corpus(read_corpus(args.corpus), args.channel)
+    corpus = filter_channel(read_corpus(args.corpus), args.channel)
     vocab = build_vocab(corpus, args.min_freq)
     out_path = args.out_dir / args.output
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -267,8 +257,8 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_c = _channel_corpus(read_corpus(args.train_corpus), args.channel)
-    dev_c = _channel_corpus(read_corpus(args.dev_corpus), args.channel)
+    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
+    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
     vocab = build_vocab(train_c, args.min_freq)
     state = init_model(vocab, _encoder_config(args), args.seed)
     args.threads = threads(state.config)
@@ -290,7 +280,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = load_model(args.model)
     args.threads = threads(state.config)
-    corpus = _channel_corpus(read_corpus(args.corpus), args.channel)
+    corpus = filter_channel(read_corpus(args.corpus), args.channel)
     m = build_score_matrix(state,
                            [p.statement for p in corpus.pairs],
                            [p.proof for p in corpus.pairs])
@@ -312,7 +302,7 @@ def cmd_eval(args) -> int:
         line = (f"decode=local\tmrr={report.mrr:.6f}\t"
                 f"accuracy={report.accuracy:.6f}\tn={report.n}")
         with open(args.out_dir / "assign.tsv", "w", encoding="utf-8") as fh:
-            for label, count, percent in assignment_distribution(ranking).rows():
+            for label, count, percent in assignment_distribution(ranking):
                 fh.write(f"{label}\t{count}\t{percent:.2f}\n")
     with open(args.out_dir / "eval.tsv", "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
@@ -321,9 +311,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    train_c = _channel_corpus(read_corpus(args.train_corpus), args.channel)
-    dev_c = _channel_corpus(read_corpus(args.dev_corpus), args.channel)
-    test_c = _channel_corpus(read_corpus(args.test_corpus), args.channel)
+    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
+    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
+    test_c = filter_channel(read_corpus(args.test_corpus), args.channel)
     names = args.levels.split(",")
     if unknown := set(names) - set(_values(Level)):
         raise InvalidValue(f"unknown replacement levels: {sorted(unknown)}")
@@ -361,7 +351,7 @@ def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dk", type=int, default=32)
     p.add_argument("--pooling", choices=_values(Pooling), default="max")
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
+    p.add_argument("--channel", choices=CHANNELS, default="both")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -418,7 +408,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("corpus", type=Path)
     p.add_argument("--output", default="vocab.tsv")
     p.add_argument("--min-freq", type=int, default=1)
-    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
+    p.add_argument("--channel", choices=CHANNELS, default="both")
     _add_common(p)
     p.set_defaults(func=cmd_vocab)
 
@@ -437,7 +427,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--decode", choices=("local", "global"), default="local")
     p.add_argument("--k", type=int, default=None,
                    help="top-k pruning for global decoding, K >= 1 (default: dense)")
-    p.add_argument("--channel", choices=("both", "text", "math"), default="both")
+    p.add_argument("--channel", choices=CHANNELS, default="both")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -170,16 +170,22 @@ def filter_pair(record: PairRecord) -> FilterResult:
 # ---------------------------------------------------------------------------
 # Channel filter (text-only / math-only experiments)
 
+CHANNELS = ("both", "text", "math")
 
-def filter_channel(tokens: list[Token], channel: str) -> list[Token]:
-    """channel is one of 'both', 'text', 'math'."""
+
+def filter_channel(corpus: Corpus, channel: str) -> Corpus:
+    """``corpus`` restricted to one of ``CHANNELS``: 'both' keeps every
+    token, 'text' and 'math' only the tokens of that kind."""
+    if channel not in CHANNELS:
+        raise InvalidValue(f"unknown channel: {channel}")
     if channel == "both":
-        return list(tokens)
-    if channel == "text":
-        return [t for t in tokens if t.kind is TokenKind.TEXT]
-    if channel == "math":
-        return [t for t in tokens if t.kind is TokenKind.MATH]
-    raise InvalidValue(f"unknown channel: {channel}")
+        return corpus
+    kind = TokenKind.TEXT if channel == "text" else TokenKind.MATH
+    return Corpus([
+        replace(p, statement=[t for t in p.statement if t.kind is kind],
+                proof=[t for t in p.proof if t.kind is kind])
+        for p in corpus.pairs
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +239,8 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
 # ---------------------------------------------------------------------------
 # Serialization
 
-_FONT_SIGILS = {
-    Font.BOLD: "bold",
-    Font.ITALIC: "italic",
-    Font.SCRIPT: "script",
-    Font.FRAKTUR: "fraktur",
-    Font.DOUBLE_STRUCK: "dstruck",
-    Font.OTHER: "other",
-}
-_SIGIL_FONTS = {v: k for k, v in _FONT_SIGILS.items()}
+# A math item's font sigil is the font's value; the normal font has none.
+_SIGIL_FONTS = {f.value: f for f in Font if f is not Font.NORMAL}
 
 _ESCAPES = [("%", "%25"), ("\t", "%09"), (" ", "%20"),
             ("#", "%23"), (":", "%3A"), (",", "%2C"), ("\n", "%0A")]
@@ -264,7 +263,7 @@ def format_token(tok: Token) -> str:
         return f"t:{surf}"
     if tok.font is Font.NORMAL:
         return f"m:{surf}"
-    return f"m:{surf}#{_FONT_SIGILS[tok.font]}"
+    return f"m:{surf}#{tok.font.value}"
 
 
 def parse_token(item: str, line: int = 0, column: int = 0) -> Token:

@@ -53,13 +53,9 @@ class MatchResult:
     padded_flag: bool
 
 
-def encode_collection(state: ModelState, docs: list[list[Token]],
-                      ids: list[np.ndarray] | None = None) -> np.ndarray:
+def encode_collection(state: ModelState, ids: list[np.ndarray]) -> np.ndarray:
     """One pooled vector per document: ``forward`` runs on each document's
-    ids, which ``ids`` holds when the caller has them already; otherwise
-    the whole collection goes through one ``encode_ids`` call."""
-    if ids is None:
-        ids = state.vocab.encode_docs(docs)
+    id array."""
     return np.stack(list(map_documents(state, ids, _vector, ids)))
 
 
@@ -82,9 +78,12 @@ def build_score_matrix(state: ModelState,
     if len(statements) != len(proofs):
         raise SizeMismatch(
             f"{len(statements)} statements vs {len(proofs)} proofs")
-    s_ids, p_ids = ids if ids is not None else (None, None)
-    return score_matrix(state, encode_collection(state, statements, s_ids),
-                        encode_collection(state, proofs, p_ids))
+    # One collection's ids at a time: the statements' are freed before the
+    # proofs are encoded.
+    encode = state.vocab.encode_docs
+    s_vecs = encode_collection(state, encode(statements) if ids is None else ids[0])
+    p_vecs = encode_collection(state, encode(proofs) if ids is None else ids[1])
+    return score_matrix(state, s_vecs, p_vecs)
 
 
 def decode_local(m: np.ndarray) -> RankingResult:

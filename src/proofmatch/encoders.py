@@ -510,6 +510,7 @@ _TOKEN_KIND_CODES = {TokenKind.TEXT: 0, TokenKind.MATH: 1}
 _CODE_TOKEN_KINDS = {v: k for k, v in _TOKEN_KIND_CODES.items()}
 _FONT_CODES = {f: i for i, f in enumerate(Font)}
 _CODE_FONTS = {i: f for f, i in _FONT_CODES.items()}
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _pack_tensor(arr: np.ndarray) -> bytes:
@@ -530,6 +531,11 @@ def _unpack_tensor(buf: memoryview, off: int) -> tuple[np.ndarray, int]:
 
 
 def save_model(state: ModelState, path) -> None:
+    for name, arr in _named_tensors(state):
+        # NaN fails the comparison too
+        if not (np.abs(arr) <= _F32_MAX).all():
+            raise ModelFormatError(f"tensor {name} has values outside float32's "
+                                   "finite range")
     chunks = [_MAGIC, struct.pack("<I", _VERSION)]
     vocab = state.vocab
     chunks.append(struct.pack("<II", len(vocab), vocab.min_freq))

@@ -57,34 +57,21 @@ def report_global(result: MatchResult) -> MetricReport:
 # ---------------------------------------------------------------------------
 # Assignment distribution under local decoding
 
-_CUM_THRESHOLDS = (20, 10, 5, 2)
+# The assign.tsv buckets: proofs whose count of statements that rank them
+# first passes the comparison; the >= buckets are cumulative.
+_BUCKETS = ((">=", 20), (">=", 10), (">=", 5), (">=", 2), ("=", 1), ("<", 1))
+_COMPARE = {">=": np.greater_equal, "=": np.equal, "<": np.less}
 
 
-@dataclass
-class AssignHistogram:
-    """Cumulative buckets of proofs by the number of statements whose top-1
-    choice they are."""
-
-    ge20: int
-    ge10: int
-    ge5: int
-    ge2: int
-    eq1: int
-    lt1: int
-    n: int
-
-    def rows(self) -> list[tuple[str, int, float]]:
-        labels = (">=20", ">=10", ">=5", ">=2", "=1", "<1")
-        values = (self.ge20, self.ge10, self.ge5, self.ge2, self.eq1, self.lt1)
-        return [(lab, v, 100.0 * v / self.n) for lab, v in zip(labels, values)]
-
-
-def assignment_distribution(result: RankingResult) -> AssignHistogram:
+def assignment_distribution(result: RankingResult) -> list[tuple[str, int, float]]:
+    """One ``(label, count, percent of proofs)`` row per bucket."""
     n = len(result.top1)
     chosen = np.bincount(result.top1, minlength=n)
-    cum = [int(np.sum(chosen >= t)) for t in _CUM_THRESHOLDS]
-    return AssignHistogram(*cum, int(np.sum(chosen == 1)),
-                           int(np.sum(chosen == 0)), n)
+    rows = []
+    for op, t in _BUCKETS:
+        count = int(np.count_nonzero(_COMPARE[op](chosen, t)))
+        rows.append((f"{op}{t}", count, 100.0 * count / n))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class ReplacementMap:
     def __post_init__(self):
         targets = list(self.entries.values())
         if len(set(targets)) != len(targets):
-            raise ValueError("replacement map is not injective")
+            raise InvalidValue("replacement map is not injective")
 
 
 # ---------------------------------------------------------------------------

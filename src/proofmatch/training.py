@@ -175,6 +175,10 @@ def batch_loss_and_grads(state: ModelState, batch_pairs, loss_fn,
 
 
 def _global(m):
+    if not np.isfinite(m).all():
+        # no assignment is defined, and ``train`` reports a NaN loss as
+        # NonFiniteLoss
+        return math.nan, np.zeros_like(m)
     loss, grad, _ = global_loss(m)
     return loss, grad
 
@@ -221,8 +225,7 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     history = TrainHistory()
     tail = _TailAverage()
     tail_start = config.epochs // 2  # averaging over the second half
-    best_acc = -1.0
-    best_state = state.copy()
+    best_acc = -1.0  # the first evaluation is always the best so far
     step_count = 0
     train_s, train_p = _pair_ids(state, corpus)
     dev_statements = [p.statement for p in dev_corpus.pairs]

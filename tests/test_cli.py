@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 
+import numpy as np
 import pytest
 
 from dataclasses import replace as dc_replace
@@ -21,7 +22,8 @@ from proofmatch.encoders import (
 from proofmatch.evalharness import assignment_distribution
 from proofmatch.mathml import linearize_mathml
 from proofmatch.training import TrainHistory
-from conftest import repeated_token_pair, separable_corpus
+from conftest import (MARKER, letter_corpus, repeated_token_pair, save_marker_as,
+                      separable_corpus)
 
 
 def raw_line(pair_id, n_statement=25, n_proof=25, mathml=None):
@@ -449,15 +451,38 @@ class TestTrainEval:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("lr, message", [
+        ("1e300", "error: non-finite loss on batch "),
+        ("1e100", "error: tensor embeddings has values outside float32's "),
+    ])
+    def test_diverging_training_is_one_error_line(self, tmp_path, capsys, lr,
+                                                  message):
+        # hybrid SGD at 1e300 overflows the global step's in-batch scores;
+        # at 1e100 training ends with parameters float32 cannot hold
+        corpus = tmp_path / "letters.tsv"
+        write_corpus(letter_corpus(np.random.default_rng(0), 8), corpus)
+        out = tmp_path / "t"
+        out.mkdir()
+        (out / "model.pmm").write_bytes(b"previous")
+        argv = ["train", str(corpus), str(corpus), "--objective",
+                "hybrid", "--optimizer", "sgd", "--lr", lr, "--epochs", "2",
+                "--batch-size", "4", "--eval-every", "2", "--out-dir", str(out),
+                "--quiet"]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+        assert (out / "model.pmm").read_bytes() == b"previous"
+
     @pytest.mark.parametrize("decode", ["local", "global"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_checkpoint_is_one_error_line(self, tmp_path, corpus_file,
                                                      capsys, decode, value):
         state = init_model(build_vocab(read_corpus(corpus_file)),
                            EncoderConfig(d=8))
-        state.embeddings[1, 0] = value
+        state.embeddings[1, 0] = MARKER
         model = tmp_path / "m.pmm"
-        save_model(state, model)
+        save_marker_as(state, model, value)
         capsys.readouterr()
         assert main(["eval", str(model), str(corpus_file), "--decode", decode,
                      "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
@@ -661,7 +686,7 @@ def test_eval_writes_the_assignment_histogram_under_local_decoding(
     pairs = read_corpus(corpus_file).pairs
     m = build_score_matrix(load_model(model), [p.statement for p in pairs],
                            [p.proof for p in pairs])
-    rows = assignment_distribution(decode_local(m)).rows()
+    rows = assignment_distribution(decode_local(m))
     assert (local / "assign.tsv").read_text().splitlines() == [
         f"{label}\t{count}\t{percent:.2f}" for label, count, percent in rows]
     assert main(["eval", str(model), str(corpus_file), "--decode", "global",

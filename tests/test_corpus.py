@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proofmatch.cli import _parse_raw_item
+from proofmatch.errors import InvalidValue
 from proofmatch.corpus import (
     Corpus,
     EmptyCorpus,
@@ -209,6 +210,7 @@ class TestSerialization:
     @pytest.mark.parametrize("parse_item, bad", [
         pytest.param(parse_item, "m:x#zz", id="parse_item"),
         pytest.param(_parse_raw_item, "m:x#zz", id="_parse_raw_item"),
+        pytest.param(parse_item, "m:x#normal", id="parse_item-normal_sigil"),
         pytest.param(_parse_raw_item, "x:%3Cmath%3E%3Cmi%3Ex%3C/math%3E",
                      id="_parse_raw_item-malformed_mathml"),
     ])
@@ -250,7 +252,12 @@ class TestSerialization:
 
 class TestChannelFilter:
     def test_math_only(self):
-        toks = [text_token("w"), math_token("x")]
-        assert filter_channel(toks, "math") == [math_token("x")]
-        assert filter_channel(toks, "text") == [text_token("w")]
-        assert filter_channel(toks, "both") == toks
+        w, x = text_token("w"), math_token("x", Font.BOLD)
+        corpus = Corpus([PairRecord("p", "a", [], [w, x], [x, w, x])])
+        math = filter_channel(corpus, "math").pairs[0]
+        assert (math.statement, math.proof) == ([x], [x, x])
+        text = filter_channel(corpus, "text").pairs[0]
+        assert (text.statement, text.proof) == ([w], [w])
+        assert filter_channel(corpus, "both") is corpus
+        with pytest.raises(InvalidValue, match="unknown channel: Math"):
+            filter_channel(corpus, "Math")

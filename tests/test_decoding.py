@@ -131,7 +131,8 @@ def test_encode_collection_matches_per_document_forward(layout):
                 vocab.id_of.get(t, UNK_ID) for t in d]
         per_doc = np.stack([forward(state, vocab.encode_ids(d))[0]
                             for d in docs])
-        assert np.array_equal(encode_collection(state, docs), per_doc)
+        assert np.array_equal(encode_collection(state, vocab.encode_docs(docs)),
+                              per_doc)
 
 
 class TestDecodeLocal:

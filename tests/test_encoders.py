@@ -37,7 +37,8 @@ from proofmatch.encoders import (
 )
 from proofmatch.corpus import EmptyCorpus
 from attention_reference import backward_dense, forward_dense
-from conftest import letter_corpus, random_corpus, rebuilt_tokens
+from conftest import (MARKER, letter_corpus, random_corpus, rebuilt_tokens,
+                      save_marker_as)
 
 
 def one_pair_corpus(tokens):
@@ -442,19 +443,38 @@ class TestSerialization:
                                                  name, cell):
         state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
         arr, idx = cell(state)
-        arr[idx] = value
+        arr[idx] = MARKER
         path = tmp_path / "m.pmm"
-        save_model(state, path)
+        save_marker_as(state, path, value)
         with pytest.raises(ModelFormatError,
                            match=rf"non-finite values in tensor {re.escape(name)}$"):
             load_model(path)
 
     def test_non_finite_bias_is_a_format_error(self, tmp_path):
         state = small_state()
-        state.head.b = float("nan")
-        save_model(state, tmp_path / "m.pmm")
+        state.head.b = MARKER
+        save_marker_as(state, tmp_path / "m.pmm", float("nan"))
         with pytest.raises(ModelFormatError, match="tensor head.b"):
             load_model(tmp_path / "m.pmm")
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    @pytest.mark.parametrize("name,put", [
+        ("embeddings", lambda s, v: s.embeddings.__setitem__((1, 0), v)),
+        ("layers[1].wk", lambda s, v: s.layers[1].wk.__setitem__((0, 2, 1), v)),
+        ("head.b", lambda s, v: setattr(s.head, "b", v)),
+    ], ids=["embeddings", "layer1_wk", "head_b"])
+    def test_save_refuses_values_outside_float32_and_keeps_checkpoint(
+            self, tmp_path, value, name, put):
+        state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
+        path = tmp_path / "m.pmm"
+        save_model(state, path)
+        before = path.read_bytes()
+        put(state, value)
+        with pytest.raises(ModelFormatError,
+                           match=rf"^tensor {re.escape(name)} has values outside "):
+            save_model(state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
 
 
 def arange_state(kind, layers):

@@ -4,7 +4,6 @@ import pytest
 from proofmatch.decoding import decode_local
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.evalharness import (
-    AssignHistogram,
     EmptyInput,
     assignment_distribution,
     evaluate_local,
@@ -15,7 +14,7 @@ from proofmatch.evalharness import (
 )
 from proofmatch.symbols import CONSERVATION, FULL
 from proofmatch.training import Objective, TrainConfig
-from proofmatch.decoding import MatchResult
+from proofmatch.decoding import MatchResult, RankingResult
 from conftest import separable_corpus, symbol_dependent_corpus
 
 
@@ -71,31 +70,37 @@ class TestReports:
         assert scaled.accuracy == base.accuracy
 
 
+def bucket_counts(result):
+    return {label: count for label, count, _ in assignment_distribution(result)}
+
+
 class TestAssignHistogram:
     def test_dominant_column(self):
         m = np.zeros((6, 6))
         m[:, 3] = 1.0
-        hist = assignment_distribution(decode_local(m))
-        assert hist.ge5 == 1 and hist.ge2 == 1
-        assert hist.eq1 == 0 and hist.lt1 == 5
+        counts = bucket_counts(decode_local(m))
+        assert counts[">=5"] == 1 and counts[">=2"] == 1
+        assert counts["=1"] == 0 and counts["<1"] == 5
 
     def test_identity_matrix(self):
-        hist = assignment_distribution(decode_local(np.eye(5)))
-        assert hist.eq1 == 5 and hist.lt1 == 0 and hist.ge2 == 0
+        counts = bucket_counts(decode_local(np.eye(5)))
+        assert counts["=1"] == 5 and counts["<1"] == 0 and counts[">=2"] == 0
 
     def test_counting_identities(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(1, 40))
-            hist = assignment_distribution(decode_local(rng.normal(size=(n, n))))
-            assert hist.eq1 + hist.lt1 + hist.ge2 == n
-            assert hist.ge20 <= hist.ge10 <= hist.ge5 <= hist.ge2 <= n
+            counts = bucket_counts(decode_local(rng.normal(size=(n, n))))
+            assert counts["=1"] + counts["<1"] + counts[">=2"] == n
+            assert (counts[">=20"] <= counts[">=10"] <= counts[">=5"]
+                    <= counts[">=2"] <= n)
 
     def test_rows_percentages(self):
-        hist = AssignHistogram(0, 0, 1, 2, 3, 5, 10)
-        rows = hist.rows()
-        assert rows[4] == ("=1", 3, 30.0)
-        assert rows[5] == ("<1", 5, 50.0)
+        # of 10 proofs, one is ranked first 5 times, one twice, three once
+        top1 = np.array([0, 0, 0, 0, 0, 1, 1, 2, 3, 4])
+        rows = assignment_distribution(RankingResult(np.ones(10, int), top1))
+        assert rows == [(">=20", 0, 0.0), (">=10", 0, 0.0), (">=5", 1, 10.0),
+                        (">=2", 2, 20.0), ("=1", 3, 30.0), ("<1", 5, 50.0)]
 
 
 def tiny_train_config(epochs=120):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from proofmatch.corpus import (
     Corpus, Font, FormatError, PairRecord, Token, math_token, read_corpus,
     text_token, write_corpus)
+from proofmatch.errors import InvalidValue
 from proofmatch.symbols import (
     CONSERVATION,
     FULL,
@@ -14,6 +15,7 @@ from proofmatch.symbols import (
     PoolExhausted,
     ProtectedSet,
     ReplacementLevel,
+    ReplacementMap,
     SymbolKey,
     build_replacement_map,
     read_protected_set,
@@ -166,6 +168,11 @@ class TestBuildMap:
                                          forbidden={k.base for k in shared})
             targets = list(rmap.entries.values())
             assert len(set(targets)) == len(targets)
+
+    def test_non_injective_map_is_invalid_value(self):
+        with pytest.raises(InvalidValue, match="not injective"):
+            ReplacementMap({SymbolKey("a"): SymbolKey("c"),
+                            SymbolKey("b"): SymbolKey("c")})
 
     def test_pool_exhausted(self):
         # every letter but the shared one is protected: no fresh name is left

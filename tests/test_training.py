@@ -9,6 +9,7 @@ from proofmatch.encoders import (
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
     DegenerateBatch,
+    NonFiniteLoss,
     Objective,
     Optimizer,
     TrainConfig,
@@ -20,7 +21,7 @@ from proofmatch.training import (
     write_history,
 )
 from brute import solve_brute
-from conftest import separable_corpus
+from conftest import letter_corpus, separable_corpus
 from gradcheck import FD_TOL, max_gradient_error, random_batch, random_config, random_model
 
 
@@ -286,6 +287,19 @@ class TestTrainLoop:
         assert loss_ids == loss
         for a, b in zip(grads_ids.param_arrays(), grads.param_arrays(), strict=True):
             assert np.array_equal(a, b)
+
+    def test_hybrid_on_non_finite_scores_is_non_finite_loss(self):
+        # the local step moves the parameters by ~1e300, so the global
+        # step's in-batch scores overflow: its batch shares tokens with the
+        # local step's
+        corpus = letter_corpus(np.random.default_rng(0), 8)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 0)
+        cfg = quick_config(objective=Objective.HYBRID, optimizer=Optimizer.SGD,
+                           lr=1e300, epochs=2)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
+            train(corpus, corpus, state, cfg)
+        assert len(err.value.batch_ids) == 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
