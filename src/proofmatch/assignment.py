@@ -23,17 +23,16 @@ objective is always summed from the scores themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    maximum_bipartite_matching,
-    min_weight_full_bipartite_matching,
-)
 
 from .errors import ProofmatchError
+
+# scipy is imported by the functions that call it: importing it takes about
+# half a second, and the corpus subcommands never solve an assignment.
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class AssignmentError(ProofmatchError):
@@ -56,6 +55,7 @@ class SparseScores:
 def solve_dense(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Optimal maximization assignment of a dense score matrix; ``m`` is
     read, never written."""
+    from scipy.optimize import linear_sum_assignment
     cost = np.negative(m, dtype=np.float64)
     # Rows first, then columns. At n=2000 on eval-n2000 score matrices this
     # took the solve to 0.65x its unreduced time at the median (0.77x at
@@ -111,6 +111,7 @@ def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
     no uncovered column, C_V and R_V are empty and the one remaining part is
     the whole graph.
     """
+    from scipy.sparse.csgraph import maximum_bipartite_matching
     n = sparse.cols.shape[0]
     # Minimization weights of at least 1, each row's measured from its best
     # retained score: exact wherever every row is matched.
@@ -139,6 +140,7 @@ def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
 def _graph(sparse: SparseScores, top: np.ndarray | float) -> csr_matrix:
     """The retained edges weighted (top - score) + 1, which stays >= 1 while
     ``top`` is at least each row's best retained score."""
+    from scipy.sparse import csr_matrix
     n, k = sparse.cols.shape
     weights = (top - sparse.vals) + 1.0
     return csr_matrix((weights.ravel(),
@@ -150,6 +152,8 @@ def _dulmage_mendelsohn(graph: csr_matrix, row_of: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Masks of R_V and C_V, given one maximum matching of ``graph``
     (``row_of[c]`` is the row matched to column c, or -1)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
     n = graph.shape[0]
     covered = row_of >= 0
     col_of = np.full(n, -1)
@@ -174,6 +178,7 @@ def _match_part(graph: csr_matrix, row_mask: np.ndarray, col_mask: np.ndarray,
                 proof_of: np.ndarray) -> None:
     """Least-weight full matching of the rows and columns selected by the
     masks, written into ``proof_of``."""
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
     rows, cols = np.flatnonzero(row_mask), np.flatnonzero(col_mask)
     if rows.size and cols.size:
         i, j = min_weight_full_bipartite_matching(graph[rows][:, cols])

@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     CHANNELS,
@@ -459,7 +461,11 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_defaults(args, tables, argv)
         # before the work, so that an unusable --out-dir costs no training
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        code = args.func(args)
+        # Every non-finite loss, gradient, score or parameter ends in an
+        # error of its own, so numpy's overflow warnings would only come
+        # before that one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args)
     except (ProofmatchError, OSError) as exc:
         error, code = str(exc), 1
     inputs = [getattr(args, a.dest) for a in tables[args.command].values()

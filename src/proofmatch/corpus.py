@@ -12,8 +12,9 @@ starting with ``#`` are comments.
 
 A ``Token`` is an immutable (kind, surface, font) value, a named tuple
 whose hashing and equality run in C. The readers share one Token between
-equal items to save parsing and memory; no result or speed depends on
-which objects are shared.
+equal items to save parsing and memory. No result depends on which objects
+are shared, but speed does: a dict lookup whose key is the very object in
+the table skips comparing fields, which ``Vocabulary.encode_ids`` relies on.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
 collection once: one ``Vocabulary.encode_ids`` call maps all of its tokens
-to ids by value (a token is an immutable value hashed and compared in C,
-so which token objects are shared changes no result), then ``forward``
-runs on each document's id slice. A caller that scores one collection
-repeatedly (the dev set during training) passes the id arrays it made once
-instead.
+to ids by value, then ``forward`` runs on each document's id slice. Which
+token objects are shared changes no result, only the speed of that call
+(see ``encoders``). A caller that scores one collection repeatedly (the
+dev set during training) passes the id arrays it made once instead.
+
+``decode_local`` ranks without sorting: a gold rank is one plus the proofs
+scoring above gold plus the lower-index proofs tied with it. Ties are
+counted only on the rows that have one, so a matrix without ties costs two
+comparisons per cell.
 """
 
 from __future__ import annotations
@@ -91,7 +95,10 @@ def decode_local(m: np.ndarray) -> RankingResult:
     (score desc, index asc); gold is the same-index proof."""
     _check_finite(m)
     gold = np.diag(m)[:, None]
-    gold_rank = 1 + (m > gold).sum(1) + np.tril(m == gold, -1).sum(1)
+    gold_rank = 1 + (m > gold).sum(1)
+    tied = np.flatnonzero((m == gold).sum(1) > 1)  # gold's own cell counts 1
+    gold_rank[tied] += ((m[tied] == gold[tied])
+                        & (np.arange(m.shape[1]) < tied[:, None])).sum(1)
     return RankingResult(gold_rank.astype(np.int64),
                          np.argmax(m, axis=1).astype(np.int64))
 

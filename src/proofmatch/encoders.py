@@ -27,11 +27,15 @@ Pooled encoders, and documents too short to pay for a hand-off to a
 thread, stay on the calling thread.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
-turns tokens into ids with one dict lookup per token: a token is an
-immutable value hashed and compared in C, and readers share one Token per
-distinct item only to save parsing and memory, so no result or speed
-depends on object identity. Collections and batches are encoded in one
-call (``Vocabulary.encode_docs``) and ``forward`` takes each document's ids.
+turns tokens into ids through a memo that lives for one call: the
+vocabulary is consulted once per distinct token, and every other token is
+a lookup in the memo. A token is an immutable value hashed and compared in
+C, so no result depends on object identity, but speed does: readers share
+one Token per distinct item, so a memo hit compares a token with itself,
+while the vocabulary's keys (from ``build_vocab`` or ``load_model``) are
+separate objects whose fields are compared one by one. Collections and
+batches are encoded in one call (``Vocabulary.encode_docs``) and
+``forward`` takes each document's ids.
 
 Model files are a versioned binary container: magic ``PMM1``, vocabulary,
 config, row-major little-endian float32 parameter tensors, and a trailing
@@ -91,7 +95,7 @@ class Vocabulary:
 
     def encode_ids(self, doc: list[Token]) -> np.ndarray:
         """The id of every token of ``doc``, UNK_ID where it has none."""
-        return np.fromiter(map(self.id_of.get, doc, itertools.repeat(UNK_ID)),
+        return np.fromiter(map(_IdMemo(self.id_of).__getitem__, doc),
                            dtype=np.int64, count=len(doc))
 
     def encode_docs(self, docs: list[list[Token]]) -> list[np.ndarray]:
@@ -100,6 +104,18 @@ class Vocabulary:
         ids = self.encode_ids([t for doc in docs for t in doc])
         ends = list(itertools.accumulate(len(doc) for doc in docs))
         return [ids[a:b] for a, b in zip([0] + ends, ends)]
+
+
+class _IdMemo(dict):
+    """``Token -> id`` for one ``encode_ids`` call: ``id_of`` is consulted
+    once per distinct token."""
+
+    def __init__(self, id_of: dict[Token, int]):
+        self.id_of = id_of
+
+    def __missing__(self, tok: Token) -> int:
+        i = self[tok] = self.id_of.get(tok, UNK_ID)
+        return i
 
 
 def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
@@ -483,14 +499,21 @@ def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
     order. Each document is one task on the encoder pool, created on first
     use, unless the encoder has one thread, there is one document, or the
     documents are too little work (``_MIN_POOL_WORK``). ``fn`` must not
-    write shared state."""
+    write shared state. Tasks run under the caller's numpy error state,
+    which is per thread."""
     cfg = state.config
     workers = threads(cfg)
     args = (itertools.repeat(state), *iterables)
     if (workers < 2 or len(ids) < 2
             or _layer_work(cfg, sum(map(len, ids)) / len(ids)) < _MIN_POOL_WORK):
         return map(fn, *args)
-    return _executor(workers).map(fn, *args)
+    return _executor(workers).map(
+        functools.partial(_under_errstate, np.geterr(), fn), *args)
+
+
+def _under_errstate(err: dict[str, str], fn, *args):
+    with np.errstate(**err):
+        return fn(*args)
 
 
 # ---------------------------------------------------------------------------

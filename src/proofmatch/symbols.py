@@ -8,9 +8,10 @@ as a pair, fonts are preserved, and double-struck letters, standard
 constants and an optional protected set are exempt.
 
 A token is an immutable value hashed and compared in C; readers share one
-Token per distinct item to save parsing and memory, and no result or speed
-depends on object identity. ``replace_corpus`` keys its work by value: one
-candidate table, built once per call from the corpus's distinct tokens,
+Token per distinct item to save parsing and memory. No result depends on
+object identity, but a lookup of a shared Token is faster: it equals itself
+without a comparison of fields. ``replace_corpus`` keys its work by value:
+one candidate table, built once per call from the corpus's distinct tokens,
 gives every document's candidates by a set intersection, and the rename is
 a dict lookup per token. Each call builds one renamed Token per (surface,
 font) and shares it between the pairs, and conservation copies the proofs

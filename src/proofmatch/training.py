@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import assignment
 from .corpus import Corpus
@@ -107,6 +106,7 @@ class TrainHistory:
 def local_loss(m_b: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum over the batch of -log softmax at the diagonal.
     Gradient is softmax(rows) minus the identity."""
+    from scipy.special import logsumexp  # on use, as in assignment
     b = m_b.shape[0]
     if b < 2:
         raise DegenerateBatch("local loss needs at least two in-batch pairs")
@@ -252,6 +252,10 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
             if not math.isfinite(loss):
                 raise NonFiniteLoss([p.pair_id for p in batch])
             norm = grads.global_norm()
+            if not math.isfinite(norm):
+                # lr * clip_norm / inf would be a zero step
+                raise TrainingError("non-finite gradient norm on batch "
+                                    f"{[p.pair_id for p in batch]}")
             step_size = lr
             if config.clip_norm and norm > config.clip_norm:
                 step_size = lr * config.clip_norm / norm

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,8 +17,8 @@ from pathlib import Path
 from proofmatch import encoders
 from proofmatch.cli import main
 from proofmatch.corpus import (
-    Corpus, _escape, format_record, math_token, read_corpus, read_records,
-    write_corpus)
+    Corpus, PairRecord, _escape, format_record, math_token, read_corpus,
+    read_records, write_corpus)
 from proofmatch.decoding import build_score_matrix, decode_local
 from proofmatch.encoders import (
     EncoderConfig, build_vocab, init_model, load_model, save_model)
@@ -453,12 +456,14 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("lr, message", [
         ("1e300", "error: non-finite loss on batch "),
-        ("1e100", "error: tensor embeddings has values outside float32's "),
+        ("1e100", "error: non-finite gradient norm on batch "),
+        ("1e50", "error: tensor embeddings has values outside float32's "),
     ])
     def test_diverging_training_is_one_error_line(self, tmp_path, capsys, lr,
                                                   message):
-        # hybrid SGD at 1e300 overflows the global step's in-batch scores;
-        # at 1e100 training ends with parameters float32 cannot hold
+        # hybrid SGD at 1e300 overflows the global step's in-batch scores; at
+        # 1e100 the gradient's sum of squares overflows; at 1e50 training
+        # ends with parameters float32 cannot hold
         corpus = tmp_path / "letters.tsv"
         write_corpus(letter_corpus(np.random.default_rng(0), 8), corpus)
         out = tmp_path / "t"
@@ -787,3 +792,60 @@ def test_pinned_text_outputs(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (raw, *out.glob("*.tsv"))}
     assert digests == PINNED_OUTPUTS
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports proofmatch from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+CORPUS_COMMANDS = """
+import json, sys
+from proofmatch.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+raw, corpus, out = sys.argv[1:]
+on_import = scipy_modules()
+common = ["--out-dir", out, "--quiet"]
+codes = [main(["ingest", raw, *common]), main(["split", corpus, *common]),
+         main(["replace", corpus, "--level", "full", *common]),
+         main(["vocab", corpus, *common])]
+print(json.dumps([on_import, codes, scipy_modules()]))
+"""
+
+
+def test_import_and_corpus_commands_load_no_scipy(tmp_path, corpus_file):
+    # scipy is imported where an assignment is solved or a local loss is
+    # taken, so importing the CLI and the corpus commands never pay for it
+    raw = tmp_path / "raw.tsv"
+    write_raw(raw, [raw_line("keep1"), raw_line("keep2")])
+    run = run_python(CORPUS_COMMANDS, raw, corpus_file, tmp_path / "out")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[], [0, 0, 0, 0], []]
+
+
+@pytest.mark.parametrize("encoder", ["pooled", "selfattn"])
+@pytest.mark.parametrize("lr", ["1e300", "1e100"])
+def test_diverging_training_prints_no_warnings(tmp_path, encoder, lr):
+    # stderr is the error line alone, also from documents long enough (80
+    # tokens at d=64) to be encoded on the self-attentive encoder's pool
+    letters = letter_corpus(np.random.default_rng(0), 8)
+    corpus = tmp_path / "long.tsv"
+    write_corpus(Corpus([PairRecord(p.pair_id, p.article_id, [],
+                                    p.statement * 8, p.proof * 8)
+                         for p in letters.pairs]), corpus)
+    run = run_python(
+        "import sys; from proofmatch.cli import main; sys.exit(main(sys.argv[1:]))",
+        "train", corpus, corpus, "--encoder", encoder, "--objective", "hybrid",
+        "--optimizer", "sgd", "--lr", lr, "--epochs", "2", "--batch-size", "4",
+        "--out-dir", tmp_path / "t", "--quiet")
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert run.stderr.startswith("error: non-finite ")

@@ -175,6 +175,56 @@ class TestDecodeLocal:
                 assert result.top1[i] == order[0]
 
 
+def lexsort_ranks(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Gold rank and top-1 from each row's full (score desc, index asc)
+    order."""
+    n = m.shape[1]
+    orders = [np.lexsort((np.arange(n), -row)).tolist() for row in m]
+    return ([order.index(i) + 1 for i, order in enumerate(orders)],
+            [order[0] for order in orders])
+
+
+def assert_ranks_match_lexsort(m: np.ndarray) -> None:
+    result = decode_local(m)
+    gold_rank, top1 = lexsort_ranks(m)
+    assert result.gold_rank.dtype == result.top1.dtype == np.int64
+    assert result.gold_rank.tolist() == gold_rank
+    assert result.top1.tolist() == top1
+
+
+class TestDecodeLocalTies:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_constant_matrix_ranks_by_index(self, n):
+        m = np.full((n, n), 0.25)
+        assert decode_local(m).gold_rank.tolist() == list(range(1, n + 1))
+        assert_ranks_match_lexsort(m)
+
+    @pytest.mark.parametrize("values", [2, 3, 5])
+    def test_small_integer_matrices_match_lexsort(self, values):
+        rng = np.random.default_rng(values)
+        for n in (1, 2, 5, 16, 60):
+            assert_ranks_match_lexsort(
+                rng.integers(0, values, size=(n, n)).astype(float))
+
+    def test_ties_on_some_rows_only(self):
+        # most rows have distinct scores; a few have gold tied with columns
+        # before and after it
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(40, 40))
+        for i in (0, 7, 39):
+            m[i, [0, 20, 39]] = m[i, i]
+        m[12, 12] = m[12, 3]
+        assert_ranks_match_lexsort(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([-1.5, 0.0, 0.0, 2.0, 1e300, -0.0]),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_decode_local_matches_lexsort(rows):
+    assert_ranks_match_lexsort(np.array(rows))
+
+
 class TestDecodeGlobal:
     def test_dense_matches_brute_force(self):
         rng = np.random.default_rng(2)

@@ -79,18 +79,28 @@ class TestVocabulary:
             build_vocab(Corpus([]), 1)
 
     def test_equal_tokens_need_not_be_one_object(self, tmp_path):
-        # the reader shares one Token per distinct item; rebuilt field by
-        # field, every occurrence is its own object and the ids are the same
+        # the reader shares one Token per distinct item; a second read of the
+        # file, or tokens rebuilt field by field, are equal values but other
+        # objects, and every token gets the id a lookup of it gives, UNK
+        # and empty documents included
         write_corpus(letter_corpus(np.random.default_rng(6), 20), tmp_path / "c.tsv")
         shared = read_corpus(tmp_path / "c.tsv")
+        second = read_corpus(tmp_path / "c.tsv")
+        assert shared.pairs[0].proof[0] is not second.pairs[0].proof[0]
         rebuilt = rebuilt_tokens(shared)
         vocab = build_vocab(shared, 27)  # about half the tokens are UNK
         assert build_vocab(rebuilt, 27).tokens == vocab.tokens
-        docs = [p.proof for p in shared.pairs]
-        expected = vocab.encode_docs(docs)
+        unknown = [text_token("nowhere"), math_token("a", Font.SCRIPT)]
+        expected = vocab.encode_docs([p.proof for p in shared.pairs])
         assert any(UNK_ID in ids for ids in expected) and len(vocab) > 2
-        got = vocab.encode_docs([p.proof for p in rebuilt.pairs])
-        assert [a.tolist() for a in got] == [b.tolist() for b in expected]
+        for corpus in (shared, second, rebuilt):
+            docs = [p.proof for p in corpus.pairs]
+            got = vocab.encode_docs(docs)
+            assert [a.tolist() for a in got] == [b.tolist() for b in expected]
+            for doc in docs + [unknown * 3, [], docs[0] + unknown]:
+                ids = vocab.encode_ids(doc)
+                assert ids.dtype == np.int64
+                assert ids.tolist() == [vocab.id_of.get(t, UNK_ID) for t in doc]
 
     def test_ids_are_per_occurrence_lookups(self):
         corpus = one_pair_corpus([math_token("a"), text_token("a"),
@@ -103,6 +113,38 @@ class TestVocabulary:
         reference = [vocab.id_of.get(t, UNK_ID) for t in doc]  # per occurrence
         assert ids.dtype == np.int64 and ids.tolist() == reference
         assert ids[3] == UNK_ID and ids[0] == ids[4] != ids[8]
+
+    def test_vocabulary_consulted_once_per_distinct_token_per_call(self):
+        class CountingDict(dict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.lookups = []
+
+            def get(self, key, default=None):
+                self.lookups.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.lookups.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.lookups.append(key)
+                return super().__contains__(key)
+
+        corpus = letter_corpus(np.random.default_rng(8), 12)
+        vocab = build_vocab(corpus, 3)
+        counted = CountingDict(vocab.id_of)
+        vocab.id_of = counted
+        rebuilt = rebuilt_tokens(corpus)  # equal values, separate objects
+        doc = ([t for p in corpus.pairs for t in p.proof]
+               + [t for p in rebuilt.pairs for t in p.statement]
+               + [text_token("nowhere")] * 4)
+        expected = [dict.get(counted, t, UNK_ID) for t in doc]
+        for _ in range(2):  # no lookup is remembered from one call to the next
+            counted.lookups.clear()
+            assert vocab.encode_ids(doc).tolist() == expected
+            assert len(counted.lookups) == len(set(counted.lookups)) == len(set(doc))
 
 
 def small_state(kind=EncoderKind.POOLED, pooling=Pooling.MAX, layers=1,

@@ -13,6 +13,7 @@ from proofmatch.training import (
     Objective,
     Optimizer,
     TrainConfig,
+    TrainingError,
     batch_loss_and_grads,
     global_loss,
     local_loss,
@@ -300,6 +301,29 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
             train(corpus, corpus, state, cfg)
         assert len(err.value.batch_ids) == 4
+
+    def test_infinite_gradient_norm_is_an_error_before_the_step(self, monkeypatch):
+        # at lr 1e100 the first step leaves parameters whose next gradient's
+        # sum of squares overflows; clipping by it would take a zero step
+        import proofmatch.training as training
+        applied = []
+
+        def recording_apply(state, grads, lr):
+            applied.append(grads.global_norm())
+            apply_gradients(state, grads, lr)
+
+        monkeypatch.setattr(training, "apply_gradients", recording_apply)
+        corpus = letter_corpus(np.random.default_rng(0), 8)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 0)
+        cfg = quick_config(objective=Objective.HYBRID, optimizer=Optimizer.SGD,
+                           lr=1e100, epochs=4)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
+            train(corpus, corpus, state, cfg)
+        message = str(err.value)
+        assert message.startswith("non-finite gradient norm on batch [")
+        assert "\n" not in message and message.count("'p") == 4
+        assert applied and all(map(math.isfinite, applied))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
