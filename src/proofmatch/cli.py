@@ -1,9 +1,10 @@
 """Command-line front door: ingest, split, replace, vocab, train, eval, grid.
 
 Every run writes a manifest (resolved configuration, input checksums,
-version, wall-clock, and for the commands that encode documents the
-encoder's thread count) next to its outputs so any reported number can be
-reproduced and its time explained from the manifest alone. A flat ``key = value`` config file can
+version, wall-clock, for the commands that encode documents the
+encoder's thread count, and for ``grid`` its number of worker processes)
+next to its outputs so any reported number can be reproduced and its time
+explained from the manifest alone. A flat ``key = value`` config file can
 supply defaults; explicit command-line flags win.
 """
 
@@ -55,6 +56,7 @@ from .encoders import (
 from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
     assignment_distribution,
+    grid_processes,
     report_global,
     report_local,
     run_grid,
@@ -141,9 +143,11 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v)
                    for k, v in sorted(vars(args).items())
-                   if k not in ("func", "threads")},
+                   if k not in ("func", "threads", "processes")},
         # the encoder's thread count, which the commands that encode set
         "threads": getattr(args, "threads", None),
+        # the grid's worker processes, set before its pool starts
+        "processes": getattr(args, "processes", None),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
@@ -324,8 +328,10 @@ def cmd_grid(args) -> int:
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
     encoder = _encoder_config(args)
     args.threads = threads(encoder)
+    protected = _load_protected(args)
+    args.processes = grid_processes(len(levels))
     report = run_grid(train_c, dev_c, test_c, levels, encoder,
-                      _train_config(args), _load_protected(args),
+                      _train_config(args), protected,
                       seed=args.seed, min_freq=args.min_freq)
     with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")

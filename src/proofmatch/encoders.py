@@ -493,6 +493,13 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="proofmatch-encoder")
 
 
+# A forked child (a grid worker) has only the thread that forked it. The
+# cached pool's threads do not exist there, so its first map would never
+# return: the child builds a pool of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
 def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
     """``fn(state, *args)`` for each document of ``ids``, with ``args``
     drawn one per document from ``iterables``; the results come in document

@@ -325,31 +325,39 @@ class TestTrainEval:
 
     def test_manifest_records_encoder_threads(self, tmp_path, corpus_file,
                                               monkeypatch):
-        # one thread per usable core for attention layers, 1 for pooled
+        # one thread per usable core for attention layers, 1 for pooled;
+        # one grid process per usable core, at most one per level
         monkeypatch.setattr(encoders, "_WORKERS", 3)
         small = ["--dim", "8", "--heads", "2", "--dk", "4", "--batch-size",
                  "5", "--epochs", "1", "--quiet"]
         files = [str(corpus_file)] * 3
         for encoder, want in (("selfattn", 3), ("pooled", 1)):
             out = tmp_path / encoder
-            runs = [["train", *files[:2], "--encoder", encoder, *small],
-                    ["eval", str(out / "model.pmm"), files[0], "--quiet"],
-                    ["grid", *files, "--encoder", encoder, "--levels", "full",
-                     *small]]
-            for argv in runs:
+            runs = [(["train", *files[:2], "--encoder", encoder, *small], None),
+                    (["eval", str(out / "model.pmm"), files[0], "--quiet"], None),
+                    (["grid", *files, "--encoder", encoder, "--levels", "full",
+                      *small], 1),
+                    (["grid", *files, "--encoder", encoder, "--levels",
+                      "conservation,full", *small], 2)]
+            for argv, processes in runs:
                 assert main([*argv, "--out-dir", str(out)]) == 0
                 manifest = json.loads(
                     (out / f"manifest-{argv[0]}.json").read_text())
                 assert manifest["threads"] == want
+                assert manifest["processes"] == processes
                 assert "threads" not in manifest["config"]
+                assert "processes" not in manifest["config"]
         out = tmp_path / "other"
         assert main(["split", files[0], "--out-dir", str(out), "--quiet"]) == 0
         assert main(["eval", str(tmp_path / "missing.pmm"), files[0],
                      "--out-dir", str(out), "--quiet"]) == 1
-        for command in ("split", "eval"):
+        assert main(["grid", files[0], str(tmp_path / "missing.tsv"), files[0],
+                     "--out-dir", str(out), "--quiet"]) == 1
+        for command in ("split", "eval", "grid"):
             manifest = json.loads(
                 (out / f"manifest-{command}.json").read_text())
             assert manifest["threads"] is None
+            assert manifest["processes"] is None
 
     def test_failed_run_manifest_names_the_error(self, tmp_path, corpus_file,
                                                  capsys):
@@ -808,22 +816,25 @@ CORPUS_COMMANDS = """
 import json, sys
 from proofmatch.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def lazy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "multiprocessing")
+                  or m == "concurrent.futures.process")
 
 raw, corpus, out = sys.argv[1:]
-on_import = scipy_modules()
+on_import = lazy_modules()
 common = ["--out-dir", out, "--quiet"]
 codes = [main(["ingest", raw, *common]), main(["split", corpus, *common]),
          main(["replace", corpus, "--level", "full", *common]),
          main(["vocab", corpus, *common])]
-print(json.dumps([on_import, codes, scipy_modules()]))
+print(json.dumps([on_import, codes, lazy_modules()]))
 """
 
 
 def test_import_and_corpus_commands_load_no_scipy(tmp_path, corpus_file):
     # scipy is imported where an assignment is solved or a local loss is
-    # taken, so importing the CLI and the corpus commands never pay for it
+    # taken, and the process pool where a grid starts, so importing the CLI
+    # and the corpus commands never pay for them
     raw = tmp_path / "raw.tsv"
     write_raw(raw, [raw_line("keep1"), raw_line("keep2")])
     run = run_python(CORPUS_COMMANDS, raw, corpus_file, tmp_path / "out")
@@ -831,21 +842,40 @@ def test_import_and_corpus_commands_load_no_scipy(tmp_path, corpus_file):
     assert json.loads(run.stdout) == [[], [0, 0, 0, 0], []]
 
 
+# ``match`` with the usable core count set to argv[1]
+MAIN_ON_CORES = """
+import sys
+from proofmatch import encoders
+from proofmatch.cli import main
+encoders._WORKERS = int(sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
 @pytest.mark.parametrize("encoder", ["pooled", "selfattn"])
 @pytest.mark.parametrize("lr", ["1e300", "1e100"])
-def test_diverging_training_prints_no_warnings(tmp_path, encoder, lr):
+def test_diverging_training_prints_no_warnings(tmp_path, command, encoder, lr):
     # stderr is the error line alone, also from documents long enough (80
-    # tokens at d=64) to be encoded on the self-attentive encoder's pool
+    # tokens at d=64) to be encoded on the self-attentive encoder's pool,
+    # and from a grid whose rows run in worker processes: its line is the
+    # line of the grid run in the calling process
     letters = letter_corpus(np.random.default_rng(0), 8)
     corpus = tmp_path / "long.tsv"
     write_corpus(Corpus([PairRecord(p.pair_id, p.article_id, [],
                                     p.statement * 8, p.proof * 8)
                          for p in letters.pairs]), corpus)
-    run = run_python(
-        "import sys; from proofmatch.cli import main; sys.exit(main(sys.argv[1:]))",
-        "train", corpus, corpus, "--encoder", encoder, "--objective", "hybrid",
-        "--optimizer", "sgd", "--lr", lr, "--epochs", "2", "--batch-size", "4",
-        "--out-dir", tmp_path / "t", "--quiet")
-    assert run.returncode == 1
-    assert len(run.stderr.splitlines()) == 1, run.stderr
-    assert run.stderr.startswith("error: non-finite ")
+    inputs = [corpus] * (2 if command == "train" else 3)
+    levels = [] if command == "train" else ["--levels", "conservation,full"]
+    lines = []
+    for cores in (2, 1):
+        run = run_python(
+            MAIN_ON_CORES, cores, command, *inputs, *levels, "--encoder",
+            encoder, "--objective", "hybrid", "--optimizer", "sgd", "--lr", lr,
+            "--epochs", "2", "--batch-size", "4", "--out-dir", tmp_path / "t",
+            "--quiet")
+        assert run.returncode == 1
+        assert len(run.stderr.splitlines()) == 1, run.stderr
+        assert run.stderr.startswith("error: non-finite ")
+        lines.append(run.stderr)
+    assert lines[0] == lines[1]

@@ -1,12 +1,19 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from proofmatch import encoders, evalharness
+from proofmatch.cli import main
+from proofmatch.corpus import write_corpus
 from proofmatch.decoding import decode_local
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.evalharness import (
     EmptyInput,
     assignment_distribution,
     evaluate_local,
+    grid_processes,
     mrr,
     report_global,
     report_local,
@@ -150,3 +157,37 @@ class TestGrid:
         float(mrr_s), float(acc)
         assert int(n) == 6
         assert "conservation" in report.to_text()
+
+    @pytest.mark.parametrize("kind", list(EncoderKind), ids=lambda k: k.value)
+    def test_cells_do_not_depend_on_the_worker_count(self, monkeypatch, kind):
+        corpus = symbol_dependent_corpus(8)
+        cfg = EncoderConfig(kind, d=16, heads=2, d_k=8)
+        levels = [CONSERVATION, FULL]
+        cells = []
+        for workers in (1, 2):
+            monkeypatch.setattr(encoders, "_WORKERS", workers)
+            assert grid_processes(len(levels)) == workers
+            cells.append(run_grid(corpus, corpus, corpus, levels, cfg,
+                                  tiny_train_config(epochs=40), seed=1).cells)
+            assert multiprocessing.active_children() == []
+        assert cells[0] == cells[1]
+
+    def test_a_dead_worker_is_one_error_line(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        caller = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() == caller:
+                raise AssertionError("a row trained in the calling process")
+            os._exit(1)
+
+        monkeypatch.setattr(evalharness, "train", die)
+        corpus = tmp_path / "corpus.tsv"
+        write_corpus(separable_corpus(6), corpus)
+        code = main(["grid", *[str(corpus)] * 3, "--levels",
+                     "conservation,full", "--out-dir", str(tmp_path), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a grid worker process ended before returning its row\n")
+        assert multiprocessing.active_children() == []

@@ -5,8 +5,12 @@ reaches the caller."""
 from __future__ import annotations
 
 import itertools
+import os
+import signal
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +192,44 @@ def test_eval_reports_an_empty_document_in_one_line(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.err == "error: cannot encode an empty document\n"
     assert captured.out == ""
+
+
+# A self-attentive batch builds the encoder pool, then a 2-level grid forks
+# its workers, which encode on a pool of their own.
+POOL_THEN_FORK = """
+import numpy as np
+from proofmatch import CONSERVATION, FULL, encoders
+from proofmatch.evalharness import run_grid
+from proofmatch.training import Objective, TrainConfig, batch_loss_and_grads, local_loss
+from test_pool import corpus, model, uses_pool
+
+encoders._WORKERS = 2
+train_c = corpus(np.random.default_rng(6), 6, "t")
+state = model(train_c)
+batch_loss_and_grads(state, train_c.pairs, local_loss)
+assert uses_pool(state, [p.statement for p in train_c.pairs])
+report = run_grid(train_c, train_c, train_c, [CONSERVATION, FULL], state.config,
+                  TrainConfig(objective=Objective.LOCAL, batch_size=6, epochs=1,
+                              eval_every=1))
+print(len(report.cells))
+"""
+
+
+def test_a_forked_worker_builds_its_own_pool(tmp_path):
+    # a child that inherited the parent's pool would wait forever for its
+    # threads, so the run is bounded and its whole process group killed
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.Popen([sys.executable, "-c", POOL_THEN_FORK], env=env,
+                            cwd=tmp_path, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the grid's workers hung on the inherited encoder pool")
+    assert proc.returncode == 0, err
+    assert out == "4\n"
