@@ -23,7 +23,6 @@ from .symbols import (  # noqa: F401
     FULL,
     PARTIAL,
     TRANSPOSITION,
-    ProtectedSet,
     ReplacementLevel,
     replace_corpus,
 )

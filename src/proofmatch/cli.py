@@ -62,13 +62,7 @@ from .evalharness import (
     run_grid,
 )
 from .mathml import MalformedXml, linearize_mathml
-from .symbols import (
-    Level,
-    ProtectedSet,
-    ReplacementLevel,
-    read_protected_set,
-    replace_corpus,
-)
+from .symbols import Level, ReplacementLevel, read_protected_set, replace_corpus
 from .training import Objective, Optimizer, TrainConfig, train, write_history
 
 
@@ -185,7 +179,7 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _load_protected(args) -> ProtectedSet | None:
+def _load_protected(args) -> frozenset[str] | None:
     if args.protected:
         return read_protected_set(args.protected)
     return None
@@ -284,6 +278,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.k is not None and args.decode != "global":
+        raise InvalidValue(f"--k {args.k} applies to --decode global only")
     state = load_model(args.model)
     args.threads = threads(state.config)
     corpus = filter_channel(read_corpus(args.corpus), args.channel)
@@ -317,15 +313,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
-    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
-    test_c = filter_channel(read_corpus(args.test_corpus), args.channel)
     names = args.levels.split(",")
     if unknown := set(names) - set(_values(Level)):
         raise InvalidValue(f"unknown replacement levels: {sorted(unknown)}")
     if repeated := sorted({name for name in names if names.count(name) > 1}):
         raise InvalidValue(f"repeated replacement levels: {repeated}")
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
+    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
+    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
+    test_c = filter_channel(read_corpus(args.test_corpus), args.channel)
     encoder = _encoder_config(args)
     args.threads = threads(encoder)
     protected = _load_protected(args)

@@ -12,9 +12,14 @@ starting with ``#`` are comments.
 
 A ``Token`` is an immutable (kind, surface, font) value, a named tuple
 whose hashing and equality run in C. The readers share one Token between
-equal items to save parsing and memory. No result depends on which objects
-are shared, but speed does: a dict lookup whose key is the very object in
-the table skips comparing fields, which ``Vocabulary.encode_ids`` relies on.
+equal items to save parsing and memory, and ``symbols.replace_corpus``
+builds one renamed Token per (surface, font). No result depends on which
+objects are shared, but speed does: a dict lookup whose key is the very
+object in the table skips comparing fields. A per-call ``Memo`` keyed by
+tokens (``write_corpus``, ``Vocabulary.encode_ids``) therefore runs its
+slower step once per distinct token and finds every repeat by comparing
+it with itself, where a vocabulary's own keys are other objects whose
+fields are compared one by one.
 """
 
 from __future__ import annotations
@@ -291,18 +296,22 @@ def parse_token(item: str, line: int = 0, column: int = 0) -> Token:
         raise FormatError(str(exc), line, column) from exc
 
 
-class _FormatMemo(dict):
-    """``Token -> item`` for one write: each distinct token is formatted
-    once."""
+class Memo(dict):
+    """A dict that holds ``fn(key)`` for each key looked up in it: ``fn``
+    runs once per distinct key, when the key is first missing."""
 
-    def __missing__(self, tok: Token) -> str:
-        item = self[tok] = format_token(tok)
-        return item
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def format_record(rec: PairRecord, items: dict[Token, str] | None = None) -> str:
     """One corpus line; ``items`` carries the formatted tokens of a write."""
-    items = _FormatMemo() if items is None else items
+    items = Memo(format_token) if items is None else items
     cats = ",".join(_escape(c) for c in rec.categories)
     stmt = " ".join(map(items.__getitem__, rec.statement))
     proof = " ".join(map(items.__getitem__, rec.proof))
@@ -354,7 +363,7 @@ def parse_record(line: str, lineno: int, parse_item=parse_item,
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    items = _FormatMemo()
+    items = Memo(format_token)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.pairs:
             fh.write(format_record(rec, items) + "\n")

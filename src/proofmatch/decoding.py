@@ -1,10 +1,9 @@
 """Local (per-statement ranking) and global (bipartite matching) decoding.
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
-collection once: one ``Vocabulary.encode_ids`` call maps all of its tokens
-to ids by value, then ``forward`` runs on each document's id slice. Which
-token objects are shared changes no result, only the speed of that call
-(see ``encoders``). A caller that scores one collection repeatedly (the
+text once: one ``Vocabulary.encode_pairs`` call maps the tokens of the
+statements and the proofs to ids by value, then ``forward`` runs on each
+document's id slice. A caller that scores one collection repeatedly (the
 dev set during training) passes the id arrays it made once instead.
 
 ``decode_local`` ranks without sorting: a gold rank is one plus the proofs
@@ -82,11 +81,10 @@ def build_score_matrix(state: ModelState,
     if len(statements) != len(proofs):
         raise SizeMismatch(
             f"{len(statements)} statements vs {len(proofs)} proofs")
-    # One collection's ids at a time: the statements' are freed before the
-    # proofs are encoded.
-    encode = state.vocab.encode_docs
-    s_vecs = encode_collection(state, encode(statements) if ids is None else ids[0])
-    p_vecs = encode_collection(state, encode(proofs) if ids is None else ids[1])
+    # No name holds the ids made here, so they are freed before the n×n
+    # matrix is allocated.
+    s_vecs, p_vecs = (encode_collection(state, c)
+                      for c in ids or state.vocab.encode_pairs(statements, proofs))
     return score_matrix(state, s_vecs, p_vecs)
 
 

@@ -27,15 +27,12 @@ Pooled encoders, and documents too short to pay for a hand-off to a
 thread, stay on the calling thread.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
-turns tokens into ids through a memo that lives for one call: the
-vocabulary is consulted once per distinct token, and every other token is
-a lookup in the memo. A token is an immutable value hashed and compared in
-C, so no result depends on object identity, but speed does: readers share
-one Token per distinct item, so a memo hit compares a token with itself,
-while the vocabulary's keys (from ``build_vocab`` or ``load_model``) are
-separate objects whose fields are compared one by one. Collections and
-batches are encoded in one call (``Vocabulary.encode_docs``) and
-``forward`` takes each document's ids.
+turns tokens into ids through a ``corpus.Memo`` that lives for one call:
+the vocabulary, whose keys (from ``build_vocab`` or ``load_model``) are
+separate objects from a corpus's tokens, is consulted once per distinct
+token (see ``corpus`` for why that is faster). A collection's statements
+and proofs, and a batch's, are encoded in one call
+(``Vocabulary.encode_pairs``) and ``forward`` takes each document's ids.
 
 Model files are a versioned binary container: magic ``PMM1``, vocabulary,
 config, row-major little-endian float32 parameter tensors, and a trailing
@@ -58,8 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Font, Token, TokenKind
-from .corpus import EmptyCorpus
+from .corpus import Corpus, EmptyCorpus, Font, Memo, Token, TokenKind
 from .errors import InvalidValue, ProofmatchError
 
 
@@ -95,8 +91,9 @@ class Vocabulary:
 
     def encode_ids(self, doc: list[Token]) -> np.ndarray:
         """The id of every token of ``doc``, UNK_ID where it has none."""
-        return np.fromiter(map(_IdMemo(self.id_of).__getitem__, doc),
-                           dtype=np.int64, count=len(doc))
+        memo = Memo(lambda tok: self.id_of.get(tok, UNK_ID))
+        return np.fromiter(map(memo.__getitem__, doc), dtype=np.int64,
+                           count=len(doc))
 
     def encode_docs(self, docs: list[list[Token]]) -> list[np.ndarray]:
         """One id array per document, from a single ``encode_ids`` call
@@ -105,17 +102,13 @@ class Vocabulary:
         ends = list(itertools.accumulate(len(doc) for doc in docs))
         return [ids[a:b] for a, b in zip([0] + ends, ends)]
 
-
-class _IdMemo(dict):
-    """``Token -> id`` for one ``encode_ids`` call: ``id_of`` is consulted
-    once per distinct token."""
-
-    def __init__(self, id_of: dict[Token, int]):
-        self.id_of = id_of
-
-    def __missing__(self, tok: Token) -> int:
-        i = self[tok] = self.id_of.get(tok, UNK_ID)
-        return i
+    def encode_pairs(self, statements: list[list[Token]],
+                     proofs: list[list[Token]]
+                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The statements' and the proofs' id arrays, from one
+        ``encode_docs`` call over both."""
+        ids = self.encode_docs([*statements, *proofs])
+        return ids[:len(statements)], ids[len(statements):]
 
 
 def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
@@ -224,15 +217,25 @@ class ModelState:
         return math.sqrt(total + self.head.b * self.head.b)
 
 
-def _param_shapes(n_tokens: int, config: EncoderConfig):
-    """Shapes of ``param_arrays()`` for a model of this config, in order."""
+def _param_table(n_tokens: int, config: EncoderConfig):
+    """The name and shape of each of ``param_arrays()`` for a model of this
+    config, in order."""
     d, h = config.d, config.heads
-    yield (n_tokens, d)
+    yield "embeddings", (n_tokens, d)
     if config.kind is EncoderKind.SELF_ATTENTIVE:
-        for _ in range(config.layers):
-            yield from ((h, d, config.d_k), (h, d, config.d_k),
-                        (h, d, d // h), (d, d))
-    yield (d, d)
+        layer = (("wq", (h, d, config.d_k)), ("wk", (h, d, config.d_k)),
+                 ("wv", (h, d, d // h)), ("wo", (d, d)))
+        for i in range(config.layers):
+            yield from ((f"layers[{i}].{name}", shape) for name, shape in layer)
+    yield "head.w", (d, d)
+
+
+def _named_values(state: ModelState):
+    """Each parameter of ``state`` with its ``_param_table`` name, then the
+    bias as ``head.b``."""
+    names = [name for name, _ in _param_table(len(state.vocab), state.config)]
+    return zip([*names, "head.b"], [*state.param_arrays(), state.head.b],
+               strict=True)
 
 
 def _assemble(vocab: Vocabulary, config: EncoderConfig,
@@ -251,7 +254,7 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
     W = I/sqrt(d), b = 0."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d)
-    emb_shape, *layer_shapes, _ = _param_shapes(len(vocab), config)
+    emb_shape, *layer_shapes, _ = (s for _, s in _param_table(len(vocab), config))
     # The draw order is part of what a seed means: layers, then embeddings.
     layer_arrays = [rng.uniform(-scale, scale, size=s) for s in layer_shapes]
     embeddings = rng.uniform(-scale, scale, size=emb_shape)
@@ -561,7 +564,7 @@ def _unpack_tensor(buf: memoryview, off: int) -> tuple[np.ndarray, int]:
 
 
 def save_model(state: ModelState, path) -> None:
-    for name, arr in _named_tensors(state):
+    for name, arr in _named_values(state):
         # NaN fails the comparison too
         if not (np.abs(arr) <= _F32_MAX).all():
             raise ModelFormatError(f"tensor {name} has values outside float32's "
@@ -656,7 +659,7 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     seed = struct.unpack_from("<Q", buf, off)[0]
     off += 8
     arrays = []
-    for shape in _param_shapes(n_tokens, cfg):
+    for _, shape in _param_table(n_tokens, cfg):
         arr, off = _unpack_tensor(buf, off)
         if arr.shape != shape:
             raise ModelFormatError("tensor shapes do not match the model config")
@@ -664,17 +667,7 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     b = struct.unpack_from("<f", buf, off)[0]
     off += 4
     state = _assemble(vocab, cfg, arrays, float(b), seed)
-    for name, arr in _named_tensors(state):
+    for name, arr in _named_values(state):
         if not np.isfinite(arr).all():
             raise ModelFormatError(f"non-finite values in tensor {name}")
     return state, off
-
-
-def _named_tensors(state: ModelState):
-    """Each parameter with its name, the bias included."""
-    yield "embeddings", state.embeddings
-    for i, layer in enumerate(state.layers):
-        for f in fields(LayerParams):
-            yield f"layers[{i}].{f.name}", getattr(layer, f.name)
-    yield "head.w", state.head.w
-    yield "head.b", state.head.b

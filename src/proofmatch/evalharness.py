@@ -22,7 +22,7 @@ from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
 from .errors import InvalidValue, ProofmatchError
-from .symbols import ProtectedSet, ReplacementLevel, mix_seed, replace_corpus
+from .symbols import ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
 
 
@@ -141,7 +141,7 @@ def grid_processes(levels: int) -> int:
 def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
              levels: list[ReplacementLevel], encoder_config: EncoderConfig,
              train_config: TrainConfig,
-             protected: ProtectedSet | None = None,
+             protected: frozenset[str] | None = None,
              seed: int = 0, min_freq: int = 1) -> GridReport:
     """For each source level, train one model on the source-replaced train
     split and evaluate it on every target-replaced test split. Replacement

@@ -5,17 +5,15 @@ symbols renamed to fresh names), full (all renamed), transposition (shared
 symbols deranged among themselves). Only symbols occurring in both the
 statement and the proof are touched; case variants of a letter are renamed
 as a pair, fonts are preserved, and double-struck letters, standard
-constants and an optional protected set are exempt.
+constants and an optional protected set of case-folded letters (a
+``frozenset[str]``) are exempt.
 
-A token is an immutable value hashed and compared in C; readers share one
-Token per distinct item to save parsing and memory. No result depends on
-object identity, but a lookup of a shared Token is faster: it equals itself
-without a comparison of fields. ``replace_corpus`` keys its work by value:
-one candidate table, built once per call from the corpus's distinct tokens,
-gives every document's candidates by a set intersection, and the rename is
-a dict lookup per token. Each call builds one renamed Token per (surface,
-font) and shares it between the pairs, and conservation copies the proofs
-without looking at a token.
+``replace_corpus`` keys its work by token value: one candidate table,
+built once per call from the corpus's distinct tokens, gives every
+document's candidates by a set intersection, and the rename is a dict
+lookup per token. Each call builds one renamed Token per (surface, font)
+and shares it between the pairs (see ``corpus`` for why shared tokens are
+faster), and conservation copies the proofs without looking at a token.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (Corpus, Font, FormatError, PairRecord, Token, TokenKind,
-                     numbered_lines, parse_token)
+from .corpus import (Corpus, Font, FormatError, Memo, PairRecord, Token,
+                     TokenKind, math_token, numbered_lines, parse_token)
 from .errors import InvalidValue, ProofmatchError
 
 
@@ -98,18 +96,12 @@ FULL = ReplacementLevel(Level.FULL, 1.0)
 TRANSPOSITION = ReplacementLevel(Level.TRANSPOSITION)
 
 
-@dataclass(frozen=True)
-class ProtectedSet:
-    """Case-folded letters never renamed, in any case or font."""
-
-    bases: frozenset[str]
-
-
-def read_protected_set(path) -> ProtectedSet:
-    """One symbol per line, ``surface`` or ``surface#font`` in the corpus
-    math-token syntax; # comments. The symbol must be a candidate variable:
-    one Latin or Greek letter, not double-struck. A bad line raises
-    ``FormatError``."""
+def read_protected_set(path) -> frozenset[str]:
+    """The case-folded letters a protected-set file lists, never renamed in
+    any case or font. One symbol per line, ``surface`` or ``surface#font``
+    in the corpus math-token syntax; # comments. The symbol must be a
+    candidate variable: one Latin or Greek letter, not double-struck. A bad
+    line raises ``FormatError``."""
     bases = set()
     for lineno, line in numbered_lines(path):
         line = line.strip()
@@ -120,7 +112,7 @@ def read_protected_set(path) -> ProtectedSet:
             raise FormatError(f"not a single Latin or Greek letter outside "
                               f"double-struck: {line!r}", lineno)
         bases.add(key.base)
-    return ProtectedSet(frozenset(bases))
+    return frozenset(bases)
 
 
 @dataclass
@@ -154,24 +146,20 @@ def _candidates(doc: list[Token], table: _Table) -> tuple[set[Token], set[Symbol
 
 
 def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
-            protected: ProtectedSet | None) -> set[SymbolKey]:
-    shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
-    if protected is not None:
-        shared = {k for k in shared if k.base not in protected.bases}
-    return shared
+            protected: frozenset[str]) -> set[SymbolKey]:
+    return {k for k in stmt & proof
+            if k.base not in CONSTANT_BASES and k.base not in protected}
 
 
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _fresh_pool(forbidden: set[str], protected: ProtectedSet | None,
+def _fresh_pool(forbidden: set[str], protected: frozenset[str],
                 rng: np.random.Generator) -> list[str]:
     """Latin letters not used in the pair, then Greek letters minus the
     constants, each block shuffled by the seeded generator."""
-    banned = set(forbidden) | CONSTANT_BASES
-    if protected is not None:
-        banned |= protected.bases
+    banned = forbidden | CONSTANT_BASES | protected
     latin = [c for c in _LATIN if c not in banned]
     greek = [c for c in _GREEK if c not in banned]
     latin = [latin[i] for i in rng.permutation(len(latin))]
@@ -181,13 +169,14 @@ def _fresh_pool(forbidden: set[str], protected: ProtectedSet | None,
 
 def build_replacement_map(shared: set[SymbolKey],
                           level: ReplacementLevel,
-                          protected: ProtectedSet | None = None,
+                          protected: frozenset[str] | None = None,
                           seed: int = 0, *,
                           forbidden: set[str]) -> ReplacementMap:
     """Build the per-pair bijection for one replacement level.
 
     ``forbidden`` holds symbol bases occurring anywhere in the pair, so
-    fresh names cannot collide with existing ones.
+    fresh names cannot collide with existing ones. ``protected`` None
+    protects no letter.
     """
     keys = sorted(shared)  # by (base, font value): a Font is its value string
     entries: dict[SymbolKey, SymbolKey] = {}
@@ -213,7 +202,8 @@ def build_replacement_map(shared: set[SymbolKey],
     else:  # FULL, or degenerate TRANSPOSITION
         targets_of = keys
 
-    names = [n for n in _fresh_pool(forbidden, protected, rng) if n not in taken]
+    names = [n for n in _fresh_pool(forbidden, protected or frozenset(), rng)
+             if n not in taken]
     if len(names) < len(targets_of):
         raise PoolExhausted(
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
@@ -240,8 +230,8 @@ def _rename(proof: list[Token], candidates: set[Token], table: _Table,
             rmap: ReplacementMap,
             renamed: dict[tuple[str, Font], Token]) -> list[Token]:
     """``proof`` with each candidate token whose key ``rmap`` maps renamed.
-    The new token comes from ``renamed``, by surface and font, or is made
-    and added to it, so all its occurrences share one object."""
+    The new token is ``renamed[surface, font]``, so all its occurrences
+    share one object."""
     if not rmap.entries:
         return list(proof)
     rename = {}
@@ -250,11 +240,7 @@ def _rename(proof: list[Token], candidates: set[Token], table: _Table,
         target = rmap.entries.get(key)
         if target is not None:
             surface = target.base.upper() if tok.surface != key.base else target.base
-            new = renamed.get((surface, tok.font))
-            if new is None:
-                new = renamed[surface, tok.font] = Token(TokenKind.MATH, surface,
-                                                          tok.font)
-            rename[tok] = new
+            rename[tok] = renamed[surface, tok.font]
     return list(map(rename.get, proof, proof))
 
 
@@ -266,28 +252,31 @@ def mix_seed(seed: int, salt: str) -> int:
 
 
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
-                 protected: ProtectedSet | None = None,
+                 protected: frozenset[str] | None = None,
                  seed: int = 0) -> PairRecord:
     return _replace_pairs([pair], level, protected, seed)[0]
 
 
 def replace_corpus(corpus: Corpus, level: ReplacementLevel,
-                   protected: ProtectedSet | None = None,
+                   protected: frozenset[str] | None = None,
                    seed: int = 0) -> Corpus:
     """Apply one replacement level to every proof; statements untouched.
-    Each pair derives an independent sub-seed from its pair_id, so a single
-    pair can be replayed in isolation."""
+    ``protected`` None protects no letter. Each pair derives an independent
+    sub-seed from its pair_id, so a single pair can be replayed in
+    isolation."""
     return Corpus(_replace_pairs(corpus.pairs, level, protected, seed))
 
 
 def _replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
-                   protected: ProtectedSet | None, seed: int) -> list[PairRecord]:
+                   protected: frozenset[str] | None,
+                   seed: int) -> list[PairRecord]:
     """Each pair with ``level`` applied to its proof, from one candidate
     table over all of them and one renamed token per (surface, font)."""
     if level.level is Level.CONSERVATION:
         return [dc_replace(p, proof=list(p.proof)) for p in pairs]
+    protected = protected or frozenset()
     table = _candidate_table([doc for p in pairs for doc in (p.statement, p.proof)])
-    renamed: dict[tuple[str, Font], Token] = {}
+    renamed = Memo(lambda key: math_token(*key))
     out = []
     for pair in pairs:
         stmt = _candidates(pair.statement, table)[1]

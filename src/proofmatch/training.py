@@ -213,7 +213,7 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     on fresh batches. The returned state is the checkpoint with the best
     dev accuracy under local decoding; with averaged SGD, evaluation and
     the returned state use the tail average of the parameters. The train
-    and dev corpora are each turned into ids once, by one ``encode_docs``
+    and dev corpora are each turned into ids once, by one ``encode_pairs``
     call, and the steps and evaluations read those id arrays.
     """
     if not corpus.pairs or not dev_corpus.pairs:
@@ -227,10 +227,11 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     tail_start = config.epochs // 2  # averaging over the second half
     best_acc = -1.0  # the first evaluation is always the best so far
     step_count = 0
-    train_s, train_p = _pair_ids(state, corpus)
+    train_s, train_p = state.vocab.encode_pairs(
+        [p.statement for p in corpus.pairs], [p.proof for p in corpus.pairs])
     dev_statements = [p.statement for p in dev_corpus.pairs]
     dev_proofs = [p.proof for p in dev_corpus.pairs]
-    dev_ids = _pair_ids(state, dev_corpus)
+    dev_ids = state.vocab.encode_pairs(dev_statements, dev_proofs)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -278,16 +279,6 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
                 best_acc = acc
                 best_state = eval_state.copy()
     return best_state, history
-
-
-def _pair_ids(state: ModelState, corpus: Corpus
-              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The statements' and the proofs' id arrays, from one ``encode_docs``
-    call over the corpus."""
-    n = len(corpus.pairs)
-    ids = state.vocab.encode_docs([p.statement for p in corpus.pairs]
-                                  + [p.proof for p in corpus.pairs])
-    return ids[:n], ids[n:]
 
 
 def write_history(history: TrainHistory, path) -> None:

@@ -16,7 +16,6 @@ from proofmatch.corpus import (
     text_token,
 )
 from proofmatch.encoders import ModelState, save_model
-from proofmatch.symbols import ProtectedSet
 
 FONTS = list(Font)
 SURFACE_ALPHABET = (
@@ -80,9 +79,9 @@ def rebuilt_tokens(corpus: Corpus) -> Corpus:
                    for p in corpus.pairs])
 
 
-def probability_protected() -> ProtectedSet:
+def probability_protected() -> frozenset[str]:
     """The paper's probability-theory protected set: P, E, V, sigma, rho."""
-    return ProtectedSet(frozenset("pevσρ"))
+    return frozenset("pevσρ")
 
 
 def repeated_token_pair(i: int, n_tokens: int = 20) -> PairRecord:

@@ -12,7 +12,6 @@ from dataclasses import replace as dc_replace
 from proofmatch.corpus import PairRecord, Token, TokenKind
 from proofmatch.symbols import (
     CONSTANT_BASES,
-    ProtectedSet,
     ReplacementLevel,
     build_replacement_map,
     mix_seed,
@@ -21,17 +20,17 @@ from proofmatch.symbols import (
 
 
 def shared_reference(pair: PairRecord,
-                     protected: ProtectedSet | None = None) -> set:
+                     protected: frozenset[str] | None = None) -> set:
     stmt = {k for t in pair.statement if (k := symbol_key(t)) is not None}
     proof = {k for t in pair.proof if (k := symbol_key(t)) is not None}
     shared = {k for k in stmt & proof if k.base not in CONSTANT_BASES}
     if protected is not None:
-        shared = {k for k in shared if k.base not in protected.bases}
+        shared = {k for k in shared if k.base not in protected}
     return shared
 
 
 def replace_pair_reference(pair: PairRecord, level: ReplacementLevel,
-                           protected: ProtectedSet | None = None,
+                           protected: frozenset[str] | None = None,
                            seed: int = 0) -> PairRecord:
     forbidden = {k.base for t in pair.statement + pair.proof
                  if (k := symbol_key(t)) is not None}

@@ -221,7 +221,7 @@ def test_08_replacement_correctness():
             size = int(rng.integers(1, 8))
             picks = rng.choice(len(letters), size, replace=False)
             shared = {SymbolKey(letters[i]) for i in picks
-                      if letters[i] not in protected.bases}
+                      if letters[i] not in protected}
             if not shared:
                 continue
             level = levels[trial % 3]
@@ -232,7 +232,7 @@ def test_08_replacement_correctness():
             assert len(set(targets)) == len(targets)
             # no replacement lands on a protected or source symbol
             for src, dst in rmap.entries.items():
-                assert dst.base not in protected.bases
+                assert dst.base not in protected
                 assert dst.base != src.base
             if level is TRANSPOSITION and len({k.base for k in shared}) > 1:
                 # derangement stays within the shared set

@@ -569,6 +569,8 @@ BAD_VALUES = {
     "config_bool_not_a_bool": ["split", "{corpus}", "--config", "{not_bool}"],
     "repeated_grid_level": ["grid", "{corpus}", "{corpus}", "{corpus}",
                             "--levels", "full,partial,full"],
+    "k_with_local_decode": ["eval", "{model}", "{corpus}", "--decode", "local",
+                            "--k", "5"],
 }
 
 # What the error line of a BAD_VALUES case must name.
@@ -577,13 +579,17 @@ NAMED_IN_ERROR = {
     "config_bool_not_a_bool": ["{not_bool}:", "quiet", "ture"],
     "repeated_grid_level": ["['full']"],
     "double_struck_protected": ["line 2,", "R#dstruck"],
+    "k_with_local_decode": ["--k", "global"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
     pair = format_record(separable_corpus(1).pairs[0]).encode()
-    files = {"corpus": corpus_file, "directory": tmp_path}
+    files = {"corpus": corpus_file, "directory": tmp_path,
+             "model": tmp_path / "model.pmm"}
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), files["model"])
     for name, data in (("protected", b"P\nx#zz\n"),
                        ("dstruck", b"P\nR#dstruck\n"),
                        ("duplicated", pair + b"\n" + pair + b"\n"),
@@ -633,6 +639,21 @@ def test_out_dir_is_checked_before_the_work(tmp_path, corpus_file, capsys,
     monkeypatch.setattr(cli, work, never)
     argv = [a.format(corpus=corpus_file, model=model) for a in args]
     assert main([command, *argv, "--out-dir", str(corpus_file)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("levels", ["full,bogus", "full,partial,full"])
+def test_grid_levels_are_checked_before_the_corpora_are_read(
+        tmp_path, corpus_file, capsys, monkeypatch, levels):
+    import proofmatch.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("read_corpus ran although --levels is bad")
+
+    monkeypatch.setattr(cli, "read_corpus", never)
+    assert main(["grid", *[str(corpus_file)] * 3, "--levels", levels,
+                 "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

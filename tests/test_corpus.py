@@ -21,6 +21,7 @@ from proofmatch.corpus import (
     filter_channel,
     filter_pair,
     format_record,
+    format_token,
     math_token,
     parse_item,
     parse_record,
@@ -233,6 +234,23 @@ class TestSerialization:
         src.write_bytes(text.encode("utf-8"))
         write_corpus(read_corpus(src), out)
         assert out.read_bytes() == src.read_bytes()
+
+    def test_each_distinct_token_is_formatted_once(self, tmp_path, monkeypatch):
+        import proofmatch.corpus as corpus_module
+        calls = []
+
+        def counting(tok):
+            calls.append(tok)
+            return format_token(tok)
+
+        corpus = random_corpus(np.random.default_rng(9), 20)
+        monkeypatch.setattr(corpus_module, "format_token", counting)
+        write_corpus(corpus, tmp_path / "c.tsv")
+        distinct = {t for p in corpus.pairs for t in (*p.statement, *p.proof)}
+        assert len(calls) == len(distinct) < sum(
+            len(p.statement) + len(p.proof) for p in corpus.pairs)
+        assert set(calls) == distinct
+        assert read_corpus(tmp_path / "c.tsv").pairs == corpus.pairs
 
     def test_comments_skipped(self, tmp_path):
         rec = format_record(make_pair("p1", 2, 2))

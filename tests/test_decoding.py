@@ -50,8 +50,8 @@ class TestBuildScoreMatrix:
                 assert m[i, j] == pytest.approx(expected)
 
     def test_each_text_encoded_once(self, monkeypatch):
-        # One encode_ids call per collection, covering each token once,
-        # then one forward per text on that text's ids.
+        # One encode_ids call over both collections, covering each token
+        # once, then one forward per text on that text's ids.
         state, corpus = small_state(10)
         lookups, forwarded = [], []
         real_encode_ids = Vocabulary.encode_ids
@@ -70,7 +70,7 @@ class TestBuildScoreMatrix:
         statements = [p.statement for p in corpus.pairs]
         proofs = [p.proof for p in corpus.pairs]
         build_score_matrix(state, statements, proofs)
-        assert lookups == [sum(map(len, statements)), sum(map(len, proofs))]
+        assert lookups == [sum(map(len, statements + proofs))]
         assert len(forwarded) == 20
         for ids, doc in zip(forwarded, statements + proofs, strict=True):
             assert np.array_equal(ids, real_encode_ids(state.vocab, doc))

@@ -13,7 +13,6 @@ from proofmatch.symbols import (
     TRANSPOSITION,
     Level,
     PoolExhausted,
-    ProtectedSet,
     ReplacementLevel,
     ReplacementMap,
     SymbolKey,
@@ -179,7 +178,7 @@ class TestBuildMap:
         others = frozenset(c for c in LATIN + GREEK if c != "a")
         pair = pair_with(["a"], ["a"])
         with pytest.raises(PoolExhausted, match="pool has 0"):
-            replace_pair(pair, FULL, ProtectedSet(others))
+            replace_pair(pair, FULL, others)
 
 
 class TestApply:
@@ -263,6 +262,22 @@ class TestReplaceCorpus:
         assert any(len(pairs) > 1 for pairs in pairs_of.values())
         assert all(len(ids) == 1 for ids in objects.values())
 
+    @pytest.mark.parametrize("level", [PARTIAL, TRANSPOSITION],
+                             ids=lambda lv: lv.level.value)
+    def test_one_object_per_renamed_token_at_other_levels(self, level):
+        # a renamed token is one object per (surface, font) in the whole
+        # output, also where it equals a token the input already had
+        corpus = Corpus([pair_with(["a", "n", "x"], ["a", "A", "n", "x", "a"],
+                                   f"p{i}") for i in range(20)])
+        out = replace_corpus(corpus, level, seed=6)
+        renamed = [new for before, after in zip(corpus.pairs, out.pairs)
+                   for old, new in zip(before.proof, after.proof) if new is not old]
+        objects = {}
+        for new in renamed:
+            objects.setdefault(new, set()).add(id(new))
+        assert len(renamed) > len(objects) > 1
+        assert all(len(ids) == 1 for ids in objects.values())
+
     def test_equal_tokens_need_not_be_one_object(self, tmp_path):
         # the reader shares one Token per distinct item; rebuilt field by
         # field, every occurrence is its own object and nothing changes
@@ -292,7 +307,7 @@ class TestProtectedSetFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "prot.txt"
         path.write_text("# probability\nP\nσ\nx#bold\n", encoding="utf-8")
-        assert read_protected_set(path) == ProtectedSet(frozenset("pσx"))
+        assert read_protected_set(path) == frozenset("pσx")
 
     def test_font_sigil_protects_every_font(self, tmp_path):
         # x#bold protects the letter x: a normal-font x shared by the pair
@@ -325,7 +340,7 @@ class TestProtectedSetFile:
         path = tmp_path / "probability.txt"
         path.write_text("P\nE\nV\nσ\nρ\n", encoding="utf-8")
         assert read_protected_set(path) == probability_protected()
-        assert probability_protected().bases == {"p", "e", "v", "σ", "ρ"}
+        assert probability_protected() == {"p", "e", "v", "σ", "ρ"}
 
 
 # Case variants in several fonts, double-struck letters, the constants,
@@ -337,8 +352,7 @@ symbols = st.one_of(
     st.builds(math_token, st.sampled_from(["sin", "ab", "=", "1", "ℝ"])),
     st.builds(text_token, st.sampled_from(["a", "x", "so"])),
 )
-protected_sets = st.none() | st.builds(
-    ProtectedSet, st.frozensets(st.sampled_from("abxλ")))
+protected_sets = st.none() | st.frozensets(st.sampled_from("abxλ"))
 
 
 @settings(max_examples=300, deadline=None)
