@@ -1,11 +1,13 @@
 """Command-line front door: ingest, split, replace, vocab, train, eval, grid.
 
 Every run writes a manifest (resolved configuration, input checksums,
-version, wall-clock, for the commands that encode documents the
-encoder's thread count, and for ``grid`` its number of worker processes)
-next to its outputs so any reported number can be reproduced and its time
-explained from the manifest alone. A flat ``key = value`` config file can
-supply defaults; explicit command-line flags win.
+version, wall-clock, peak memory, for the commands that encode documents
+the encoder's thread count, for ``train`` the best dev accuracy beside
+chance, and for ``grid`` its number of worker processes and their peak
+memory) next to its outputs so any reported number can be reproduced and
+its time and memory explained from the manifest alone. A flat
+``key = value`` config file can supply defaults; explicit command-line
+flags win.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import enum
 import functools
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -130,6 +133,25 @@ def _apply_config_defaults(args: argparse.Namespace,
         setattr(args, key, value)
 
 
+# What a command records on ``args`` as it runs: each is a manifest key of
+# its own, null where the command did not set it, and not configuration.
+# ``threads`` is the encoder's thread count, which the commands that encode
+# set; ``processes`` the grid's worker processes, set before its pool
+# starts, and ``workers_peak_rss_mb`` their largest peak, set once they
+# are joined; ``best_dev_accuracy`` and ``chance`` (1 / dev pairs) come
+# from ``train``.
+_RECORDED = ("threads", "processes", "workers_peak_rss_mb",
+             "best_dev_accuracy", "chance")
+
+
+def _peak_rss_mb(who: int) -> float:
+    """The peak resident set of this process (``RUSAGE_SELF``) or of its
+    largest joined child (``RUSAGE_CHILDREN``), in MiB."""
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    scale = 1 << (20 if sys.platform == "darwin" else 10)
+    return round(resource.getrusage(who).ru_maxrss / scale, 1)
+
+
 def _write_manifest(args: argparse.Namespace, inputs: list[Path],
                     started: float, error: str | None) -> None:
     manifest = {
@@ -137,11 +159,9 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
         "version": __version__,
         "config": {k: (str(v) if isinstance(v, Path) else v)
                    for k, v in sorted(vars(args).items())
-                   if k not in ("func", "threads", "processes")},
-        # the encoder's thread count, which the commands that encode set
-        "threads": getattr(args, "threads", None),
-        # the grid's worker processes, set before its pool starts
-        "processes": getattr(args, "processes", None),
+                   if k != "func" and k not in _RECORDED},
+        **{k: getattr(args, k, None) for k in _RECORDED},
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
@@ -272,6 +292,7 @@ def cmd_train(args) -> int:
                       for epoch, acc in history.dev_accuracy)
     # the saved model is the first evaluation that reached the best accuracy
     epoch, acc = max(history.dev_accuracy, key=lambda e: e[1])
+    args.best_dev_accuracy, args.chance = acc, 1 / len(dev_c.pairs)
     _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
                f"at epoch {epoch})")
     return 0
@@ -329,6 +350,8 @@ def cmd_grid(args) -> int:
     report = run_grid(train_c, dev_c, test_c, levels, encoder,
                       _train_config(args), protected,
                       seed=args.seed, min_freq=args.min_freq)
+    if args.processes > 1:
+        args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
     with open(args.out_dir / "grid.tsv", "w", encoding="utf-8") as fh:

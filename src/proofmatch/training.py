@@ -103,14 +103,30 @@ class TrainHistory:
 # Losses on an in-batch score matrix
 
 
+def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of a real 2-D array, with the
+    operations, and so the bits, of scipy 1.17's ``logsumexp(m, axis=1)``:
+    the row's maxima are counted apart from the shifted sum of the other
+    terms, and a row whose result is not finite (an infinite or NaN entry)
+    takes the direct value instead. Training needs no scipy module for it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = m.max(axis=1, keepdims=True)
+        at_top = m == top
+        count = at_top.sum(axis=1, keepdims=True, dtype=m.dtype)
+        rest = np.exp(np.where(at_top, -np.inf, m) - top).sum(
+            axis=1, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + top
+        direct = np.log(np.exp(m).sum(axis=1, keepdims=True))
+        return np.where(np.isfinite(out), out, direct)[:, 0]
+
+
 def local_loss(m_b: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum over the batch of -log softmax at the diagonal.
     Gradient is softmax(rows) minus the identity."""
-    from scipy.special import logsumexp  # on use, as in assignment
     b = m_b.shape[0]
     if b < 2:
         raise DegenerateBatch("local loss needs at least two in-batch pairs")
-    lse = logsumexp(m_b, axis=1)
+    lse = _logsumexp_rows(m_b)
     loss = float(np.sum(lse - np.diag(m_b)))
     probs = np.exp(m_b - lse[:, None])
     grad = probs - np.eye(b)

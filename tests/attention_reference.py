@@ -54,7 +54,7 @@ def forward_dense(state: ModelState,
     else:
         pool_idx = None
         vec = x.mean(axis=0)
-    return vec, ForwardCache(ids, x0, caches, x, pool_idx)
+    return vec, ForwardCache(ids, x0, caches, pool_idx)
 
 
 def backward_dense(state: ModelState, cache: ForwardCache,

@@ -359,6 +359,34 @@ class TestTrainEval:
             assert manifest["threads"] is None
             assert manifest["processes"] is None
 
+    def test_manifest_records_peak_memory_and_chance(self, tmp_path,
+                                                     corpus_file, monkeypatch):
+        # every manifest holds this process's peak; train adds its best dev
+        # accuracy beside chance, a grid on worker processes their peak
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        files = [str(corpus_file)] * 3
+        small = ["--dim", "8", "--batch-size", "5", "--epochs", "2",
+                 "--eval-every", "1", "--quiet"]
+        out = tmp_path / "out"
+        assert main(["train", *files[:2], *small, "--out-dir", str(out)]) == 0
+        assert main(["grid", *files, "--levels", "conservation,full", *small,
+                     "--out-dir", str(out)]) == 0
+        train_m, grid_m = (json.loads((out / f"manifest-{c}.json").read_text())
+                           for c in ("train", "grid"))
+        best = max(float(line.split("\t")[1]) for line in
+                   (out / "model.dev.tsv").read_text().splitlines())
+        assert train_m["best_dev_accuracy"] == best > 0
+        assert train_m["chance"] == 1 / 10
+        assert grid_m["processes"] == 2
+        assert grid_m["workers_peak_rss_mb"] > 0
+        for manifest in (train_m, grid_m):
+            assert manifest["peak_rss_mb"] > 0
+            for key in ("peak_rss_mb", "workers_peak_rss_mb",
+                        "best_dev_accuracy", "chance"):
+                assert key not in manifest["config"]
+        assert train_m["workers_peak_rss_mb"] is None
+        assert grid_m["best_dev_accuracy"] is grid_m["chance"] is None
+
     def test_failed_run_manifest_names_the_error(self, tmp_path, corpus_file,
                                                  capsys):
         out = tmp_path / "out"
@@ -853,14 +881,37 @@ print(json.dumps([on_import, codes, lazy_modules()]))
 
 
 def test_import_and_corpus_commands_load_no_scipy(tmp_path, corpus_file):
-    # scipy is imported where an assignment is solved or a local loss is
-    # taken, and the process pool where a grid starts, so importing the CLI
-    # and the corpus commands never pay for them
+    # scipy is imported where an assignment is solved, and the process pool
+    # where a grid starts, so importing the CLI and the corpus commands
+    # never pay for them
     raw = tmp_path / "raw.tsv"
     write_raw(raw, [raw_line("keep1"), raw_line("keep2")])
     run = run_python(CORPUS_COMMANDS, raw, corpus_file, tmp_path / "out")
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == [[], [0, 0, 0, 0], []]
+
+
+LOCAL_TRAIN = """
+import json, sys
+from proofmatch.cli import main
+
+corpus, encoder, out = sys.argv[1:]
+code = main(["train", corpus, corpus, "--encoder", encoder, "--objective",
+             "local", "--dim", "8", "--dk", "4", "--batch-size", "5",
+             "--epochs", "2", "--eval-every", "1", "--out-dir", out,
+             "--quiet"])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("encoder", ["pooled", "selfattn"])
+def test_local_training_loads_no_scipy(tmp_path, corpus_file, encoder):
+    # the local loss takes its log-sum-exp in numpy, and local decoding
+    # solves no assignment
+    run = run_python(LOCAL_TRAIN, corpus_file, encoder, tmp_path / "out")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0, []]
 
 
 # ``match`` with the usable core count set to argv[1]

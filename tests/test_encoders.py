@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from proofmatch.encoders import (
     score_matrix,
 )
 from proofmatch.corpus import EmptyCorpus
+from proofmatch.training import batch_loss_and_grads, local_loss
 from attention_reference import backward_dense, forward_dense
 from conftest import (MARKER, letter_corpus, random_corpus, rebuilt_tokens,
                       save_marker_as)
@@ -383,6 +385,124 @@ class TestPooledRowBackward:
         assert_matches_dense(gradients(state, cache, grad_vec),
                              dense_gradients(state, ref_cache, grad_vec),
                              Pooling.MAX)
+
+
+def unique_arrays(arrays) -> dict[int, np.ndarray]:
+    return {id(a): a for a in arrays if isinstance(a, np.ndarray)}
+
+
+def held_arrays(cache) -> dict[int, np.ndarray]:
+    """Every array a ``ForwardCache`` holds, directly or in a layer."""
+    return unique_arrays([*vars(cache).values(), *(
+        a for lc in cache.layers for a in vars(lc).values())])
+
+
+def read_by_backward(cache) -> dict[int, np.ndarray]:
+    """The arrays of a ``ForwardCache`` that ``backward`` reads besides the
+    ids: the layer caches, the pooled positions, and ``x0``, which is the
+    first layer's input, or without layers the pooled activations."""
+    return unique_arrays([cache.x0, cache.pool_idx, cache.pool_rows, *(
+        a for lc in cache.layers for a in vars(lc).values())])
+
+
+class TestStepMemory:
+    """A training step keeps, per document, only the arrays ``backward``
+    reads: the embeddings and each layer's cache, not the last layer's
+    (T, d) output."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_cache_holds_no_final_activations(self, layers, pooling):
+        rng = np.random.default_rng(2)
+        state = attention_state(8, 2, 4, layers, pooling)
+        ids = rng.integers(0, len(state.vocab), size=40)
+        _, cache = forward(state, ids)
+        _, ref_cache = forward_dense(state, ids)
+        last = ref_cache.layers[-1]
+        final = last.x_in + last.concat @ state.layers[-1].wo
+        assert final.shape == (40, 8)
+        held = held_arrays(cache)
+        assert not any(a.shape == final.shape and np.array_equal(a, final)
+                       for a in held.values())
+        assert held.keys() - {id(cache.ids)} == read_by_backward(cache).keys()
+        assert cache.x0 is cache.layers[0].x_in
+
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_step_peak_is_the_caches_backward_reads(self, pooling,
+                                                     monkeypatch):
+        # 100 documents of 60 tokens at d=64: each final (T, d) output kept
+        # until backward would add 30.7 KB a document, 18-23% over the
+        # arrays backward reads and the gradient; the step's own
+        # temporaries add 5-7%
+        monkeypatch.setattr(encoders, "_WORKERS", 1)  # one document at a time
+        rng = np.random.default_rng(4)
+        tokens = [math_token(f"v{i}") for i in range(200)]
+
+        def doc():
+            return [tokens[i] for i in rng.integers(0, 200, size=60)]
+
+        pairs = [PairRecord(f"p{i}", "a", [], doc(), doc()) for i in range(50)]
+        vocab = build_vocab(Corpus(pairs))
+        state = init_model(vocab, EncoderConfig(
+            EncoderKind.SELF_ATTENTIVE, d=64, layers=1, heads=2, d_k=8,
+            pooling=pooling))
+        ids = vocab.encode_docs([p.statement for p in pairs]
+                                + [p.proof for p in pairs])
+        read = 0
+        for doc_ids in ids:
+            cache = forward(state, doc_ids)[1]
+            read += sum(a.nbytes for a in read_by_backward(cache).values())
+        grads = sum(a.nbytes for a in state.param_arrays())
+        batch_loss_and_grads(state, pairs, local_loss, ids)  # first-call costs
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(state, pairs, local_loss, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * (read + grads)
+
+
+def two_d_scatter(state, cache, doc, grad_vec):
+    """The embedding gradient of one document as a 2-D ``np.add.at`` adds
+    it: whole rows at the token ids, or, for a pooled max encoder, one cell
+    per column at the argmax token."""
+    d = state.config.d
+    if state.config.pooling is Pooling.MAX and not state.layers:
+        return (cache.ids[np.argmax(cache.x0, axis=0)], np.arange(d)), grad_vec
+    return cache.ids, doc.emb_values.reshape(len(cache.ids), d)
+
+
+class TestEmbeddingScatter:
+    """``add_grads`` adds the embedding gradient through one flat index;
+    each element gets the additions a 2-D scatter would make, in its
+    order, so the sums are bit-identical."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(list(EncoderKind)),
+           pooling=st.sampled_from(list(Pooling)),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           n_tokens=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_equals_two_d_add_at(self, kind, pooling, lengths, n_tokens,
+                                 seed):
+        # a few distinct ids, so every document repeats some, and values
+        # of mixed magnitudes, so a different order of additions would
+        # round differently
+        rng = np.random.default_rng(seed)
+        state = attention_state(8, 2, 3, 1, pooling, n_tokens=n_tokens)
+        if kind is EncoderKind.POOLED:
+            state = init_model(state.vocab, EncoderConfig(
+                kind, d=8, pooling=pooling), seed=3)
+        got, want = state.zeros(), state.zeros()
+        for t_len in lengths:
+            ids = rng.integers(0, len(state.vocab), size=t_len)
+            grad_vec = rng.normal(size=8) * 10.0 ** rng.integers(-8, 8, 8)
+            _, cache = forward(state, ids)
+            doc = backward(state, cache, grad_vec)
+            add_grads(got, doc)
+            np.add.at(want.embeddings, *two_d_scatter(state, cache, doc,
+                                                      grad_vec))
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
 
 
 class TestPositionalEncoding:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from proofmatch.encoders import (
     EncoderConfig, EncoderKind, Vocabulary, apply_gradients, build_vocab,
@@ -20,6 +22,7 @@ from proofmatch.training import (
     structured_cost,
     train,
     write_history,
+    _logsumexp_rows,
 )
 from brute import solve_brute
 from conftest import letter_corpus, separable_corpus
@@ -59,6 +62,35 @@ class TestLocalLoss:
         rng = np.random.default_rng(1)
         _, grad = local_loss(rng.normal(size=(5, 5)))
         assert np.allclose(grad.sum(axis=1), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e300]),
+           ties=st.booleans(), specials=st.floats(0, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logsumexp_is_scipys_bit_for_bit(self, shape, scale, ties,
+                                              specials, seed):
+        # ties (several maxima in a row), overflowing rows and rows with
+        # +inf, -inf or NaN entries take scipy's paths, value for value
+        rng = np.random.default_rng(seed)
+        m = rng.normal(scale=scale, size=shape)
+        if ties:
+            m = np.round(m)
+        draw = rng.random(shape)
+        m[draw < specials / 3] = np.inf
+        m[(draw >= specials / 3) & (draw < 2 * specials / 3)] = -np.inf
+        m[(draw >= 2 * specials / 3) & (draw < specials)] = np.nan
+        assert _logsumexp_rows(m).tobytes() == logsumexp(m, axis=1).tobytes()
+
+    def test_logsumexp_special_rows(self):
+        inf, nan = np.inf, np.nan
+        m = np.array([[inf, 0.0, 1.0], [-inf, -inf, -inf], [nan, 0.0, 1.0],
+                      [inf, -inf, 0.0], [inf, inf, 2.0], [-inf, 3.0, 3.0],
+                      [1e308, 1e308, 0.0], [nan, nan, nan]])
+        # no divide, overflow or invalid warning leaves the function
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = _logsumexp_rows(m)
+        assert got.tobytes() == logsumexp(m, axis=1).tobytes()
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatch):
