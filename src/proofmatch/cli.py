@@ -48,8 +48,7 @@ from .corpus import (
 from .decoding import build_score_matrix, decode_global, decode_local
 from .encoders import (
     EncoderConfig,
-    EncoderKind,
-    Pooling,
+    Vocabulary,
     build_vocab,
     init_model,
     load_model,
@@ -66,12 +65,43 @@ from .evalharness import (
 )
 from .mathml import MalformedXml, linearize_mathml
 from .symbols import Level, ReplacementLevel, read_protected_set, replace_corpus
-from .training import Objective, Optimizer, TrainConfig, train, write_history
+from .training import TrainConfig, train, write_history
 
 
 def _values(kind: type[enum.Enum]) -> tuple[str, ...]:
     """The command-line choices of an option that names an enum member."""
     return tuple(member.value for member in kind)
+
+
+# The options that set the fields of a library config type: each
+# destination with the field it sets. Only these three names differ.
+_ENCODER_FIELDS = {"encoder": "kind", "dim": "d", "layers": "layers",
+                   "heads": "heads", "dk": "d_k", "pooling": "pooling"}
+_TRAIN_FIELDS = {name: name for name in (
+    "objective", "batch_size", "epochs", "lr", "optimizer", "lr_decay",
+    "eval_every", "seed")}
+
+
+def _add_field_options(p: argparse.ArgumentParser, config_type: type,
+                       fields: dict[str, str]) -> None:
+    """One option per destination of ``fields``. It takes the default of the
+    dataclass field it sets and that default's type, or for an enum field
+    the enum's values as choices. So each such default must have its
+    field's type: an int default for a float field would reject 0.5."""
+    for dest, name in fields.items():
+        flag, default = "--" + dest.replace("_", "-"), getattr(config_type, name)
+        if isinstance(default, enum.Enum):
+            p.add_argument(flag, choices=_values(type(default)),
+                           default=default.value)
+        else:
+            p.add_argument(flag, type=type(default), default=default)
+
+
+def _config(config_type: type, fields: dict[str, str], args):
+    """The ``config_type`` whose ``fields`` the options set."""
+    return config_type(**{
+        name: type(getattr(config_type, name))(getattr(args, dest))
+        for dest, name in fields.items()})
 
 
 def _sha256(path) -> str:
@@ -178,27 +208,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _encoder_config(args) -> EncoderConfig:
-    return EncoderConfig(
-        kind=EncoderKind(args.encoder),
-        d=args.dim, layers=args.layers, heads=args.heads, d_k=args.dk,
-        pooling=Pooling(args.pooling),
-    )
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        objective=Objective(args.objective),
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        lr=args.lr,
-        optimizer=Optimizer(args.optimizer),
-        lr_decay=args.lr_decay,
-        eval_every=args.eval_every,
-        seed=args.seed,
-    )
-
-
 def _load_protected(args) -> frozenset[str] | None:
     if args.protected:
         return read_protected_set(args.protected)
@@ -240,13 +249,12 @@ def _parse_raw_item(item: str, line: int, column: int) -> tuple[Token, ...]:
 
 
 def cmd_split(args) -> int:
-    corpus = read_corpus(args.corpus)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
     except ValueError:
         raise InvalidValue(f"split ratios are not numbers: {args.ratios!r}") from None
     spec = SplitSpec(mode=SplitMode(args.mode), ratios=ratios, seed=args.seed)
-    parts = split_corpus(corpus, spec)
+    parts = split_corpus(read_corpus(args.corpus), spec)
     for part, name in zip(parts, ("train", "dev", "test")):
         path = args.out_dir / f"{args.corpus.stem}.{name}.tsv"
         write_corpus(part, path)
@@ -255,8 +263,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_replace(args) -> int:
-    corpus = read_corpus(args.corpus)
     level = ReplacementLevel(Level(args.level), args.alpha)
+    corpus = read_corpus(args.corpus)
     replaced = replace_corpus(corpus, level, _load_protected(args), args.seed)
     out_path = args.out_dir / args.output
     write_corpus(replaced, out_path)
@@ -277,12 +285,14 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
+    train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
     train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
     dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
     vocab = build_vocab(train_c, args.min_freq)
-    state = init_model(vocab, _encoder_config(args), args.seed)
-    args.threads = threads(state.config)
-    best, history = train(train_c, dev_c, state, _train_config(args))
+    state = init_model(vocab, encoder, args.seed)
+    args.threads = threads(encoder)
+    best, history = train(train_c, dev_c, state, train_config)
     model_path = args.out_dir / args.output
     save_model(best, model_path)
     stem = Path(args.output).stem
@@ -340,16 +350,16 @@ def cmd_grid(args) -> int:
     if repeated := sorted({name for name in names if names.count(name) > 1}):
         raise InvalidValue(f"repeated replacement levels: {repeated}")
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
+    encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
+    train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
     train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
     dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
     test_c = filter_channel(read_corpus(args.test_corpus), args.channel)
-    encoder = _encoder_config(args)
     args.threads = threads(encoder)
     protected = _load_protected(args)
     args.processes = grid_processes(len(levels))
-    report = run_grid(train_c, dev_c, test_c, levels, encoder,
-                      _train_config(args), protected,
-                      seed=args.seed, min_freq=args.min_freq)
+    report = run_grid(train_c, dev_c, test_c, levels, encoder, train_config,
+                      protected, seed=args.seed, min_freq=args.min_freq)
     if args.processes > 1:
         args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:
@@ -370,26 +380,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
-def _add_encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder", choices=_values(EncoderKind), default="pooled")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--dk", type=int, default=32)
-    p.add_argument("--pooling", choices=_values(Pooling), default="max")
-    p.add_argument("--min-freq", type=int, default=1)
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """The encoder and training options of ``train`` and ``grid``."""
+    _add_field_options(p, EncoderConfig, _ENCODER_FIELDS)
+    _add_field_options(p, Vocabulary, {"min_freq": "min_freq"})
     p.add_argument("--channel", choices=CHANNELS, default="both")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--objective", choices=_values(Objective), default="local")
-    p.add_argument("--batch-size", type=int, default=60)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--optimizer", choices=_values(Optimizer), default="asgd")
-    p.add_argument("--lr-decay", type=float, default=0.996)
-    p.add_argument("--eval-every", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_options(p, TrainConfig, _TRAIN_FIELDS)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser,
@@ -415,17 +411,17 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
     p = sub.add_parser("split", help="train/dev/test split")
     p.add_argument("corpus", type=Path)
-    p.add_argument("--mode", choices=_values(SplitMode), default="mixed")
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_options(p, SplitSpec, {"mode": "mode"})
+    p.add_argument("--ratios", default=",".join(map(str, SplitSpec.ratios)))
+    _add_field_options(p, SplitSpec, {"seed": "seed"})
     _add_common(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("replace", help="apply a symbol-replacement level")
     p.add_argument("corpus", type=Path)
     p.add_argument("--output", default="replaced.tsv")
-    p.add_argument("--level", choices=_values(Level), default="full")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--level", choices=_values(Level), default=Level.FULL.value)
+    _add_field_options(p, ReplacementLevel, {"alpha": "alpha"})
     p.add_argument("--protected", type=Path, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
@@ -434,7 +430,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("vocab", help="build and dump a vocabulary")
     p.add_argument("corpus", type=Path)
     p.add_argument("--output", default="vocab.tsv")
-    p.add_argument("--min-freq", type=int, default=1)
+    _add_field_options(p, Vocabulary, {"min_freq": "min_freq"})
     p.add_argument("--channel", choices=CHANNELS, default="both")
     _add_common(p)
     p.set_defaults(func=cmd_vocab)
@@ -443,8 +439,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("train_corpus", type=Path)
     p.add_argument("dev_corpus", type=Path)
     p.add_argument("--output", default="model.pmm")
-    _add_encoder_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -462,12 +457,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("train_corpus", type=Path)
     p.add_argument("dev_corpus", type=Path)
     p.add_argument("test_corpus", type=Path)
-    p.add_argument("--levels",
-                   default="conservation,partial,full,transposition")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--levels", default=",".join(_values(Level)))
+    _add_field_options(p, ReplacementLevel, {"alpha": "alpha"})
     p.add_argument("--protected", type=Path, default=None)
-    _add_encoder_flags(p)
-    _add_train_flags(p)
+    _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_grid)
 

@@ -143,10 +143,14 @@ class SplitSpec:
     def __post_init__(self):
         if len(self.ratios) != 3:
             raise InvalidValue(f"expected 3 split ratios, got {len(self.ratios)}")
+        if not all(map(math.isfinite, self.ratios)):
+            raise InvalidValue(f"split ratios must be finite: {self.ratios}")
         if any(r < 0 for r in self.ratios):
             raise InvalidValue("negative split ratio")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise InvalidValue(f"split ratios sum to {sum(self.ratios)}, not 1")
+        if self.seed < 0:
+            raise InvalidValue(f"seed must be >= 0, not {self.seed}")
 
 
 # ---------------------------------------------------------------------------

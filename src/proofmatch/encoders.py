@@ -121,7 +121,8 @@ class Vocabulary:
         return ids[:len(statements)], ids[len(statements):]
 
 
-def build_vocab(corpus: Corpus, min_freq: int = 1) -> Vocabulary:
+def build_vocab(corpus: Corpus,
+                min_freq: int = Vocabulary.min_freq) -> Vocabulary:
     """Tokens with frequency >= min_freq, ids by (frequency desc,
     first occurrence asc); everything else maps to UNK at encode time."""
     if not corpus.pairs:
@@ -262,6 +263,8 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
                seed: int = 0) -> ModelState:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) embeddings and projections,
     W = I/sqrt(d), b = 0."""
+    if seed < 0:
+        raise InvalidValue(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d)
     emb_shape, *layer_shapes, _ = (s for _, s in _param_table(len(vocab), config))

@@ -61,7 +61,7 @@ class Optimizer(enum.Enum):
 class TrainConfig:
     objective: Objective = Objective.LOCAL
     batch_size: int = 60
-    epochs: int = 400
+    epochs: int = 100
     lr: float = 5e-3
     optimizer: Optimizer = Optimizer.AVERAGED_SGD
     lr_decay: float = 0.996
@@ -74,12 +74,14 @@ class TrainConfig:
             raise InvalidValue("epochs must be >= 1")
         if self.batch_size < 2:
             raise InvalidValue("batch_size must be >= 2 (in-batch negatives)")
-        if self.lr <= 0:
-            raise InvalidValue("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidValue(f"lr must be finite and positive, not {self.lr}")
         if not 0 < self.lr_decay <= 1:
             raise InvalidValue("lr_decay must be in (0, 1]")
         if self.eval_every < 1:
             raise InvalidValue("eval_every must be >= 1")
+        if self.seed < 0:
+            raise InvalidValue(f"seed must be >= 0, not {self.seed}")
 
 
 @dataclass

@@ -1,11 +1,14 @@
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import typing
 
 import numpy as np
 import pytest
@@ -15,16 +18,18 @@ from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
 from proofmatch import encoders
-from proofmatch.cli import main
+from proofmatch.cli import build_parser, main
 from proofmatch.corpus import (
-    Corpus, PairRecord, _escape, format_record, math_token, read_corpus,
-    read_records, write_corpus)
+    Corpus, PairRecord, SplitSpec, _escape, format_record, math_token,
+    read_corpus, read_records, write_corpus)
 from proofmatch.decoding import build_score_matrix, decode_local
 from proofmatch.encoders import (
-    EncoderConfig, build_vocab, init_model, load_model, save_model)
+    EncoderConfig, Vocabulary, build_vocab, init_model, load_model,
+    save_model)
 from proofmatch.evalharness import assignment_distribution
 from proofmatch.mathml import linearize_mathml
-from proofmatch.training import TrainHistory
+from proofmatch.symbols import Level, ReplacementLevel
+from proofmatch.training import TrainConfig, TrainHistory
 from conftest import (MARKER, letter_corpus, repeated_token_pair, save_marker_as,
                       separable_corpus)
 
@@ -599,6 +604,16 @@ BAD_VALUES = {
                             "--levels", "full,partial,full"],
     "k_with_local_decode": ["eval", "{model}", "{corpus}", "--decode", "local",
                             "--k", "5"],
+    "negative_split_seed": ["split", "{corpus}", "--seed", "-1"],
+    "negative_train_seed": ["train", "{corpus}", "{corpus}", "--seed", "-1"],
+    "negative_grid_seed": ["grid", "{corpus}", "{corpus}", "{corpus}",
+                           "--seed", "-1"],
+    "nan_middle_ratio": ["split", "{corpus}", "--ratios", "0.5,nan,0.5"],
+    "nan_first_ratio": ["split", "{corpus}", "--ratios", "nan,0.5,0.5"],
+    "nan_ratio_unmixed": ["split", "{corpus}", "--mode", "unmixed",
+                          "--ratios", "nan,0.5,0.5"],
+    "nan_lr": ["train", "{corpus}", "{corpus}", "--lr", "nan"],
+    "infinite_lr": ["train", "{corpus}", "{corpus}", "--lr", "inf"],
 }
 
 # What the error line of a BAD_VALUES case must name.
@@ -608,6 +623,11 @@ NAMED_IN_ERROR = {
     "repeated_grid_level": ["['full']"],
     "double_struck_protected": ["line 2,", "R#dstruck"],
     "k_with_local_decode": ["--k", "global"],
+    "negative_split_seed": ["seed", "-1"],
+    "negative_train_seed": ["seed", "-1"],
+    "negative_grid_seed": ["seed", "-1"],
+    "nan_lr": ["lr", "nan"],
+    "infinite_lr": ["lr", "inf"],
 }
 
 
@@ -684,6 +704,62 @@ def test_grid_levels_are_checked_before_the_corpora_are_read(
                  "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{corpus}", "{corpus}", "--dim", "0"],
+    ["train", "{corpus}", "{corpus}", "--lr", "nan"],
+    ["grid", "{corpus}", "{corpus}", "{corpus}", "--epochs", "0"],
+], ids=["train_dim", "train_lr", "grid_epochs"])
+def test_configs_are_checked_before_the_corpora_are_read(
+        tmp_path, corpus_file, capsys, monkeypatch, argv):
+    import proofmatch.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("read_corpus ran although a config value is bad")
+
+    monkeypatch.setattr(cli, "read_corpus", never)
+    assert main([a.format(corpus=corpus_file) for a in argv]
+                + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_config_options_default_to_the_library_types():
+    """Each option that sets a field of a library type has that field's
+    default, of the field's type, so the default is stated once."""
+    enc, tr, spec = EncoderConfig(), TrainConfig(), SplitSpec()
+    min_freq = inspect.signature(build_vocab).parameters["min_freq"].default
+    alpha = ReplacementLevel(Level.PARTIAL).alpha
+    model = {"encoder": enc.kind.value, "dim": enc.d, "layers": enc.layers,
+             "heads": enc.heads, "dk": enc.d_k, "pooling": enc.pooling.value,
+             "min_freq": min_freq, "objective": tr.objective.value,
+             "batch_size": tr.batch_size, "epochs": tr.epochs, "lr": tr.lr,
+             "optimizer": tr.optimizer.value, "lr_decay": tr.lr_decay,
+             "eval_every": tr.eval_every, "seed": tr.seed}
+    expected = {
+        "split": {"mode": spec.mode.value,
+                  "ratios": ",".join(map(str, spec.ratios)), "seed": spec.seed},
+        "replace": {"alpha": alpha},
+        "vocab": {"min_freq": min_freq},
+        "train": model,
+        "grid": {**model, "alpha": alpha,
+                 "levels": ",".join(level.value for level in Level)},
+    }
+    _, tables = build_parser()
+    for command, defaults in expected.items():
+        got = {dest: tables[command][dest].default for dest in defaults}
+        assert got == defaults, command
+        assert ({dest: type(v) for dest, v in got.items()}
+                == {dest: type(v) for dest, v in defaults.items()}), command
+    # an option's type is its default's, so a float field needs a float
+    for config_type in (EncoderConfig, TrainConfig, SplitSpec,
+                        ReplacementLevel, Vocabulary):
+        kinds = typing.get_type_hints(config_type)
+        for f in dataclasses.fields(config_type):
+            if f.default is not dataclasses.MISSING and isinstance(
+                    kinds[f.name], type):
+                assert type(f.default) is kinds[f.name], f.name
 
 
 @settings(max_examples=100, deadline=None)

@@ -168,6 +168,17 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(ratios=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("spec", [
+        dict(ratios=(0.5, float("nan"), 0.5)),
+        dict(ratios=(float("nan"), 0.5, 0.5)),
+        dict(mode=SplitMode.UNMIXED, ratios=(float("nan"), 0.5, 0.5)),
+        dict(ratios=(float("inf"), -float("inf"), 1.0)),
+        dict(seed=-1),
+    ], ids=["nan_dev", "nan_train", "nan_unmixed", "infinite", "negative_seed"])
+    def test_non_finite_ratio_or_negative_seed_rejected(self, spec):
+        with pytest.raises(InvalidValue):
+            SplitSpec(**spec)
+
 
 class TestSerialization:
     def test_round_trip_random(self, tmp_path):

@@ -37,6 +37,7 @@ from proofmatch.encoders import (
     score_matrix,
 )
 from proofmatch.corpus import EmptyCorpus
+from proofmatch.errors import InvalidValue
 from proofmatch.training import batch_loss_and_grads, local_loss
 from attention_reference import backward_dense, forward_dense
 from conftest import (MARKER, letter_corpus, random_corpus, rebuilt_tokens,
@@ -156,6 +157,11 @@ def small_state(kind=EncoderKind.POOLED, pooling=Pooling.MAX, layers=1,
     cfg = EncoderConfig(kind, d=8, layers=layers, heads=2, d_k=3,
                         pooling=pooling, **kwargs)
     return init_model(vocab, cfg, seed=seed)
+
+
+def test_init_model_rejects_a_negative_seed():
+    with pytest.raises(InvalidValue, match="seed must be >= 0"):
+        small_state(seed=-1)
 
 
 class TestEncode:

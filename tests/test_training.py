@@ -364,3 +364,11 @@ class TestTrainLoop:
             TrainConfig(lr=0.0)
         with pytest.raises(ValueError):
             TrainConfig(lr_decay=1.5)
+
+    @pytest.mark.parametrize("bad", [dict(lr=math.nan), dict(lr=math.inf),
+                                     dict(seed=-1)],
+                             ids=["nan_lr", "infinite_lr", "negative_seed"])
+    def test_config_rejects_non_finite_lr_and_negative_seed(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**bad)
