@@ -15,8 +15,9 @@ matching that covers that row or column by the same amount, so it changes
 no optimal matching. The dense solver subtracts the row minima, then the
 column minima, of the negated scores. The sparse solver measures each
 row's retained weights from that row's best score wherever every row is
-matched. Skewed scores, where a few "hub" proofs score high for many
-statements, are what make the unreduced problem slow. The reported
+matched, and then each column's from its least weight wherever every
+column is matched. Skewed scores, where a few "hub" proofs score high for
+many statements, are what make the unreduced problem slow. The reported
 objective is always summed from the scores themselves.
 """
 
@@ -122,11 +123,11 @@ def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:
     proof_of = np.full(n, -1, dtype=np.int64)
     # R_V × C_V matches every row of R_V.
     _match_part(graph, in_rv, in_cv, proof_of)
-    # When padded, the rest leaves rows unmatched, where a row shift is
-    # inexact; a common shift is exact there, as every maximum matching of
-    # the part has the same number of edges.
+    # The rest matches every column outside C_V, so a column shift is exact
+    # there. When padded, it leaves rows unmatched, where a row shift is
+    # inexact; the column shift then follows a common one.
     rest = _graph(sparse, sparse.vals.max()) if padded else graph
-    _match_part(rest, ~in_rv, ~in_cv, proof_of)
+    _match_part(rest, ~in_rv, ~in_cv, proof_of, shift_columns=True)
     uncovered = proof_of < 0
     unused = np.ones(n, dtype=bool)
     unused[proof_of[~uncovered]] = False
@@ -175,11 +176,18 @@ def _dulmage_mendelsohn(graph: csr_matrix, row_of: np.ndarray
 
 
 def _match_part(graph: csr_matrix, row_mask: np.ndarray, col_mask: np.ndarray,
-                proof_of: np.ndarray) -> None:
+                proof_of: np.ndarray, shift_columns: bool = False) -> None:
     """Least-weight full matching of the rows and columns selected by the
-    masks, written into ``proof_of``."""
+    masks, written into ``proof_of``. With ``shift_columns``, which is exact
+    only where the matching covers every column of the part, each column's
+    weights are first measured from its least one, staying >= 1."""
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
     rows, cols = np.flatnonzero(row_mask), np.flatnonzero(col_mask)
     if rows.size and cols.size:
-        i, j = min_weight_full_bipartite_matching(graph[rows][:, cols])
+        part = graph[rows][:, cols]
+        if shift_columns:
+            least = np.full(cols.size, np.inf)
+            np.minimum.at(least, part.indices, part.data)
+            part.data = (part.data - least[part.indices]) + 1.0
+        i, j = min_weight_full_bipartite_matching(part)
         proof_of[rows[i]] = cols[j]

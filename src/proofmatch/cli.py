@@ -31,6 +31,7 @@ from .corpus import (
     CorpusError,
     FilterResult,
     FormatError,
+    Memo,
     SplitMode,
     SplitSpec,
     Token,
@@ -63,7 +64,7 @@ from .evalharness import (
     report_local,
     run_grid,
 )
-from .mathml import MalformedXml, linearize_mathml
+from .mathml import MalformedXml, linearize_mathml, token_table
 from .symbols import Level, ReplacementLevel, read_protected_set, replace_corpus
 from .training import TrainConfig, train, write_history
 
@@ -90,11 +91,12 @@ def _add_field_options(p: argparse.ArgumentParser, config_type: type,
     field's type: an int default for a float field would reject 0.5."""
     for dest, name in fields.items():
         flag, default = "--" + dest.replace("_", "-"), getattr(config_type, name)
+        sets = f"sets {config_type.__name__}.{name}"
         if isinstance(default, enum.Enum):
             p.add_argument(flag, choices=_values(type(default)),
-                           default=default.value)
+                           default=default.value, help=sets)
         else:
-            p.add_argument(flag, type=type(default), default=default)
+            p.add_argument(flag, type=type(default), default=default, help=sets)
 
 
 def _config(config_type: type, fields: dict[str, str], args):
@@ -220,7 +222,8 @@ def _load_protected(args) -> frozenset[str] | None:
 
 def cmd_ingest(args) -> int:
     kept, rejected = [], {"too_short": 0, "too_long": 0}
-    for record in read_records(args.input, _parse_raw_item):
+    parse = functools.partial(_parse_raw_item, tokens=token_table())
+    for record in read_records(args.input, parse):
         verdict = filter_pair(record)
         if verdict is FilterResult.KEEP:
             kept.append(record)
@@ -237,13 +240,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _parse_raw_item(item: str, line: int, column: int) -> tuple[Token, ...]:
+def _parse_raw_item(item: str, line: int, column: int,
+                    tokens: Memo | None = None) -> tuple[Token, ...]:
     """A corpus item, or an ``x:payload`` item carrying percent-encoded
-    Presentation-MathML, linearized."""
+    Presentation-MathML, linearized with the read's ``tokens`` table
+    (``mathml.token_table``)."""
     if not item.startswith("x:"):
         return parse_item(item, line, column)
     try:
-        return tuple(linearize_mathml(_unescape(item[2:])))
+        return tuple(linearize_mathml(_unescape(item[2:]), tokens))
     except MalformedXml as exc:
         raise FormatError(str(exc), line, column) from exc
 
@@ -375,16 +380,29 @@ def cmd_grid(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--out-dir", type=Path, default=Path("."))
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--config", type=Path, default=None,
+                   help="a file of key = value option defaults")
+    p.add_argument("--out-dir", type=Path, default=Path("."),
+                   help="directory of the outputs and the manifest")
+    p.add_argument("--quiet", action="store_true",
+                   help="print nothing on success")
+
+
+def _add_channel(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--channel", choices=CHANNELS, default="both",
+                   help="the token kinds kept")
+
+
+def _add_protected(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--protected", type=Path, default=None,
+                   help="a file of letters never renamed")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     """The encoder and training options of ``train`` and ``grid``."""
     _add_field_options(p, EncoderConfig, _ENCODER_FIELDS)
     _add_field_options(p, Vocabulary, {"min_freq": "min_freq"})
-    p.add_argument("--channel", choices=CHANNELS, default="both")
+    _add_channel(p)
     _add_field_options(p, TrainConfig, _TRAIN_FIELDS)
 
 
@@ -394,51 +412,59 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     declaration order. Every positional argument names an input file."""
     # No abbreviated flags: _apply_config_defaults tells options given on
     # the command line from the literal --name words of argv.
-    parser = argparse.ArgumentParser(
-        prog="match", allow_abbrev=False,
-        description="Match mathematical proofs to statements.")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser,
-                                       allow_abbrev=False))
+    # Every option has a help line, so the formatter states every default.
+    parser_class = functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False,
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = parser_class(prog="match",
+                          description="Match mathematical proofs to statements.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=parser_class)
 
     p = sub.add_parser("ingest", help="validate, linearize and filter raw records")
     p.add_argument("input", type=Path)
-    p.add_argument("--output", default="corpus.tsv")
-    p.add_argument("--strict", action="store_true")
+    p.add_argument("--output", default="corpus.tsv",
+                   help="corpus file name in --out-dir")
+    p.add_argument("--strict", action="store_true",
+                   help="exit with 2 when a record is rejected")
     _add_common(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="train/dev/test split")
     p.add_argument("corpus", type=Path)
     _add_field_options(p, SplitSpec, {"mode": "mode"})
-    p.add_argument("--ratios", default=",".join(map(str, SplitSpec.ratios)))
+    p.add_argument("--ratios", default=",".join(map(str, SplitSpec.ratios)),
+                   help="train,dev,test fractions")
     _add_field_options(p, SplitSpec, {"seed": "seed"})
     _add_common(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("replace", help="apply a symbol-replacement level")
     p.add_argument("corpus", type=Path)
-    p.add_argument("--output", default="replaced.tsv")
-    p.add_argument("--level", choices=_values(Level), default=Level.FULL.value)
+    p.add_argument("--output", default="replaced.tsv",
+                   help="corpus file name in --out-dir")
+    p.add_argument("--level", choices=_values(Level), default=Level.FULL.value,
+                   help="replacement level")
     _add_field_options(p, ReplacementLevel, {"alpha": "alpha"})
-    p.add_argument("--protected", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_protected(p)
+    p.add_argument("--seed", type=int, default=0, help="renaming seed")
     _add_common(p)
     p.set_defaults(func=cmd_replace)
 
     p = sub.add_parser("vocab", help="build and dump a vocabulary")
     p.add_argument("corpus", type=Path)
-    p.add_argument("--output", default="vocab.tsv")
+    p.add_argument("--output", default="vocab.tsv",
+                   help="vocabulary file name in --out-dir")
     _add_field_options(p, Vocabulary, {"min_freq": "min_freq"})
-    p.add_argument("--channel", choices=CHANNELS, default="both")
+    _add_channel(p)
     _add_common(p)
     p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("train", help="train a matching model")
     p.add_argument("train_corpus", type=Path)
     p.add_argument("dev_corpus", type=Path)
-    p.add_argument("--output", default="model.pmm")
+    p.add_argument("--output", default="model.pmm",
+                   help="model file name in --out-dir")
     _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_train)
@@ -446,10 +472,12 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p = sub.add_parser("eval", help="evaluate a model on a corpus")
     p.add_argument("model", type=Path)
     p.add_argument("corpus", type=Path)
-    p.add_argument("--decode", choices=("local", "global"), default="local")
+    p.add_argument("--decode", choices=("local", "global"), default="local",
+                   help="local ranking or global assignment")
     p.add_argument("--k", type=int, default=None,
-                   help="top-k pruning for global decoding, K >= 1 (default: dense)")
-    p.add_argument("--channel", choices=CHANNELS, default="both")
+                   help="top-k pruning for global decoding, K >= 1; "
+                        "without it the solve is dense")
+    _add_channel(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -457,9 +485,10 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("train_corpus", type=Path)
     p.add_argument("dev_corpus", type=Path)
     p.add_argument("test_corpus", type=Path)
-    p.add_argument("--levels", default=",".join(_values(Level)))
+    p.add_argument("--levels", default=",".join(_values(Level)),
+                   help="comma-separated replacement levels")
     _add_field_options(p, ReplacementLevel, {"alpha": "alpha"})
-    p.add_argument("--protected", type=Path, default=None)
+    _add_protected(p)
     _add_model_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_grid)

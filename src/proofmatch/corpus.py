@@ -20,6 +20,15 @@ tokens (``write_corpus``, ``Vocabulary.encode_ids``) therefore runs its
 slower step once per distinct token and finds every repeat by comparing
 it with itself, where a vocabulary's own keys are other objects whose
 fields are compared one by one.
+
+What runs how often: a read splits each token field at spaces and maps
+the items through the read's ``item_memo`` in one C-level loop, a dict
+lookup per item. Its ``parse_item`` runs once per distinct item of the
+read; only a field with a bad item is walked again item by item, to name
+the item's column. A write runs ``format_token`` once per distinct token
+and joins the formatted items per field. An ingest read also gives every
+MathML item one ``mathml.token_table``, so it builds one Token per
+distinct (kind, surface, font) of MathML leaves.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +85,9 @@ class _TokenFields(NamedTuple):
     font: Font = Font.NORMAL
 
 
+_WHITESPACE = re.compile(r"\s")  # the characters for which str.isspace holds
+
+
 class Token(_TokenFields):
     """A typed lexical unit. Text and math vocabularies are disjoint because
     kind participates in equality; math symbols additionally carry a font
@@ -85,7 +98,7 @@ class Token(_TokenFields):
     def __new__(cls, kind: TokenKind, surface: str, font: Font = Font.NORMAL):
         if not surface:
             raise InvalidValue("empty token surface")
-        if any(c.isspace() for c in surface):
+        if _WHITESPACE.search(surface):
             raise InvalidValue(f"whitespace in token surface: {surface!r}")
         if kind is TokenKind.TEXT and font is not Font.NORMAL:
             raise InvalidValue("text tokens must carry the normal font")
@@ -254,16 +267,19 @@ _SIGIL_FONTS = {f.value: f for f in Font if f is not Font.NORMAL}
 
 _ESCAPES = [("%", "%25"), ("\t", "%09"), (" ", "%20"),
             ("#", "%23"), (":", "%3A"), (",", "%2C"), ("\n", "%0A")]
+# No encoding holds a character that another one encodes, so one pass over
+# the string gives what the replacements in turn would.
+_ESCAPE_TABLE = str.maketrans(dict(_ESCAPES))
 _PCT_RE = re.compile(r"%([0-9A-Fa-f]{2})")
 
 
 def _escape(s: str) -> str:
-    for raw, enc in _ESCAPES:
-        s = s.replace(raw, enc)
-    return s
+    return s.translate(_ESCAPE_TABLE)
 
 
 def _unescape(s: str) -> str:
+    if "%" not in s:
+        return s
     return _PCT_RE.sub(lambda m: chr(int(m.group(1), 16)), s)
 
 
@@ -327,29 +343,41 @@ def parse_item(item: str, line: int, column: int) -> tuple[Token, ...]:
     return (parse_token(item, line, column),)
 
 
-def parse_tokens(text: str, line: int, column: int,
-                 memo: dict[str, tuple[Token, ...]], parse_item) -> list[Token]:
+def item_memo(parse_item) -> Memo:
+    """A read's map from items to their tokens. ``parse_item`` runs once per
+    distinct item, with no line or column: ``parse_tokens`` finds those
+    again for an item that fails. The empty item, which repeated and edge
+    spaces leave, stands for no token."""
+    memo = Memo(lambda item: parse_item(item, 0, 0))
+    memo[""] = ()
+    return memo
+
+
+def parse_tokens(text: str, line: int, column: int, memo: Memo,
+                 parse_item) -> list[Token]:
     """The tokens of the space-separated items of a field starting at
-    ``column``. ``parse_item`` runs once for each item not yet in ``memo``,
-    the read's map from accepted items to their tokens."""
-    toks = []
+    ``column``, looked up in ``memo`` (``item_memo(parse_item)``). Only a
+    field with a bad item goes through the items one by one, to raise the
+    error of ``parse_item`` at that item's line and column."""
+    try:
+        return list(chain.from_iterable(map(memo.__getitem__, text.split(" "))))
+    except FormatError as exc:
+        error = exc
+    # The items before the bad one are in the memo now, and it is not.
     for item in text.split(" "):
-        if item:
-            got = memo.get(item)
-            if got is None:
-                got = memo[item] = parse_item(item, line, column)
-            toks.extend(got)
+        if item not in memo:
+            parse_item(item, line, column)
         column += len(item) + 1
-    return toks
+    raise error
 
 
 def parse_record(line: str, lineno: int, parse_item=parse_item,
-                 memo: dict[str, tuple[Token, ...]] | None = None) -> PairRecord:
+                 memo: Memo | None = None) -> PairRecord:
     """One corpus line. ``parse_item(item, lineno, column)`` returns the
     tuple of tokens an item stands for, or raises ``FormatError``; a caller
     may pass one that accepts further item kinds. A reader passes one
-    ``memo`` for all of its lines."""
-    memo = {} if memo is None else memo
+    ``item_memo(parse_item)`` for all of its lines."""
+    memo = item_memo(parse_item) if memo is None else memo
     fields = line.split("\t")
     if len(fields) != 5:
         raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}",
@@ -409,7 +437,7 @@ def read_records(path, parse_item=parse_item):
     """Each record of a corpus file; blank and ``#`` lines are skipped.
     ``parse_item`` runs once per distinct item of the read, as in
     ``parse_record``, so equal items share their tokens."""
-    memo: dict[str, tuple[Token, ...]] = {}
+    memo = item_memo(parse_item)
     for lineno, line in numbered_lines(path):
         line = line.rstrip("\n")
         if line and not line.startswith("#"):

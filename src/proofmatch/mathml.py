@@ -4,13 +4,19 @@ A ``<math>`` subtree is flattened to a left-to-right token sequence by
 depth-first traversal: leaf text content becomes math tokens (text tokens
 for ``mtext``), layout elements contribute nothing of their own, and the
 ``mathvariant`` attribute of the nearest ancestor selects the font channel.
+
+What runs how often: ``linearize_mathml`` parses once per fragment it is
+given (an ingest read gives it each distinct MathML item once) and visits
+each element once. A leaf's words are looked up in a token table, which
+builds one ``Token`` per distinct (kind, surface, font): per fragment by
+default, per read when the reader passes one table to every fragment.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from .corpus import Font, Token, TokenKind
+from .corpus import Font, Memo, Token, TokenKind
 from .errors import ProofmatchError
 
 
@@ -32,23 +38,18 @@ _VARIANTS = {
 
 
 def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+    return tag.rpartition("}")[2]
 
 
-def _font_of(elem: ET.Element, inherited: Font) -> Font:
-    variant = elem.get("mathvariant")
-    if variant is None:
-        return inherited
-    return _VARIANTS.get(variant, Font.OTHER)
-
-
-def _emit(elem: ET.Element, inherited: Font, out: list[Token]) -> None:
-    tag = _local_name(elem.tag)
+def _emit(elem: ET.Element, inherited: Font, out: list[Token],
+          tokens: Memo) -> None:
+    tag = elem.tag.rpartition("}")[2]  # _local_name, inlined on this hot path
     if tag in _CONTENT_MARKUP:
         raise MalformedXml(f"content markup element <{tag}> is not supported")
-    font = _font_of(elem, inherited)
-    children = list(elem)
-    if children:
+    variant = elem.get("mathvariant")
+    font = inherited if variant is None else _VARIANTS.get(variant, Font.OTHER)
+    if len(elem):
+        children = list(elem)
         # Text beside child elements (mixed content) is not Presentation
         # MathML; linearizing only the leaves would drop its symbols.
         stray = [t for t in (elem.text, *(c.tail for c in children))
@@ -57,19 +58,28 @@ def _emit(elem: ET.Element, inherited: Font, out: list[Token]) -> None:
             raise MalformedXml(f"text {stray[0].strip()!r} beside child "
                                f"elements of <{tag}>")
         for child in children:
-            _emit(child, font, out)
+            _emit(child, font, out, tokens)
         return
-    if tag == "mspace":
+    if tag == "mspace" or not elem.text:
         return
-    text = elem.text or ""
     if tag == "mtext":
-        out.extend(Token(TokenKind.TEXT, w) for w in text.split())
+        kind, font = TokenKind.TEXT, Font.NORMAL
     else:
-        out.extend(Token(TokenKind.MATH, w, font) for w in text.split())
+        kind = TokenKind.MATH
+    out.extend(tokens[kind, w, font] for w in elem.text.split())
 
 
-def linearize_mathml(fragment: str) -> list[Token]:
+def token_table() -> Memo:
+    """A map from (kind, surface, font) to the one ``Token`` of those fields,
+    built when first looked up."""
+    return Memo(Token._make)
+
+
+def linearize_mathml(fragment: str, tokens: Memo | None = None) -> list[Token]:
     """Flatten a Presentation-MathML fragment to tokens in document order.
+    The tokens come from ``tokens`` (a ``token_table()``), so a reader that
+    passes one table for all of its fragments builds one ``Token`` per
+    distinct leaf symbol; without one, the fragment gets its own.
 
     Raises MalformedXml on unparseable input, a non-``math`` root,
     content-markup elements, or non-blank text beside child elements
@@ -83,5 +93,5 @@ def linearize_mathml(fragment: str) -> list[Token]:
     if _local_name(root.tag) != "math":
         raise MalformedXml(f"root element is <{_local_name(root.tag)}>, expected <math>")
     out: list[Token] = []
-    _emit(root, Font.NORMAL, out)
+    _emit(root, Font.NORMAL, out, token_table() if tokens is None else tokens)
     return out

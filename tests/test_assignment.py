@@ -377,3 +377,41 @@ class TestSparseScale:
         assert padded
         assert_permutation(perm, n)
         assert peak < 50 * 2**20
+
+
+class TestColumnShift:
+    """``solve_sparse`` measures each column of the part that every maximum
+    matching covers from that column's least weight."""
+
+    def test_assignment_is_the_one_from_unshifted_weights(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        instances = [prune_topk(make(rng, n), k)
+                     for make in (*SKEWED, two_block_matrix)
+                     for n in (40, 120) for k in (2, 5, n // 3)]
+        shifted = [solve_sparse(sp) for sp in instances]
+        match_part = assignment._match_part
+        monkeypatch.setattr(assignment, "_match_part",
+                            lambda *args, shift_columns=False: match_part(*args))
+        padded = 0
+        for sp, (perm, val, pad) in zip(instances, shifted):
+            ref_perm, ref_val, ref_pad = solve_sparse(sp)
+            assert np.array_equal(perm, ref_perm)
+            assert (val, pad) == (ref_val, ref_pad)
+            padded += pad
+        assert 0 < padded < len(instances)
+
+    def test_objective_matches_brute_force(self):
+        rng = np.random.default_rng(29)
+        padded_seen = set()
+        for _ in range(80):
+            n = int(rng.integers(2, 8))
+            m = rng.normal(size=(n, n))
+            m[:, :int(rng.integers(0, n))] += 3.0
+            sp = prune_topk(m, int(rng.integers(1, n + 1)))
+            perm, val, padded = solve_sparse(sp)
+            most, best = solve_brute_padded(sp)
+            assert_permutation(perm, n)
+            assert padded == (most < n)
+            assert val == pytest.approx(best, abs=1e-9)
+            padded_seen.add(padded)
+        assert padded_seen == {False, True}

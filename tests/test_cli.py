@@ -85,9 +85,9 @@ class TestIngest:
         import proofmatch.cli as cli
         payloads = []
 
-        def counting(fragment):
+        def counting(fragment, tokens=None):
             payloads.append(fragment)
-            return linearize_mathml(fragment)
+            return linearize_mathml(fragment, tokens)
 
         monkeypatch.setattr(cli, "linearize_mathml", counting)
         raw = tmp_path / "raw.tsv"
@@ -101,6 +101,24 @@ class TestIngest:
         p1, p2, p3 = (r.proof for r in records)
         assert p1[-4:] == p3[-2:] * 2 and p2[-1:] == [math_token("c")]
         assert p1[-4] is p1[-2] is p3[-2] and p1[-3] is p1[-1] is p3[-1]
+
+    def test_one_token_per_distinct_mathml_leaf(self, tmp_path, monkeypatch):
+        import proofmatch.cli as cli
+        written = []
+        monkeypatch.setattr(cli, "write_corpus",
+                            lambda corpus, path: written.append(corpus))
+        raw = tmp_path / "raw.tsv"
+        write_raw(raw, [
+            raw_line("p1", mathml='<math><mi>a</mi><mi mathvariant="bold">a'
+                                  '</mi><mtext>holds</mtext></math>'),
+            raw_line("p2", mathml="<math><mrow><mtext>holds</mtext><mi>a</mi>"
+                                  "</mrow></math>"),
+            raw_line("p3", mathml='<math><mi mathvariant="bold">a</mi><mi>a'
+                                  '</mi></math>')])
+        assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 0
+        leaves = [t for p in written[0].pairs for t in p.proof[25:]]
+        assert len(leaves) == 7
+        assert len({id(t) for t in leaves}) == len(set(leaves)) == 3
 
     def test_strict_exit_code(self, tmp_path):
         raw = tmp_path / "raw.tsv"
@@ -1027,3 +1045,17 @@ def test_diverging_training_prints_no_warnings(tmp_path, command, encoder, lr):
         assert run.stderr.startswith("error: non-finite ")
         lines.append(run.stderr)
     assert lines[0] == lines[1]
+
+
+def test_help_states_every_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert (f"sets TrainConfig.lr (default: {TrainConfig.lr})"
+            in " ".join(capsys.readouterr().out.split()))
+    _, tables = build_parser()
+    for command, actions in tables.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = [a for a in actions.values() if a.option_strings]
+        assert capsys.readouterr().out.count("(default:") == len(options), command

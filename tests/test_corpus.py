@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from proofmatch.cli import _parse_raw_item
 from proofmatch.errors import InvalidValue
@@ -19,12 +19,17 @@ from proofmatch.corpus import (
     Token,
     TokenKind,
     filter_channel,
+    _ESCAPES,
+    _escape,
+    _unescape,
     filter_pair,
     format_record,
     format_token,
+    item_memo,
     math_token,
     parse_item,
     parse_record,
+    parse_tokens,
     read_corpus,
     read_records,
     split_corpus,
@@ -290,3 +295,59 @@ class TestChannelFilter:
         assert filter_channel(corpus, "both") is corpus
         with pytest.raises(InvalidValue, match="unknown channel: Math"):
             filter_channel(corpus, "Math")
+
+
+def parse_tokens_by_item(text, line, column, memo, parse_item):
+    """A field's tokens, parsing and looking up one item at a time."""
+    toks = []
+    for item in text.split(" "):
+        if item:
+            got = memo.get(item)
+            if got is None:
+                got = memo[item] = parse_item(item, line, column)
+            toks.extend(got)
+        column += len(item) + 1
+    return toks
+
+
+# Good and bad corpus items, and MathML items that only the ingest parser
+# takes; "" pieces make empty fields and repeated and edge spaces.
+FIELD_PIECES = ["", "t:a", "t:b", "m:x", "m:x#bold", "t:%25", "m:%3A#script",
+                "x:%3Cmath%3E%3Cmi%3Ey%3C/mi%3E%3Cmi%3Ex%3C/mi%3E%3C/math%3E",
+                "q:z", "m:x#zz", "t:", "t:a%20b", "x:%3Cmath%3E"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(FIELD_PIECES), max_size=8),
+                max_size=6),
+       st.sampled_from([parse_item, _parse_raw_item]))
+def test_field_parse_matches_the_per_item_loop(fields, parse):
+    memo, by_item = item_memo(parse), {}
+    for lineno, pieces in enumerate(fields, start=1):
+        text = " ".join(pieces)
+        try:
+            expected = parse_tokens_by_item(text, lineno, 7, by_item, parse)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as err:
+                parse_tokens(text, lineno, 7, memo, parse)
+            assert (str(err.value), err.value.line, err.value.column) == (
+                str(exc), exc.line, exc.column)
+            return
+        got = parse_tokens(text, lineno, 7, memo, parse)
+        assert got == expected
+        # each item's tokens are the ones its first parse made, on any line
+        start = 0
+        for item in filter(None, pieces):
+            toks = memo[item]
+            assert all(a is b for a, b in zip(got[start:], toks))
+            start += len(toks)
+        assert start == len(got)
+
+
+@given(st.text(alphabet="%\t #:,\nab2C0é"))
+def test_escape_is_the_replacements_in_turn(s):
+    chained = s
+    for raw, enc in _ESCAPES:
+        chained = chained.replace(raw, enc)
+    assert _escape(s) == chained
+    assert _unescape(_escape(s)) == s
