@@ -210,6 +210,20 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _read_documents(path: Path, channel: str) -> Corpus:
+    """The corpus at ``path`` in ``channel``, for a command that encodes its
+    documents. The encoders take no empty document, so a statement or proof
+    with no tokens in the channel is an error that names its pair."""
+    corpus = filter_channel(read_corpus(path), channel)
+    tokens = "tokens" if channel == "both" else f"{channel} tokens"
+    for p in corpus.pairs:
+        for field in ("statement", "proof"):
+            if not getattr(p, field):
+                raise CorpusError(f"{path}: pair {p.pair_id} has no {tokens} "
+                                  f"in its {field}")
+    return corpus
+
+
 def _load_protected(args) -> frozenset[str] | None:
     if args.protected:
         return read_protected_set(args.protected)
@@ -292,8 +306,8 @@ def cmd_vocab(args) -> int:
 def cmd_train(args) -> int:
     encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
     train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
-    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
-    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
+    train_c = _read_documents(args.train_corpus, args.channel)
+    dev_c = _read_documents(args.dev_corpus, args.channel)
     vocab = build_vocab(train_c, args.min_freq)
     state = init_model(vocab, encoder, args.seed)
     args.threads = threads(encoder)
@@ -318,7 +332,7 @@ def cmd_eval(args) -> int:
         raise InvalidValue(f"--k {args.k} applies to --decode global only")
     state = load_model(args.model)
     args.threads = threads(state.config)
-    corpus = filter_channel(read_corpus(args.corpus), args.channel)
+    corpus = _read_documents(args.corpus, args.channel)
     m = build_score_matrix(state,
                            [p.statement for p in corpus.pairs],
                            [p.proof for p in corpus.pairs])
@@ -357,9 +371,9 @@ def cmd_grid(args) -> int:
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
     encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
     train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
-    train_c = filter_channel(read_corpus(args.train_corpus), args.channel)
-    dev_c = filter_channel(read_corpus(args.dev_corpus), args.channel)
-    test_c = filter_channel(read_corpus(args.test_corpus), args.channel)
+    train_c = _read_documents(args.train_corpus, args.channel)
+    dev_c = _read_documents(args.dev_corpus, args.channel)
+    test_c = _read_documents(args.test_corpus, args.channel)
     args.threads = threads(encoder)
     protected = _load_protected(args)
     args.processes = grid_processes(len(levels))

@@ -44,9 +44,13 @@ token (see ``corpus`` for why that is faster). A collection's statements
 and proofs, and a batch's, are encoded in one call
 (``Vocabulary.encode_pairs``) and ``forward`` takes each document's ids.
 
-Model files are a versioned binary container: magic ``PMM1``, vocabulary,
-config, row-major little-endian float32 parameter tensors, and a trailing
-SHA-256 checksum.
+The score head's bias b is a 0-d float64 tensor, the last of
+``ModelState.param_arrays()``, so copying, zeroing, the gradient norm, the
+update and tail averaging treat it as one more parameter. Model files are
+a versioned binary container: magic ``PMM1``, version, vocabulary,
+config, seed, the row-major little-endian float32 tensors in
+``_param_table`` order with the bias last as a bare float32, and a
+trailing SHA-256 checksum.
 """
 
 from __future__ import annotations
@@ -193,7 +197,7 @@ class LayerParams:
 @dataclass
 class BilinearHead:
     w: np.ndarray  # (d, d)
-    b: float
+    b: np.ndarray  # (), float64
 
 
 @dataclass
@@ -207,25 +211,23 @@ class ModelState:
 
     def copy(self) -> "ModelState":
         return _assemble(self.vocab, self.config,
-                         [a.copy() for a in self.param_arrays()],
-                         self.head.b, self.rng_seed)
+                         [a.copy() for a in self.param_arrays()], self.rng_seed)
 
     def zeros(self) -> "ModelState":
         """Same shape, every parameter zero: the buffer a gradient fills."""
         return _assemble(self.vocab, self.config,
                          [np.zeros(a.shape) for a in self.param_arrays()],
-                         0.0, self.rng_seed)
+                         self.rng_seed)
 
     def param_arrays(self) -> list[np.ndarray]:
-        """Every tensor of the model: embeddings, each layer's tensors in
-        order, then the head's W (the bias is a scalar)."""
+        """Every parameter of the model: embeddings, each layer's tensors in
+        order, then the head's W and its 0-d bias."""
         return [self.embeddings, *(a for l in self.layers for a in l.tensors()),
-                self.head.w]
+                self.head.w, self.head.b]
 
     def global_norm(self) -> float:
-        """The L2 norm over every parameter, bias included."""
-        total = sum(float(np.sum(a * a)) for a in self.param_arrays())
-        return math.sqrt(total + self.head.b * self.head.b)
+        """The L2 norm over every parameter."""
+        return math.sqrt(sum(float(np.sum(a * a)) for a in self.param_arrays()))
 
 
 def _param_table(n_tokens: int, config: EncoderConfig):
@@ -239,20 +241,13 @@ def _param_table(n_tokens: int, config: EncoderConfig):
         for i in range(config.layers):
             yield from ((f"layers[{i}].{name}", shape) for name, shape in layer)
     yield "head.w", (d, d)
-
-
-def _named_values(state: ModelState):
-    """Each parameter of ``state`` with its ``_param_table`` name, then the
-    bias as ``head.b``."""
-    names = [name for name, _ in _param_table(len(state.vocab), state.config)]
-    return zip([*names, "head.b"], [*state.param_arrays(), state.head.b],
-               strict=True)
+    yield "head.b", ()
 
 
 def _assemble(vocab: Vocabulary, config: EncoderConfig,
-              arrays: list[np.ndarray], b: float, seed: int) -> ModelState:
+              arrays: list[np.ndarray], seed: int) -> ModelState:
     """The model whose ``param_arrays()`` are ``arrays``."""
-    embeddings, *layer_arrays, w = arrays
+    embeddings, *layer_arrays, w, b = arrays
     n = len(fields(LayerParams))
     layers = [LayerParams(*layer_arrays[i:i + n])
               for i in range(0, len(layer_arrays), n)]
@@ -267,13 +262,14 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
         raise InvalidValue(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d)
-    emb_shape, *layer_shapes, _ = (s for _, s in _param_table(len(vocab), config))
+    emb_shape, *layer_shapes, _, b_shape = (
+        s for _, s in _param_table(len(vocab), config))
     # The draw order is part of what a seed means: layers, then embeddings.
     layer_arrays = [rng.uniform(-scale, scale, size=s) for s in layer_shapes]
     embeddings = rng.uniform(-scale, scale, size=emb_shape)
-    return _assemble(vocab, config,
-                     [embeddings, *layer_arrays, np.eye(config.d) * scale],
-                     0.0, seed)
+    return _assemble(vocab, config, [embeddings, *layer_arrays,
+                                     np.eye(config.d) * scale, np.zeros(b_shape)],
+                     seed)
 
 
 # One read-only sinusoid table per width d. Row p does not depend on the
@@ -464,7 +460,7 @@ def score_matrix_backward(state: ModelState, s_vecs: np.ndarray,
     """Gradients of a scalar loss through the all-pairs score matrix.
     Returns (d_s_vecs, d_p_vecs) for the encoder backward passes."""
     grads.head.w += s_vecs.T @ d_m @ p_vecs
-    grads.head.b += float(d_m.sum())
+    grads.head.b += d_m.sum()
     d_s = d_m @ (p_vecs @ state.head.w.T)
     d_p = d_m.T @ (s_vecs @ state.head.w)
     return d_s, d_p
@@ -474,7 +470,6 @@ def apply_gradients(state: ModelState, grads: ModelState, lr: float) -> None:
     """Plain gradient-descent update (loss minimization)."""
     for p, g in zip(state.param_arrays(), grads.param_arrays(), strict=True):
         p -= lr * g
-    state.head.b -= lr * grads.head.b
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +550,15 @@ def _under_errstate(err: dict[str, str], fn, *args):
 
 _MAGIC = b"PMM1"
 _VERSION = 1
-# Code 0 was an untrainable TF-IDF kind; it is no longer accepted.
-_KIND_CODES = {EncoderKind.POOLED: 1, EncoderKind.SELF_ATTENTIVE: 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-_POOL_CODES = {Pooling.MAX: 0, Pooling.MEAN: 1}
-_CODE_POOLS = {v: k for k, v in _POOL_CODES.items()}
+# Each coded field's values, indexed by their code; None marks a retired
+# code. Code 0 was an untrainable TF-IDF kind; it is no longer accepted.
+_KINDS = (None, EncoderKind.POOLED, EncoderKind.SELF_ATTENTIVE)
+_POOLS = (Pooling.MAX, Pooling.MEAN)
+_TOKEN_KINDS = (TokenKind.TEXT, TokenKind.MATH)
+_FONTS = tuple(Font)
 # Self-attentive encoders add the sinusoidal position table to the
 # embeddings; code 0 (no positions) is no longer accepted.
 _POSITION_CODE = 1
-_TOKEN_KIND_CODES = {TokenKind.TEXT: 0, TokenKind.MATH: 1}
-_CODE_TOKEN_KINDS = {v: k for k, v in _TOKEN_KIND_CODES.items()}
-_FONT_CODES = {f: i for i, f in enumerate(Font)}
-_CODE_FONTS = {i: f for f, i in _FONT_CODES.items()}
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -588,11 +580,6 @@ def _unpack_tensor(buf: memoryview, off: int) -> tuple[np.ndarray, int]:
 
 
 def save_model(state: ModelState, path) -> None:
-    for name, arr in _named_values(state):
-        # NaN fails the comparison too
-        if not (np.abs(arr) <= _F32_MAX).all():
-            raise ModelFormatError(f"tensor {name} has values outside float32's "
-                                   "finite range")
     chunks = [_MAGIC, struct.pack("<I", _VERSION)]
     vocab = state.vocab
     chunks.append(struct.pack("<II", len(vocab), vocab.min_freq))
@@ -601,16 +588,22 @@ def save_model(state: ModelState, path) -> None:
             chunks.append(struct.pack("<BBH", 255, 0, 0))
             continue
         data = tok.surface.encode("utf-8")
-        chunks.append(struct.pack("<BBH", _TOKEN_KIND_CODES[tok.kind],
-                                  _FONT_CODES[tok.font], len(data)))
+        chunks.append(struct.pack("<BBH", _TOKEN_KINDS.index(tok.kind),
+                                  _FONTS.index(tok.font), len(data)))
         chunks.append(data)
     cfg = state.config
-    chunks.append(struct.pack("<BIIIIBB", _KIND_CODES[cfg.kind], cfg.d,
+    chunks.append(struct.pack("<BIIIIBB", _KINDS.index(cfg.kind), cfg.d,
                               cfg.layers, cfg.heads, cfg.d_k,
-                              _POOL_CODES[cfg.pooling], _POSITION_CODE))
+                              _POOLS.index(cfg.pooling), _POSITION_CODE))
     chunks.append(struct.pack("<Q", state.rng_seed & 0xFFFFFFFFFFFFFFFF))
-    chunks.extend(_pack_tensor(a) for a in state.param_arrays())
-    chunks.append(struct.pack("<f", state.head.b))
+    for (name, shape), arr in zip(_param_table(len(vocab), cfg),
+                                  state.param_arrays(), strict=True):
+        # NaN fails the comparison too
+        if not (np.abs(arr) <= _F32_MAX).all():
+            raise ModelFormatError(f"tensor {name} has values outside float32's "
+                                   "finite range")
+        # the bias is a bare float32 after the last tensor
+        chunks.append(_pack_tensor(arr) if shape else struct.pack("<f", arr))
     body = b"".join(chunks)
     # Write a temporary file beside the target and rename it over the
     # target, so an interrupted save leaves the previous checkpoint intact.
@@ -645,10 +638,11 @@ def load_model(path) -> ModelState:
     return state
 
 
-def _decode(codes: dict, code: int, what: str):
-    if code not in codes:
+def _decode(values: tuple, code: int, what: str):
+    """The value of ``code`` in a coded field's ``values``."""
+    if code >= len(values) or values[code] is None:
         raise ModelFormatError(f"unknown {what} code {code}")
-    return codes[code]
+    return values[code]
 
 
 def _read_body(buf: memoryview) -> tuple[ModelState, int]:
@@ -669,8 +663,8 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
             continue
         surface = bytes(buf[off:off + length]).decode("utf-8")
         off += length
-        tokens.append(Token(_decode(_CODE_TOKEN_KINDS, kind_c, "token kind"),
-                            surface, _decode(_CODE_FONTS, font_c, "font")))
+        tokens.append(Token(_decode(_TOKEN_KINDS, kind_c, "token kind"),
+                            surface, _decode(_FONTS, font_c, "font")))
     id_of = {t: i for i, t in enumerate(tokens) if t is not None}
     vocab = Vocabulary(id_of, tokens, min_freq)
     kind_c, d, layers_n, heads, d_k, pool_c, pos_c = struct.unpack_from(
@@ -678,20 +672,22 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     off += 19
     if pos_c != _POSITION_CODE:
         raise ModelFormatError(f"unknown position code {pos_c}")
-    cfg = EncoderConfig(_decode(_CODE_KINDS, kind_c, "encoder"), d, layers_n,
-                        heads, d_k, _decode(_CODE_POOLS, pool_c, "pooling"))
+    cfg = EncoderConfig(_decode(_KINDS, kind_c, "encoder"), d, layers_n,
+                        heads, d_k, _decode(_POOLS, pool_c, "pooling"))
     seed = struct.unpack_from("<Q", buf, off)[0]
     off += 8
     arrays = []
-    for _, shape in _param_table(n_tokens, cfg):
-        arr, off = _unpack_tensor(buf, off)
+    # The table is walked as it is read: a corrupt layer count stops at the
+    # first tensor that is not there, not after building its whole table.
+    for name, shape in _param_table(n_tokens, cfg):
+        if shape:
+            arr, off = _unpack_tensor(buf, off)
+        else:  # the bias, a bare float32
+            arr = np.array(struct.unpack_from("<f", buf, off)[0])
+            off += 4
         if arr.shape != shape:
             raise ModelFormatError("tensor shapes do not match the model config")
-        arrays.append(arr)
-    b = struct.unpack_from("<f", buf, off)[0]
-    off += 4
-    state = _assemble(vocab, cfg, arrays, float(b), seed)
-    for name, arr in _named_values(state):
         if not np.isfinite(arr).all():
             raise ModelFormatError(f"non-finite values in tensor {name}")
-    return state, off
+        arrays.append(arr)
+    return _assemble(vocab, cfg, arrays, seed), off

@@ -115,8 +115,8 @@ class GridReport:
         """source<TAB>target<TAB>mrr<TAB>accuracy<TAB>n lines."""
         out = []
         for (src, tgt), rep in sorted(self.cells.items()):
-            mrr_s = f"{rep.mrr:.6f}" if rep.mrr is not None else "-"
-            out.append(f"{src}\t{tgt}\t{mrr_s}\t{rep.accuracy:.6f}\t{rep.n}")
+            out.append(f"{src}\t{tgt}\t{rep.mrr:.6f}\t{rep.accuracy:.6f}"
+                       f"\t{rep.n}")
         return out
 
 

@@ -219,7 +219,6 @@ class _TailAverage:
         avg = self.state
         for a, s in zip(avg.param_arrays(), state.param_arrays(), strict=True):
             a += w * (s - a)
-        avg.head.b += w * (state.head.b - avg.head.b)
 
 
 def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,

@@ -21,7 +21,7 @@ from proofmatch import encoders
 from proofmatch.cli import build_parser, main
 from proofmatch.corpus import (
     Corpus, PairRecord, SplitSpec, _escape, format_record, math_token,
-    read_corpus, read_records, write_corpus)
+    read_corpus, read_records, text_token, write_corpus)
 from proofmatch.decoding import build_score_matrix, decode_local
 from proofmatch.encoders import (
     EncoderConfig, Vocabulary, build_vocab, init_model, load_model,
@@ -622,6 +622,7 @@ BAD_VALUES = {
                             "--levels", "full,partial,full"],
     "k_with_local_decode": ["eval", "{model}", "{corpus}", "--decode", "local",
                             "--k", "5"],
+    "four_field_line": ["split", "{four_fields}"],
     "negative_split_seed": ["split", "{corpus}", "--seed", "-1"],
     "negative_train_seed": ["train", "{corpus}", "{corpus}", "--seed", "-1"],
     "negative_grid_seed": ["grid", "{corpus}", "{corpus}", "{corpus}",
@@ -641,6 +642,7 @@ NAMED_IN_ERROR = {
     "repeated_grid_level": ["['full']"],
     "double_struck_protected": ["line 2,", "R#dstruck"],
     "k_with_local_decode": ["--k", "global"],
+    "four_field_line": ["line 1,", "expected 5 tab-separated fields, got 4"],
     "negative_split_seed": ["seed", "-1"],
     "negative_train_seed": ["seed", "-1"],
     "negative_grid_seed": ["seed", "-1"],
@@ -664,7 +666,8 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                        ("non_utf8", b"# a comment\r\n\xff\n"),
                        ("positional", f"corpus = {corpus_file}\n".encode()),
                        ("typo", b"ratios = 0.5,0.25,0.25\nepohcs = 3\n"),
-                       ("not_bool", b"epochs = 3\nquiet = ture\n")):
+                       ("not_bool", b"epochs = 3\nquiet = ture\n"),
+                       ("four_fields", b"p1\ta1\tt:x\tt:y\n")):
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
@@ -863,6 +866,41 @@ def test_global_eval_removes_a_local_runs_histogram(tmp_path, corpus_file):
                  "--out-dir", str(out), "--quiet"]) == 0
     assert (out / "eval.tsv").read_text().startswith("decode=global")
     assert not (out / "assign.tsv").exists()
+
+
+# The commands that encode a corpus, each reading the corpus below in the
+# place of one of its corpora.
+EMPTY_DOCUMENT = {
+    "train": ["train", "{gappy}", "{corpus}", "--dim", "8", "--epochs", "2"],
+    "eval": ["eval", "{model}", "{gappy}"],
+    "grid": ["grid", "{corpus}", "{corpus}", "{gappy}", "--levels", "full",
+             "--dim", "8", "--epochs", "2"],
+}
+
+
+@pytest.mark.parametrize("channel,named", [
+    ("math", "pair pair3 has no math tokens in its statement"),
+    ("both", "pair pair5 has no tokens in its proof"),
+], ids=["math", "both"])
+@pytest.mark.parametrize("command", sorted(EMPTY_DOCUMENT))
+def test_empty_document_is_named_in_one_error_line(tmp_path, corpus_file,
+                                                   capsys, command, channel,
+                                                   named):
+    pairs = separable_corpus(10).pairs
+    pairs[3].statement = [text_token("let")] * 20
+    pairs[5].proof = []
+    gappy, model = tmp_path / "gappy.tsv", tmp_path / "model.pmm"
+    write_corpus(Corpus(pairs), gappy)
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    args = [arg.format(gappy=gappy, corpus=corpus_file, model=model)
+            for arg in EMPTY_DOCUMENT[command]]
+    assert main([*args, "--channel", channel,
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {gappy}: {named}\n"
+    # vocab encodes no document, so it takes these pairs
+    assert main(["vocab", str(gappy), "--channel", channel,
+                 "--out-dir", str(tmp_path / "v"), "--quiet"]) == 0
 
 
 class TestGrid:

@@ -178,8 +178,10 @@ class TestSplit:
         dict(ratios=(float("nan"), 0.5, 0.5)),
         dict(mode=SplitMode.UNMIXED, ratios=(float("nan"), 0.5, 0.5)),
         dict(ratios=(float("inf"), -float("inf"), 1.0)),
+        dict(ratios=(1.2, -0.2, 0.0)),
         dict(seed=-1),
-    ], ids=["nan_dev", "nan_train", "nan_unmixed", "infinite", "negative_seed"])
+    ], ids=["nan_dev", "nan_train", "nan_unmixed", "infinite", "negative_ratio",
+            "negative_seed"])
     def test_non_finite_ratio_or_negative_seed_rejected(self, spec):
         with pytest.raises(InvalidValue):
             SplitSpec(**spec)
@@ -224,15 +226,21 @@ class TestSerialization:
         assert first.statement[1] is first.proof[0] is second.statement[0]
         assert first.statement[0] is second.statement[1] is second.proof[0]
 
-    @pytest.mark.parametrize("parse_item, bad", [
-        pytest.param(parse_item, "m:x#zz", id="parse_item"),
-        pytest.param(_parse_raw_item, "m:x#zz", id="_parse_raw_item"),
-        pytest.param(parse_item, "m:x#normal", id="parse_item-normal_sigil"),
+    @pytest.mark.parametrize("parse_item, bad, message", [
+        pytest.param(parse_item, "m:x#zz", "unknown font sigil 'zz'",
+                     id="parse_item"),
+        pytest.param(_parse_raw_item, "m:x#zz", "unknown font sigil 'zz'",
+                     id="_parse_raw_item"),
+        pytest.param(parse_item, "m:x#normal", "unknown font sigil 'normal'",
+                     id="parse_item-normal_sigil"),
         pytest.param(_parse_raw_item, "x:%3Cmath%3E%3Cmi%3Ex%3C/math%3E",
+                     "mismatched tag: line 1, column 13",
                      id="_parse_raw_item-malformed_mathml"),
+        pytest.param(parse_item, "m:#bold", "empty math surface",
+                     id="parse_item-empty_surface"),
     ])
     def test_bad_item_after_memoised_lines_names_line_and_column(
-            self, tmp_path, parse_item, bad):
+            self, tmp_path, parse_item, bad, message):
         path = tmp_path / "bad.tsv"
         path.write_text("p1\ta\t\tt:ok m:x\tt:ok\n"
                         "p2\ta\t\tt:ok m:x\tt:ok\n"
@@ -240,6 +248,7 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             list(read_records(path, parse_item))
         assert (err.value.line, err.value.column) == (3, 11)
+        assert str(err.value) == f"line 3, col 11: {message}"
 
     def test_write_of_read_is_byte_identical(self, tmp_path):
         text = ("p%3A1\tart%2C1\tmath.NT,math.PR\t"

@@ -164,6 +164,18 @@ def test_init_model_rejects_a_negative_seed():
         small_state(seed=-1)
 
 
+@pytest.mark.parametrize("kind,layers", [(EncoderKind.POOLED, 1),
+                                         (EncoderKind.SELF_ATTENTIVE, 1),
+                                         (EncoderKind.SELF_ATTENTIVE, 2)])
+def test_every_parameter_is_an_array_of_the_table(kind, layers):
+    state = small_state(kind, layers=layers)
+    table = list(encoders._param_table(len(state.vocab), state.config))
+    arrays = state.param_arrays()
+    assert [a.shape for a in arrays] == [shape for _, shape in table]
+    assert all(type(a) is np.ndarray for a in arrays)
+    assert table[-1] == ("head.b", ()) and arrays[-1] is state.head.b
+
+
 class TestEncode:
     def test_single_token_max_pool_is_embedding(self):
         state = small_state()
@@ -533,7 +545,7 @@ class TestScore:
     def test_identity_w_is_dot(self):
         state = small_state()
         state.head.w = np.eye(8)
-        state.head.b = 0.0
+        state.head.b[()] = 0.0
         s = np.arange(8.0)
         p = np.ones(8)
         assert score_matrix(state, s[None], p[None])[0, 0] == pytest.approx(
@@ -541,7 +553,7 @@ class TestScore:
 
     def test_zero_statement_gives_bias(self):
         state = small_state()
-        state.head.b = -2.5
+        state.head.b[()] = -2.5
         assert score_matrix(state, np.zeros((1, 8)),
                             np.ones((1, 8)))[0, 0] == pytest.approx(-2.5)
 
@@ -551,7 +563,7 @@ class TestScore:
         state = init_model(vocab, EncoderConfig(EncoderKind.POOLED, d=2,
                                                 heads=1, d_k=2), seed=0)
         state.head.w = np.eye(2)
-        state.head.b = 0.5
+        state.head.b[()] = 0.5
         assert score_matrix(state, np.array([[1.0, 2.0]]),
                             np.array([[3.0, 4.0]]))[0, 0] == pytest.approx(11.5)
 
@@ -620,7 +632,7 @@ class TestSerialization:
 
     def test_non_finite_bias_is_a_format_error(self, tmp_path):
         state = small_state()
-        state.head.b = MARKER
+        state.head.b[()] = MARKER
         save_marker_as(state, tmp_path / "m.pmm", float("nan"))
         with pytest.raises(ModelFormatError, match="tensor head.b"):
             load_model(tmp_path / "m.pmm")
@@ -629,7 +641,7 @@ class TestSerialization:
     @pytest.mark.parametrize("name,put", [
         ("embeddings", lambda s, v: s.embeddings.__setitem__((1, 0), v)),
         ("layers[1].wk", lambda s, v: s.layers[1].wk.__setitem__((0, 2, 1), v)),
-        ("head.b", lambda s, v: setattr(s.head, "b", v)),
+        ("head.b", lambda s, v: s.head.b.__setitem__((), v)),
     ], ids=["embeddings", "layer1_wk", "head_b"])
     def test_save_refuses_values_outside_float32_and_keeps_checkpoint(
             self, tmp_path, value, name, put):
@@ -651,7 +663,7 @@ def arange_state(kind, layers):
     state = small_state(kind, layers=layers, seed=9)
     for i, a in enumerate(state.param_arrays()):
         a[...] = (np.arange(a.size).reshape(a.shape) % 17 - 8) / 16 + i
-    state.head.b = 0.25
+    state.head.b[()] = 0.25
     return state
 
 
@@ -733,6 +745,23 @@ class TestMalformedBody:
         body[kind_at] = 0
         path.write_bytes(resigned(bytes(body)))
         with pytest.raises(ModelFormatError, match="unknown encoder code 0"):
+            load_model(path)
+
+    def test_layer_count_near_two_to_the_32(self, tmp_path):
+        body, _, fields = model_body()
+        bad = bytearray(body)
+        struct.pack_into("<I", bad, fields[1], 2**32 - 1)  # layers
+        path = tmp_path / "m.pmm"
+        path.write_bytes(resigned(bytes(bad)))
+        with pytest.raises(ModelFormatError,
+                           match="tensor shapes do not match the model config"):
+            load_model(path)
+
+    def test_unsupported_version(self, tmp_path):
+        body, _, _ = model_body()
+        path = tmp_path / "m.pmm"
+        path.write_bytes(resigned(body[:4] + struct.pack("<I", 2) + body[8:]))
+        with pytest.raises(ModelFormatError, match="unsupported model version 2"):
             load_model(path)
 
     @pytest.mark.parametrize("code", [0, 2])

@@ -190,7 +190,8 @@ def test_eval_reports_an_empty_document_in_one_line(tmp_path, monkeypatch,
                  "--out-dir", str(tmp_path), "--quiet"])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: cannot encode an empty document\n"
+    assert captured.err == (f"error: {tmp_path / 'test.tsv'}: pair e7 has no "
+                            "tokens in its statement\n")
     assert captured.out == ""
 
 

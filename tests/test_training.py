@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
+from proofmatch.corpus import Corpus
 from proofmatch.encoders import (
     EncoderConfig, EncoderKind, Vocabulary, apply_gradients, build_vocab,
     init_model)
+from proofmatch.errors import InvalidValue
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
     DegenerateBatch,
@@ -356,6 +358,27 @@ class TestTrainLoop:
         assert message.startswith("non-finite gradient norm on batch [")
         assert "\n" not in message and message.count("'p") == 4
         assert applied and all(map(math.isfinite, applied))
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_train_or_dev_corpus_rejected(self, empty):
+        corpus = separable_corpus(4)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 0)
+        corpora = {"train": corpus, "dev": corpus, empty: Corpus([])}
+        with pytest.raises(InvalidValue, match="must be non-empty"):
+            train(corpora["train"], corpora["dev"], state,
+                  quick_config(epochs=1))
+
+    def test_lone_tail_pair_is_skipped(self):
+        # 9 pairs at batch 4 make batches of 4, 4 and 1; the lone pair has
+        # no in-batch negative, so no step runs on it
+        corpus = separable_corpus(9)
+        state = init_model(build_vocab(corpus, 1),
+                           EncoderConfig(EncoderKind.POOLED, d=8), 0)
+        _, history = train(corpus, corpus, state,
+                           quick_config(batch_size=4, epochs=3, eval_every=1))
+        assert [r.epoch for r in history.steps] == [1, 1, 2, 2, 3, 3]
+        assert all(len(r.batch_ids) == 4 for r in history.steps)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
