@@ -79,7 +79,7 @@ def _values(kind: type[enum.Enum]) -> tuple[str, ...]:
 _ENCODER_FIELDS = {"encoder": "kind", "dim": "d", "layers": "layers",
                    "heads": "heads", "dk": "d_k", "pooling": "pooling"}
 _TRAIN_FIELDS = {name: name for name in (
-    "objective", "batch_size", "epochs", "lr", "optimizer", "lr_decay",
+    "objective", "batch_size", "epochs", "lr", "lr_decay",
     "eval_every", "seed")}
 
 
@@ -303,6 +303,13 @@ def cmd_vocab(args) -> int:
     return 0
 
 
+# A random ranking puts about one dev statement's own proof first, whatever
+# the dev size, and five or more in under 1% of evaluations: ``train``
+# warns when its best dev accuracy is below this many times chance
+# (1 / dev pairs).
+NEAR_CHANCE = 5
+
+
 def cmd_train(args) -> int:
     encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
     train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
@@ -324,6 +331,10 @@ def cmd_train(args) -> int:
     args.best_dev_accuracy, args.chance = acc, 1 / len(dev_c.pairs)
     _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
                f"at epoch {epoch})")
+    if acc < NEAR_CHANCE * args.chance:
+        print(f"warning: best dev accuracy {acc:.4f} is below {NEAR_CHANCE} "
+              f"times chance ({args.chance:.4f}); the model may not have "
+              "learned", file=sys.stderr)
     return 0
 
 

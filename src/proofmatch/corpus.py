@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple
@@ -433,15 +434,28 @@ def numbered_lines(path):
                               f"({exc.reason})") from exc
 
 
+@contextmanager
+def in_file(path):
+    """Put ``path`` in front of the message of a ``FormatError`` that the
+    block raises: ``path: line L, col C: message``."""
+    try:
+        yield
+    except FormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_records(path, parse_item=parse_item):
     """Each record of a corpus file; blank and ``#`` lines are skipped.
     ``parse_item`` runs once per distinct item of the read, as in
-    ``parse_record``, so equal items share their tokens."""
+    ``parse_record``, so equal items share their tokens. A bad line raises
+    ``FormatError`` naming the path."""
     memo = item_memo(parse_item)
-    for lineno, line in numbered_lines(path):
-        line = line.rstrip("\n")
-        if line and not line.startswith("#"):
-            yield parse_record(line, lineno, parse_item, memo)
+    with in_file(path):
+        for lineno, line in numbered_lines(path):
+            line = line.rstrip("\n")
+            if line and not line.startswith("#"):
+                yield parse_record(line, lineno, parse_item, memo)
 
 
 def read_corpus(path) -> Corpus:

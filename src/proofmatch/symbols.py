@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import (Corpus, Font, FormatError, Memo, PairRecord, Token,
-                     TokenKind, math_token, numbered_lines, parse_token)
+                     TokenKind, in_file, math_token, numbered_lines,
+                     parse_token)
 from .errors import InvalidValue, ProofmatchError
 
 
@@ -101,17 +102,18 @@ def read_protected_set(path) -> frozenset[str]:
     any case or font. One symbol per line, ``surface`` or ``surface#font``
     in the corpus math-token syntax; # comments. The symbol must be a
     candidate variable: one Latin or Greek letter, not double-struck. A bad
-    line raises ``FormatError``."""
+    line raises ``FormatError`` naming the path."""
     bases = set()
-    for lineno, line in numbered_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key = symbol_key(parse_token("m:" + line, lineno))
-        if key is None:
-            raise FormatError(f"not a single Latin or Greek letter outside "
-                              f"double-struck: {line!r}", lineno)
-        bases.add(key.base)
+    with in_file(path):
+        for lineno, line in numbered_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key = symbol_key(parse_token("m:" + line, lineno))
+            if key is None:
+                raise FormatError(f"not a single Latin or Greek letter outside "
+                                  f"double-struck: {line!r}", lineno)
+            bases.add(key.base)
     return frozenset(bases)
 
 

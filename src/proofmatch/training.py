@@ -52,18 +52,12 @@ class Objective(enum.Enum):
     HYBRID = "hybrid"
 
 
-class Optimizer(enum.Enum):
-    SGD = "sgd"
-    AVERAGED_SGD = "asgd"
-
-
 @dataclass
 class TrainConfig:
     objective: Objective = Objective.LOCAL
     batch_size: int = 60
     epochs: int = 100
-    lr: float = 5e-3
-    optimizer: Optimizer = Optimizer.AVERAGED_SGD
+    lr: float = 2.0
     lr_decay: float = 0.996
     eval_every: int = 20
     seed: int = 0
@@ -223,15 +217,17 @@ class _TailAverage:
 
 def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
           config: TrainConfig) -> tuple[ModelState, TrainHistory]:
-    """SGD/ASGD loop with per-epoch exponential learning-rate decay.
+    """Averaged SGD with per-epoch exponential learning-rate decay.
 
     An epoch draws batches uniformly without replacement (reshuffled each
     epoch). The hybrid objective alternates one local and one global step
-    on fresh batches. The returned state is the checkpoint with the best
-    dev accuracy under local decoding; with averaged SGD, evaluation and
-    the returned state use the tail average of the parameters. The train
-    and dev corpora are each turned into ids once, by one ``encode_pairs``
-    call, and the steps and evaluations read those id arrays.
+    on fresh batches, starting each epoch with a local one. Once the second
+    half of the epochs begins, evaluation and the returned state use the
+    tail average of the parameters over its epochs (Polyak & Juditsky,
+    1992); the returned state is the evaluated one with the best dev
+    accuracy under local decoding. The train and dev corpora are each
+    turned into ids once, by one ``encode_pairs`` call, and the steps and
+    evaluations read those id arrays.
     """
     if not corpus.pairs or not dev_corpus.pairs:
         raise InvalidValue("train and dev corpora must be non-empty")
@@ -239,11 +235,13 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     n = len(corpus.pairs)
     b = config.batch_size
     lr = config.lr
+    losses = [("local", local_loss)]
+    if config.objective is Objective.HYBRID:
+        losses.append(("global", _global))
     history = TrainHistory()
     tail = _TailAverage()
     tail_start = config.epochs // 2  # averaging over the second half
     best_acc = -1.0  # the first evaluation is always the best so far
-    step_count = 0
     train_s, train_p = state.vocab.encode_pairs(
         [p.statement for p in corpus.pairs], [p.proof for p in corpus.pairs])
     dev_statements = [p.statement for p in dev_corpus.pairs]
@@ -252,43 +250,32 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        hybrid_parity = 0
-        for start in range(0, n, b):
+        # a lone last pair has no in-batch negative, so no batch starts at n - 1
+        for start, (tag, loss_fn) in zip(range(0, n - 1, b),
+                                         itertools.cycle(losses)):
             chunk = order[start:start + b]
-            if len(chunk) < 2:
-                continue  # in-batch losses need negatives
             batch = [corpus.pairs[i] for i in chunk]
-            if config.objective is Objective.LOCAL:
-                tag, loss_fn = "local", local_loss
-            else:
-                tag, loss_fn = (("local", local_loss) if hybrid_parity == 0
-                                else ("global", _global))
-                hybrid_parity ^= 1
+            batch_ids = [p.pair_id for p in batch]
             loss, grads = batch_loss_and_grads(
                 state, batch, loss_fn,
                 [train_s[i] for i in chunk] + [train_p[i] for i in chunk])
             if not math.isfinite(loss):
-                raise NonFiniteLoss([p.pair_id for p in batch])
+                raise NonFiniteLoss(batch_ids)
             norm = grads.global_norm()
             if not math.isfinite(norm):
                 # lr * clip_norm / inf would be a zero step
-                raise TrainingError("non-finite gradient norm on batch "
-                                    f"{[p.pair_id for p in batch]}")
+                raise TrainingError(f"non-finite gradient norm on batch {batch_ids}")
             step_size = lr
             if config.clip_norm and norm > config.clip_norm:
                 step_size = lr * config.clip_norm / norm
             apply_gradients(state, grads, step_size)
-            step_count += 1
             history.steps.append(LossReport(
-                epoch, step_count, tag, loss, lr, norm,
-                [p.pair_id for p in batch]))
-        if config.optimizer is Optimizer.AVERAGED_SGD and epoch > tail_start:
+                epoch, len(history.steps) + 1, tag, loss, lr, norm, batch_ids))
+        if epoch > tail_start:
             tail.update(state)
         lr *= config.lr_decay
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            eval_state = state
-            if config.optimizer is Optimizer.AVERAGED_SGD and tail.state is not None:
-                eval_state = tail.state
+            eval_state = state if tail.state is None else tail.state
             m = build_score_matrix(eval_state, dev_statements, dev_proofs, dev_ids)
             acc = float(np.mean(decode_local(m).gold_rank == 1))
             history.dev_accuracy.append((epoch, acc))

@@ -113,6 +113,34 @@ def symbol_dependent_corpus(n_pairs: int = 8) -> Corpus:
     return Corpus([symbol_dependent_pair(i, letters[i]) for i in range(n_pairs)])
 
 
+TOPIC_WORDS = 400
+
+
+def topic_corpus(seed: int, n_pairs: int, prefix: str) -> Corpus:
+    """Pairs whose statement and proof share four topic words and two
+    letters, each twice, among 24 filler words drawn with Zipf weights from
+    a shared vocabulary: a model must learn to weigh the shared tokens
+    above the filler to match the pairs."""
+    rng = np.random.default_rng(seed)
+    zipf = 1.0 / np.arange(1, TOPIC_WORDS + 1)
+    zipf /= zipf.sum()
+
+    def doc(shared):
+        filler = [text_token(f"w{i}") for i in rng.choice(TOPIC_WORDS, 24, p=zipf)]
+        words = filler + shared * 2
+        return [words[i] for i in rng.permutation(len(words))]
+
+    pairs = []
+    for i in range(n_pairs):
+        topics = rng.choice(np.arange(50, TOPIC_WORDS), 4, replace=False)
+        letters = rng.choice(list("abcdfghijklmnpqrstuvwxyz"), 2, replace=False)
+        shared = ([text_token(f"w{t}") for t in topics]
+                  + [math_token(c) for c in letters])
+        pairs.append(PairRecord(f"{prefix}{i}", f"a{i}", [], doc(shared),
+                                doc(shared)))
+    return Corpus(pairs)
+
+
 GRID_LETTERS = "abcdfghjklmnqrst"
 
 

@@ -248,7 +248,7 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             list(read_records(path, parse_item))
         assert (err.value.line, err.value.column) == (3, 11)
-        assert str(err.value) == f"line 3, col 11: {message}"
+        assert str(err.value) == f"{path}: line 3, col 11: {message}"
 
     def test_write_of_read_is_byte_identical(self, tmp_path):
         text = ("p%3A1\tart%2C1\tmath.NT,math.PR\t"

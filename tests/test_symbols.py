@@ -327,6 +327,7 @@ class TestProtectedSetFile:
         with pytest.raises(FormatError, match="single Latin or Greek letter") as err:
             read_protected_set(path)
         assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}: line 3, col 0: ")
 
     def test_unknown_font_names_line(self, tmp_path):
         path = tmp_path / "prot.txt"

@@ -15,7 +15,6 @@ from proofmatch.training import (
     DegenerateBatch,
     NonFiniteLoss,
     Objective,
-    Optimizer,
     TrainConfig,
     TrainingError,
     batch_loss_and_grads,
@@ -212,8 +211,9 @@ class TestUpdate:
         _, grads = batch_loss_and_grads(
             before, [corpus.pairs[i] for i in order], local_loss)
         norm = grads.global_norm()
+        # one epoch: the tail average is the state after its one step
         cfg = quick_config(batch_size=4, epochs=1, eval_every=1, lr=1.0,
-                           optimizer=Optimizer.SGD, clip_norm=norm / 4)
+                           clip_norm=norm / 4)
         best, history = train(corpus, corpus, state, cfg)
         [step] = history.steps
         assert step.grad_norm == pytest.approx(norm, rel=1e-12)
@@ -258,13 +258,35 @@ class TestTrainLoop:
         corpus = separable_corpus(4)
         vocab = build_vocab(corpus, 1)
         state = init_model(vocab, EncoderConfig(EncoderKind.POOLED, d=8), 0)
-        cfg = quick_config(batch_size=2, epochs=5, optimizer=Optimizer.SGD)
+        cfg = quick_config(batch_size=2, epochs=5)
         _, history = train(corpus, corpus, state, cfg)
         by_epoch = {}
         for rec in history.steps:
             by_epoch.setdefault(rec.epoch, rec.lr)
         for epoch, lr in by_epoch.items():
             assert lr == pytest.approx(cfg.lr * cfg.lr_decay ** (epoch - 1))
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_returned_state_is_the_second_half_average(self, objective):
+        # one evaluation, at the last epoch: the returned state is the mean
+        # of the raw states after epochs 4, 5 and 6; a fresh run of k
+        # epochs leaves the raw state after epoch k in the state it trains
+        corpus = separable_corpus(8)
+        vocab = build_vocab(corpus, 1)
+        epochs = 6
+
+        def run(k):
+            state = init_model(vocab, EncoderConfig(EncoderKind.POOLED, d=8), 0)
+            best, _ = train(corpus, corpus, state, quick_config(
+                objective=objective, epochs=k, eval_every=epochs, lr=0.5))
+            return best, state.param_arrays()
+
+        best, _ = run(epochs)
+        raw = [run(k)[1] for k in range(epochs // 2 + 1, epochs + 1)]
+        assert not np.array_equal(raw[0][0], raw[-1][0])
+        for got, *tail in zip(best.param_arrays(), *raw, strict=True):
+            want = np.mean(tail, axis=0)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_hybrid_alternates_objectives(self):
         corpus = separable_corpus(8)
@@ -330,8 +352,7 @@ class TestTrainLoop:
         corpus = letter_corpus(np.random.default_rng(0), 8)
         state = init_model(build_vocab(corpus, 1),
                            EncoderConfig(EncoderKind.POOLED, d=8), 0)
-        cfg = quick_config(objective=Objective.HYBRID, optimizer=Optimizer.SGD,
-                           lr=1e300, epochs=2)
+        cfg = quick_config(objective=Objective.HYBRID, lr=1e300, epochs=2)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
             train(corpus, corpus, state, cfg)
         assert len(err.value.batch_ids) == 4
@@ -350,8 +371,7 @@ class TestTrainLoop:
         corpus = letter_corpus(np.random.default_rng(0), 8)
         state = init_model(build_vocab(corpus, 1),
                            EncoderConfig(EncoderKind.POOLED, d=8), 0)
-        cfg = quick_config(objective=Objective.HYBRID, optimizer=Optimizer.SGD,
-                           lr=1e100, epochs=4)
+        cfg = quick_config(objective=Objective.HYBRID, lr=1e100, epochs=4)
         with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
             train(corpus, corpus, state, cfg)
         message = str(err.value)
