@@ -28,13 +28,16 @@ itself, where max pooling's backward finds its argmax.
 embedding gradient is a flat index, element ``id·d + column`` of the
 embeddings, with one value each, added by one 1-D ``np.add.at``.
 Training and ``decoding.encode_collection`` map ``forward`` and
-``backward`` over a collection with ``map_documents``: one task per
-document on a pool with one thread per usable core, created on first use,
-with the results read in document order. The products are added on the
-calling thread, in document order, so every parameter gets the serial
-sequence of additions and results do not depend on the core count.
-Pooled encoders, and documents too short to pay for a hand-off to a
-thread, stay on the calling thread.
+``backward`` over a collection with ``map_documents``, on a pool with one
+thread per usable core, created on first use. Each thread gets one task:
+a contiguous chunk of the documents, balanced by their work, whose results
+are read in document order. A training step hands its caches to the
+backward map and keeps none, so each cache is freed once its document's
+backward has run. The products are added on the calling thread, in
+document order, so every parameter gets the serial sequence of additions
+and results do not depend on the core count. Pooled encoders, and
+documents too short to pay for a hand-off to a thread, stay on the
+calling thread.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
 turns tokens into ids through a ``corpus.Memo`` that lives for one call:
@@ -62,7 +65,7 @@ import itertools
 import math
 import os
 import struct
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -484,17 +487,21 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # multiply-adds per layer (``_layer_work``) than this: every numpy call on a
 # pool thread waits for the GIL, which costs more than a short document's
 # work. Pool time over serial time of ``batch_loss_and_grads`` on 30 pairs
-# of T tokens, 2 cores, with the work per document and layer:
-#   d=64, 2 heads, d_k=32:  T=64 (1.6M) 1.26, T=96 (2.8M) 0.98,
-#                           T=128 (4.2M) 0.90, T=192 (7.9M) 0.67;
-#   d=128, 4 heads, d_k=32: T=16 (1.1M) 1.36, T=32 (2.4M) 0.90;
-#   d=8, 2 heads, d_k=3:    T=128 (0.26M) 1.42, T=192 (0.56M) 1.08.
+# of T tokens, one chunk per thread, 2 cores, with the work per document
+# and layer:
+#   d=64, 2 heads, d_k=32:  T=32 (0.66M) 1.72, T=64 (1.6M) 1.15-1.26,
+#                           T=96 (2.8M) 0.96-1.01, T=128 (4.2M) 0.78-0.86,
+#                           T=192 (7.9M) 0.68;
+#   d=128, 4 heads, d_k=32: T=16 (1.1M) 1.34-1.39, T=32 (2.4M) 1.13;
+#   d=8, 2 heads, d_k=3:    T=128 (0.26M) 1.09, T=192 (0.56M) 0.84.
+# The default shape's crossover lies between 1.6M and 2.8M.
 _MIN_POOL_WORK = 1 << 21
 
 
-def _layer_work(config: EncoderConfig, t_len: float) -> float:
+def _layer_work(config: EncoderConfig, t_len):
     """Multiply-adds of one attention layer's forward pass over ``t_len``
-    tokens: the projections, the scores and the weighted values."""
+    tokens, a number or an array of them: the projections, the scores and
+    the weighted values."""
     d, hk = config.d, config.heads * config.d_k
     return t_len * d * (2 * hk + 2 * d) + t_len * t_len * (hk + d)
 
@@ -502,9 +509,9 @@ def _layer_work(config: EncoderConfig, t_len: float) -> float:
 def threads(config: EncoderConfig) -> int:
     """The number of threads that encode and backpropagate documents of
     this encoder: one per usable core with attention layers, else 1, since
-    a pooled document is less work than a hand-off to a thread (2000
-    pooled statements at d=64 took 35 ms serially and 132 ms on 2
-    threads)."""
+    a pooled document is less work than its share of a hand-off to a
+    thread (2000 pooled statements at d=64 took 19 ms serially and 31 ms in
+    one chunk on each of 2 threads)."""
     if config.kind is EncoderKind.SELF_ATTENTIVE and config.layers:
         return _WORKERS
     return 1
@@ -525,24 +532,47 @@ if hasattr(os, "register_at_fork"):
 def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
     """``fn(state, *args)`` for each document of ``ids``, with ``args``
     drawn one per document from ``iterables``; the results come in document
-    order. Each document is one task on the encoder pool, created on first
-    use, unless the encoder has one thread, there is one document, or the
-    documents are too little work (``_MIN_POOL_WORK``). ``fn`` must not
-    write shared state. Tasks run under the caller's numpy error state,
-    which is per thread."""
+    order. On the encoder pool, created on first use, the documents are cut
+    into one contiguous chunk per thread, balanced by the running sum of
+    their ``_layer_work``, and each non-empty chunk is one task. A task
+    drops each argument tuple as its call starts, and the caller's iterator
+    drops each result once it has been read: a caller that keeps no other
+    reference to an argument frees it once its document's call returns.
+    The map runs on the calling thread instead when the encoder has one
+    thread, there is one document, or the documents are too little work
+    (``_MIN_POOL_WORK``). ``fn`` must not write shared state. Tasks run
+    under the caller's numpy error state, which is per thread."""
     cfg = state.config
     workers = threads(cfg)
-    args = (itertools.repeat(state), *iterables)
     if (workers < 2 or len(ids) < 2
             or _layer_work(cfg, sum(map(len, ids)) / len(ids)) < _MIN_POOL_WORK):
-        return map(fn, *args)
-    return _executor(workers).map(
-        functools.partial(_under_errstate, np.geterr(), fn), *args)
+        return map(fn, itertools.repeat(state), *iterables)
+    work = _layer_work(cfg, np.fromiter(map(len, ids), float, len(ids)))
+    ends = np.cumsum(work)
+    # a document joins the chunk whose share of the total holds its midpoint
+    cuts = np.searchsorted(ends - work / 2,
+                           ends[-1] * np.arange(1, workers) / workers)
+    args = list(zip(*iterables))
+    pool, err = _executor(workers), np.geterr()
+    return _in_order([
+        pool.submit(_run_chunk, err, fn, state, deque(args[a:b]))
+        for a, b in itertools.pairwise([0, *cuts.tolist(), len(ids)]) if a < b])
 
 
-def _under_errstate(err: dict[str, str], fn, *args):
+def _run_chunk(err: dict[str, str], fn, state: ModelState,
+               chunk: deque) -> deque:
+    """``fn`` over a chunk's argument tuples in order, under the numpy error
+    state ``err``; each tuple leaves the chunk as its call starts."""
     with np.errstate(**err):
-        return fn(*args)
+        return deque(fn(state, *chunk.popleft()) for _ in range(len(chunk)))
+
+
+def _in_order(tasks: list):
+    """The results of each task in turn, each dropped once it is read."""
+    for task in tasks:
+        results = task.result()
+        while results:
+            yield results.popleft()
 
 
 # ---------------------------------------------------------------------------

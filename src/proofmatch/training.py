@@ -179,9 +179,12 @@ def batch_loss_and_grads(state: ModelState, batch_pairs, loss_fn,
     grads = state.zeros()
     d_s, d_p = score_matrix_backward(state, s_vecs, p_vecs, d_m, grads)
     # Documents backpropagate on the encoder pool; their products are added
-    # here in document order, so every sum is the serial one.
-    for doc in map_documents(state, ids, backward, caches,
-                             itertools.chain(d_s, d_p)):
+    # here in document order, so every sum is the serial one. The map holds
+    # the only reference to the caches, so on the pool each is freed once
+    # its document's backward has run.
+    docs = map_documents(state, ids, backward, caches, itertools.chain(d_s, d_p))
+    del caches
+    for doc in docs:
         add_grads(grads, doc)
     return loss, grads
 

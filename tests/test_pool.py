@@ -1,6 +1,7 @@
 """Self-attentive documents on the encoder pool: results are bit-identical
-to a serial loop for any worker count, and an error raised in a worker
-reaches the caller."""
+to a serial loop for any worker count, each thread gets one work-balanced
+chunk of the documents, a pooled step's memory is the serial one, and an
+error raised in a worker reaches the caller."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +44,13 @@ from proofmatch.training import (
 )
 
 
-def corpus(rng: np.random.Generator, n_pairs: int, prefix: str) -> Corpus:
-    """Pairs of 100-140 tokens over v0..v29, long enough for the pool."""
+def corpus(rng: np.random.Generator, n_pairs: int, prefix: str,
+           lengths: tuple[int, int] = (100, 141)) -> Corpus:
+    """Pairs of 100-140 tokens (or ``lengths``, a half-open range) over
+    v0..v29, long enough for the pool."""
     def doc():
         return [math_token(f"v{i}")
-                for i in rng.integers(0, 30, size=int(rng.integers(100, 141)))]
+                for i in rng.integers(0, 30, size=int(rng.integers(*lengths)))]
     return Corpus([PairRecord(f"{prefix}{i}", "a", [], doc(), doc())
                    for i in range(n_pairs)])
 
@@ -115,6 +120,26 @@ def uses_pool(state, docs) -> bool:
     return threading.current_thread().name not in ran_on
 
 
+class RecordingPool:
+    """Stands in for ``encoders._executor(workers)``: runs each submitted
+    task on a real pool of that size and numbers the tasks, so that the
+    mapped function can read the number of the task it runs in."""
+
+    def __init__(self, pool: ThreadPoolExecutor):
+        self.pool = pool
+        self.tasks = 0
+        self.current = threading.local()
+
+    def submit(self, fn, *args):
+        task = self.tasks
+        self.tasks += 1
+
+        def run():
+            self.current.task = task
+            return fn(*args)
+        return self.pool.submit(run)
+
+
 def assert_models_equal(a, b):
     for x, y in zip(a.param_arrays(), b.param_arrays(), strict=True):
         assert np.array_equal(x, y)
@@ -161,6 +186,86 @@ def test_train_equals_serial_loop(workers, monkeypatch):
         want, want_history = train(train_c, dev_c, model(train_c), config)
     assert_models_equal(got, want)
     assert got_history == want_history
+
+
+@pytest.mark.parametrize("workers,lengths", [
+    (4, [120, 150]),
+    (4, [160, 100, 130]),
+    # most of the work in the first half: equal counts would not balance
+    (2, [300, 400, 12, 250, 380, 9, 350, 30, 400, 200, 7, 260,
+         5, 11, 6, 90, 8, 5, 14, 40, 8, 7, 10, 6]),
+], ids=["4workers-2docs", "4workers-3docs", "2workers-12uneven-pairs"])
+def test_map_runs_one_task_per_nonempty_balanced_chunk(monkeypatch, workers,
+                                                       lengths):
+    rng = np.random.default_rng(7)
+    state = model(corpus(rng, 2, "t"))
+    docs = [[math_token(f"v{i}") for i in rng.integers(0, 30, size=t)]
+            for t in lengths]
+    ids = state.vocab.encode_docs(docs)
+    monkeypatch.setattr(encoders, "_WORKERS", workers)
+    with ThreadPoolExecutor(workers) as real:
+        pool = RecordingPool(real)
+
+        def executor(n):
+            assert n == workers
+            return pool
+
+        monkeypatch.setattr(encoders, "_executor", executor)
+
+        def vector_in_task(s, x, i):
+            return i, pool.current.task, forward(s, x)[0]
+
+        got = list(encoders.map_documents(state, ids, vector_in_task, ids,
+                                          range(len(ids))))
+    assert [i for i, _, _ in got] == list(range(len(ids)))
+    for (_, _, v), x in zip(got, ids, strict=True):
+        assert np.array_equal(v, forward(state, x)[0])
+    # tasks take contiguous chunks in document order, none of them empty
+    task_of = [t for _, t, _ in got]
+    assert task_of == sorted(task_of)
+    assert set(task_of) == set(range(pool.tasks))
+    assert 1 < pool.tasks <= min(workers, len(ids))
+    # no chunk holds more than its share of the work and one document's
+    work = [encoders._layer_work(state.config, len(x)) for x in ids]
+    for t in range(pool.tasks):
+        chunk = sum(w for w, u in zip(work, task_of) if u == t)
+        assert chunk <= sum(work) / workers + max(work)
+
+
+def test_tasks_run_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    rng = np.random.default_rng(8)
+    state = model(corpus(rng, 6, "t"))
+    ids = state.vocab.encode_docs([p.statement for p in corpus(rng, 6, "e").pairs])
+    with np.errstate(over="raise", invalid="ignore"):
+        want = np.geterr()
+        got = list(encoders.map_documents(
+            state, ids,
+            lambda s, x: (np.geterr(), threading.current_thread().name), ids))
+    assert want["over"] == "raise" and want["invalid"] == "ignore"
+    assert [err for err, _ in got] == [want] * len(ids)
+    assert threading.current_thread().name not in {name for _, name in got}
+
+
+def test_pooled_step_peaks_as_the_serial_step(monkeypatch):
+    # Each document's forward cache is freed by its backward on the pool,
+    # so a chunk's gradient products never add to every cache at once.
+    rng = np.random.default_rng(9)
+    train_c = corpus(rng, 60, "t", lengths=(130, 171))
+    state = model(train_c)
+
+    def traced_peak(workers: int) -> int:
+        monkeypatch.setattr(encoders, "_WORKERS", workers)
+        batch_loss_and_grads(state, train_c.pairs, local_loss)  # warm-up
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(state, train_c.pairs, local_loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    serial = traced_peak(1)
+    assert traced_peak(2) <= 1.1 * serial
 
 
 def test_empty_document_raises_from_a_worker(monkeypatch):
