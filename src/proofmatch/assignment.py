@@ -68,28 +68,43 @@ def solve_dense(m: np.ndarray) -> tuple[np.ndarray, float]:
     return cols.astype(np.int64), float(m[rows, cols].sum())
 
 
+# prune_topk partitions this many cells of the matrix at a time (4 MB of
+# float64): np.partition copies what it partitions, and a whole-matrix copy
+# would be 32 MB at n=2000 and 3.2 GB at n=20000.
+_PRUNE_BLOCK_CELLS = 1 << 19
+
+
 def prune_topk(m: np.ndarray, k: int) -> SparseScores:
     """Retain each row's k highest-scoring columns (ties by lower index)."""
     n = m.shape[0]
     if not 1 <= k <= n:
         raise BadK(f"k={k} outside [1, {n}]")
+    height = max(1, _PRUNE_BLOCK_CELLS // n)
+    cols = np.concatenate([_top_columns(m[a:a + height], k)
+                           for a in range(0, n, height)])
+    vals = np.take_along_axis(m, cols, 1).astype(np.float64)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return SparseScores(np.take_along_axis(cols, order, 1),
+                        np.take_along_axis(vals, order, 1))
+
+
+def _top_columns(block: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k highest-scoring columns, ascending (ties by lower
+    index)."""
+    n = block.shape[1]
     # Each row's k-th highest value, copied out so that the partitioned
-    # matrix is freed at once.
-    threshold = np.partition(m, n - k, axis=1)[:, [n - k]]
-    keep = m >= threshold
+    # block is freed at once.
+    threshold = np.partition(block, n - k, axis=1)[:, [n - k]]
+    keep = block >= threshold
     # A row keeps more than k columns only when several tie at its k-th
     # value; of those, the highest-indexed ones go.
     excess = keep.sum(1) - k
     rows = np.flatnonzero(excess)
     if rows.size:
-        tied = m[rows] == threshold[rows]
+        tied = block[rows] == threshold[rows]
         from_right = np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]
         keep[rows] &= ~(tied & (from_right <= excess[rows, None]))
-    cols = np.nonzero(keep)[1].reshape(n, k)
-    vals = np.take_along_axis(m, cols, 1).astype(np.float64)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    return SparseScores(np.take_along_axis(cols, order, 1),
-                        np.take_along_axis(vals, order, 1))
+    return np.nonzero(keep)[1].reshape(-1, k)
 
 
 def solve_sparse(sparse: SparseScores) -> tuple[np.ndarray, float, bool]:

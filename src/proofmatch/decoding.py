@@ -2,9 +2,12 @@
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
 text once: one ``Vocabulary.encode_pairs`` call maps the tokens of the
-statements and the proofs to ids by value, then ``forward`` runs on each
+statements and the proofs to ids by value, then ``encode`` runs on each
 document's id slice. A caller that scores one collection repeatedly (the
 dev set during training) passes the id arrays it made once instead.
+Identical pooled vectors get identical scores: when a collection has
+duplicates, each distinct vector is scored once and the matrix expanded,
+so their ties are broken by index like any other.
 
 ``decode_local`` ranks without sorting: a gold rank is one plus the proofs
 scoring above gold plus the lower-index proofs tied with it. Ties are
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import assignment
 from .corpus import Token
-from .encoders import ModelState, forward, map_documents, score_matrix
+from .encoders import ModelState, encode, map_documents, score_matrix
 from .errors import ProofmatchError
 
 
@@ -57,14 +60,20 @@ class MatchResult:
 
 
 def encode_collection(state: ModelState, ids: list[np.ndarray]) -> np.ndarray:
-    """One pooled vector per document: ``forward`` runs on each document's
-    id array."""
-    return np.stack(list(map_documents(state, ids, _vector, ids)))
+    """One pooled vector per document: ``encode`` runs on each document's
+    id array and builds no backward cache."""
+    return np.stack(list(map_documents(state, ids, encode, ids)))
 
 
-def _vector(state: ModelState, ids: np.ndarray) -> np.ndarray:
-    """A document's pooled vector; its cache is dropped in the task."""
-    return forward(state, ids)[0]
+def _distinct_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the first occurrence of each distinct row of
+    ``vecs``, ascending, and the index of each row among them. Rows are
+    equal when their bytes are."""
+    keys = vecs.view(np.dtype((np.void, vecs.itemsize * vecs.shape[1])))
+    first: dict[bytes, int] = {}
+    of_row = [first.setdefault(key, i) for i, key in enumerate(keys.ravel().tolist())]
+    rows = np.fromiter(first.values(), np.intp, len(first))
+    return rows, np.searchsorted(rows, of_row)
 
 
 def build_score_matrix(state: ModelState,
@@ -85,7 +94,13 @@ def build_score_matrix(state: ModelState,
     # matrix is allocated.
     s_vecs, p_vecs = (encode_collection(state, c)
                       for c in ids or state.vocab.encode_pairs(statements, proofs))
-    return score_matrix(state, s_vecs, p_vecs)
+    (s_rows, s_of), (p_rows, p_of) = map(_distinct_rows, (s_vecs, p_vecs))
+    if len(s_rows) == len(s_vecs) and len(p_rows) == len(p_vecs):
+        return score_matrix(state, s_vecs, p_vecs)
+    # Identical documents must tie exactly, and the product's rounding can
+    # differ between rows and columns of equal vectors: score each distinct
+    # vector once and copy its scores to its duplicates.
+    return score_matrix(state, s_vecs[s_rows], p_vecs[p_rows])[np.ix_(s_of, p_of)]
 
 
 def decode_local(m: np.ndarray) -> RankingResult:

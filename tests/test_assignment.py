@@ -154,9 +154,9 @@ class TestPrune:
             assert (kth == next_).sum() > n // 2
 
     def test_builds_no_n_by_n_index_arrays(self):
-        # Past the one partitioned copy of m, only the kept mask (1 byte a
-        # cell) and (n, k) arrays remain; an n×n index, cumulative sum or
-        # negated copy (8 bytes a cell each) would break the bound.
+        # Past the partitioned copy of a row block, only the kept mask (1
+        # byte a cell) and (n, k) arrays remain; an n×n index, cumulative
+        # sum or negated copy (8 bytes a cell each) would break the bound.
         n = 1000
         m = np.random.default_rng(9).normal(size=(n, n))
         tracemalloc.start()
@@ -166,6 +166,29 @@ class TestPrune:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * m.nbytes
+
+    def test_partitions_in_row_blocks(self):
+        # np.partition copies what it partitions: over the whole matrix
+        # that copy set the traced peak, 30.5 MB at this size
+        n = 2000
+        m = np.random.default_rng(10).normal(size=(n, n))
+        tracemalloc.start()
+        try:
+            prune_topk(m, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 2
+
+    @pytest.mark.parametrize("height", [1, 7, 199])
+    def test_row_blocks_match_one_block(self, monkeypatch, height):
+        n, k = 200, 50
+        m = np.random.default_rng(height).integers(0, 3, size=(n, n)).astype(float)
+        want = prune_topk(m, k)  # 200 rows fit one block
+        monkeypatch.setattr(assignment, "_PRUNE_BLOCK_CELLS", height * n)
+        got = prune_topk(m, k)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.vals, want.vals)
 
     def test_bad_k(self):
         m = np.zeros((3, 3))

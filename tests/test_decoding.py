@@ -21,6 +21,7 @@ from proofmatch.encoders import (
     build_vocab,
     forward,
     init_model,
+    score_matrix,
 )
 from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
 from brute import solve_brute
@@ -51,29 +52,65 @@ class TestBuildScoreMatrix:
 
     def test_each_text_encoded_once(self, monkeypatch):
         # One encode_ids call over both collections, covering each token
-        # once, then one forward per text on that text's ids.
+        # once, then one encode per text on that text's ids.
         state, corpus = small_state(10)
-        lookups, forwarded = [], []
+        lookups, encoded = [], []
         real_encode_ids = Vocabulary.encode_ids
-        real_forward = decoding.forward
+        real_encode = decoding.encode
 
         def counting_encode_ids(vocab, doc):
             lookups.append(len(doc))
             return real_encode_ids(vocab, doc)
 
-        def counting_forward(model, ids):
-            forwarded.append(ids)
-            return real_forward(model, ids)
+        def counting_encode(model, ids):
+            encoded.append(ids)
+            return real_encode(model, ids)
 
         monkeypatch.setattr(Vocabulary, "encode_ids", counting_encode_ids)
-        monkeypatch.setattr(decoding, "forward", counting_forward)
+        monkeypatch.setattr(decoding, "encode", counting_encode)
         statements = [p.statement for p in corpus.pairs]
         proofs = [p.proof for p in corpus.pairs]
         build_score_matrix(state, statements, proofs)
         assert lookups == [sum(map(len, statements + proofs))]
-        assert len(forwarded) == 20
-        for ids, doc in zip(forwarded, statements + proofs, strict=True):
+        assert len(encoded) == 20
+        for ids, doc in zip(encoded, statements + proofs, strict=True):
             assert np.array_equal(ids, real_encode_ids(state.vocab, doc))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_identical_documents_tie_exactly(self, sign):
+        # Scored as one product, ten copies of one statement and one proof
+        # at d=64 read 5.6e-17 lower on the last two rows and columns than
+        # elsewhere, so one sign of W ranked gold 1st on rows 8 and 9.
+        d, n = 64, 10
+        tokens = [math_token(f"v{i}") for i in range(12)]
+        state = init_model(build_vocab(Corpus([PairRecord(
+            "p", "a", [], tokens, tokens)])), EncoderConfig(d=d))
+        state.head.w = sign * np.random.default_rng(0).normal(size=(d, d))
+        m = build_score_matrix(state, [tokens[:5]] * n, [tokens[5:]] * n)
+        assert (m == m[0, 0]).all()
+        assert decode_local(m).gold_rank.tolist() == list(range(1, n + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12),
+           st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_duplicates_score_as_their_first_copy(self, s_docs, p_docs):
+        # each cell is its documents' first copies' cell, bit for bit, and
+        # the whole product's value up to rounding
+        n = min(len(s_docs), len(p_docs))
+        s_docs, p_docs = s_docs[:n], p_docs[:n]
+        state, corpus = small_state(4, d=16)
+        statements = [corpus.pairs[i].statement for i in s_docs]
+        proofs = [corpus.pairs[i].proof for i in p_docs]
+        m = build_score_matrix(state, statements, proofs)
+        s_first = [s_docs.index(i) for i in s_docs]
+        p_first = [p_docs.index(j) for j in p_docs]
+        assert np.array_equal(m, m[np.ix_(s_first, p_first)])
+        vocab = state.vocab
+        whole = score_matrix(
+            state, np.stack([forward(state, vocab.encode_ids(x))[0]
+                             for x in statements]),
+            np.stack([forward(state, vocab.encode_ids(x))[0] for x in proofs]))
+        assert np.allclose(m, whole, rtol=1e-12, atol=0)
 
     def test_size_mismatch(self):
         state, corpus = small_state(3)

@@ -29,6 +29,7 @@ from proofmatch.encoders import (
     add_grads,
     backward,
     build_vocab,
+    encode,
     forward,
     init_model,
     load_model,
@@ -37,6 +38,7 @@ from proofmatch.encoders import (
     score_matrix,
 )
 from proofmatch.corpus import EmptyCorpus
+from proofmatch.decoding import encode_collection
 from proofmatch.errors import InvalidValue
 from proofmatch.training import batch_loss_and_grads, local_loss
 from attention_reference import backward_dense, forward_dense
@@ -417,8 +419,8 @@ def held_arrays(cache) -> dict[int, np.ndarray]:
 
 def read_by_backward(cache) -> dict[int, np.ndarray]:
     """The arrays of a ``ForwardCache`` that ``backward`` reads besides the
-    ids: the layer caches, the pooled positions, and ``x0``, which is the
-    first layer's input, or without layers the pooled activations."""
+    ids: the layer caches, the pooled positions, and with layers ``x0``,
+    the first layer's input."""
     return unique_arrays([cache.x0, cache.pool_idx, cache.pool_rows, *(
         a for lc in cache.layers for a in vars(lc).values())])
 
@@ -448,10 +450,13 @@ class TestStepMemory:
     @pytest.mark.parametrize("pooling", list(Pooling))
     def test_step_peak_is_the_caches_backward_reads(self, pooling,
                                                      monkeypatch):
-        # 100 documents of 60 tokens at d=64: each final (T, d) output kept
-        # until backward would add 30.7 KB a document, 18-23% over the
-        # arrays backward reads and the gradient; the step's own
-        # temporaries add 5-7%
+        # 100 documents of 60 tokens at d=64. Self-attentive: each final
+        # (T, d) output kept until backward would add 30.7 KB a document,
+        # 18-23% over the arrays backward reads and the gradient; the
+        # step's own temporaries add 5-7%. Pooled: a cache is the ids and
+        # at most d argmax positions, so the step's peak, the gradient and
+        # its own temporaries (0.45-0.54 MB), is far below the documents'
+        # gathered rows (3.1 MB), which caches once held.
         monkeypatch.setattr(encoders, "_WORKERS", 1)  # one document at a time
         rng = np.random.default_rng(4)
         tokens = [math_token(f"v{i}") for i in range(200)]
@@ -461,33 +466,106 @@ class TestStepMemory:
 
         pairs = [PairRecord(f"p{i}", "a", [], doc(), doc()) for i in range(50)]
         vocab = build_vocab(Corpus(pairs))
-        state = init_model(vocab, EncoderConfig(
-            EncoderKind.SELF_ATTENTIVE, d=64, layers=1, heads=2, d_k=8,
-            pooling=pooling))
         ids = vocab.encode_docs([p.statement for p in pairs]
                                 + [p.proof for p in pairs])
-        read = 0
-        for doc_ids in ids:
-            cache = forward(state, doc_ids)[1]
-            read += sum(a.nbytes for a in read_by_backward(cache).values())
-        grads = sum(a.nbytes for a in state.param_arrays())
-        batch_loss_and_grads(state, pairs, local_loss, ids)  # first-call costs
-        tracemalloc.start()
-        try:
-            batch_loss_and_grads(state, pairs, local_loss, ids)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.15 * (read + grads)
+        for kind in EncoderKind:
+            state = init_model(vocab, EncoderConfig(
+                kind, d=64, layers=1, heads=2, d_k=8, pooling=pooling))
+            read = 0
+            for doc_ids in ids:
+                cache = forward(state, doc_ids)[1]
+                read += sum(a.nbytes for a in read_by_backward(cache).values())
+            grads = sum(a.nbytes for a in state.param_arrays())
+            batch_loss_and_grads(state, pairs, local_loss, ids)  # first-call costs
+            tracemalloc.start()
+            try:
+                batch_loss_and_grads(state, pairs, local_loss, ids)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if kind is EncoderKind.POOLED:
+                assert read == (len(ids) * 64 * 8 if pooling is Pooling.MAX
+                                else 0)
+                assert peak < grads + sum(map(len, ids)) * 64 * 8 / 2
+            else:
+                assert peak < 1.15 * (read + grads)
+
+
+def pooled_reference(state, ids, grad_vec):
+    """An encoder without layers from its gathered (T, d) rows: the pooled
+    vector, and the embedding gradient of ``grad_vec`` scattered to the
+    argmax cell of each column (ties to the lowest position), or grad/T to
+    every cell under mean pooling."""
+    x = state.embeddings[ids]
+    grad = np.zeros_like(state.embeddings)
+    if state.config.pooling is Pooling.MAX:
+        pos = np.argmax(x, axis=0)
+        np.add.at(grad, (ids[pos], np.arange(state.config.d)), grad_vec)
+        return x.max(axis=0), grad
+    np.add.at(grad, ids, np.tile(grad_vec / len(ids), (len(ids), 1)))
+    return x.mean(axis=0), grad
+
+
+class TestPooledCache:
+    """An encoder without layers caches the ids and, under max pooling, the
+    argmax positions; evaluation builds no cache. Vectors and gradients are
+    those of the gathered rows, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(list(EncoderKind)),
+           pooling=st.sampled_from(list(Pooling)), d=st.integers(1, 9),
+           n_tokens=st.integers(1, 6), t_len=st.integers(1, 30),
+           levels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(kind=EncoderKind.POOLED, pooling=Pooling.MAX, d=4, n_tokens=3,
+             t_len=1, levels=3, seed=0)
+    @example(kind=EncoderKind.POOLED, pooling=Pooling.MAX, d=4, n_tokens=3,
+             t_len=12, levels=1, seed=0)
+    @example(kind=EncoderKind.POOLED, pooling=Pooling.MEAN, d=4, n_tokens=3,
+             t_len=1, levels=3, seed=0)
+    def test_matches_gathered_reference(self, kind, pooling, d, n_tokens,
+                                        t_len, levels, seed):
+        # embeddings drawn from ``levels`` values, so that columns tie
+        rng = np.random.default_rng(seed)
+        vocab = build_vocab(one_pair_corpus(
+            [math_token(f"v{i}") for i in range(n_tokens)]), 1)
+        state = init_model(vocab, EncoderConfig(
+            kind, d=d, layers=0, heads=1, d_k=1, pooling=pooling), seed=3)
+        state.embeddings[:] = rng.normal(size=levels)[
+            rng.integers(0, levels, size=state.embeddings.shape)]
+        ids = rng.integers(0, len(vocab), size=t_len)
+        grad_vec = rng.normal(size=d) * 10.0 ** rng.integers(-8, 8, d)
+
+        vec, cache = forward(state, ids)
+        want_vec, want_grad = pooled_reference(state, ids, grad_vec)
+        assert vec.tobytes() == want_vec.tobytes()
+        assert encode(state, ids).tobytes() == vec.tobytes()
+        assert encode_collection(state, [ids, ids])[1].tobytes() == vec.tobytes()
+        held = held_arrays(cache)
+        assert held.keys() == ({id(cache.ids), id(cache.pool_idx)}
+                               if pooling is Pooling.MAX else {id(cache.ids)})
+        grads = state.zeros()
+        add_grads(grads, backward(state, cache, grad_vec))
+        assert grads.embeddings.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("pooling", list(Pooling))
+    def test_evaluation_builds_no_cache(self, pooling, monkeypatch):
+        state = small_state(pooling=pooling)
+
+        def no_cache(*args):
+            raise AssertionError("evaluation built a ForwardCache")
+
+        monkeypatch.setattr(encoders, "ForwardCache", no_cache)
+        ids = [state.vocab.encode_ids([math_token(f"v{i}")] * 3) for i in range(4)]
+        assert encode_collection(state, ids).shape == (4, 8)
 
 
 def two_d_scatter(state, cache, doc, grad_vec):
     """The embedding gradient of one document as a 2-D ``np.add.at`` adds
     it: whole rows at the token ids, or, for a pooled max encoder, one cell
-    per column at the argmax token."""
+    per column at the token of the cached argmax position."""
     d = state.config.d
     if state.config.pooling is Pooling.MAX and not state.layers:
-        return (cache.ids[np.argmax(cache.x0, axis=0)], np.arange(d)), grad_vec
+        return (cache.ids[cache.pool_idx], np.arange(d)), grad_vec
     return cache.ids, doc.emb_values.reshape(len(cache.ids), d)
 
 

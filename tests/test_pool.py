@@ -168,7 +168,7 @@ def test_score_matrix_equals_serial_loop(workers, monkeypatch):
     statements = [p.statement for p in test_c.pairs]
     proofs = [p.proof for p in test_c.pairs]
     want = serial_score_matrix(state, statements, proofs)
-    ran_on = pool_threads(monkeypatch, decoding)
+    ran_on = pool_threads(monkeypatch, encoders)  # ``encode`` runs ``forward``
     m = decoding.build_score_matrix(state, statements, proofs)
     assert np.array_equal(m, want)
     assert (ran_on != {threading.current_thread().name}) == (workers > 1)
