@@ -7,8 +7,9 @@ tab-separated fields::
 
 Token lists are space-separated items: ``t:surface`` (text) or
 ``m:surface`` / ``m:surface#font`` (math). Literal ``%``, tab, space,
-``#``, ``:`` and newline inside surfaces are percent-encoded. Lines
-starting with ``#`` are comments.
+``#``, ``:``, ``,``, newline and carriage return inside fields are
+percent-encoded, so no field holds a line break. Lines starting with
+``#`` are comments.
 
 A ``Token`` is an immutable (kind, surface, font) value, a named tuple
 whose hashing and equality run in C. The readers share one Token between
@@ -20,6 +21,12 @@ tokens (``write_corpus``, ``Vocabulary.encode_ids``) therefore runs its
 slower step once per distinct token and finds every repeat by comparing
 it with itself, where a vocabulary's own keys are other objects whose
 fields are compared one by one.
+
+A read decodes its file in blocks of whole lines (``numbered_lines``). It
+can read one byte range of the file whose ends fall just after a ``\\n``
+byte, with its lines numbered as in the whole file, so ``match ingest``
+reads a file in chunks, one per worker, with the line numbers and errors
+of one read.
 
 What runs how often: a read splits each token field at spaces and maps
 the items through the read's ``item_memo`` in one C-level loop, a dict
@@ -136,11 +143,17 @@ class Corpus:
         return len(self.pairs)
 
     def __post_init__(self):
-        seen = set()
-        for p in self.pairs:
-            if p.pair_id in seen:
-                raise InvalidValue(f"duplicate pair_id: {p.pair_id}")
-            seen.add(p.pair_id)
+        check_unique(p.pair_id for p in self.pairs)
+
+
+def check_unique(pair_ids) -> None:
+    """Raise ``InvalidValue`` naming the first pair id that repeats one
+    before it."""
+    seen = set()
+    for pair_id in pair_ids:
+        if pair_id in seen:
+            raise InvalidValue(f"duplicate pair_id: {pair_id}")
+        seen.add(pair_id)
 
 
 class SplitMode(enum.Enum):
@@ -267,7 +280,8 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
 _SIGIL_FONTS = {f.value: f for f in Font if f is not Font.NORMAL}
 
 _ESCAPES = [("%", "%25"), ("\t", "%09"), (" ", "%20"),
-            ("#", "%23"), (":", "%3A"), (",", "%2C"), ("\n", "%0A")]
+            ("#", "%23"), (":", "%3A"), (",", "%2C"), ("\n", "%0A"),
+            ("\r", "%0D")]
 # No encoding holds a character that another one encodes, so one pass over
 # the string gives what the replacements in turn would.
 _ESCAPE_TABLE = str.maketrans(dict(_ESCAPES))
@@ -396,9 +410,14 @@ def parse_record(line: str, lineno: int, parse_item=parse_item,
 
 
 def write_corpus(corpus: Corpus, path) -> None:
+    write_records(corpus.pairs, path)
+
+
+def write_records(records, path) -> None:
+    """The corpus file of an iterable of records, written as they come."""
     items = Memo(format_token)
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus.pairs:
+        for rec in records:
             fh.write(format_record(rec, items) + "\n")
 
 
@@ -407,31 +426,48 @@ def _line_breaks(data: bytes) -> int:
     return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
-def _undecodable_line(path) -> int:
-    """The line of the first byte of ``path`` that is not UTF-8. A UTF-8
-    sequence never holds a newline byte, so each line decodes alone."""
-    line = 1
+# The most bytes ``_blocks`` reads at once, before it completes the last line.
+_BLOCK = 1 << 16
+
+
+def _blocks(fh, end: int | None):
+    """The bytes of the binary file ``fh`` from its position to ``end`` (to
+    its end where None), in blocks that each end just after a ``\\n`` or
+    at ``end``. So no block splits a line, a ``\\r\\n`` pair or a UTF-8
+    sequence, where ``end`` falls just after a ``\\n``."""
+    while block := fh.read(_BLOCK if end is None
+                           else min(_BLOCK, end - fh.tell())):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
+def numbered_lines(path, start: int = 0, end: int | None = None):
+    """``(line number, line)`` for each line of a UTF-8 text file, without
+    its line break. Lines are those of text mode: a ``\\n``, ``\\r`` or
+    ``\\r\\n`` ends one. ``start`` and ``end`` restrict it to the lines of
+    that byte range, numbered as in the whole file; each falls just after a
+    ``\\n`` or at an end of the file. A range that is not UTF-8 yields the
+    lines before the bad byte's line, then raises ``CorpusError`` naming
+    the path and that line."""
     with open(path, "rb") as fh:
-        for raw in fh:
+        # only a range reads what comes before it, so a pipe reads too
+        lineno = 1 + sum(map(_line_breaks, _blocks(fh, start))) if start else 1
+        for block in _blocks(fh, end):
             try:
-                raw.decode("utf-8")
+                text, error = block.decode("utf-8"), None
             except UnicodeDecodeError as exc:
-                return line + _line_breaks(raw[:exc.start])
-            line += _line_breaks(raw)
-    return line
-
-
-def numbered_lines(path):
-    """``(line number, line)`` for each line of a UTF-8 text file, newline
-    kept. A file that is not UTF-8 raises ``CorpusError`` naming the path
-    and the line of the bad byte."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
-                              f"({exc.reason})") from exc
+                text, error = block[:exc.start].decode("utf-8"), exc
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            # after the last break: the bad byte's line, or else nothing but
+            # at the end of a file that ends without a break
+            if error is not None or not lines[-1]:
+                lines.pop()
+            yield from enumerate(lines, lineno)
+            lineno += len(lines)
+            if error is not None:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8 "
+                                  f"({error.reason})") from error
 
 
 @contextmanager
@@ -445,15 +481,16 @@ def in_file(path):
         raise
 
 
-def read_records(path, parse_item=parse_item):
-    """Each record of a corpus file; blank and ``#`` lines are skipped.
-    ``parse_item`` runs once per distinct item of the read, as in
-    ``parse_record``, so equal items share their tokens. A bad line raises
-    ``FormatError`` naming the path."""
+def read_records(path, parse_item=parse_item, start: int = 0,
+                 end: int | None = None):
+    """Each record of a corpus file, or of the byte range ``start``..``end``
+    of ``numbered_lines``; blank and ``#`` lines are skipped. ``parse_item``
+    runs once per distinct item of the read, as in ``parse_record``, so
+    equal items share their tokens. A bad line raises ``FormatError``
+    naming the path."""
     memo = item_memo(parse_item)
     with in_file(path):
-        for lineno, line in numbered_lines(path):
-            line = line.rstrip("\n")
+        for lineno, line in numbered_lines(path, start, end):
             if line and not line.startswith("#"):
                 yield parse_record(line, lineno, parse_item, memo)
 

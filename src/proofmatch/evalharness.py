@@ -5,10 +5,10 @@ The grid's rows, one per source level, run in parallel: one row per usable
 core, never more worker processes than levels. A row reads no other row's
 results, so the cells are the same for any core count. A self-attentive
 grid uses up to processes × threads threads, since each worker runs its
-own encoder pool. The workers are forked from the caller and inherit the
-inputs, which are not pickled; a row's index goes in and its cells come
-back. Where ``fork`` is not a start method, the rows run one after another
-in the calling process.
+own encoder pool. The rows run through ``forkmap.fork_map``: the workers
+are forked from the caller and inherit the inputs, which are not pickled; a
+row's index goes in and its cells come back. Where ``fork`` is not a start
+method, the rows run one after another in the calling process.
 """
 
 from __future__ import annotations
@@ -17,21 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoders
 from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
 from .errors import InvalidValue, ProofmatchError
+from .forkmap import fork_map
 from .symbols import ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
 
 
 class EmptyInput(ProofmatchError):
     pass
-
-
-class WorkerDied(ProofmatchError):
-    """A grid worker process ended without returning its row."""
 
 
 @dataclass
@@ -127,17 +123,6 @@ def evaluate_local(state: ModelState, corpus: Corpus) -> MetricReport:
     return report_local(decode_local(m))
 
 
-def grid_processes(levels: int) -> int:
-    """The number of processes that run a grid of ``levels`` source levels:
-    one row per usable core, never more workers than rows. It is 1, the
-    calling process, where ``fork`` is not a start method."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(levels, encoders._WORKERS)
-
-
 def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
              levels: list[ReplacementLevel], encoder_config: EncoderConfig,
              train_config: TrainConfig,
@@ -147,7 +132,7 @@ def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
     split and evaluate it on every target-replaced test split. Replacement
     of each split uses an independent sub-seed, so the grid is deterministic
     for a fixed seed, and a row does not depend on which process runs it or
-    on how many do (``grid_processes``)."""
+    on how many do (``forkmap.processes``)."""
     targets = [replace_corpus(test_corpus, lv, protected,
                               mix_seed(seed, f"test:{lv.level.value}"))
                for lv in levels]
@@ -163,47 +148,8 @@ def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
         best, _ = train(src_train, src_dev, state, train_config)
         return [evaluate_local(best, target) for target in targets]
 
-    rows = _map_rows(row, len(levels))
+    rows = fork_map(row, len(levels), "a grid worker", "row")
     return GridReport(list(levels), {
         (src.level.value, tgt.level.value): cell
         for src, cells in zip(levels, rows, strict=True)
         for tgt, cell in zip(levels, cells, strict=True)})
-
-
-# The row function of the grid that a worker process serves. It is set in
-# the worker only, by the pool's initializer.
-_row = None
-
-
-def _serve(row) -> None:
-    global _row
-    _row = row
-
-
-def _run_row(i: int) -> list[MetricReport]:
-    return _row(i)
-
-
-def _map_rows(row, n: int) -> list[list[MetricReport]]:
-    """``row(i)`` for i in 0..n-1, in order, on ``grid_processes(n)``
-    forked worker processes. ``row`` and the corpora it reads reach the
-    workers as the initializer's argument, which a forked process inherits
-    unpickled (pickling the corpora would take tens of milliseconds each
-    way). Only the index goes to a worker and only the row's cells come
-    back. Processes, not threads, since pooled training holds the GIL."""
-    workers = grid_processes(n)
-    if workers < 2:
-        return list(map(row, range(n)))
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_serve, initargs=(row,))
-    try:
-        return list(pool.map(_run_row, range(n)))
-    except BrokenProcessPool:
-        raise WorkerDied("a grid worker process ended before "
-                         "returning its row") from None
-    finally:
-        # joins every worker, after a failure too
-        pool.shutdown(cancel_futures=True)

@@ -22,7 +22,7 @@ from proofmatch import encoders
 from proofmatch.cli import build_parser, main
 from proofmatch.corpus import (
     Corpus, PairRecord, SplitSpec, _escape, format_record, math_token,
-    read_corpus, read_records, text_token, write_corpus)
+    read_corpus, read_records, text_token, write_corpus, write_records)
 from proofmatch.decoding import build_score_matrix, decode_local
 from proofmatch.encoders import (
     EncoderConfig, Vocabulary, build_vocab, init_model, load_model,
@@ -106,8 +106,12 @@ class TestIngest:
     def test_one_token_per_distinct_mathml_leaf(self, tmp_path, monkeypatch):
         import proofmatch.cli as cli
         written = []
-        monkeypatch.setattr(cli, "write_corpus",
-                            lambda corpus, path: written.append(corpus))
+
+        def recording(records, path):
+            written.append(list(records))
+            write_records(written[-1], path)
+
+        monkeypatch.setattr(cli, "write_records", recording)
         raw = tmp_path / "raw.tsv"
         write_raw(raw, [
             raw_line("p1", mathml='<math><mi>a</mi><mi mathvariant="bold">a'
@@ -117,7 +121,7 @@ class TestIngest:
             raw_line("p3", mathml='<math><mi mathvariant="bold">a</mi><mi>a'
                                   '</mi></math>')])
         assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o")]) == 0
-        leaves = [t for p in written[0].pairs for t in p.proof[25:]]
+        leaves = [t for p in written[0] for t in p.proof[25:]]
         assert len(leaves) == 7
         assert len({id(t) for t in leaves}) == len(set(leaves)) == 3
 
@@ -154,6 +158,15 @@ class TestIngest:
         # the comment is line 1; the bad item starts after the last space
         assert (f"line 2, col {len(line) + 1}: unknown token-kind sigil"
                 in capsys.readouterr().err)
+
+    def test_escaped_line_break_in_an_id_reads_back(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        write_raw(raw, [raw_line("a%0Db")])
+        assert main(["ingest", str(raw), "--out-dir", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        corpus = tmp_path / "o" / "corpus.tsv"
+        assert corpus.read_text().startswith("a%0Db\t")
+        assert [p.pair_id for p in read_corpus(corpus).pairs] == ["a\rb"]
 
     def test_idempotent(self, tmp_path):
         raw = tmp_path / "raw.tsv"
@@ -404,12 +417,15 @@ class TestTrainEval:
                 assert "threads" not in manifest["config"]
                 assert "processes" not in manifest["config"]
         out = tmp_path / "other"
-        assert main(["split", files[0], "--out-dir", str(out), "--quiet"]) == 0
+        # an input under two chunks' minimum runs in the calling process
+        for command in ("split", "ingest", "replace"):
+            assert main([command, files[0], "--out-dir", str(out),
+                         "--quiet"]) == 0
         assert main(["eval", str(tmp_path / "missing.pmm"), files[0],
                      "--out-dir", str(out), "--quiet"]) == 1
         assert main(["grid", files[0], str(tmp_path / "missing.tsv"), files[0],
                      "--out-dir", str(out), "--quiet"]) == 1
-        for command in ("split", "eval", "grid"):
+        for command in ("split", "ingest", "replace", "eval", "grid"):
             manifest = json.loads(
                 (out / f"manifest-{command}.json").read_text())
             assert manifest["threads"] is None
@@ -418,8 +434,11 @@ class TestTrainEval:
     def test_manifest_records_peak_memory_and_chance(self, tmp_path,
                                                      corpus_file, monkeypatch):
         # every manifest holds this process's peak; train adds its best dev
-        # accuracy beside chance, a grid on worker processes their peak
+        # accuracy beside chance, and a grid, ingest or replace on worker
+        # processes their peak
+        import proofmatch.cli as cli
         monkeypatch.setattr(encoders, "_WORKERS", 2)
+        monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
         files = [str(corpus_file)] * 3
         small = ["--dim", "8", "--batch-size", "5", "--epochs", "2",
                  "--eval-every", "1", "--quiet"]
@@ -427,6 +446,13 @@ class TestTrainEval:
         assert main(["train", *files[:2], *small, "--out-dir", str(out)]) == 0
         assert main(["grid", *files, "--levels", "conservation,full", *small,
                      "--out-dir", str(out)]) == 0
+        for command in ("ingest", "replace"):
+            assert main([command, files[0], "--out-dir", str(out),
+                         "--quiet"]) == 0
+            manifest = json.loads(
+                (out / f"manifest-{command}.json").read_text())
+            assert manifest["processes"] == 2
+            assert manifest["workers_peak_rss_mb"] > 0
         train_m, grid_m = (json.loads((out / f"manifest-{c}.json").read_text())
                            for c in ("train", "grid"))
         best = max(float(line.split("\t")[1]) for line in
@@ -1059,8 +1085,9 @@ print(json.dumps([on_import, codes, lazy_modules()]))
 
 def test_import_and_corpus_commands_load_no_scipy(tmp_path, corpus_file):
     # scipy is imported where an assignment is solved, and the process pool
-    # where a grid starts, so importing the CLI and the corpus commands
-    # never pay for them
+    # where a grid starts or a corpus command's input fills two chunks, so
+    # importing the CLI and the corpus commands on a small input never pay
+    # for them
     raw = tmp_path / "raw.tsv"
     write_raw(raw, [raw_line("keep1"), raw_line("keep2")])
     run = run_python(CORPUS_COMMANDS, raw, corpus_file, tmp_path / "out")

@@ -283,6 +283,15 @@ class TestSerialization:
         path.write_text(f"# header\n{rec}\n")
         assert len(read_corpus(path)) == 1
 
+    def test_fields_with_line_breaks_read_back(self, tmp_path):
+        # a raw \r in a field would end its line where the file is read
+        pair = PairRecord("p\r1", "art\r\n1", ["c\r", "\nd"],
+                          [text_token("x")], [math_token("a")])
+        path = tmp_path / "c.tsv"
+        write_corpus(Corpus([pair]), path)
+        assert b"\r" not in path.read_bytes()
+        assert read_corpus(path).pairs == [pair]
+
     def test_escaped_surfaces(self):
         pair = PairRecord("p", "a", [], [text_token("x%#:,")],
                           [math_token("a:b")])
@@ -353,7 +362,7 @@ def test_field_parse_matches_the_per_item_loop(fields, parse):
         assert start == len(got)
 
 
-@given(st.text(alphabet="%\t #:,\nab2C0é"))
+@given(st.text(alphabet="%\t #:,\n\rab2C0Dé"))
 def test_escape_is_the_replacements_in_turn(s):
     chained = s
     for raw, enc in _ESCAPES:

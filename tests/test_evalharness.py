@@ -13,12 +13,12 @@ from proofmatch.evalharness import (
     EmptyInput,
     assignment_distribution,
     evaluate_local,
-    grid_processes,
     mrr,
     report_global,
     report_local,
     run_grid,
 )
+from proofmatch.forkmap import processes
 from proofmatch.symbols import CONSERVATION, FULL
 from proofmatch.training import Objective, TrainConfig
 from proofmatch.decoding import MatchResult, RankingResult
@@ -166,7 +166,7 @@ class TestGrid:
         cells = []
         for workers in (1, 2):
             monkeypatch.setattr(encoders, "_WORKERS", workers)
-            assert grid_processes(len(levels)) == workers
+            assert processes(len(levels)) == workers
             cells.append(run_grid(corpus, corpus, corpus, levels, cfg,
                                   tiny_train_config(epochs=40), seed=1).cells)
             assert multiprocessing.active_children() == []
