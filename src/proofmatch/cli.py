@@ -77,6 +77,7 @@ from .encoders import (
 from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
     assignment_distribution,
+    check_levels,
     report_global,
     report_local,
     run_grid,
@@ -493,9 +494,8 @@ def cmd_grid(args) -> int:
     names = args.levels.split(",")
     if unknown := set(names) - set(_values(Level)):
         raise InvalidValue(f"unknown replacement levels: {sorted(unknown)}")
-    if repeated := sorted({name for name in names if names.count(name) > 1}):
-        raise InvalidValue(f"repeated replacement levels: {repeated}")
     levels = [ReplacementLevel(Level(name), args.alpha) for name in names]
+    check_levels(levels)  # before the corpora are read
     encoder = _config(EncoderConfig, _ENCODER_FIELDS, args)
     train_config = _config(TrainConfig, _TRAIN_FIELDS, args)
     train_c = _read_documents(args.train_corpus, args.channel)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidValue, ProofmatchError
+from .errors import InvalidValue, ProofmatchError, check_seed
 
 
 class CorpusError(ProofmatchError):
@@ -176,8 +176,7 @@ class SplitSpec:
             raise InvalidValue("negative split ratio")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise InvalidValue(f"split ratios sum to {sum(self.ratios)}, not 1")
-        if self.seed < 0:
-            raise InvalidValue(f"seed must be >= 0, not {self.seed}")
+        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,13 @@ import os
 import struct
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, EmptyCorpus, Font, Memo, Token, TokenKind
-from .errors import InvalidValue, ProofmatchError
+from .errors import InvalidValue, ProofmatchError, check_seed
 
 
 class EncoderError(ProofmatchError):
@@ -104,11 +104,15 @@ UNK_ID = 0
 @dataclass
 class Vocabulary:
     """Dense token ids; id 0 is UNK. Math and text tokens are distinct
-    entries because Token equality includes the kind."""
+    entries because Token equality includes the kind. ``id_of`` is built
+    from ``tokens``: each token's id is its position."""
 
-    id_of: dict[Token, int]
     tokens: list[Token | None]
     min_freq: int = 1
+    id_of: dict[Token, int] = field(init=False)
+
+    def __post_init__(self):
+        self.id_of = {t: i for i, t in enumerate(self.tokens) if t is not None}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -149,9 +153,7 @@ def build_vocab(corpus: Corpus,
         freq.update(pair.proof)
     kept = [t for t, c in freq.items() if c >= min_freq]
     kept.sort(key=lambda t: -freq[t])  # stable: ties keep first occurrence
-    tokens: list[Token | None] = [None] + kept
-    id_of = {t: i for i, t in enumerate(tokens) if t is not None}
-    return Vocabulary(id_of, tokens, min_freq)
+    return Vocabulary([None, *kept], min_freq)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,7 @@ def init_model(vocab: Vocabulary, config: EncoderConfig,
                seed: int = 0) -> ModelState:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) embeddings and projections,
     W = I/sqrt(d), b = 0."""
-    if seed < 0:
-        raise InvalidValue(f"seed must be >= 0, not {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d)
     emb_shape, *layer_shapes, _, b_shape = (
@@ -651,7 +652,7 @@ def save_model(state: ModelState, path) -> None:
     chunks.append(struct.pack("<BIIIIBB", _KINDS.index(cfg.kind), cfg.d,
                               cfg.layers, cfg.heads, cfg.d_k,
                               _POOLS.index(cfg.pooling), _POSITION_CODE))
-    chunks.append(struct.pack("<Q", state.rng_seed & 0xFFFFFFFFFFFFFFFF))
+    chunks.append(struct.pack("<Q", state.rng_seed))
     for (name, shape), arr in zip(_param_table(len(vocab), cfg),
                                   state.param_arrays(), strict=True):
         # NaN fails the comparison too
@@ -721,8 +722,7 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
         off += length
         tokens.append(Token(_decode(_TOKEN_KINDS, kind_c, "token kind"),
                             surface, _decode(_FONTS, font_c, "font")))
-    id_of = {t: i for i, t in enumerate(tokens) if t is not None}
-    vocab = Vocabulary(id_of, tokens, min_freq)
+    vocab = Vocabulary(tokens, min_freq)
     kind_c, d, layers_n, heads, d_k, pool_c, pos_c = struct.unpack_from(
         "<BIIIIBB", buf, off)
     off += 19

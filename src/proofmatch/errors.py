@@ -1,5 +1,6 @@
 """The package's one error base: every error proofmatch raises on bad input
-or an infeasible request derives from it, so a caller can catch them all."""
+or an infeasible request derives from it, so a caller can catch them all.
+Also the one seed rule, which every seeded step checks."""
 
 import copyreg
 
@@ -16,3 +17,10 @@ class ProofmatchError(Exception):
 
 class InvalidValue(ProofmatchError, ValueError):
     """A configuration or data value outside its allowed range."""
+
+
+def check_seed(seed: int) -> None:
+    """A seed names one run: an integer in [0, 2**64), the range of a
+    checkpoint's uint64 seed field. Any other value is ``InvalidValue``."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidValue(f"seed must be >= 0 and < 2**64, not {seed}")

@@ -123,6 +123,16 @@ def evaluate_local(state: ModelState, corpus: Corpus) -> MetricReport:
     return report_local(decode_local(m))
 
 
+def check_levels(levels: list[ReplacementLevel]) -> None:
+    """A grid's levels are at least one, and no level is named twice: the
+    cells are keyed by name."""
+    if not levels:
+        raise InvalidValue("no replacement levels")
+    names = [lv.level.value for lv in levels]
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise InvalidValue(f"repeated replacement levels: {repeated}")
+
+
 def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
              levels: list[ReplacementLevel], encoder_config: EncoderConfig,
              train_config: TrainConfig,
@@ -133,6 +143,7 @@ def run_grid(train_corpus: Corpus, dev_corpus: Corpus, test_corpus: Corpus,
     of each split uses an independent sub-seed, so the grid is deterministic
     for a fixed seed, and a row does not depend on which process runs it or
     on how many do (``forkmap.processes``)."""
+    check_levels(levels)
     targets = [replace_corpus(test_corpus, lv, protected,
                               mix_seed(seed, f"test:{lv.level.value}"))
                for lv in levels]

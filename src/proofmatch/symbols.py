@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import (Corpus, Font, FormatError, Memo, PairRecord, Token,
                      TokenKind, in_file, math_token, numbered_lines,
                      parse_token)
-from .errors import InvalidValue, ProofmatchError
+from .errors import InvalidValue, ProofmatchError, check_seed
 
 
 class PoolExhausted(ProofmatchError):
@@ -153,10 +153,6 @@ def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
             if k.base not in CONSTANT_BASES and k.base not in protected}
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
 def _fresh_pool(forbidden: set[str], protected: frozenset[str],
                 rng: np.random.Generator) -> list[str]:
     """Latin letters not used in the pair, then Greek letters minus the
@@ -180,6 +176,7 @@ def build_replacement_map(shared: set[SymbolKey],
     fresh names cannot collide with existing ones. ``protected`` None
     protects no letter.
     """
+    check_seed(seed)
     keys = sorted(shared)  # by (base, font value): a Font is its value string
     entries: dict[SymbolKey, SymbolKey] = {}
 
@@ -198,7 +195,7 @@ def build_replacement_map(shared: set[SymbolKey],
         # cannot change any base, fall back to fresh names.
 
     if level.level is Level.PARTIAL:
-        count = _round_half_away(level.alpha * len(keys))
+        count = math.floor(level.alpha * len(keys) + 0.5)  # halves round up
         chosen_idx = sorted(rng.permutation(len(keys))[:count])
         targets_of = [keys[i] for i in chosen_idx]
     else:  # FULL, or degenerate TRANSPOSITION
@@ -248,9 +245,10 @@ def _rename(proof: list[Token], candidates: set[Token], table: _Table,
 
 def mix_seed(seed: int, salt: str) -> int:
     """Independent 64-bit sub-seed of ``seed`` for the string ``salt``."""
+    check_seed(seed)
     digest = hashlib.sha256(salt.encode("utf-8")).digest()
     sub = int.from_bytes(digest[:8], "little")
-    return (seed ^ sub) & 0xFFFFFFFFFFFFFFFF
+    return seed ^ sub
 
 
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
@@ -274,6 +272,7 @@ def _replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
                    seed: int) -> list[PairRecord]:
     """Each pair with ``level`` applied to its proof, from one candidate
     table over all of them and one renamed token per (surface, font)."""
+    check_seed(seed)  # conservation mixes no sub-seed
     if level.level is Level.CONSERVATION:
         return [dc_replace(p, proof=list(p.proof)) for p in pairs]
     protected = protected or frozenset()

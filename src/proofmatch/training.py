@@ -30,7 +30,7 @@ from .encoders import (
     score_matrix,
     score_matrix_backward,
 )
-from .errors import InvalidValue, ProofmatchError
+from .errors import InvalidValue, ProofmatchError, check_seed
 
 
 class TrainingError(ProofmatchError):
@@ -74,8 +74,7 @@ class TrainConfig:
             raise InvalidValue("lr_decay must be in (0, 1]")
         if self.eval_every < 1:
             raise InvalidValue("eval_every must be >= 1")
-        if self.seed < 0:
-            raise InvalidValue(f"seed must be >= 0, not {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -170,6 +170,17 @@ def test_pool_exhausted_in_a_worker(tmp_path, run):
             1, "error: need 1 fresh names, pool has 0\n")
 
 
+def test_a_bad_seed_is_the_one_line_of_every_chunk(tmp_path, run):
+    raw = write_raw(tmp_path / "raw.tsv", raw_lines())
+    assert run(["ingest", str(raw)], 1, "corpus.tsv")[0] == 0
+    corpus = tmp_path / "ingest-1" / "corpus.tsv"
+    for n in COUNTS:
+        assert run(["replace", str(corpus), "--seed", "-1"], n,
+                   "replaced.tsv")[:2] == (
+            1, "error: seed must be >= 0 and < 2**64, not -1\n")
+        assert not (tmp_path / f"replace-{n}" / "replaced.tsv").exists()
+
+
 @pytest.mark.parametrize("command, work, worker", [
     ("ingest", "filter_pair", "an ingest worker"),
     ("replace", "replace_corpus", "a replace worker"),

@@ -340,6 +340,18 @@ class TestTrainEval:
                             r"5 times chance \(0\.1000\); the model may not "
                             r"have learned\n", err)
 
+    def test_the_largest_seed_is_kept_as_given(self, tmp_path, corpus_file):
+        # the checkpoint's uint64 seed field holds it, so no seed is
+        # truncated on its way into model.pmm
+        seed = 2**64 - 1
+        out = tmp_path / "o"
+        assert main(["train", str(corpus_file), str(corpus_file), "--dim", "4",
+                     "--epochs", "1", "--seed", str(seed), "--out-dir",
+                     str(out), "--quiet"]) == 0
+        assert load_model(out / "model.pmm").rng_seed == seed
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert manifest["config"]["seed"] == seed
+
     def test_manifest_written(self, tmp_path, corpus_file):
         dev, test, model = (tmp_path / "dev.tsv", tmp_path / "test.tsv",
                             tmp_path / "model.pmm")
@@ -691,6 +703,14 @@ BAD_VALUES = {
     "negative_train_seed": ["train", "{corpus}", "{corpus}", "--seed", "-1"],
     "negative_grid_seed": ["grid", "{corpus}", "{corpus}", "{corpus}",
                            "--seed", "-1"],
+    "negative_replace_seed": ["replace", "{corpus}", "--seed", "-1"],
+    "huge_split_seed": ["split", "{corpus}", "--seed", "18446744073709551616"],
+    "huge_replace_seed": ["replace", "{corpus}", "--seed",
+                          "18446744073709551616"],
+    "huge_train_seed": ["train", "{corpus}", "{corpus}", "--seed",
+                        "18446744073709551616"],
+    "huge_grid_seed": ["grid", "{corpus}", "{corpus}", "{corpus}",
+                       "--seed", "18446744073709551616"],
     "nan_middle_ratio": ["split", "{corpus}", "--ratios", "0.5,nan,0.5"],
     "nan_first_ratio": ["split", "{corpus}", "--ratios", "nan,0.5,0.5"],
     "nan_ratio_unmixed": ["split", "{corpus}", "--mode", "unmixed",
@@ -716,6 +736,11 @@ NAMED_IN_ERROR = {
     "negative_split_seed": ["seed", "-1"],
     "negative_train_seed": ["seed", "-1"],
     "negative_grid_seed": ["seed", "-1"],
+    "negative_replace_seed": ["seed", "-1"],
+    "huge_split_seed": ["seed", "18446744073709551616"],
+    "huge_replace_seed": ["seed", "18446744073709551616"],
+    "huge_train_seed": ["seed", "18446744073709551616"],
+    "huge_grid_seed": ["seed", "18446744073709551616"],
     "nan_lr": ["lr", "nan"],
     "infinite_lr": ["lr", "inf"],
 }

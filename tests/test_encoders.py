@@ -26,6 +26,7 @@ from proofmatch.encoders import (
     ModelState,
     Pooling,
     UNK_ID,
+    Vocabulary,
     add_grads,
     backward,
     build_vocab,
@@ -78,6 +79,12 @@ class TestVocabulary:
         vocab = build_vocab(corpus, 1)
         assert vocab.id_of[text_token("top")] == 1
         assert vocab.id_of[text_token("rare")] == 2
+
+    def test_ids_are_the_positions_of_the_tokens(self):
+        a, b = math_token("a"), text_token("b")
+        vocab = Vocabulary([None, a, b])
+        assert vocab.id_of == {a: 1, b: 2}
+        assert vocab.min_freq == 1
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):

@@ -1,5 +1,6 @@
 """Every proofmatch error survives pickling, as it does on its way back
-from a grid worker process: same type, same message, same attributes."""
+from a grid worker process: same type, same message, same attributes. And
+every seeded step keeps the one seed rule."""
 
 import importlib
 import pickle
@@ -8,9 +9,14 @@ import pkgutil
 import pytest
 
 import proofmatch
-from proofmatch.corpus import FormatError
-from proofmatch.errors import ProofmatchError
-from proofmatch.training import NonFiniteLoss
+from proofmatch.corpus import FormatError, SplitSpec
+from proofmatch.encoders import EncoderConfig, build_vocab, init_model
+from proofmatch.errors import InvalidValue, ProofmatchError
+from proofmatch.evalharness import run_grid
+from proofmatch.symbols import (CONSERVATION, FULL, SymbolKey,
+                               build_replacement_map, replace_corpus)
+from proofmatch.training import NonFiniteLoss, TrainConfig
+from conftest import separable_corpus
 
 for _module in pkgutil.iter_modules(proofmatch.__path__):
     importlib.import_module(f"proofmatch.{_module.name}")
@@ -43,3 +49,35 @@ def test_round_trip_keeps_type_message_and_attributes(cls, protocol):
     assert str(copy) == str(error)
     assert vars(copy) == vars(error)
 
+
+CORPUS = separable_corpus(4)
+# Each step that takes a seed, run with a given seed.
+SEEDED = {
+    "SplitSpec": lambda seed: SplitSpec(seed=seed),
+    "TrainConfig": lambda seed: TrainConfig(seed=seed),
+    "init_model": lambda seed: init_model(build_vocab(CORPUS), EncoderConfig(d=4),
+                                          seed),
+    "build_replacement_map": lambda seed: build_replacement_map(
+        {SymbolKey("x")}, FULL, seed=seed, forbidden={"x"}),
+    "replace_corpus": lambda seed: replace_corpus(CORPUS, FULL, seed=seed),
+    # conservation mixes no sub-seed, and checks the seed all the same
+    "replace_corpus_conservation": lambda seed: replace_corpus(
+        CORPUS, CONSERVATION, seed=seed),
+    "run_grid": lambda seed: run_grid(CORPUS, CORPUS, CORPUS, [CONSERVATION],
+                                      EncoderConfig(d=4),
+                                      TrainConfig(batch_size=4, epochs=1),
+                                      seed=seed),
+}
+
+
+@pytest.mark.parametrize("step", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_the_uint64_range_is_rejected(step, seed):
+    with pytest.raises(InvalidValue,
+                       match=f"^seed must be >= 0 and < 2\\*\\*64, not {seed}$"):
+        SEEDED[step](seed)
+
+
+@pytest.mark.parametrize("step", sorted(SEEDED))
+def test_the_largest_seed_is_accepted(step):
+    SEEDED[step](2**64 - 1)

@@ -9,6 +9,7 @@ from proofmatch.cli import main
 from proofmatch.corpus import write_corpus
 from proofmatch.decoding import decode_local
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
+from proofmatch.errors import InvalidValue
 from proofmatch.evalharness import (
     EmptyInput,
     assignment_distribution,
@@ -145,6 +146,17 @@ class TestGrid:
         for key in a.cells:
             assert a.cells[key].accuracy == b.cells[key].accuracy
             assert a.cells[key].mrr == b.cells[key].mrr
+
+    @pytest.mark.parametrize("levels, message", [
+        ([], "no replacement levels"),
+        ([FULL, CONSERVATION, FULL], r"repeated replacement levels: \['full'\]"),
+    ], ids=["empty", "repeated"])
+    def test_levels_are_at_least_one_and_named_once(self, levels, message):
+        corpus = separable_corpus(4)
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            run_grid(corpus, corpus, corpus, levels,
+                     EncoderConfig(EncoderKind.POOLED, d=4),
+                     tiny_train_config(epochs=1))
 
     def test_to_records_format(self):
         corpus = separable_corpus(6)
