@@ -9,16 +9,16 @@ reported number can be reproduced and its time and memory explained from
 the manifest alone. A flat ``key = value`` config file can supply
 defaults; explicit command-line flags win.
 
-``ingest`` and ``replace`` cut their input into one contiguous chunk per
-usable core and run the chunks on forked workers (``forkmap``); an input
-too small for two chunks of ``_MIN_CHUNK_BYTES`` runs in the calling
-process. ``ingest`` cuts the raw file at line starts and each worker
-reads its own byte range; ``replace`` reads the corpus in the calling
-process and each worker replaces a contiguous slice of its pairs. Each
-chunk writes its corpus lines to a part file in a temporary directory in
-``--out-dir``, and the calling process joins the parts in order into the
-output only once every chunk has succeeded, so the output is the same
-bytes for any chunk count and a failed run leaves none.
+``ingest`` and ``replace`` cut their input at line starts into one
+contiguous byte range per usable core and run the ranges on forked
+workers (``forkmap``); an input too small for two chunks of
+``_MIN_CHUNK_BYTES`` runs in the calling process. Each chunk reads its
+own range, writes its corpus lines to a part file in a temporary
+directory in ``--out-dir`` and returns its pair ids. The calling process
+reads no record: it checks the ids of all chunks for a repeat and joins
+the parts in order into the output only once every chunk has succeeded,
+so the output is the same bytes and an error the same line for any
+chunk count, and a failed run leaves no output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,7 @@ from .corpus import (
     CHANNELS,
     Corpus,
     CorpusError,
+    EmptyCorpus,
     FilterResult,
     FormatError,
     Memo,
@@ -84,7 +84,7 @@ from .evalharness import (
 )
 from .forkmap import fork_map, processes
 from .mathml import MalformedXml, linearize_mathml, token_table
-from .symbols import Level, ReplacementLevel, read_protected_set, replace_corpus
+from .symbols import Level, ReplacementLevel, read_protected_set, replace_pairs
 from .training import TrainConfig, train, write_history
 
 
@@ -257,22 +257,16 @@ def _load_protected(args) -> frozenset[str] | None:
 # A corpus command's input is cut into one chunk per usable core, of at
 # least this many bytes each; a smaller input runs in the calling process.
 # Time saved by 2 chunks on 2 cores over the calling process alone, by
-# input size (medians of 20, BLAS on 1 thread):
-#   ingest of gen.py raw records: 128 KiB -2.4 ms, 256 KiB -1.8 ms,
-#                                 512 KiB +6.5 ms, 1 MiB +14.4 ms;
-#   replace --level full:         128 KiB -2.6 ms, 256 KiB -1.4 ms,
-#                                 512 KiB +1.4 ms;
-#   replace --level conservation: 256 KiB -3.7 ms, 512 KiB -3.1 ms,
-#                                 1 MiB -1.7 ms.
-# Starting and joining the 2 workers takes about 5 ms. The crossovers of
-# ingest and of a replacement that renames lie between inputs of 256 and
-# 512 KiB, so 2 chunks start at 512 KiB.
+# input size (least..most of 3 medians of 20, BLAS on 1 thread):
+#   ingest of gen.py raw records: 128 KiB -2.4..-2.0 ms, 256 KiB -4.1..-2.7,
+#                                 512 KiB 0.0..+4.7, 1 MiB +8.0..+13.5;
+#   replace --level full:         128 KiB -11.3..-9.5, 256 KiB -1.7..+0.9,
+#                                 512 KiB +2.5..+4.5, 1 MiB +13.2..+14.9;
+#   replace --level conservation: 256 KiB -5.3..-1.6, 512 KiB -3.6..0.0,
+#                                 1 MiB +4.3..+4.6.
+# Ingest and renaming cross over between 256 and 512 KiB, so 2 chunks
+# start at 512 KiB; conservation, which renames nothing, gains from 1 MiB.
 _MIN_CHUNK_BYTES = 1 << 18
-
-
-def _chunks(path) -> int:
-    """The number of chunks the input at ``path`` is cut into."""
-    return processes(os.path.getsize(path) // _MIN_CHUNK_BYTES)
 
 
 def _line_ranges(path, chunks: int) -> list[tuple[int, int | None]]:
@@ -293,42 +287,40 @@ def _line_ranges(path, chunks: int) -> list[tuple[int, int | None]]:
     return [(a, b) for a, b in zip(cuts, [*cuts[1:], size]) if a < b]
 
 
-@contextmanager
-def _parts(args, n: int):
-    """``n`` part file paths in a temporary directory in ``--out-dir``. A
-    block that ends without an error has its parts joined in order into
-    the ``--output`` file; the directory and its files are removed either
-    way. The output is opened last, so an output path that cannot be
-    written is an error that names it, after the input's own errors."""
+def _chunked(args, path, chunk, worker: str, check=None) -> list:
+    """Run ``chunk(start, end, part)`` on each line range of the file at
+    ``path`` by ``fork_map``, recording any worker processes on ``args``,
+    and return the results in order. Each chunk writes its corpus lines to
+    its ``part`` file and returns its pair ids first; the first repeated
+    id raises, then ``check(results)`` runs, then the parts are joined
+    into ``--output``, which is opened last so that its error comes after
+    the input's. The parts' temporary directory is removed either way."""
+    ranges = _line_ranges(path, processes(os.path.getsize(path)
+                                          // _MIN_CHUNK_BYTES))
     out_path = args.out_dir / args.output
     with tempfile.TemporaryDirectory(prefix=f".{out_path.name}.",
                                      dir=args.out_dir) as tmp:
-        parts = [Path(tmp, str(i)) for i in range(n)]
-        yield parts
+        parts = [Path(tmp, str(i)) for i in range(len(ranges))]
+        if (workers := processes(len(ranges))) > 1:
+            args.processes = workers
+        results = fork_map(lambda i: chunk(*ranges[i], parts[i]), len(ranges),
+                           worker, "chunk")
+        if workers > 1:
+            args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+        check_unique(pair_id for ids, *_ in results for pair_id in ids)
+        if check is not None:
+            check(results)
         with open(out_path, "wb") as out:
             for part in parts:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, out)
-
-
-def _on_workers(args, task, n: int, worker: str) -> list:
-    """``fork_map`` of the ``n`` chunks of a corpus command, recording its
-    worker processes on ``args`` where there are any."""
-    if (workers := processes(n)) > 1:
-        args.processes = workers
-    results = fork_map(task, n, worker, "chunk")
-    if workers > 1:
-        args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     return results
 
 
 def cmd_ingest(args) -> int:
-    ranges = _line_ranges(args.input, _chunks(args.input))
-    with _parts(args, len(ranges)) as parts:
-        results = _on_workers(
-            args, lambda i: _ingest_range(args.input, *ranges[i], parts[i]),
-            len(ranges), "an ingest worker")
-        check_unique(pair_id for ids, _ in results for pair_id in ids)
+    results = _chunked(args, args.input,
+                       functools.partial(_ingest_range, args.input),
+                       "an ingest worker")
     kept = sum(len(ids) for ids, _ in results)
     rejected = sum((counts for _, counts in results), Counter())
     n_rej = rejected.total()
@@ -391,19 +383,28 @@ def cmd_split(args) -> int:
 
 def cmd_replace(args) -> int:
     level = ReplacementLevel(Level(args.level), args.alpha)
-    pairs = read_corpus(args.corpus).pairs
     protected = _load_protected(args)
     out_path = args.out_dir / args.output
-    n = min(_chunks(args.corpus), len(pairs))
-    bounds = [len(pairs) * k // n for k in range(n + 1)]
 
-    def replace(i: int) -> None:
-        chunk = Corpus(pairs[bounds[i]:bounds[i + 1]])
-        write_records(replace_corpus(chunk, level, protected, args.seed).pairs,
-                      parts[i])
+    def replace(start: int, end: int | None,
+                part: Path) -> tuple[list[str], ProofmatchError | None]:
+        # returned, not raised: a renaming error comes after all the others
+        pairs = list(read_records(args.corpus, start=start, end=end))
+        ids = [p.pair_id for p in pairs]
+        try:
+            replaced = replace_pairs(pairs, level, protected, args.seed)
+        except ProofmatchError as exc:
+            return ids, exc
+        write_records(replaced, part)
+        return ids, None
 
-    with _parts(args, n) as parts:
-        _on_workers(args, replace, n, "a replace worker")
+    def check(results) -> None:
+        if not any(ids for ids, _ in results):
+            raise EmptyCorpus(f"no records in {args.corpus}")
+        if errors := [error for _, error in results if error is not None]:
+            raise errors[0]
+
+    _chunked(args, args.corpus, replace, "a replace worker", check)
     _say(args, f"replaced ({args.level}, alpha={level.alpha}) -> {out_path}")
     return 0
 

@@ -365,15 +365,10 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
     keeping the activations needed for backward."""
     cfg = state.config
     x = _embed(state, ids)
-    if not state.layers:
-        if cfg.pooling is Pooling.MEAN:
-            return x.mean(axis=0), ForwardCache(ids, None, [])
-        pool_idx = np.argmax(x, axis=0)        # ties -> lowest position
-        return (x[pool_idx, np.arange(cfg.d)],
-                ForwardCache(ids, None, [], pool_idx))
-    x = x + positional_encoding(len(ids), cfg.d)
-    x0 = x
+    x0 = None
     caches: list[LayerCache] = []
+    if state.layers:
+        x = x0 = x + positional_encoding(len(ids), cfg.d)
     for lp in state.layers:
         q = x @ lp.wq                          # (H, T, d_k)
         k = x @ lp.wk
@@ -388,10 +383,11 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
     if cfg.pooling is Pooling.MEAN:
         return x.mean(axis=0), ForwardCache(ids, x0, caches)
     pool_idx = np.argmax(x, axis=0)            # ties -> lowest position
-    rows = np.unique(pool_idx)
-    last = caches[-1]
-    last.q, last.attn, last.concat = (last.q[:, rows], last.attn[:, rows],
-                                      last.concat[rows])
+    rows = np.unique(pool_idx) if caches else None
+    if caches:
+        last = caches[-1]
+        last.q, last.attn, last.concat = (last.q[:, rows], last.attn[:, rows],
+                                          last.concat[rows])
     return x[pool_idx, np.arange(cfg.d)], ForwardCache(ids, x0, caches,
                                                        pool_idx, rows)
 
@@ -652,6 +648,7 @@ def save_model(state: ModelState, path) -> None:
     chunks.append(struct.pack("<BIIIIBB", _KINDS.index(cfg.kind), cfg.d,
                               cfg.layers, cfg.heads, cfg.d_k,
                               _POOLS.index(cfg.pooling), _POSITION_CODE))
+    check_seed(state.rng_seed)
     chunks.append(struct.pack("<Q", state.rng_seed))
     for (name, shape), arr in zip(_param_table(len(vocab), cfg),
                                   state.param_arrays(), strict=True):

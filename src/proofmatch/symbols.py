@@ -8,8 +8,8 @@ as a pair, fonts are preserved, and double-struck letters, standard
 constants and an optional protected set of case-folded letters (a
 ``frozenset[str]``) are exempt.
 
-``replace_corpus`` keys its work by token value: one candidate table,
-built once per call from the corpus's distinct tokens, gives every
+``replace_pairs`` keys its work by token value: one candidate table,
+built once per call from the pairs' distinct tokens, gives every
 document's candidates by a set intersection, and the rename is a dict
 lookup per token. Each call builds one renamed Token per (surface, font)
 and shares it between the pairs (see ``corpus`` for why shared tokens are
@@ -254,7 +254,7 @@ def mix_seed(seed: int, salt: str) -> int:
 def replace_pair(pair: PairRecord, level: ReplacementLevel,
                  protected: frozenset[str] | None = None,
                  seed: int = 0) -> PairRecord:
-    return _replace_pairs([pair], level, protected, seed)[0]
+    return replace_pairs([pair], level, protected, seed)[0]
 
 
 def replace_corpus(corpus: Corpus, level: ReplacementLevel,
@@ -264,14 +264,14 @@ def replace_corpus(corpus: Corpus, level: ReplacementLevel,
     ``protected`` None protects no letter. Each pair derives an independent
     sub-seed from its pair_id, so a single pair can be replayed in
     isolation."""
-    return Corpus(_replace_pairs(corpus.pairs, level, protected, seed))
+    return Corpus(replace_pairs(corpus.pairs, level, protected, seed))
 
 
-def _replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
-                   protected: frozenset[str] | None,
-                   seed: int) -> list[PairRecord]:
-    """Each pair with ``level`` applied to its proof, from one candidate
-    table over all of them and one renamed token per (surface, font)."""
+def replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
+                  protected: frozenset[str] | None,
+                  seed: int) -> list[PairRecord]:
+    """``replace_corpus`` of a list, which checks no pair id: one candidate
+    table over all the pairs and one renamed token per (surface, font)."""
     check_seed(seed)  # conservation mixes no sub-seed
     if level.level is Level.CONSERVATION:
         return [dc_replace(p, proof=list(p.proof)) for p in pairs]

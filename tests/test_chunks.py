@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofmatch.cli as cli
+import proofmatch.corpus as corpus_module
 from proofmatch import encoders
 from proofmatch.cli import main
 from proofmatch.corpus import _escape, format_record, numbered_lines
@@ -115,9 +116,18 @@ def test_a_cut_after_any_line_gives_the_same_bytes(tmp_path, run,
         assert corpus.read_bytes() == want, cut
 
 
-# Each case: what it does to the raw lines, and a part of the one error
-# line that every chunk count prints. Its bad lines sit in the last chunk,
-# or in the first and the last.
+def ingested(tmp_path, run) -> list[str]:
+    """The lines of the corpus that ``raw_lines`` ingests to, after a
+    comment line, so that its records sit on the same lines as theirs."""
+    raw = write_raw(tmp_path / "raw.tsv", raw_lines())
+    assert run(["ingest", str(raw)], 1, "corpus.tsv")[:2] == (0, "")
+    text = (tmp_path / "ingest-1" / "corpus.tsv").read_text(encoding="utf-8")
+    return ["# an ingested corpus", *text.splitlines()]
+
+
+# Each case: what it does to the raw lines or to an ingested corpus's, and
+# a part of the one error line that every chunk count prints. Its bad
+# lines sit in the last chunk, or in the first and the last.
 BAD_LINE = "p\ta\t\tq:oops\tt:x"
 ERRORS = {
     "bad_line_in_a_later_chunk": (lambda lines: lines + [BAD_LINE],
@@ -133,13 +143,63 @@ ERRORS = {
 @pytest.mark.parametrize("case", sorted(ERRORS))
 def test_an_error_is_the_one_line_of_one_chunk(tmp_path, run, case):
     build, message = ERRORS[case]
-    raw = write_raw(tmp_path / "raw.tsv", build(raw_lines()), ("\n", "\r"))
-    outcomes = {run(["ingest", str(raw)], n, "corpus.tsv")[:2] for n in COUNTS}
-    (outcome,) = outcomes
-    code, err = outcome
-    assert code == 1 and len(err.splitlines()) == 1
-    assert err.startswith("error: ") and message in err
-    assert not list(tmp_path.glob("ingest-*/corpus.tsv"))
+    for command in ("ingest", "replace"):
+        lines = raw_lines() if command == "ingest" else ingested(tmp_path, run)
+        source = write_raw(tmp_path / f"{command}.tsv", build(lines),
+                           ("\n", "\r"))
+        outcomes = {run([command, str(source)], n, "out.tsv")[:2]
+                    for n in COUNTS}
+        (outcome,) = outcomes
+        code, err = outcome
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob(f"{command}-*/out.tsv"))
+
+
+def test_a_read_error_comes_before_a_renaming_error(tmp_path, run):
+    # the first pair alone shares a letter, z, and every other letter is
+    # protected, so it cannot be renamed; the last line cannot be read
+    lines = ingested(tmp_path, run)
+    z = " ".join(["m:z"] * 20)
+    lines[1:1] = [f"first\ta\t\t{z}\t{z}"]
+    corpus = write_raw(tmp_path / "corpus.tsv", lines + [BAD_LINE])
+    protected = tmp_path / "protected.txt"
+    protected.write_text("\n".join("abcdefghijklmnopqrstuvwxy"
+                                   "αβγδεζηθικλμνξοπρστυφχψω") + "\n",
+                         encoding="utf-8")
+    for n in COUNTS:
+        assert run(["replace", str(corpus), "--level", "full", "--protected",
+                    str(protected)], n, "replaced.tsv")[:2] == (
+            1, f"error: {corpus}: line {len(lines) + 1}, col 5: "
+               "unknown token-kind sigil 'q'\n")
+
+
+@pytest.mark.parametrize("seed", ["0", "-1"])
+def test_a_corpus_of_comments_has_no_records(tmp_path, run, seed):
+    # a bad seed is a renaming error, after the empty corpus
+    corpus = write_raw(tmp_path / "corpus.tsv",
+                       ["# a comment", "", "# ∑ another"] * 4)
+    for n in COUNTS:
+        assert run(["replace", str(corpus), "--seed", seed], n,
+                   "replaced.tsv")[:2] == (1, f"error: no records in {corpus}\n")
+        assert not (tmp_path / f"replace-{n}" / "replaced.tsv").exists()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_calling_process_reads_no_record(tmp_path, run, monkeypatch, n):
+    corpus = write_raw(tmp_path / "corpus.tsv", ingested(tmp_path, run))
+    assert run(["replace", str(corpus)], 1, "replaced.tsv")[:2] == (0, "")
+    want = (tmp_path / "replace-1" / "replaced.tsv").read_bytes()
+    caller, read = os.getpid(), corpus_module.numbered_lines
+
+    def numbered_lines(*args, **kwargs):
+        if os.getpid() == caller:
+            raise AssertionError("the calling process read a record")
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "numbered_lines", numbered_lines)
+    assert run(["replace", str(corpus)], n, "replaced.tsv")[:2] == (0, "")
+    assert (tmp_path / f"replace-{n}" / "replaced.tsv").read_bytes() == want
 
 
 def test_a_byte_that_is_not_utf8_in_a_later_chunk(tmp_path, run):
@@ -183,7 +243,7 @@ def test_a_bad_seed_is_the_one_line_of_every_chunk(tmp_path, run):
 
 @pytest.mark.parametrize("command, work, worker", [
     ("ingest", "filter_pair", "an ingest worker"),
-    ("replace", "replace_corpus", "a replace worker"),
+    ("replace", "replace_pairs", "a replace worker"),
 ])
 def test_a_dead_worker_is_one_error_line(tmp_path, run, monkeypatch, command,
                                          work, worker):

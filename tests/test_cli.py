@@ -784,7 +784,7 @@ OUT_DIR_IS_A_FILE = {
     "train": (["{corpus}", "{corpus}"], "train"),
     "grid": (["{corpus}", "{corpus}", "{corpus}"], "run_grid"),
     "split": (["{corpus}"], "split_corpus"),
-    "replace": (["{corpus}"], "replace_corpus"),
+    "replace": (["{corpus}"], "replace_pairs"),
     "eval": (["{model}", "{corpus}"], "build_score_matrix"),
 }
 

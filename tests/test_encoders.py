@@ -698,6 +698,16 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_the_uint64_field_writes_no_file(self, tmp_path,
+                                                            seed):
+        state = small_state()
+        state.rng_seed = seed
+        with pytest.raises(InvalidValue, match=f"^seed must be >= 0 and "
+                                               f"< 2\\*\\*64, not {seed}$"):
+            save_model(state, tmp_path / "m.pmm")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name,cell", [
         ("embeddings", lambda s: (s.embeddings, (1, 0))),
