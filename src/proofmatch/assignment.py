@@ -28,20 +28,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ProofmatchError
+from .errors import InvalidValue
 
 # scipy is imported by the functions that call it: importing it takes about
 # half a second, and the corpus subcommands never solve an assignment.
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
-
-
-class AssignmentError(ProofmatchError):
-    pass
-
-
-class BadK(AssignmentError):
-    pass
 
 
 @dataclass
@@ -78,7 +70,7 @@ def prune_topk(m: np.ndarray, k: int) -> SparseScores:
     """Retain each row's k highest-scoring columns (ties by lower index)."""
     n = m.shape[0]
     if not 1 <= k <= n:
-        raise BadK(f"k={k} outside [1, {n}]")
+        raise InvalidValue(f"k={k} outside [1, {n}]")
     height = max(1, _PRUNE_BLOCK_CELLS // n)
     cols = np.concatenate([_top_columns(m[a:a + height], k)
                            for a in range(0, n, height)])

@@ -43,8 +43,6 @@ from . import __version__
 from .corpus import (
     CHANNELS,
     Corpus,
-    CorpusError,
-    EmptyCorpus,
     FilterResult,
     FormatError,
     Memo,
@@ -140,7 +138,7 @@ def _read_config_file(path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CorpusError(f"{path}:{lineno}: expected key = value")
+            raise ProofmatchError(f"{path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -239,8 +237,8 @@ def _read_documents(path: Path, channel: str) -> Corpus:
     for p in corpus.pairs:
         for field in ("statement", "proof"):
             if not getattr(p, field):
-                raise CorpusError(f"{path}: pair {p.pair_id} has no {tokens} "
-                                  f"in its {field}")
+                raise InvalidValue(f"{path}: pair {p.pair_id} has no {tokens} "
+                                   f"in its {field}")
     return corpus
 
 
@@ -400,7 +398,7 @@ def cmd_replace(args) -> int:
 
     def check(results) -> None:
         if not any(ids for ids, _ in results):
-            raise EmptyCorpus(f"no records in {args.corpus}")
+            raise InvalidValue(f"no records in {args.corpus}")
         if errors := [error for _, error in results if error is not None]:
             raise errors[0]
 

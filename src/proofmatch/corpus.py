@@ -53,19 +53,7 @@ import numpy as np
 from .errors import InvalidValue, ProofmatchError, check_seed
 
 
-class CorpusError(ProofmatchError):
-    """Base class for corpus-layer errors."""
-
-
-class EmptyCorpus(CorpusError):
-    pass
-
-
-class MissingArticleIds(CorpusError):
-    pass
-
-
-class FormatError(CorpusError):
+class FormatError(ProofmatchError):
     def __init__(self, message: str, line: int, column: int = 0):
         super().__init__(f"line {line}, col {column}: {message}")
         self.line = line
@@ -237,7 +225,7 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
     largest pair-count deficit, so all pairs of one article share a split.
     """
     if not corpus.pairs:
-        raise EmptyCorpus("cannot split an empty corpus")
+        raise InvalidValue("cannot split an empty corpus")
     rng = np.random.default_rng(spec.seed)
     n = len(corpus.pairs)
     r_train, r_dev, r_test = spec.ratios
@@ -253,7 +241,7 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpu
         groups = (idx_train, idx_dev, idx_test)
     else:
         if any(not p.article_id for p in corpus.pairs):
-            raise MissingArticleIds("unmixed split requires article ids")
+            raise InvalidValue("unmixed split requires article ids")
         articles: dict[str, list[int]] = {}
         for i, p in enumerate(corpus.pairs):
             articles.setdefault(p.article_id, []).append(i)
@@ -445,7 +433,7 @@ def numbered_lines(path, start: int = 0, end: int | None = None):
     ``\\r\\n`` ends one. ``start`` and ``end`` restrict it to the lines of
     that byte range, numbered as in the whole file; each falls just after a
     ``\\n`` or at an end of the file. A range that is not UTF-8 yields the
-    lines before the bad byte's line, then raises ``CorpusError`` naming
+    lines before the bad byte's line, then raises ``ProofmatchError`` naming
     the path and that line."""
     with open(path, "rb") as fh:
         # only a range reads what comes before it, so a pipe reads too
@@ -465,8 +453,8 @@ def numbered_lines(path, start: int = 0, end: int | None = None):
             yield from enumerate(lines, lineno)
             lineno += len(lines)
             if error is not None:
-                raise CorpusError(f"{path}:{lineno}: not UTF-8 "
-                                  f"({error.reason})") from error
+                raise ProofmatchError(f"{path}:{lineno}: not UTF-8 "
+                                      f"({error.reason})") from error
 
 
 @contextmanager
@@ -497,5 +485,5 @@ def read_records(path, parse_item=parse_item, start: int = 0,
 def read_corpus(path) -> Corpus:
     pairs = list(read_records(path))
     if not pairs:
-        raise EmptyCorpus(f"no records in {path}")
+        raise InvalidValue(f"no records in {path}")
     return Corpus(pairs)

@@ -1,10 +1,11 @@
 """Local (per-statement ranking) and global (bipartite matching) decoding.
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
-text once: one ``Vocabulary.encode_pairs`` call maps the tokens of the
-statements and the proofs to ids by value, then ``encode`` runs on each
-document's id slice. A caller that scores one collection repeatedly (the
-dev set during training) passes the id arrays it made once instead.
+text once: one ``Vocabulary.encode_docs`` call maps the tokens of the
+statements, then the proofs, to ids by value, and one ``encode_collection``
+call runs ``encode`` on each document's id slice. A caller that scores one
+collection repeatedly (the dev set during training) passes the id arrays
+it made once instead.
 Identical pooled vectors get identical scores: when a collection has
 duplicates, each distinct vector is scored once and the matrix expanded,
 so their ties are broken by index like any other.
@@ -24,23 +25,7 @@ import numpy as np
 from . import assignment
 from .corpus import Token
 from .encoders import ModelState, encode, map_documents, score_matrix
-from .errors import ProofmatchError
-
-
-class DecodingError(ProofmatchError):
-    pass
-
-
-class SizeMismatch(DecodingError):
-    pass
-
-
-class EmptyCollection(DecodingError):
-    pass
-
-
-class NonFiniteScores(DecodingError):
-    pass
+from .errors import InvalidValue, ProofmatchError
 
 
 @dataclass
@@ -79,21 +64,21 @@ def _distinct_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_score_matrix(state: ModelState,
                        statements: list[list[Token]],
                        proofs: list[list[Token]],
-                       ids: tuple[list[np.ndarray], list[np.ndarray]] | None = None
-                       ) -> np.ndarray:
+                       ids: list[np.ndarray] | None = None) -> np.ndarray:
     """m[i][j] = s_i^T W p_j + b (``score_matrix``), where s_i encodes
     statement i and p_j proof j; each text is encoded exactly once.
-    ``ids``, the statements' and the proofs' id arrays, lets a caller that
+    ``ids``, the statements' id arrays then the proofs', lets a caller that
     scores one collection many times turn it into ids once."""
     if not statements or not proofs:
-        raise EmptyCollection("empty statement or proof collection")
+        raise InvalidValue("empty statement or proof collection")
     if len(statements) != len(proofs):
-        raise SizeMismatch(
+        raise InvalidValue(
             f"{len(statements)} statements vs {len(proofs)} proofs")
     # No name holds the ids made here, so they are freed before the n×n
     # matrix is allocated.
-    s_vecs, p_vecs = (encode_collection(state, c)
-                      for c in ids or state.vocab.encode_pairs(statements, proofs))
+    vecs = encode_collection(
+        state, ids or state.vocab.encode_docs([*statements, *proofs]))
+    s_vecs, p_vecs = vecs[:len(statements)], vecs[len(statements):]
     (s_rows, s_of), (p_rows, p_of) = map(_distinct_rows, (s_vecs, p_vecs))
     if len(s_rows) == len(s_vecs) and len(p_rows) == len(p_vecs):
         return score_matrix(state, s_vecs, p_vecs)
@@ -133,4 +118,4 @@ def _check_finite(m: np.ndarray) -> None:
     costs turn an infinite score into NaN."""
     bad = m.size - int(np.count_nonzero(np.isfinite(m)))
     if bad:
-        raise NonFiniteScores(f"non-finite scores in {bad} of {m.size} cells")
+        raise ProofmatchError(f"non-finite scores in {bad} of {m.size} cells")

@@ -51,8 +51,9 @@ turns tokens into ids through a ``corpus.Memo`` that lives for one call:
 the vocabulary, whose keys (from ``build_vocab`` or ``load_model``) are
 separate objects from a corpus's tokens, is consulted once per distinct
 token (see ``corpus`` for why that is faster). A collection's statements
-and proofs, and a batch's, are encoded in one call
-(``Vocabulary.encode_pairs``) and ``forward`` takes each document's ids.
+and proofs, and a batch's, are encoded in one ``Vocabulary.encode_docs``
+call over the statements, then the proofs, and ``forward`` takes each
+document's ids.
 
 The score head's bias b is a 0-d float64 tensor, the last of
 ``ModelState.param_arrays()``, so copying, zeroing, the gradient norm, the
@@ -79,19 +80,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, EmptyCorpus, Font, Memo, Token, TokenKind
+from .corpus import Corpus, Font, Memo, Token, TokenKind
 from .errors import InvalidValue, ProofmatchError, check_seed
 
 
-class EncoderError(ProofmatchError):
-    pass
-
-
-class EmptyDocument(EncoderError):
-    pass
-
-
-class ModelFormatError(EncoderError):
+class ModelFormatError(ProofmatchError):
     pass
 
 
@@ -130,21 +123,13 @@ class Vocabulary:
         ends = list(itertools.accumulate(len(doc) for doc in docs))
         return [ids[a:b] for a, b in zip([0] + ends, ends)]
 
-    def encode_pairs(self, statements: list[list[Token]],
-                     proofs: list[list[Token]]
-                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The statements' and the proofs' id arrays, from one
-        ``encode_docs`` call over both."""
-        ids = self.encode_docs([*statements, *proofs])
-        return ids[:len(statements)], ids[len(statements):]
-
 
 def build_vocab(corpus: Corpus,
                 min_freq: int = Vocabulary.min_freq) -> Vocabulary:
     """Tokens with frequency >= min_freq, ids by (frequency desc,
     first occurrence asc); everything else maps to UNK at encode time."""
     if not corpus.pairs:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+        raise InvalidValue("cannot build a vocabulary from an empty corpus")
     if min_freq < 1:
         raise InvalidValue("min_freq must be >= 1")
     freq: Counter[Token] = Counter()  # keys in order of first occurrence
@@ -346,7 +331,7 @@ def _embed(state: ModelState, ids: np.ndarray) -> np.ndarray:
     """The (T, d) embedding rows of a document's ids, gathered with
     ``take``."""
     if len(ids) == 0:
-        raise EmptyDocument("cannot encode an empty document")
+        raise InvalidValue("cannot encode an empty document")
     return state.embeddings.take(ids, axis=0)
 
 

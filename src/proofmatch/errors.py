@@ -1,6 +1,8 @@
-"""The package's one error base: every error proofmatch raises on bad input
-or an infeasible request derives from it, so a caller can catch them all.
-Also the one seed rule, which every seeded step checks."""
+"""The package's error types, and the one seed rule that every seeded step
+checks. Every error proofmatch raises derives from ``ProofmatchError``, so
+a caller can catch them all. A subclass exists only where a caller tells
+it apart: it is caught by its own type, carries attributes, or is a public
+function's documented error; any other error is a ``ProofmatchError``."""
 
 import copyreg
 

@@ -20,14 +20,10 @@ import numpy as np
 from .corpus import Corpus
 from .decoding import MatchResult, RankingResult, build_score_matrix, decode_local
 from .encoders import EncoderConfig, ModelState, build_vocab, init_model
-from .errors import InvalidValue, ProofmatchError
+from .errors import InvalidValue
 from .forkmap import fork_map
 from .symbols import ReplacementLevel, mix_seed, replace_corpus
 from .training import TrainConfig, train
-
-
-class EmptyInput(ProofmatchError):
-    pass
 
 
 @dataclass
@@ -41,7 +37,7 @@ def mrr(gold_ranks) -> float:
     """Mean reciprocal rank: (1/N) sum of 1/rank."""
     ranks = np.asarray(gold_ranks)
     if ranks.size == 0:
-        raise EmptyInput("mrr over an empty rank list")
+        raise InvalidValue("mrr over an empty rank list")
     if (ranks < 1).any():
         raise InvalidValue("ranks must be >= 1")
     return float(np.mean(1.0 / ranks))

@@ -15,10 +15,6 @@ from . import encoders
 from .errors import ProofmatchError
 
 
-class WorkerDied(ProofmatchError):
-    """A worker process ended without returning its task's result."""
-
-
 def processes(tasks: int) -> int:
     """The number of processes that run ``tasks`` tasks: one per usable
     core, never more than tasks. It is 1, the calling process, where
@@ -55,7 +51,7 @@ def fork_map(task, n: int, worker: str, result: str) -> list:
     about 16 ms, and unpickling it 15 ms). Only the index goes to a worker
     and only the task's result comes back. The first task that raises, in
     index order, raises its error here. A worker that ends without
-    returning raises ``WorkerDied``: "``worker`` process ended before
+    returning raises ``ProofmatchError``: "``worker`` process ended before
     returning its ``result``", for example "a grid worker" and "row"."""
     workers = processes(n)
     if workers < 2:
@@ -68,8 +64,8 @@ def fork_map(task, n: int, worker: str, result: str) -> list:
     try:
         return list(pool.map(_run_task, range(n)))
     except BrokenProcessPool:
-        raise WorkerDied(f"{worker} process ended before returning its "
-                         f"{result}") from None
+        raise ProofmatchError(f"{worker} process ended before returning its "
+                              f"{result}") from None
     finally:
         # joins every worker, after a failure too
         pool.shutdown(cancel_futures=True)

@@ -2,10 +2,11 @@
 
 Four levels: conservation (identity), partial (a fraction of the shared
 symbols renamed to fresh names), full (all renamed), transposition (shared
-symbols deranged among themselves). Only symbols occurring in both the
-statement and the proof are touched; case variants of a letter are renamed
-as a pair, fonts are preserved, and double-struck letters, standard
-constants and an optional protected set of case-folded letters (a
+symbols deranged among themselves, or renamed as in full where that would
+move no base or merge two of the proof's symbols). Only symbols occurring
+in both the statement and the proof are touched; case variants of a letter
+are renamed as a pair, fonts are preserved, and double-struck letters,
+standard constants and an optional protected set of case-folded letters (a
 ``frozenset[str]``) are exempt.
 
 ``replace_pairs`` keys its work by token value: one candidate table,
@@ -30,10 +31,6 @@ from .corpus import (Corpus, Font, FormatError, Memo, PairRecord, Token,
                      TokenKind, in_file, math_token, numbered_lines,
                      parse_token)
 from .errors import InvalidValue, ProofmatchError, check_seed
-
-
-class PoolExhausted(ProofmatchError):
-    pass
 
 
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
@@ -169,12 +166,15 @@ def build_replacement_map(shared: set[SymbolKey],
                           level: ReplacementLevel,
                           protected: frozenset[str] | None = None,
                           seed: int = 0, *,
-                          forbidden: set[str]) -> ReplacementMap:
+                          forbidden: set[str],
+                          proof: set[Token] = frozenset()) -> ReplacementMap:
     """Build the per-pair bijection for one replacement level.
 
     ``forbidden`` holds symbol bases occurring anywhere in the pair, so
-    fresh names cannot collide with existing ones. ``protected`` None
-    protects no letter.
+    fresh names cannot collide with existing ones, and ``proof`` the
+    proof's tokens (its candidates suffice), so a transposition cannot
+    rename a token onto one the proof keeps. ``protected`` None protects
+    no letter.
     """
     check_seed(seed)
     keys = sorted(shared)  # by (base, font value): a Font is its value string
@@ -187,24 +187,24 @@ def build_replacement_map(shared: set[SymbolKey],
     taken = {k.base for k in keys}
     if level.level is Level.TRANSPOSITION:
         sigma = _derangement(sorted(taken), rng)
+        # Fresh names instead where no derangement changes a base (all shared
+        # keys carry one base) or where it would merge two proof symbols.
         if sigma is not None:
-            for k in keys:
-                entries[k] = SymbolKey(sigma[k.base], k.font)
-            return ReplacementMap(entries)
-        # All shared keys carry one base (font variants only): derangement
-        # cannot change any base, fall back to fresh names.
+            deranged = {k: SymbolKey(sigma[k.base], k.font) for k in keys}
+            if not _merges(deranged, proof):
+                return ReplacementMap(deranged)
 
     if level.level is Level.PARTIAL:
         count = math.floor(level.alpha * len(keys) + 0.5)  # halves round up
         chosen_idx = sorted(rng.permutation(len(keys))[:count])
         targets_of = [keys[i] for i in chosen_idx]
-    else:  # FULL, or degenerate TRANSPOSITION
+    else:  # FULL, or the TRANSPOSITION fallback
         targets_of = keys
 
     names = [n for n in _fresh_pool(forbidden, protected or frozenset(), rng)
              if n not in taken]
     if len(names) < len(targets_of):
-        raise PoolExhausted(
+        raise ProofmatchError(
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
     for k, name in zip(targets_of, names):
         entries[k] = SymbolKey(name, k.font)
@@ -218,11 +218,23 @@ def _derangement(bases: list[str],
     the same new base in its own font, so the map stays injective."""
     if len(bases) < 2:
         return None
-    for _ in range(10000):
+    while True:  # about 1 in e permutations is a derangement
         perm = [bases[i] for i in rng.permutation(len(bases))]
         if all(p != b for p, b in zip(perm, bases)):
             return dict(zip(bases, perm))
-    return None
+
+
+def _renamed_surface(surface: str, key: SymbolKey, target: SymbolKey) -> str:
+    """The surface of a token of ``key`` renamed to ``target``, in its case."""
+    return target.base.upper() if surface != key.base else target.base
+
+
+def _merges(entries: dict[SymbolKey, SymbolKey], proof: set[Token]) -> bool:
+    """Whether ``entries`` renames a token of ``proof`` onto one it keeps:
+    one whose key ``entries`` does not rename."""
+    return any(entries[key] not in entries and math_token(
+        _renamed_surface(tok.surface, key, entries[key]), tok.font) in proof
+        for tok in proof if (key := symbol_key(tok)) in entries)
 
 
 def _rename(proof: list[Token], candidates: set[Token], table: _Table,
@@ -238,8 +250,8 @@ def _rename(proof: list[Token], candidates: set[Token], table: _Table,
         key = table[tok]
         target = rmap.entries.get(key)
         if target is not None:
-            surface = target.base.upper() if tok.surface != key.base else target.base
-            rename[tok] = renamed[surface, tok.font]
+            rename[tok] = renamed[_renamed_surface(tok.surface, key, target),
+                                  tok.font]
     return list(map(rename.get, proof, proof))
 
 
@@ -284,7 +296,8 @@ def replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
         proof_toks, proof = _candidates(pair.proof, table)
         rmap = build_replacement_map(_shared(stmt, proof, protected), level,
                                      protected, mix_seed(seed, pair.pair_id),
-                                     forbidden={k.base for k in stmt | proof})
+                                     forbidden={k.base for k in stmt | proof},
+                                     proof=proof_toks)
         out.append(dc_replace(pair, proof=_rename(pair.proof, proof_toks, table,
                                                   rmap, renamed)))
     return out

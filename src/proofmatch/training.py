@@ -33,15 +33,7 @@ from .encoders import (
 from .errors import InvalidValue, ProofmatchError, check_seed
 
 
-class TrainingError(ProofmatchError):
-    pass
-
-
-class DegenerateBatch(TrainingError):
-    pass
-
-
-class NonFiniteLoss(TrainingError):
+class NonFiniteLoss(ProofmatchError):
     def __init__(self, batch_ids: list[str]):
         super().__init__(f"non-finite loss on batch {batch_ids}")
         self.batch_ids = batch_ids
@@ -120,7 +112,7 @@ def local_loss(m_b: np.ndarray) -> tuple[float, np.ndarray]:
     Gradient is softmax(rows) minus the identity."""
     b = m_b.shape[0]
     if b < 2:
-        raise DegenerateBatch("local loss needs at least two in-batch pairs")
+        raise InvalidValue("local loss needs at least two in-batch pairs")
     lse = _logsumexp_rows(m_b)
     loss = float(np.sum(lse - np.diag(m_b)))
     probs = np.exp(m_b - lse[:, None])
@@ -228,8 +220,8 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     tail average of the parameters over its epochs (Polyak & Juditsky,
     1992); the returned state is the evaluated one with the best dev
     accuracy under local decoding. The train and dev corpora are each
-    turned into ids once, by one ``encode_pairs`` call, and the steps and
-    evaluations read those id arrays.
+    turned into ids once, by one ``encode_docs`` call over the statements
+    then the proofs, and the steps and evaluations read those id arrays.
     """
     if not corpus.pairs or not dev_corpus.pairs:
         raise InvalidValue("train and dev corpora must be non-empty")
@@ -244,11 +236,11 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     tail = _TailAverage()
     tail_start = config.epochs // 2  # averaging over the second half
     best_acc = -1.0  # the first evaluation is always the best so far
-    train_s, train_p = state.vocab.encode_pairs(
-        [p.statement for p in corpus.pairs], [p.proof for p in corpus.pairs])
+    train_ids = state.vocab.encode_docs([p.statement for p in corpus.pairs]
+                                        + [p.proof for p in corpus.pairs])
     dev_statements = [p.statement for p in dev_corpus.pairs]
     dev_proofs = [p.proof for p in dev_corpus.pairs]
-    dev_ids = state.vocab.encode_pairs(dev_statements, dev_proofs)
+    dev_ids = state.vocab.encode_docs(dev_statements + dev_proofs)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -260,13 +252,13 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
             batch_ids = [p.pair_id for p in batch]
             loss, grads = batch_loss_and_grads(
                 state, batch, loss_fn,
-                [train_s[i] for i in chunk] + [train_p[i] for i in chunk])
+                [train_ids[i] for i in chunk] + [train_ids[n + i] for i in chunk])
             if not math.isfinite(loss):
                 raise NonFiniteLoss(batch_ids)
             norm = grads.global_norm()
             if not math.isfinite(norm):
                 # lr * clip_norm / inf would be a zero step
-                raise TrainingError(f"non-finite gradient norm on batch {batch_ids}")
+                raise ProofmatchError(f"non-finite gradient norm on batch {batch_ids}")
             step_size = lr
             if config.clip_norm and norm > config.clip_norm:
                 step_size = lr * config.clip_norm / norm

@@ -6,10 +6,11 @@ import itertools
 
 import numpy as np
 
-from proofmatch.assignment import AssignmentError, SparseScores
+from proofmatch.assignment import SparseScores
+from proofmatch.errors import ProofmatchError
 
 
-class TooLarge(AssignmentError):
+class TooLarge(ProofmatchError):
     pass
 
 

@@ -36,7 +36,7 @@ def replace_pair_reference(pair: PairRecord, level: ReplacementLevel,
                  if (k := symbol_key(t)) is not None}
     rmap = build_replacement_map(shared_reference(pair, protected), level,
                                  protected, mix_seed(seed, pair.pair_id),
-                                 forbidden=forbidden)
+                                 forbidden=forbidden, proof=set(pair.proof))
     out = []
     for tok in pair.proof:
         key = symbol_key(tok)

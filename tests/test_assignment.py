@@ -7,12 +7,12 @@ from scipy.optimize import linear_sum_assignment
 
 from proofmatch import assignment
 from proofmatch.assignment import (
-    BadK,
     SparseScores,
     prune_topk,
     solve_dense,
     solve_sparse,
 )
+from proofmatch.errors import InvalidValue
 from brute import TooLarge, solve_brute, solve_brute_padded
 from padded_reference import solve_padded_reference
 
@@ -192,9 +192,9 @@ class TestPrune:
 
     def test_bad_k(self):
         m = np.zeros((3, 3))
-        with pytest.raises(BadK):
+        with pytest.raises(InvalidValue, match=r"^k=0 outside \[1, 3\]$"):
             prune_topk(m, 0)
-        with pytest.raises(BadK):
+        with pytest.raises(InvalidValue, match=r"^k=4 outside \[1, 3\]$"):
             prune_topk(m, 4)
 
     def test_row_counts_on_large_matrix(self):

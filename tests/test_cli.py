@@ -930,6 +930,17 @@ def test_config_file_skips_other_subcommands_keys(tmp_path, corpus_file,
     assert "epochs" not in config and "encoder" not in config
 
 
+def test_config_line_without_equals_is_one_error_line(tmp_path, corpus_file,
+                                                     capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("# defaults\nseed = 1\nquiet yes\n")
+    out = tmp_path / "out"
+    assert main(["split", str(corpus_file), "--config", str(cfg),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: expected key = value\n"
+    assert not list(out.glob("*.train.tsv"))
+
+
 def test_eval_writes_the_assignment_histogram_under_local_decoding(
         tmp_path, corpus_file):
     model = tmp_path / "model.pmm"

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from proofmatch.cli import _parse_raw_item
 from proofmatch.errors import InvalidValue
 from proofmatch.corpus import (
     Corpus,
-    EmptyCorpus,
     FilterResult,
     Font,
     FormatError,
-    MissingArticleIds,
     PairRecord,
     SplitMode,
     SplitSpec,
@@ -161,12 +160,13 @@ class TestSplit:
             assert [p.pair_id for p in pa.pairs] == [p.pair_id for p in pb.pairs]
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(InvalidValue, match="^cannot split an empty corpus$"):
             split_corpus(Corpus([]), SplitSpec())
 
     def test_unmixed_requires_article_ids(self):
         corpus = Corpus([make_pair("p0", 2, 2, article="")])
-        with pytest.raises(MissingArticleIds):
+        with pytest.raises(InvalidValue,
+                           match="^unmixed split requires article ids$"):
             split_corpus(corpus, SplitSpec(mode=SplitMode.UNMIXED))
 
     def test_bad_ratios_rejected(self):
@@ -207,7 +207,8 @@ class TestSerialization:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(InvalidValue,
+                           match=f"^no records in {re.escape(str(path))}$"):
             read_corpus(path)
 
     def test_unknown_sigil_names_line(self, tmp_path):

@@ -4,9 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 import proofmatch.decoding as decoding
 from proofmatch.decoding import (
-    EmptyCollection,
-    NonFiniteScores,
-    SizeMismatch,
     build_score_matrix,
     decode_global,
     decode_local,
@@ -24,6 +21,7 @@ from proofmatch.encoders import (
     score_matrix,
 )
 from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
+from proofmatch.errors import InvalidValue, ProofmatchError
 from brute import solve_brute
 from conftest import separable_corpus
 
@@ -114,13 +112,14 @@ class TestBuildScoreMatrix:
 
     def test_size_mismatch(self):
         state, corpus = small_state(3)
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(InvalidValue, match="^3 statements vs 1 proofs$"):
             build_score_matrix(state, [p.statement for p in corpus.pairs],
                                [corpus.pairs[0].proof])
 
     def test_empty_collection(self):
         state, _ = small_state(2)
-        with pytest.raises(EmptyCollection):
+        with pytest.raises(InvalidValue,
+                           match="^empty statement or proof collection$"):
             build_score_matrix(state, [], [])
 
 
@@ -300,7 +299,7 @@ class TestDecodeGlobal:
 def test_non_finite_matrix_is_a_decoding_error(value, decode):
     m = np.random.default_rng(5).normal(size=(4, 4))
     m[2, 1] = value
-    with pytest.raises(NonFiniteScores, match="non-finite scores in 1 of 16"):
+    with pytest.raises(ProofmatchError, match="^non-finite scores in 1 of 16 cells$"):
         decode(m)
 
 

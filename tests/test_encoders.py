@@ -18,7 +18,6 @@ from proofmatch import encoders
 from proofmatch.corpus import (Corpus, Font, PairRecord, math_token, read_corpus,
                                text_token, write_corpus)
 from proofmatch.encoders import (
-    EmptyDocument,
     EncoderConfig,
     EncoderKind,
     LayerParams,
@@ -38,7 +37,6 @@ from proofmatch.encoders import (
     save_model,
     score_matrix,
 )
-from proofmatch.corpus import EmptyCorpus
 from proofmatch.decoding import encode_collection
 from proofmatch.errors import InvalidValue
 from proofmatch.training import batch_loss_and_grads, local_loss
@@ -87,7 +85,8 @@ class TestVocabulary:
         assert vocab.min_freq == 1
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(InvalidValue,
+                           match="^cannot build a vocabulary from an empty corpus$"):
             build_vocab(Corpus([]), 1)
 
     def test_equal_tokens_need_not_be_one_object(self, tmp_path):
@@ -201,7 +200,7 @@ class TestEncode:
 
     def test_empty_document_raises(self):
         state = small_state()
-        with pytest.raises(EmptyDocument):
+        with pytest.raises(InvalidValue, match="^cannot encode an empty document$"):
             forward(state, state.vocab.encode_ids([]))
 
     def test_zeroed_self_attention_reduces_to_pooled(self):

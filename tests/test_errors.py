@@ -1,10 +1,14 @@
 """Every proofmatch error survives pickling, as it does on its way back
-from a grid worker process: same type, same message, same attributes. And
-every seeded step keeps the one seed rule."""
+from a grid worker process: same type, same message, same attributes; and
+every error type is one that a caller tells apart. And every seeded step
+keeps the one seed rule."""
 
+import ast
 import importlib
 import pickle
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,33 @@ def test_round_trip_keeps_type_message_and_attributes(cls, protocol):
     assert type(copy) is cls
     assert str(copy) == str(error)
     assert vars(copy) == vars(error)
+
+
+def caught_names() -> set[str]:
+    """Every name in an ``except`` clause of the package's modules."""
+    names = set()
+    for path in Path(proofmatch.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names |= {n.id if isinstance(n, ast.Name) else n.attr
+                          for n in ast.walk(node.type)
+                          if isinstance(n, (ast.Name, ast.Attribute))}
+    return names
+
+
+CAUGHT = caught_names()
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda c: c.__qualname__)
+def test_every_error_type_is_told_apart(cls):
+    """An error type exists only where a caller tells it apart from its
+    base: the package catches it by name, it carries attributes of its own
+    (an ``__init__`` that sets them), or README documents it."""
+    name = cls.__name__
+    assert (name in CAUGHT or "__init__" in vars(cls)
+            or re.search(rf"`(proofmatch\.)?{name}`", README)), (
+        f"{name} is neither caught, nor has attributes, nor is documented")
 
 
 CORPUS = separable_corpus(4)

@@ -11,7 +11,6 @@ from proofmatch.decoding import decode_local
 from proofmatch.encoders import EncoderConfig, EncoderKind, build_vocab, init_model
 from proofmatch.errors import InvalidValue
 from proofmatch.evalharness import (
-    EmptyInput,
     assignment_distribution,
     evaluate_local,
     mrr,
@@ -37,7 +36,7 @@ class TestMrr:
         assert mrr([1] * 7) == 1.0
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidValue, match="^mrr over an empty rank list$"):
             mrr([])
 
     def test_invalid_rank_raises(self):

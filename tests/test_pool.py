@@ -21,8 +21,8 @@ import pytest
 from proofmatch import decoding, encoders, training
 from proofmatch.cli import main
 from proofmatch.corpus import Corpus, PairRecord, math_token, write_corpus
+from proofmatch.errors import InvalidValue
 from proofmatch.encoders import (
-    EmptyDocument,
     EncoderConfig,
     EncoderKind,
     Pooling,
@@ -80,10 +80,9 @@ def serial_loss_and_grads(state, batch, loss_fn, ids=None):
 
 def serial_score_matrix(state, statements, proofs, ids=None):
     """``build_score_matrix`` as a loop over the documents."""
-    s_ids, p_ids = ids or (state.vocab.encode_docs(statements),
-                           state.vocab.encode_docs(proofs))
-    return score_matrix(state, np.stack([forward(state, x)[0] for x in s_ids]),
-                        np.stack([forward(state, x)[0] for x in p_ids]))
+    ids = ids or state.vocab.encode_docs(statements + proofs)
+    vecs = np.stack([forward(state, x)[0] for x in ids])
+    return score_matrix(state, vecs[:len(statements)], vecs[len(statements):])
 
 
 @pytest.fixture(params=[1, 2, 4], ids=lambda w: f"workers{w}")
@@ -276,7 +275,7 @@ def test_empty_document_raises_from_a_worker(monkeypatch):
     statements = [p.statement for p in test_c.pairs]
     statements[7] = []
     assert uses_pool(state, statements)
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(InvalidValue, match="^cannot encode an empty document$"):
         decoding.build_score_matrix(state, statements,
                                     [p.proof for p in test_c.pairs])
 

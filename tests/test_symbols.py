@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proofmatch.corpus import (
     Corpus, Font, FormatError, PairRecord, Token, math_token, read_corpus,
     text_token, write_corpus)
-from proofmatch.errors import InvalidValue
+from proofmatch.errors import InvalidValue, ProofmatchError
 from proofmatch.symbols import (
     CONSERVATION,
     FULL,
     PARTIAL,
     TRANSPOSITION,
     Level,
-    PoolExhausted,
     ReplacementLevel,
     ReplacementMap,
     SymbolKey,
@@ -177,7 +176,8 @@ class TestBuildMap:
         # every letter but the shared one is protected: no fresh name is left
         others = frozenset(c for c in LATIN + GREEK if c != "a")
         pair = pair_with(["a"], ["a"])
-        with pytest.raises(PoolExhausted, match="pool has 0"):
+        with pytest.raises(ProofmatchError,
+                           match="^need 1 fresh names, pool has 0$"):
             replace_pair(pair, FULL, others)
 
 
@@ -367,6 +367,24 @@ def test_replace_pair_matches_per_occurrence_reference(
         replacement = ReplacementLevel(level, alpha)
         expected = replace_pair_reference(pair, replacement, protected, seed)
         assert replace_pair(pair, replacement, protected, seed) == expected
+
+
+@pytest.mark.parametrize("level", [CONSERVATION, PARTIAL, FULL, TRANSPOSITION],
+                         ids=lambda level: level.level.value)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(symbols, max_size=12), st.lists(symbols, max_size=12),
+       protected_sets, st.integers(0, 2**32))
+# x and bold z shared, bold x in the proof alone: a transposition that sends
+# bold z to bold x would make two proof symbols one
+@example([math_token("x"), math_token("z", Font.BOLD)],
+         [math_token("x"), math_token("z", Font.BOLD), math_token("x", Font.BOLD)],
+         None, 0)
+def test_proof_tokens_are_equal_after_replacement_iff_equal_before(
+        level, statement, proof, protected, seed):
+    out = replace_pair(PairRecord("p0", "a1", [], statement, proof), level,
+                       protected, seed).proof
+    renaming = set(zip(proof, out))
+    assert len(renaming) == len(set(proof)) == len(set(out))
 
 
 def _corpus_of(docs, share):

@@ -9,14 +9,12 @@ from proofmatch.corpus import Corpus
 from proofmatch.encoders import (
     EncoderConfig, EncoderKind, Vocabulary, apply_gradients, build_vocab,
     init_model)
-from proofmatch.errors import InvalidValue
+from proofmatch.errors import InvalidValue, ProofmatchError
 from proofmatch.evalharness import evaluate_local
 from proofmatch.training import (
-    DegenerateBatch,
     NonFiniteLoss,
     Objective,
     TrainConfig,
-    TrainingError,
     batch_loss_and_grads,
     global_loss,
     local_loss,
@@ -94,7 +92,8 @@ class TestLocalLoss:
         assert got.tobytes() == logsumexp(m, axis=1).tobytes()
 
     def test_degenerate_batch(self):
-        with pytest.raises(DegenerateBatch):
+        with pytest.raises(InvalidValue,
+                           match="^local loss needs at least two in-batch pairs$"):
             local_loss(np.zeros((1, 1)))
 
 
@@ -372,7 +371,8 @@ class TestTrainLoop:
         state = init_model(build_vocab(corpus, 1),
                            EncoderConfig(EncoderKind.POOLED, d=8), 0)
         cfg = quick_config(objective=Objective.HYBRID, lr=1e100, epochs=4)
-        with np.errstate(all="ignore"), pytest.raises(TrainingError) as err:
+        with np.errstate(all="ignore"), pytest.raises(
+                ProofmatchError, match=r"^non-finite gradient norm on batch \[") as err:
             train(corpus, corpus, state, cfg)
         message = str(err.value)
         assert message.startswith("non-finite gradient norm on batch [")
