@@ -47,7 +47,8 @@ class MatchResult:
 def encode_collection(state: ModelState, ids: list[np.ndarray]) -> np.ndarray:
     """One pooled vector per document: ``encode`` runs on each document's
     id array and builds no backward cache."""
-    return np.stack(list(map_documents(state, ids, encode, ids)))
+    return np.fromiter(map_documents(state, ids, encode, ids),
+                       np.dtype((np.float64, state.config.d)), len(ids))
 
 
 def _distinct_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +66,7 @@ def build_score_matrix(state: ModelState,
                        statements: list[list[Token]],
                        proofs: list[list[Token]],
                        ids: list[np.ndarray] | None = None) -> np.ndarray:
-    """m[i][j] = s_i^T W p_j + b (``score_matrix``), where s_i encodes
+    """m[i][j] = s_i^T W p_j (``score_matrix``), where s_i encodes
     statement i and p_j proof j; each text is encoded exactly once.
     ``ids``, the statements' id arrays then the proofs', lets a caller that
     scores one collection many times turn it into ids once."""

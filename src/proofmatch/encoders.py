@@ -55,13 +55,14 @@ and proofs, and a batch's, are encoded in one ``Vocabulary.encode_docs``
 call over the statements, then the proofs, and ``forward`` takes each
 document's ids.
 
-The score head's bias b is a 0-d float64 tensor, the last of
-``ModelState.param_arrays()``, so copying, zeroing, the gradient norm, the
-update and tail averaging treat it as one more parameter. Model files are
-a versioned binary container: magic ``PMM1``, version, vocabulary,
-config, seed, the row-major little-endian float32 tensors in
-``_param_table`` order with the bias last as a bare float32, and a
-trailing SHA-256 checksum.
+The score head is one (d, d) array W, the last of
+``ModelState.param_arrays()``. It has no bias: both decoders and both
+losses read only differences between scores of one matrix, so a constant
+added to every score could change no output and would get no gradient.
+Model files are a versioned binary container: magic ``PMM1``, version,
+vocabulary, config, seed, the row-major little-endian float32 tensors in
+``_param_table`` order, a float32 slot that version 1 reserves (written as
+0, and ignored when it is finite), and a trailing SHA-256 checksum.
 """
 
 from __future__ import annotations
@@ -192,18 +193,12 @@ class LayerParams:
 
 
 @dataclass
-class BilinearHead:
-    w: np.ndarray  # (d, d)
-    b: np.ndarray  # (), float64
-
-
-@dataclass
 class ModelState:
     vocab: Vocabulary
     config: EncoderConfig
     embeddings: np.ndarray  # (|V|, d)
     layers: list[LayerParams]
-    head: BilinearHead
+    w: np.ndarray  # (d, d), the score head
     rng_seed: int = 0
 
     def copy(self) -> "ModelState":
@@ -218,9 +213,9 @@ class ModelState:
 
     def param_arrays(self) -> list[np.ndarray]:
         """Every parameter of the model: embeddings, each layer's tensors in
-        order, then the head's W and its 0-d bias."""
+        order, then the head's W."""
         return [self.embeddings, *(a for l in self.layers for a in l.tensors()),
-                self.head.w, self.head.b]
+                self.w]
 
     def global_norm(self) -> float:
         """The L2 norm over every parameter."""
@@ -237,35 +232,32 @@ def _param_table(n_tokens: int, config: EncoderConfig):
                  ("wv", (h, d, d // h)), ("wo", (d, d)))
         for i in range(config.layers):
             yield from ((f"layers[{i}].{name}", shape) for name, shape in layer)
-    yield "head.w", (d, d)
-    yield "head.b", ()
+    yield "w", (d, d)
 
 
 def _assemble(vocab: Vocabulary, config: EncoderConfig,
               arrays: list[np.ndarray], seed: int) -> ModelState:
     """The model whose ``param_arrays()`` are ``arrays``."""
-    embeddings, *layer_arrays, w, b = arrays
+    embeddings, *layer_arrays, w = arrays
     n = len(fields(LayerParams))
     layers = [LayerParams(*layer_arrays[i:i + n])
               for i in range(0, len(layer_arrays), n)]
-    return ModelState(vocab, config, embeddings, layers, BilinearHead(w, b), seed)
+    return ModelState(vocab, config, embeddings, layers, w, seed)
 
 
 def init_model(vocab: Vocabulary, config: EncoderConfig,
                seed: int = 0) -> ModelState:
     """Uniform(-1/sqrt(d), 1/sqrt(d)) embeddings and projections,
-    W = I/sqrt(d), b = 0."""
+    W = I/sqrt(d)."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d)
-    emb_shape, *layer_shapes, _, b_shape = (
-        s for _, s in _param_table(len(vocab), config))
+    emb_shape, *layer_shapes, _ = (s for _, s in _param_table(len(vocab), config))
     # The draw order is part of what a seed means: layers, then embeddings.
     layer_arrays = [rng.uniform(-scale, scale, size=s) for s in layer_shapes]
     embeddings = rng.uniform(-scale, scale, size=emb_shape)
-    return _assemble(vocab, config, [embeddings, *layer_arrays,
-                                     np.eye(config.d) * scale, np.zeros(b_shape)],
-                     seed)
+    return _assemble(vocab, config,
+                     [embeddings, *layer_arrays, np.eye(config.d) * scale], seed)
 
 
 # One read-only sinusoid table per width d. Row p does not depend on the
@@ -460,8 +452,8 @@ def add_grads(grads: ModelState, doc: DocGrads) -> None:
 
 def score_matrix(state: ModelState, s_vecs: np.ndarray,
                  p_vecs: np.ndarray) -> np.ndarray:
-    """All-pairs bilinear scores: m[i][j] = s_i^T W p_j + b."""
-    return s_vecs @ state.head.w @ p_vecs.T + state.head.b
+    """All-pairs bilinear scores: m[i][j] = s_i^T W p_j."""
+    return s_vecs @ state.w @ p_vecs.T
 
 
 def score_matrix_backward(state: ModelState, s_vecs: np.ndarray,
@@ -469,10 +461,9 @@ def score_matrix_backward(state: ModelState, s_vecs: np.ndarray,
                           grads: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through the all-pairs score matrix.
     Returns (d_s_vecs, d_p_vecs) for the encoder backward passes."""
-    grads.head.w += s_vecs.T @ d_m @ p_vecs
-    grads.head.b += d_m.sum()
-    d_s = d_m @ (p_vecs @ state.head.w.T)
-    d_p = d_m.T @ (s_vecs @ state.head.w)
+    grads.w += s_vecs.T @ d_m @ p_vecs
+    d_s = d_m @ (p_vecs @ state.w.T)
+    d_p = d_m.T @ (s_vecs @ state.w)
     return d_s, d_p
 
 
@@ -635,14 +626,14 @@ def save_model(state: ModelState, path) -> None:
                               _POOLS.index(cfg.pooling), _POSITION_CODE))
     check_seed(state.rng_seed)
     chunks.append(struct.pack("<Q", state.rng_seed))
-    for (name, shape), arr in zip(_param_table(len(vocab), cfg),
-                                  state.param_arrays(), strict=True):
+    for (name, _), arr in zip(_param_table(len(vocab), cfg),
+                              state.param_arrays(), strict=True):
         # NaN fails the comparison too
         if not (np.abs(arr) <= _F32_MAX).all():
             raise ModelFormatError(f"tensor {name} has values outside float32's "
                                    "finite range")
-        # the bias is a bare float32 after the last tensor
-        chunks.append(_pack_tensor(arr) if shape else struct.pack("<f", arr))
+        chunks.append(_pack_tensor(arr))
+    chunks.append(struct.pack("<f", 0.0))  # the reserved slot
     body = b"".join(chunks)
     # Write a temporary file beside the target and rename it over the
     # target, so an interrupted save leaves the previous checkpoint intact.
@@ -718,14 +709,14 @@ def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     # The table is walked as it is read: a corrupt layer count stops at the
     # first tensor that is not there, not after building its whole table.
     for name, shape in _param_table(n_tokens, cfg):
-        if shape:
-            arr, off = _unpack_tensor(buf, off)
-        else:  # the bias, a bare float32
-            arr = np.array(struct.unpack_from("<f", buf, off)[0])
-            off += 4
+        arr, off = _unpack_tensor(buf, off)
         if arr.shape != shape:
             raise ModelFormatError("tensor shapes do not match the model config")
         if not np.isfinite(arr).all():
             raise ModelFormatError(f"non-finite values in tensor {name}")
         arrays.append(arr)
-    return _assemble(vocab, cfg, arrays, seed), off
+    # Older files hold the score head's former bias here. A constant added
+    # to every score changes no decoded output, so a finite one is dropped.
+    if not math.isfinite(struct.unpack_from("<f", buf, off)[0]):
+        raise ModelFormatError("non-finite value in the reserved slot")
+    return _assemble(vocab, cfg, arrays, seed), off + 4

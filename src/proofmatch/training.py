@@ -225,8 +225,11 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
     """
     if not corpus.pairs or not dev_corpus.pairs:
         raise InvalidValue("train and dev corpora must be non-empty")
-    rng = np.random.default_rng(config.seed)
     n = len(corpus.pairs)
+    if n < 2:
+        raise InvalidValue("the train corpus needs at least 2 pairs "
+                           "(in-batch negatives)")
+    rng = np.random.default_rng(config.seed)
     b = config.batch_size
     lr = config.lr
     losses = [("local", local_loss)]

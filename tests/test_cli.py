@@ -717,6 +717,8 @@ BAD_VALUES = {
                           "--ratios", "nan,0.5,0.5"],
     "nan_lr": ["train", "{corpus}", "{corpus}", "--lr", "nan"],
     "infinite_lr": ["train", "{corpus}", "{corpus}", "--lr", "inf"],
+    "one_train_pair": ["train", "{one_pair}", "{corpus}"],
+    "one_train_pair_in_grid": ["grid", "{one_pair}", "{corpus}", "{corpus}"],
 }
 
 # What the error line of a BAD_VALUES case must name.
@@ -743,6 +745,8 @@ NAMED_IN_ERROR = {
     "huge_grid_seed": ["seed", "18446744073709551616"],
     "nan_lr": ["lr", "nan"],
     "infinite_lr": ["lr", "inf"],
+    "one_train_pair": ["at least 2 pairs"],
+    "one_train_pair_in_grid": ["at least 2 pairs"],
 }
 
 
@@ -755,6 +759,7 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                           EncoderConfig(d=4), 0), files["model"])
     for name, data in (("protected", b"P\nx#zz\n"),
                        ("dstruck", b"P\nR#dstruck\n"),
+                       ("one_pair", pair + b"\n"),
                        ("duplicated", pair + b"\n" + pair + b"\n"),
                        ("spaced", pair + b" t:a%20b\n"),
                        ("bad_choice", b"encoder = tfidf\n"),

@@ -43,9 +43,8 @@ class TestBuildScoreMatrix:
         for i in (0, 2, 4):
             for j in (1, 3):
                 expected = (forward(state, vocab.encode_ids(statements[i]))[0]
-                            @ state.head.w
-                            @ forward(state, vocab.encode_ids(proofs[j]))[0]
-                            + state.head.b)
+                            @ state.w
+                            @ forward(state, vocab.encode_ids(proofs[j]))[0])
                 assert m[i, j] == pytest.approx(expected)
 
     def test_each_text_encoded_once(self, monkeypatch):
@@ -83,7 +82,7 @@ class TestBuildScoreMatrix:
         tokens = [math_token(f"v{i}") for i in range(12)]
         state = init_model(build_vocab(Corpus([PairRecord(
             "p", "a", [], tokens, tokens)])), EncoderConfig(d=d))
-        state.head.w = sign * np.random.default_rng(0).normal(size=(d, d))
+        state.w = sign * np.random.default_rng(0).normal(size=(d, d))
         m = build_score_matrix(state, [tokens[:5]] * n, [tokens[5:]] * n)
         assert (m == m[0, 0]).all()
         assert decode_local(m).gold_rank.tolist() == list(range(1, n + 1))

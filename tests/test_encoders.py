@@ -181,7 +181,7 @@ def test_every_parameter_is_an_array_of_the_table(kind, layers):
     arrays = state.param_arrays()
     assert [a.shape for a in arrays] == [shape for _, shape in table]
     assert all(type(a) is np.ndarray for a in arrays)
-    assert table[-1] == ("head.b", ()) and arrays[-1] is state.head.b
+    assert table[-1] == ("w", (8, 8)) and arrays[-1] is state.w
 
 
 class TestEncode:
@@ -628,28 +628,24 @@ class TestPositionalEncoding:
 class TestScore:
     def test_identity_w_is_dot(self):
         state = small_state()
-        state.head.w = np.eye(8)
-        state.head.b[()] = 0.0
+        state.w = np.eye(8)
         s = np.arange(8.0)
         p = np.ones(8)
         assert score_matrix(state, s[None], p[None])[0, 0] == pytest.approx(
             float(s @ p))
 
-    def test_zero_statement_gives_bias(self):
-        state = small_state()
-        state.head.b[()] = -2.5
-        assert score_matrix(state, np.zeros((1, 8)),
-                            np.ones((1, 8)))[0, 0] == pytest.approx(-2.5)
+    def test_zero_statement_scores_zero(self):
+        assert score_matrix(small_state(), np.zeros((1, 8)),
+                            np.ones((1, 8)))[0, 0] == 0.0
 
     def test_worked_two_dim_example(self):
         corpus = one_pair_corpus([math_token("v0")])
         vocab = build_vocab(corpus, 1)
         state = init_model(vocab, EncoderConfig(EncoderKind.POOLED, d=2,
                                                 heads=1, d_k=2), seed=0)
-        state.head.w = np.eye(2)
-        state.head.b[()] = 0.5
+        state.w = np.eye(2)
         assert score_matrix(state, np.array([[1.0, 2.0]]),
-                            np.array([[3.0, 4.0]]))[0, 0] == pytest.approx(11.5)
+                            np.array([[3.0, 4.0]]))[0, 0] == pytest.approx(11.0)
 
 
 class TestSerialization:
@@ -711,7 +707,7 @@ class TestSerialization:
     @pytest.mark.parametrize("name,cell", [
         ("embeddings", lambda s: (s.embeddings, (1, 0))),
         ("layers[1].wk", lambda s: (s.layers[1].wk, (0, 2, 1))),
-        ("head.w", lambda s: (s.head.w, (3, 4))),
+        ("w", lambda s: (s.w, (3, 4))),
     ], ids=["embeddings", "layer1_wk", "head_w"])
     def test_non_finite_tensor_is_a_format_error(self, tmp_path, value,
                                                  name, cell):
@@ -724,19 +720,32 @@ class TestSerialization:
                            match=rf"non-finite values in tensor {re.escape(name)}$"):
             load_model(path)
 
-    def test_non_finite_bias_is_a_format_error(self, tmp_path):
-        state = small_state()
-        state.head.b[()] = MARKER
-        save_marker_as(state, tmp_path / "m.pmm", float("nan"))
-        with pytest.raises(ModelFormatError, match="tensor head.b"):
-            load_model(tmp_path / "m.pmm")
+    def test_non_finite_reserved_slot_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.pmm"
+        save_model(small_state(), path)
+        write_slot(path, float("nan"))
+        with pytest.raises(ModelFormatError,
+                           match="^non-finite value in the reserved slot$"):
+            load_model(path)
+
+    def test_a_finite_slot_is_ignored_and_written_back_as_zero(self, tmp_path):
+        # files written while the score head had a bias hold it in the slot
+        state = small_state(seed=3)
+        path = tmp_path / "m.pmm"
+        save_model(state, path)
+        write_slot(path, 0.25)
+        loaded = load_model(path)
+        s, p = loaded.embeddings[:3], loaded.embeddings[3:6]
+        assert np.array_equal(score_matrix(loaded, s, p), s @ loaded.w @ p.T)
+        save_model(loaded, path)
+        assert path.read_bytes()[-36:-32] == struct.pack("<f", 0.0)
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
     @pytest.mark.parametrize("name,put", [
         ("embeddings", lambda s, v: s.embeddings.__setitem__((1, 0), v)),
         ("layers[1].wk", lambda s, v: s.layers[1].wk.__setitem__((0, 2, 1), v)),
-        ("head.b", lambda s, v: s.head.b.__setitem__((), v)),
-    ], ids=["embeddings", "layer1_wk", "head_b"])
+        ("w", lambda s, v: s.w.__setitem__((3, 4), v)),
+    ], ids=["embeddings", "layer1_wk", "head_w"])
     def test_save_refuses_values_outside_float32_and_keeps_checkpoint(
             self, tmp_path, value, name, put):
         state = small_state(EncoderKind.SELF_ATTENTIVE, layers=2)
@@ -757,7 +766,6 @@ def arange_state(kind, layers):
     state = small_state(kind, layers=layers, seed=9)
     for i, a in enumerate(state.param_arrays()):
         a[...] = (np.arange(a.size).reshape(a.shape) % 17 - 8) / 16 + i
-    state.head.b[()] = 0.25
     return state
 
 
@@ -766,9 +774,9 @@ class TestCheckpointBytes:
     # written with, tensor order included, shows here.
     @pytest.mark.parametrize("kind,layers,digest", [
         (EncoderKind.POOLED, 1,
-         "cdf2e1ac45656a598e06c1df5b814097df48891adef2315dbe5056254b53efee"),
+         "97378c8905a851e8c94021c3c83d21c0d545a5ec58ca8e470430dc04c2b748f2"),
         (EncoderKind.SELF_ATTENTIVE, 2,
-         "4b5664b95e4087526f34e33d36050e94ecbd1a0eb6bed028d25f0f48b878aad6"),
+         "bb43486b70e9635af84ff719b0c0d6af945dee7a607e06c03a29c6df3d5d163c"),
     ])
     def test_pinned_digest(self, tmp_path, kind, layers, digest):
         path = tmp_path / "m.pmm"
@@ -796,6 +804,12 @@ def model_body() -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
 
 def resigned(body: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
+
+
+def write_slot(path, value: float) -> None:
+    """Put ``value`` in a checkpoint's reserved slot and sign it again."""
+    body = path.read_bytes()[:-36] + struct.pack("<f", value)
+    path.write_bytes(resigned(body))
 
 
 @st.composite
