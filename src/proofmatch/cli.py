@@ -3,8 +3,9 @@
 Every run writes a manifest (resolved configuration, input checksums,
 version, wall-clock, peak memory, for the commands that encode documents
 the encoder's thread count, for ``train`` the best dev accuracy beside
-chance, and for ``grid``, ``ingest`` and ``replace`` their number of
-worker processes and the workers' peak memory) next to its outputs so any
+chance, and for ``grid``, ``ingest``, ``replace`` and an ``eval`` whose
+collection is encoded in chunks their number of processes and the
+workers' peak memory) next to its outputs so any
 reported number can be reproduced and its time and memory explained from
 the manifest alone. A flat ``key = value`` config file can supply
 defaults; explicit command-line flags win.
@@ -19,6 +20,13 @@ reads no record: it checks the ids of all chunks for a repeat and joins
 the parts in order into the output only once every chunk has succeeded,
 so the output is the same bytes and an error the same line for any
 chunk count, and a failed run leaves no output.
+
+``eval`` encodes a pooled collection of at least two chunks of
+``decoding._MIN_FORK_TOKENS`` tokens (2^17; 256K tokens in all, about
+830 pairs of the benchmark's documents) in one chunk per usable core:
+the calling process encodes the first and a forked worker each of the
+others (``decoding.encode_chunks``), with the same scores and outputs for
+any chunk count.
 """
 
 from __future__ import annotations
@@ -62,7 +70,12 @@ from .corpus import (
     write_corpus,
     write_records,
 )
-from .decoding import build_score_matrix, decode_global, decode_local
+from .decoding import (
+    build_score_matrix,
+    decode_global,
+    decode_local,
+    encode_chunks,
+)
 from .encoders import (
     EncoderConfig,
     Vocabulary,
@@ -187,8 +200,10 @@ def _apply_config_defaults(args: argparse.Namespace,
 # ``threads`` is the encoder's thread count, which the commands that encode
 # set; ``processes`` the worker processes of ``grid`` (1 where its rows
 # run in the calling process) and of a chunked ``ingest`` or ``replace``,
-# set before the pool starts, and ``workers_peak_rss_mb`` their largest
-# peak, set once they are joined; ``best_dev_accuracy`` and ``chance``
+# and the processes, the calling one included, that encode a chunked
+# ``eval`` collection, each set before the workers start, and
+# ``workers_peak_rss_mb`` the workers' largest peak, set once they are
+# reaped; ``best_dev_accuracy`` and ``chance``
 # (1 / dev pairs) come from ``train``.
 _RECORDED = ("threads", "processes", "workers_peak_rss_mb",
              "best_dev_accuracy", "chance")
@@ -460,9 +475,13 @@ def cmd_eval(args) -> int:
     state = load_model(args.model)
     args.threads = threads(state.config)
     corpus = _read_documents(args.corpus, args.channel)
-    m = build_score_matrix(state,
-                           [p.statement for p in corpus.pairs],
-                           [p.proof for p in corpus.pairs])
+    statements = [p.statement for p in corpus.pairs]
+    proofs = [p.proof for p in corpus.pairs]
+    if (chunks := len(encode_chunks(state, [*statements, *proofs]))) > 1:
+        args.processes = chunks
+    m = build_score_matrix(state, statements, proofs)
+    if chunks > 1:
+        args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     if args.decode == "global":
         result = decode_global(m, args.k)
         report = report_global(result)

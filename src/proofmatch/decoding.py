@@ -1,11 +1,25 @@
 """Local (per-statement ranking) and global (bipartite matching) decoding.
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
-text once: one ``Vocabulary.encode_docs`` call maps the tokens of the
-statements, then the proofs, to ids by value, and one ``encode_collection``
-call runs ``encode`` on each document's id slice. A caller that scores one
-collection repeatedly (the dev set during training) passes the id arrays
-it made once instead.
+text once. The statements, then the proofs, are cut into contiguous
+chunks balanced by token count (``encode_chunks``): one per usable core
+(``forkmap.processes``) with at least ``_MIN_FORK_TOKENS`` (2^17) tokens
+each, so a collection of fewer than 256K tokens is one chunk. The calling
+process encodes the first chunk and one forked worker each of the others
+(``forkmap.fork_map``). The vectors come back in document order, so every
+score is bit for bit the one-process score, and the first empty document
+in collection order raises the one-process error once every worker has
+been reaped. On 2 cores a 2000-pair collection (616K tokens) is two
+chunks, and encoding it takes 21-35 ms less than in one process; the
+crossover lies between 122K and 152K tokens (the table at
+``_MIN_FORK_TOKENS``). A self-attentive encoder's collection is one
+chunk, since it runs on the encoder's thread pool, and nothing forks in a
+``fork_map`` worker, on one core or without ``os.fork``. Each chunk's
+tokens are mapped to ids by value in one ``Vocabulary.encode_docs`` call,
+and one ``encode_collection`` call runs ``encode`` on each document's id
+slice. A caller that scores one collection repeatedly (the dev set during
+training) passes the id arrays it made once instead, and they are encoded
+in the calling process.
 Identical pooled vectors get identical scores: when a collection has
 duplicates, each distinct vector is scored once and the matrix expanded,
 so their ties are broken by index like any other.
@@ -24,8 +38,16 @@ import numpy as np
 
 from . import assignment
 from .corpus import Token
-from .encoders import ModelState, encode, map_documents, score_matrix
+from .encoders import (
+    ModelState,
+    balanced_chunks,
+    encode,
+    map_documents,
+    score_matrix,
+    threads,
+)
 from .errors import InvalidValue, ProofmatchError
+from .forkmap import fork_map, processes
 
 
 @dataclass
@@ -51,6 +73,45 @@ def encode_collection(state: ModelState, ids: list[np.ndarray]) -> np.ndarray:
                        np.dtype((np.float64, state.config.d)), len(ids))
 
 
+# A pooled collection is encoded in one chunk per usable core, of at least
+# this many tokens each; a smaller one is encoded by the calling process
+# alone. Time saved by 2 chunks on 2 cores (the caller and one forked
+# worker) over the caller alone, by the collection's tokens, in a process
+# that holds a 2000x2000 matrix (least..most of 3 medians of 20, d=64,
+# gen.py documents, BLAS on 1 thread):
+#   31K -1.7..-1.4 ms, 61K -4.3..0.0, 122K -3.6..-2.9, 152K +3.9..+7.3,
+#   184K +0.3..+6.7, 214K +4.2..+9.4, 244K +7.1..+18.7, 307K +5.9..+17.5,
+#   616K (2000 pairs) +20.9..+34.7.
+# The crossover lies between 122K and 152K tokens; 2 chunks start at 256K,
+# past the noise of the gains just above it.
+_MIN_FORK_TOKENS = 1 << 17
+
+
+def encode_chunks(state: ModelState, docs: list[list[Token]]) -> list[slice]:
+    """The contiguous chunks of ``docs`` that ``build_score_matrix`` encodes,
+    one per process: ``processes`` of the collection's tokens over
+    ``_MIN_FORK_TOKENS``, balanced by token count. A self-attentive
+    encoder's collection is one chunk, since it runs on the encoder's
+    thread pool."""
+    tokens = sum(map(len, docs))
+    parts = 1 if threads(state.config) > 1 else processes(tokens // _MIN_FORK_TOKENS)
+    if parts < 2:
+        return [slice(0, len(docs))]
+    return balanced_chunks(np.fromiter(map(len, docs), np.int64, len(docs)), parts)
+
+
+def _encode_documents(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
+    """``encode_collection`` of ``docs``, each chunk of ``encode_chunks``
+    turned into ids and encoded by one process: the calling process takes
+    the first, forked workers the others. No name holds a chunk's ids, so
+    they are freed once its vectors are made."""
+    chunks = encode_chunks(state, docs)
+    vecs = fork_map(
+        lambda i: encode_collection(state, state.vocab.encode_docs(docs[chunks[i]])),
+        len(chunks), "an encode worker", "vectors", caller=True)
+    return vecs[0] if len(vecs) == 1 else np.concatenate(vecs)
+
+
 def _distinct_rows(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the first occurrence of each distinct row of
     ``vecs``, ascending, and the index of each row among them. Rows are
@@ -67,18 +128,18 @@ def build_score_matrix(state: ModelState,
                        proofs: list[list[Token]],
                        ids: list[np.ndarray] | None = None) -> np.ndarray:
     """m[i][j] = s_i^T W p_j (``score_matrix``), where s_i encodes
-    statement i and p_j proof j; each text is encoded exactly once.
-    ``ids``, the statements' id arrays then the proofs', lets a caller that
-    scores one collection many times turn it into ids once."""
+    statement i and p_j proof j; each text is encoded exactly once, a
+    large pooled collection in chunks on several processes
+    (``encode_chunks``). ``ids``, the statements' id arrays then the
+    proofs', lets a caller that scores one collection many times turn it
+    into ids once; they are encoded in the calling process."""
     if not statements or not proofs:
         raise InvalidValue("empty statement or proof collection")
     if len(statements) != len(proofs):
         raise InvalidValue(
             f"{len(statements)} statements vs {len(proofs)} proofs")
-    # No name holds the ids made here, so they are freed before the n×n
-    # matrix is allocated.
-    vecs = encode_collection(
-        state, ids or state.vocab.encode_docs([*statements, *proofs]))
+    vecs = (encode_collection(state, ids) if ids is not None
+            else _encode_documents(state, [*statements, *proofs]))
     s_vecs, p_vecs = vecs[:len(statements)], vecs[len(statements):]
     (s_rows, s_of), (p_rows, p_of) = map(_distinct_rows, (s_vecs, p_vecs))
     if len(s_rows) == len(s_vecs) and len(p_rows) == len(p_vecs):

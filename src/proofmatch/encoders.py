@@ -532,8 +532,8 @@ def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
     """``fn(state, *args)`` for each document of ``ids``, with ``args``
     drawn one per document from ``iterables``; the results come in document
     order. On the encoder pool, created on first use, the documents are cut
-    into one contiguous chunk per thread, balanced by the running sum of
-    their ``_layer_work``, and each non-empty chunk is one task. A task
+    into one contiguous chunk per thread, balanced by their ``_layer_work``
+    (``balanced_chunks``), and each chunk is one task. A task
     drops each argument tuple as its call starts, and the caller's iterator
     drops each result once it has been read: a caller that keeps no other
     reference to an argument frees it once its document's call returns.
@@ -547,15 +547,20 @@ def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
             or _layer_work(cfg, sum(map(len, ids)) / len(ids)) < _MIN_POOL_WORK):
         return map(fn, itertools.repeat(state), *iterables)
     work = _layer_work(cfg, np.fromiter(map(len, ids), float, len(ids)))
-    ends = np.cumsum(work)
-    # a document joins the chunk whose share of the total holds its midpoint
-    cuts = np.searchsorted(ends - work / 2,
-                           ends[-1] * np.arange(1, workers) / workers)
     args = list(zip(*iterables))
     pool, err = _executor(workers), np.geterr()
-    return _in_order([
-        pool.submit(_run_chunk, err, fn, state, deque(args[a:b]))
-        for a, b in itertools.pairwise([0, *cuts.tolist(), len(ids)]) if a < b])
+    return _in_order([pool.submit(_run_chunk, err, fn, state, deque(args[chunk]))
+                      for chunk in balanced_chunks(work, workers)])
+
+
+def balanced_chunks(work: np.ndarray, parts: int) -> list[slice]:
+    """At most ``parts`` contiguous, non-empty slices that cover the items
+    of ``work`` in order, balanced by it: an item joins the chunk whose
+    share of the total holds the item's midpoint."""
+    ends = np.cumsum(work)
+    cuts = np.searchsorted(ends - work / 2, ends[-1] * np.arange(1, parts) / parts)
+    return [slice(a, b) for a, b in
+            itertools.pairwise([0, *cuts.tolist(), len(work)]) if a < b]
 
 
 def _run_chunk(err: dict[str, str], fn, state: ModelState,

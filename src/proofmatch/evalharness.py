@@ -7,8 +7,10 @@ results, so the cells are the same for any core count. A self-attentive
 grid uses up to processes × threads threads, since each worker runs its
 own encoder pool. The rows run through ``forkmap.fork_map``: the workers
 are forked from the caller and inherit the inputs, which are not pickled; a
-row's index goes in and its cells come back. Where ``fork`` is not a start
-method, the rows run one after another in the calling process.
+row's index goes in and its cells come back. Where ``os.fork`` does not
+exist, the rows run one after another in the calling process. A row that
+runs in a worker encodes its collections in that worker alone
+(``forkmap.processes`` is 1 there).
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
+import pytest
 
 from proofmatch.corpus import (
     Corpus,
@@ -187,3 +189,10 @@ def save_marker_as(state: ModelState, path, value: float) -> None:
     assert body.count(marker) == 1
     body = body.replace(marker, np.float32(value).tobytes())
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def assert_no_child_left() -> None:
+    """No child process of this one is left to reap: every worker that a
+    ``fork_map`` forked has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -97,6 +97,27 @@ class TestDense:
             assert np.array_equal(perm, b_perm)
             assert val == b_val
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("make", SKEWED)
+    def test_the_row_reduced_cost_is_that_of_the_negated_scores(
+            self, monkeypatch, make, dtype):
+        # each row's maximum minus its scores: the bits of the negated
+        # scores minus their row minima, which the solver used to build
+        m = (make(np.random.default_rng(13), 200) * 100).astype(dtype)
+        negated = np.negative(m, dtype=np.float64)
+        negated -= negated.min(axis=1, keepdims=True)
+        negated -= negated.min(axis=0)
+        costs = []
+
+        def solve(cost):
+            costs.append(cost.copy())
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", solve)
+        solve_dense(m)
+        assert costs[0].dtype == np.float64
+        assert costs[0].tobytes() == negated.tobytes()
+
     @pytest.mark.parametrize("make", SKEWED)
     def test_skewed_matrices_match_scipy_and_leave_scores_unwritten(self, make):
         m = make(np.random.default_rng(12), 300)

@@ -4,7 +4,6 @@ chunk count."""
 
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
 from dataclasses import replace as dc_replace
@@ -20,7 +19,7 @@ from proofmatch import encoders
 from proofmatch.cli import main
 from proofmatch.corpus import _escape, format_record, numbered_lines
 from proofmatch.symbols import Level
-from conftest import letter_corpus
+from conftest import assert_no_child_left, letter_corpus
 
 COUNTS = (1, 2, 3)
 LEVELS = [level.value for level in Level]
@@ -66,7 +65,7 @@ def run(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         manifest = f"manifest-{argv[0]}.json"
         assert set(os.listdir(out)) <= {output, manifest}  # no part file left
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         return code, err, json.loads((out / manifest).read_text())
     return run_in
 

@@ -18,7 +18,7 @@ from dataclasses import replace as dc_replace
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
-from proofmatch import encoders
+from proofmatch import decoding, encoders
 from proofmatch.cli import build_parser, main
 from proofmatch.corpus import (
     Corpus, PairRecord, SplitSpec, _escape, format_record, math_token,
@@ -31,8 +31,9 @@ from proofmatch.evalharness import assignment_distribution
 from proofmatch.mathml import linearize_mathml
 from proofmatch.symbols import Level, ReplacementLevel
 from proofmatch.training import TrainConfig, TrainHistory
-from conftest import (MARKER, letter_corpus, repeated_token_pair, save_marker_as,
-                      separable_corpus, topic_corpus)
+from conftest import (MARKER, assert_no_child_left, letter_corpus,
+                      repeated_token_pair, save_marker_as, separable_corpus,
+                      topic_corpus)
 
 
 def raw_line(pair_id, n_statement=25, n_proof=25, mathml=None):
@@ -964,6 +965,56 @@ def test_eval_writes_the_assignment_histogram_under_local_decoding(
                  "--out-dir", str(glob), "--quiet"]) == 0
     assert (glob / "eval.tsv").is_file()
     assert not (glob / "assign.tsv").exists()
+
+
+@pytest.mark.parametrize("decode", [[], ["--decode", "global"]],
+                         ids=["local", "global"])
+def test_a_forked_eval_records_its_processes(tmp_path, corpus_file,
+                                             monkeypatch, decode):
+    # the same outputs from the calling process alone and from it with one
+    # forked encode worker, whose processes and peak only the latter records
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    runs = {}
+    for forked in (False, True):
+        if forked:
+            monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+        out = tmp_path / str(forked)
+        assert main(["eval", str(model), str(corpus_file), *decode,
+                     "--out-dir", str(out), "--quiet"]) == 0
+        assert_no_child_left()
+        manifest = json.loads((out / "manifest-eval.json").read_text())
+        runs[forked] = {path.name: path.read_bytes()
+                        for path in out.glob("*.tsv")}
+        assert manifest["processes"] == (2 if forked else None)
+        peak = manifest["workers_peak_rss_mb"]
+        assert peak > 0 if forked else peak is None
+    assert runs[True] == runs[False] and "eval.tsv" in runs[True]
+
+
+def test_a_dead_encode_worker_is_one_error_line(tmp_path, corpus_file,
+                                                monkeypatch, capsys):
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    caller, real = os.getpid(), decoding.encode_collection
+
+    def die_in_a_worker(state, ids):
+        if os.getpid() != caller:
+            os._exit(1)
+        return real(state, ids)
+
+    monkeypatch.setattr(decoding, "encode_collection", die_in_a_worker)
+    monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    assert main(["eval", str(model), str(corpus_file),
+                 "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: an encode worker process ended before returning its vectors\n")
+    assert_no_child_left()
+    assert not (tmp_path / "e" / "eval.tsv").exists()
 
 
 def test_global_eval_removes_a_local_runs_histogram(tmp_path, corpus_file):

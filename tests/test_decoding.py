@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofmatch.decoding as decoding
+from proofmatch import encoders
 from proofmatch.decoding import (
     build_score_matrix,
     decode_global,
@@ -23,7 +26,7 @@ from proofmatch.encoders import (
 from proofmatch.corpus import Corpus, PairRecord, math_token, text_token
 from proofmatch.errors import InvalidValue, ProofmatchError
 from brute import solve_brute
-from conftest import separable_corpus
+from conftest import assert_no_child_left, separable_corpus, topic_corpus
 
 
 def small_state(n_pairs=8, d=8, seed=0):
@@ -120,6 +123,88 @@ class TestBuildScoreMatrix:
         with pytest.raises(InvalidValue,
                            match="^empty statement or proof collection$"):
             build_score_matrix(state, [], [])
+
+
+class TestForkedEncoding:
+    """A large pooled collection is encoded in chunks, the first by the
+    calling process and the others by forked workers; every score and
+    error is the serial path's."""
+
+    @staticmethod
+    def collection(n=12):
+        # statements three times as long as proofs, so that the cuts fall
+        # among the statements, and statement 0 repeated as the last one
+        corpus = topic_corpus(3, n, "f")
+        statements = [p.statement * 3 for p in corpus.pairs[:-1]]
+        statements.append(statements[0])
+        return build_vocab(corpus), statements, [p.proof for p in corpus.pairs]
+
+    @pytest.mark.parametrize("pooling", list(Pooling), ids=lambda p: p.value)
+    def test_forked_scores_are_the_serial_bits(self, monkeypatch, pooling):
+        vocab, statements, proofs = self.collection()
+        state = init_model(vocab, EncoderConfig(d=16, pooling=pooling), 5)
+        docs = [*statements, *proofs]
+        serial = build_score_matrix(state, statements, proofs)
+        monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(encoders, "_WORKERS", workers)
+            chunks = decoding.encode_chunks(state, docs)
+            assert len(chunks) == workers
+            if workers > 1:  # the two copies are in different chunks
+                assert chunks[0].stop <= len(statements) - 1
+            m = build_score_matrix(state, statements, proofs)
+            assert m.tobytes() == serial.tobytes()
+            assert np.array_equal(m[0], m[-1])  # the copies tie exactly
+            assert_no_child_left()
+
+    def test_small_and_self_attentive_collections_are_one_chunk(self,
+                                                               monkeypatch):
+        vocab, statements, proofs = self.collection()
+        docs = [*statements, *proofs]
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        pooled = init_model(vocab, EncoderConfig(d=8), 0)
+        assert decoding.encode_chunks(pooled, docs) == [slice(0, len(docs))]
+        monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+        assert len(decoding.encode_chunks(pooled, docs)) == 2
+        attentive = init_model(vocab, EncoderConfig(
+            EncoderKind.SELF_ATTENTIVE, d=8, heads=2, d_k=4), 0)
+        assert decoding.encode_chunks(attentive, docs) == [slice(0, len(docs))]
+
+    @pytest.mark.parametrize("empty", ["statement 0", "last proof"])
+    def test_an_empty_document_raises_the_serial_error(self, monkeypatch,
+                                                       empty):
+        # statement 0 is in the caller's chunk, the last proof in a worker's
+        vocab, statements, proofs = self.collection()
+        if empty == "statement 0":
+            statements[0] = []
+        else:
+            proofs[-1] = []
+        state = init_model(vocab, EncoderConfig(d=8), 0)
+        monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+        for workers in (1, 2):
+            monkeypatch.setattr(encoders, "_WORKERS", workers)
+            with pytest.raises(InvalidValue,
+                               match="^cannot encode an empty document$"):
+                build_score_matrix(state, statements, proofs)
+            assert_no_child_left()
+
+    def test_a_dead_worker_is_one_error(self, monkeypatch):
+        vocab, statements, proofs = self.collection()
+        state = init_model(vocab, EncoderConfig(d=8), 0)
+        caller, real = os.getpid(), decoding.encode_collection
+
+        def die_in_a_worker(state, ids):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(state, ids)
+
+        monkeypatch.setattr(decoding, "encode_collection", die_in_a_worker)
+        monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
+        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        with pytest.raises(ProofmatchError, match="^an encode worker process "
+                           "ended before returning its vectors$"):
+            build_score_matrix(state, statements, proofs)
+        assert_no_child_left()
 
 
 _VOCAB_SURFACES = [f"v{i}" for i in range(8)]

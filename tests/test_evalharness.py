@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 
 import numpy as np
@@ -22,7 +21,8 @@ from proofmatch.forkmap import processes
 from proofmatch.symbols import CONSERVATION, FULL
 from proofmatch.training import Objective, TrainConfig
 from proofmatch.decoding import MatchResult, RankingResult
-from conftest import separable_corpus, symbol_dependent_corpus
+from conftest import (assert_no_child_left, separable_corpus,
+                      symbol_dependent_corpus)
 
 
 class TestMrr:
@@ -180,7 +180,7 @@ class TestGrid:
             assert processes(len(levels)) == workers
             cells.append(run_grid(corpus, corpus, corpus, levels, cfg,
                                   tiny_train_config(epochs=40), seed=1).cells)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
         assert cells[0] == cells[1]
 
     def test_a_dead_worker_is_one_error_line(self, tmp_path, monkeypatch,
@@ -201,4 +201,4 @@ class TestGrid:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: a grid worker process ended before returning its row\n")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
