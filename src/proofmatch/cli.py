@@ -3,30 +3,12 @@
 Every run writes a manifest (resolved configuration, input checksums,
 version, wall-clock, peak memory, for the commands that encode documents
 the encoder's thread count, for ``train`` the best dev accuracy beside
-chance, and for ``grid``, ``ingest``, ``replace`` and an ``eval`` whose
-collection is encoded in chunks their number of processes and the
-workers' peak memory) next to its outputs so any
-reported number can be reproduced and its time and memory explained from
-the manifest alone. A flat ``key = value`` config file can supply
-defaults; explicit command-line flags win.
-
-``ingest`` and ``replace`` cut their input at line starts into one
-contiguous byte range per usable core and run the ranges on forked
-workers (``forkmap``); an input too small for two chunks of
-``_MIN_CHUNK_BYTES`` runs in the calling process. Each chunk reads its
-own range, writes its corpus lines to a part file in a temporary
-directory in ``--out-dir`` and returns its pair ids. The calling process
-reads no record: it checks the ids of all chunks for a repeat and joins
-the parts in order into the output only once every chunk has succeeded,
-so the output is the same bytes and an error the same line for any
-chunk count, and a failed run leaves no output.
-
-``eval`` encodes a pooled collection of at least two chunks of
-``decoding._MIN_FORK_TOKENS`` tokens (2^17; 256K tokens in all, about
-830 pairs of the benchmark's documents) in one chunk per usable core:
-the calling process encodes the first and a forked worker each of the
-others (``decoding.encode_chunks``), with the same scores and outputs for
-any chunk count.
+chance, and for a run that forked worker processes their number and
+peak memory, as ``forkmap.recording`` noted them) next to its outputs so
+any reported number can be reproduced and its time and memory explained
+from the manifest alone. A flat ``key = value`` config file can supply
+defaults; explicit command-line flags win. ``ingest`` and ``replace`` run
+their input in line chunks on forked workers (``_chunked``).
 """
 
 from __future__ import annotations
@@ -70,12 +52,7 @@ from .corpus import (
     write_corpus,
     write_records,
 )
-from .decoding import (
-    build_score_matrix,
-    decode_global,
-    decode_local,
-    encode_chunks,
-)
+from .decoding import build_score_matrix, decode_global, decode_local
 from .encoders import (
     EncoderConfig,
     Vocabulary,
@@ -93,7 +70,7 @@ from .evalharness import (
     report_local,
     run_grid,
 )
-from .forkmap import fork_map, processes
+from .forkmap import Forks, fork_map, processes, recording
 from .mathml import MalformedXml, linearize_mathml, token_table
 from .symbols import Level, ReplacementLevel, read_protected_set, replace_pairs
 from .training import TrainConfig, train, write_history
@@ -195,30 +172,22 @@ def _apply_config_defaults(args: argparse.Namespace,
         setattr(args, key, value)
 
 
-# What a command records on ``args`` as it runs: each is a manifest key of
-# its own, null where the command did not set it, and not configuration.
-# ``threads`` is the encoder's thread count, which the commands that encode
-# set; ``processes`` the worker processes of ``grid`` (1 where its rows
-# run in the calling process) and of a chunked ``ingest`` or ``replace``,
-# and the processes, the calling one included, that encode a chunked
-# ``eval`` collection, each set before the workers start, and
-# ``workers_peak_rss_mb`` the workers' largest peak, set once they are
-# reaped; ``best_dev_accuracy`` and ``chance``
-# (1 / dev pairs) come from ``train``.
-_RECORDED = ("threads", "processes", "workers_peak_rss_mb",
-             "best_dev_accuracy", "chance")
+# What a command records on ``args`` as it runs, each a manifest key of its
+# own (null where the command did not set it) and not configuration: the
+# encoder's thread count, and ``train``'s best dev accuracy beside chance.
+_RECORDED = ("threads", "best_dev_accuracy", "chance")
 
 
-def _peak_rss_mb(who: int) -> float:
-    """The peak resident set of this process (``RUSAGE_SELF``) or of its
-    largest joined child (``RUSAGE_CHILDREN``), in MiB."""
-    # ru_maxrss counts KiB on Linux and bytes on macOS
-    scale = 1 << (20 if sys.platform == "darwin" else 10)
-    return round(resource.getrusage(who).ru_maxrss / scale, 1)
+def _peak_rss_mb(maxrss: int | None) -> float | None:
+    """A peak resident set given as ``ru_maxrss``, which counts KiB on Linux
+    and bytes on macOS, in MiB."""
+    if maxrss is None:
+        return None
+    return round(maxrss / (1 << (20 if sys.platform == "darwin" else 10)), 1)
 
 
 def _write_manifest(args: argparse.Namespace, inputs: list[Path],
-                    started: float, error: str | None) -> None:
+                    started: float, error: str | None, forks: Forks) -> None:
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -226,7 +195,10 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
                    for k, v in sorted(vars(args).items())
                    if k != "func" and k not in _RECORDED},
         **{k: getattr(args, k, None) for k in _RECORDED},
-        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+        "processes": forks.processes,
+        "workers_peak_rss_mb": _peak_rss_mb(forks.peak_rss),
+        "peak_rss_mb": _peak_rss_mb(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
         "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
@@ -302,24 +274,22 @@ def _line_ranges(path, chunks: int) -> list[tuple[int, int | None]]:
 
 def _chunked(args, path, chunk, worker: str, check=None) -> list:
     """Run ``chunk(start, end, part)`` on each line range of the file at
-    ``path`` by ``fork_map``, recording any worker processes on ``args``,
-    and return the results in order. Each chunk writes its corpus lines to
-    its ``part`` file and returns its pair ids first; the first repeated
-    id raises, then ``check(results)`` runs, then the parts are joined
-    into ``--output``, which is opened last so that its error comes after
-    the input's. The parts' temporary directory is removed either way."""
+    ``path`` by ``fork_map`` and return the results in order. Each chunk
+    reads its own range, writes its corpus lines to its ``part`` file and
+    returns its pair ids first: the calling process reads no record. The
+    first repeated id raises, then ``check(results)`` runs, then the parts
+    are joined into ``--output``, which is opened last so that its error
+    comes after the input's. So the output is the same bytes and an error
+    the same line for any chunk count, and a failed run leaves no output.
+    The parts' temporary directory is removed either way."""
     ranges = _line_ranges(path, processes(os.path.getsize(path)
                                           // _MIN_CHUNK_BYTES))
     out_path = args.out_dir / args.output
     with tempfile.TemporaryDirectory(prefix=f".{out_path.name}.",
                                      dir=args.out_dir) as tmp:
         parts = [Path(tmp, str(i)) for i in range(len(ranges))]
-        if (workers := processes(len(ranges))) > 1:
-            args.processes = workers
         results = fork_map(lambda i: chunk(*ranges[i], parts[i]), len(ranges),
                            worker, "chunk")
-        if workers > 1:
-            args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
         check_unique(pair_id for ids, *_ in results for pair_id in ids)
         if check is not None:
             check(results)
@@ -475,13 +445,8 @@ def cmd_eval(args) -> int:
     state = load_model(args.model)
     args.threads = threads(state.config)
     corpus = _read_documents(args.corpus, args.channel)
-    statements = [p.statement for p in corpus.pairs]
-    proofs = [p.proof for p in corpus.pairs]
-    if (chunks := len(encode_chunks(state, [*statements, *proofs]))) > 1:
-        args.processes = chunks
-    m = build_score_matrix(state, statements, proofs)
-    if chunks > 1:
-        args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    m = build_score_matrix(state, [p.statement for p in corpus.pairs],
+                           [p.proof for p in corpus.pairs])
     if args.decode == "global":
         result = decode_global(m, args.k)
         report = report_global(result)
@@ -521,11 +486,8 @@ def cmd_grid(args) -> int:
     test_c = _read_documents(args.test_corpus, args.channel)
     args.threads = threads(encoder)
     protected = _load_protected(args)
-    args.processes = processes(len(levels))
     report = run_grid(train_c, dev_c, test_c, levels, encoder, train_config,
                       protected, seed=args.seed, min_freq=args.min_freq)
-    if args.processes > 1:
-        args.workers_peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     with open(args.out_dir / "grid.txt", "w", encoding="utf-8") as fh:
         fh.write(report.to_text() + "\n")
     with open(args.out_dir / "grid.tsv", "w", encoding="utf-8") as fh:
@@ -662,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, tables = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
-    error = None
+    error, forks = None, recording()
     try:
         _apply_config_defaults(args, tables, argv)
         # before the work, so that an unusable --out-dir costs no training
@@ -678,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
               if not a.option_strings]
     try:
         # a failed run records its error too, wherever --out-dir is usable
-        _write_manifest(args, inputs, started, error)
+        _write_manifest(args, inputs, started, error, forks)
     except OSError as exc:
         # say an unusable --out-dir, which a failed run already reported
         error, code = error or str(exc), 1

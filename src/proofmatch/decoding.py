@@ -2,16 +2,15 @@
 
 Both decode a score matrix from ``build_score_matrix``, which encodes each
 text once. The statements, then the proofs, are cut into contiguous
-chunks balanced by token count (``encode_chunks``): one per usable core
-(``forkmap.processes``) with at least ``_MIN_FORK_TOKENS`` (2^17) tokens
-each, so a collection of fewer than 256K tokens is one chunk. The calling
-process encodes the first chunk and one forked worker each of the others
-(``forkmap.fork_map``). The vectors come back in document order, so every
-score is bit for bit the one-process score, and the first empty document
-in collection order raises the one-process error once every worker has
-been reaped. On 2 cores a 2000-pair collection (616K tokens) is two
-chunks, and encoding it takes 21-35 ms less than in one process; the
-crossover lies between 122K and 152K tokens (the table at
+chunks balanced by token count (``_encode_chunks``): one per usable core
+(``forkmap.processes``) with at least ``_MIN_FORK_TOKENS`` tokens each.
+The calling process encodes the first chunk and one forked worker each of
+the others (``forkmap.fork_map``). The vectors come back in document
+order, so every score is bit for bit the one-process score, and the first
+empty document in collection order raises the one-process error once
+every worker has been reaped. On 2 cores a 2000-pair collection (616K
+tokens) is two chunks, and encoding it takes 21-35 ms less than in one
+process; the crossover lies between 122K and 152K tokens (the table at
 ``_MIN_FORK_TOKENS``). A self-attentive encoder's collection is one
 chunk, since it runs on the encoder's thread pool, and nothing forks in a
 ``fork_map`` worker, on one core or without ``os.fork``. Each chunk's
@@ -87,7 +86,7 @@ def encode_collection(state: ModelState, ids: list[np.ndarray]) -> np.ndarray:
 _MIN_FORK_TOKENS = 1 << 17
 
 
-def encode_chunks(state: ModelState, docs: list[list[Token]]) -> list[slice]:
+def _encode_chunks(state: ModelState, docs: list[list[Token]]) -> list[slice]:
     """The contiguous chunks of ``docs`` that ``build_score_matrix`` encodes,
     one per process: ``processes`` of the collection's tokens over
     ``_MIN_FORK_TOKENS``, balanced by token count. A self-attentive
@@ -101,11 +100,11 @@ def encode_chunks(state: ModelState, docs: list[list[Token]]) -> list[slice]:
 
 
 def _encode_documents(state: ModelState, docs: list[list[Token]]) -> np.ndarray:
-    """``encode_collection`` of ``docs``, each chunk of ``encode_chunks``
+    """``encode_collection`` of ``docs``, each chunk of ``_encode_chunks``
     turned into ids and encoded by one process: the calling process takes
     the first, forked workers the others. No name holds a chunk's ids, so
     they are freed once its vectors are made."""
-    chunks = encode_chunks(state, docs)
+    chunks = _encode_chunks(state, docs)
     vecs = fork_map(
         lambda i: encode_collection(state, state.vocab.encode_docs(docs[chunks[i]])),
         len(chunks), "an encode worker", "vectors", caller=True)
@@ -130,7 +129,7 @@ def build_score_matrix(state: ModelState,
     """m[i][j] = s_i^T W p_j (``score_matrix``), where s_i encodes
     statement i and p_j proof j; each text is encoded exactly once, a
     large pooled collection in chunks on several processes
-    (``encode_chunks``). ``ids``, the statements' id arrays then the
+    (``_encode_chunks``). ``ids``, the statements' id arrays then the
     proofs', lets a caller that scores one collection many times turn it
     into ids once; they are encoded in the calling process."""
     if not statements or not proofs:

@@ -81,6 +81,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forkmap
 from .corpus import Corpus, Font, Memo, Token, TokenKind
 from .errors import InvalidValue, ProofmatchError, check_seed
 
@@ -476,11 +477,9 @@ def apply_gradients(state: ModelState, grads: ModelState, lr: float) -> None:
 # ---------------------------------------------------------------------------
 # The encoder pool
 
-# One thread per usable core. A self-attentive document spends its time in
-# matmul and in ufunc loops over the attention array, where numpy releases
-# the GIL, so long documents run side by side.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# One thread per usable core (``forkmap._WORKERS``). A self-attentive
+# document spends its time in matmul and in ufunc loops over the attention
+# array, where numpy releases the GIL, so long documents run side by side.
 # A map stays serial when a document of its mean length takes fewer
 # multiply-adds per layer (``_layer_work``) than this: every numpy call on a
 # pool thread waits for the GIL, which costs more than a short document's
@@ -512,7 +511,7 @@ def threads(config: EncoderConfig) -> int:
     and 25 ms in one chunk on each of 2 threads, and a pooled 60-pair
     ``batch_loss_and_grads`` 2.8 ms against 3.5-4.2 ms (medians of 30)."""
     if config.kind is EncoderKind.SELF_ATTENTIVE and config.layers:
-        return _WORKERS
+        return forkmap._WORKERS
     return 1
 
 

@@ -22,12 +22,39 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from dataclasses import dataclass
 
-from . import encoders
 from .errors import ProofmatchError
+
+# The usable cores: the most processes a map runs on, and the threads of a
+# self-attentive encoder's pool (``encoders.threads``).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # True in a process that ``fork_map`` forked: its tasks run in it alone.
 _forked = False
+
+
+@dataclass
+class Forks:
+    """The maps that forked since a ``recording`` began: the most processes
+    that ran one map's tasks, the caller included where it ran some, and
+    their forked workers' largest peak resident set (``ru_maxrss``), each
+    None while no map has forked."""
+
+    processes: int | None = None
+    peak_rss: int | None = None
+
+
+_forks = Forks()
+
+
+def recording() -> Forks:
+    """A fresh ``Forks``, in which each map that forks from now on notes
+    itself: the command-line manifests report one per command."""
+    global _forks
+    _forks = Forks()
+    return _forks
 
 
 def processes(tasks: int) -> int:
@@ -36,7 +63,7 @@ def processes(tasks: int) -> int:
     ``os.fork`` does not exist or in a ``fork_map`` worker."""
     if tasks < 2 or _forked or not hasattr(os, "fork"):
         return 1
-    return min(tasks, encoders._WORKERS)
+    return min(tasks, _WORKERS)
 
 
 def fork_map(task, n: int, worker: str, result: str, *,
@@ -56,7 +83,8 @@ def fork_map(task, n: int, worker: str, result: str, *,
     ``result``", for example "a grid worker" and "row". If the caller's
     task 0 raises, which no other error can precede, or the caller is
     interrupted, the workers are killed and reaped before the error goes
-    on."""
+    on. The map notes ``p`` and each returning worker's peak in the last
+    ``recording``."""
     procs = processes(n)
     if procs < 2:
         return list(map(task, range(n)))
@@ -67,6 +95,7 @@ def fork_map(task, n: int, worker: str, result: str, *,
         for share in shares[caller:]:
             pid, read_end = _fork(task, share)
             children[pid] = read_end
+        _forks.processes = max(_forks.processes or 0, procs)
         if caller:
             own_values, own_error = _run(task, shares[0])
             if own_error is not None and not own_values:
@@ -75,14 +104,16 @@ def fork_map(task, n: int, worker: str, result: str, *,
         for pid in list(children):
             with children[pid] as fh:
                 try:  # unpickled as it is read, with no copy of the stream
-                    sent = pickle.load(fh)
+                    sent, peak = pickle.load(fh), pickle.load(fh)
                 except (EOFError, pickle.UnpicklingError):  # cut short
                     sent = None
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            if os.waitstatus_to_exitcode(status) != 0:
+            if sent is None or os.waitstatus_to_exitcode(status) != 0:
                 sent = [], ProofmatchError(f"{worker} process ended before "
                                            f"returning its {result}")
+            else:
+                _forks.peak_rss = max(_forks.peak_rss or 0, peak)
             returned.append(sent)
     finally:
         for pid, fh in children.items():
@@ -132,16 +163,19 @@ def _fork(task, share: range):
 
 def _serve(task, share: range, write_fd: int) -> None:
     """The worker's life: run ``share`` up to its first error, send the
-    values and that error (or None), and leave through ``os._exit``, which
-    runs none of the caller's exit handlers. The exit status is 0 only
-    once everything has been sent."""
+    values and that error (or None), then the worker's peak resident set,
+    which includes the sending, and leave through ``os._exit``, which runs
+    none of the caller's exit handlers. The exit status is 0 only once
+    everything has been sent."""
+    import resource  # a Unix module, like os.fork
     global _forked
     _forked = True
     status = 1
     try:
-        sent = _run(task, share)
         with os.fdopen(write_fd, "wb") as out:
-            pickle.dump(sent, out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_run(task, share), out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                        out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)

@@ -82,9 +82,9 @@ def linearize_mathml(fragment: str, tokens: Memo | None = None) -> list[Token]:
     distinct leaf symbol; without one, the fragment gets its own.
 
     Raises MalformedXml on unparseable input, a non-``math`` root,
-    content-markup elements, or non-blank text beside child elements
-    (mixed content). A formula with no leaf content yields an
-    empty list.
+    content-markup elements, non-blank text beside child elements (mixed
+    content), or nesting deeper than the interpreter's recursion limit.
+    A formula with no leaf content yields an empty list.
     """
     try:
         root = ET.fromstring(fragment)
@@ -93,5 +93,8 @@ def linearize_mathml(fragment: str, tokens: Memo | None = None) -> list[Token]:
     if _local_name(root.tag) != "math":
         raise MalformedXml(f"root element is <{_local_name(root.tag)}>, expected <math>")
     out: list[Token] = []
-    _emit(root, Font.NORMAL, out, token_table() if tokens is None else tokens)
+    try:
+        _emit(root, Font.NORMAL, out, token_table() if tokens is None else tokens)
+    except RecursionError:
+        raise MalformedXml("elements nested too deeply") from None
     return out

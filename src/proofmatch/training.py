@@ -14,6 +14,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class TrainConfig:
     lr_decay: float = 0.996
     eval_every: int = 20
     seed: int = 0
-    clip_norm: float = 5.0
+    clip_norm: ClassVar[float] = 5.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -263,7 +264,7 @@ def train(corpus: Corpus, dev_corpus: Corpus, state: ModelState,
                 # lr * clip_norm / inf would be a zero step
                 raise ProofmatchError(f"non-finite gradient norm on batch {batch_ids}")
             step_size = lr
-            if config.clip_norm and norm > config.clip_norm:
+            if norm > config.clip_norm:
                 step_size = lr * config.clip_norm / norm
             apply_gradients(state, grads, step_size)
             history.steps.append(LossReport(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import proofmatch.cli as cli
 import proofmatch.corpus as corpus_module
-from proofmatch import encoders
+from proofmatch import forkmap
 from proofmatch.cli import main
 from proofmatch.corpus import _escape, format_record, numbered_lines
 from proofmatch.symbols import Level
@@ -59,7 +59,7 @@ def run(tmp_path, monkeypatch, capsys):
     manifest."""
     def run_in(argv: list[str], n: int, output: str):
         monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
-        monkeypatch.setattr(encoders, "_WORKERS", n)
+        monkeypatch.setattr(forkmap, "_WORKERS", n)
         out = tmp_path / f"{argv[0]}-{n}"
         code = main([*argv, "--out-dir", str(out), "--output", output, "--quiet"])
         err = capsys.readouterr().err
@@ -210,6 +210,21 @@ def test_a_byte_that_is_not_utf8_in_a_later_chunk(tmp_path, run):
     for n in COUNTS:
         assert run(["ingest", str(raw)], n, "corpus.tsv")[:2] == (
             1, f"error: {raw}:{lines}: not UTF-8 (invalid start byte)\n")
+
+
+def test_deeply_nested_mathml_is_one_error_line(tmp_path, run):
+    # the first record's MathML nests past the interpreter's recursion
+    # limit, and fills most of the first of 2 chunks
+    deep = "<math>" + "<mrow>" * 3000 + "<mi>x</mi>" + "</mrow>" * 3000 + "</math>"
+    statement = " ".join(["m:s"] * 25)
+    record = f"deep\ta\t\t{statement}\t{statement} x:{_escape(deep)}"
+    raw = write_raw(tmp_path / "raw.tsv", [record, *raw_lines()])
+    for n in (1, 2):
+        code, err, manifest = run(["ingest", str(raw)], n, "corpus.tsv")
+        assert (code, err) == (1, f"error: {raw}: line 1, col "
+                                  f"{record.rindex(' ') + 1}: elements nested "
+                                  "too deeply\n")
+        assert manifest["processes"] == (None if n == 1 else n)
 
 
 def test_pool_exhausted_in_a_worker(tmp_path, run):

@@ -18,7 +18,7 @@ from dataclasses import replace as dc_replace
 from hypothesis import given, settings, strategies as st
 from pathlib import Path
 
-from proofmatch import decoding, encoders
+from proofmatch import decoding, forkmap
 from proofmatch.cli import build_parser, main
 from proofmatch.corpus import (
     Corpus, PairRecord, SplitSpec, _escape, format_record, math_token,
@@ -408,8 +408,9 @@ class TestTrainEval:
     def test_manifest_records_encoder_threads(self, tmp_path, corpus_file,
                                               monkeypatch):
         # one thread per usable core for attention layers, 1 for pooled;
-        # one grid process per usable core, at most one per level
-        monkeypatch.setattr(encoders, "_WORKERS", 3)
+        # one grid process per usable core, at most one per level, and none
+        # recorded where the rows run in the calling process
+        monkeypatch.setattr(forkmap, "_WORKERS", 3)
         small = ["--dim", "8", "--heads", "2", "--dk", "4", "--batch-size",
                  "5", "--epochs", "1", "--quiet"]
         files = [str(corpus_file)] * 3
@@ -418,7 +419,7 @@ class TestTrainEval:
             runs = [(["train", *files[:2], "--encoder", encoder, *small], None),
                     (["eval", str(out / "model.pmm"), files[0], "--quiet"], None),
                     (["grid", *files, "--encoder", encoder, "--levels", "full",
-                      *small], 1),
+                      *small], None),
                     (["grid", *files, "--encoder", encoder, "--levels",
                       "conservation,full", *small], 2)]
             for argv, processes in runs:
@@ -450,7 +451,7 @@ class TestTrainEval:
         # accuracy beside chance, and a grid, ingest or replace on worker
         # processes their peak
         import proofmatch.cli as cli
-        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        monkeypatch.setattr(forkmap, "_WORKERS", 2)
         monkeypatch.setattr(cli, "_MIN_CHUNK_BYTES", 1)
         files = [str(corpus_file)] * 3
         small = ["--dim", "8", "--batch-size", "5", "--epochs", "2",
@@ -976,7 +977,7 @@ def test_a_forked_eval_records_its_processes(tmp_path, corpus_file,
     model = tmp_path / "model.pmm"
     save_model(init_model(build_vocab(read_corpus(corpus_file)),
                           EncoderConfig(d=4), 0), model)
-    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
     runs = {}
     for forked in (False, True):
         if forked:
@@ -1008,7 +1009,7 @@ def test_a_dead_encode_worker_is_one_error_line(tmp_path, corpus_file,
 
     monkeypatch.setattr(decoding, "encode_collection", die_in_a_worker)
     monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
-    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
     assert main(["eval", str(model), str(corpus_file),
                  "--out-dir", str(tmp_path / "e"), "--quiet"]) == 1
     assert capsys.readouterr().err == (
@@ -1210,12 +1211,21 @@ def test_local_training_loads_no_scipy(tmp_path, corpus_file, encoder):
     assert json.loads(run.stdout) == [0, []]
 
 
+def long_letter_corpus(path: Path) -> Path:
+    """A letter corpus whose documents repeat 8 times, at ``path``."""
+    letters = letter_corpus(np.random.default_rng(0), 8)
+    write_corpus(Corpus([PairRecord(p.pair_id, p.article_id, [],
+                                    p.statement * 8, p.proof * 8)
+                         for p in letters.pairs]), path)
+    return path
+
+
 # ``match`` with the usable core count set to argv[1]
 MAIN_ON_CORES = """
 import sys
-from proofmatch import encoders
+from proofmatch import forkmap
 from proofmatch.cli import main
-encoders._WORKERS = int(sys.argv[1])
+forkmap._WORKERS = int(sys.argv[1])
 sys.exit(main(sys.argv[2:]))
 """
 
@@ -1228,11 +1238,7 @@ def test_diverging_training_prints_no_warnings(tmp_path, command, encoder, lr):
     # tokens at d=64) to be encoded on the self-attentive encoder's pool,
     # and from a grid whose rows run in worker processes: its line is the
     # line of the grid run in the calling process
-    letters = letter_corpus(np.random.default_rng(0), 8)
-    corpus = tmp_path / "long.tsv"
-    write_corpus(Corpus([PairRecord(p.pair_id, p.article_id, [],
-                                    p.statement * 8, p.proof * 8)
-                         for p in letters.pairs]), corpus)
+    corpus = long_letter_corpus(tmp_path / "long.tsv")
     inputs = [corpus] * (2 if command == "train" else 3)
     levels = [] if command == "train" else ["--levels", "conservation,full"]
     lines = []
@@ -1247,6 +1253,87 @@ def test_diverging_training_prints_no_warnings(tmp_path, command, encoder, lr):
         assert run.stderr.startswith("error: non-finite ")
         lines.append(run.stderr)
     assert lines[0] == lines[1]
+
+
+def test_a_grid_that_fails_in_its_workers_records_them(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
+    corpus = str(long_letter_corpus(tmp_path / "long.tsv"))
+    out = tmp_path / "out"
+    assert main(["grid", corpus, corpus, corpus, "--levels", "conservation,full",
+                 "--objective", "hybrid", "--lr", "1e100", "--epochs", "2",
+                 "--batch-size", "4", "--out-dir", str(out), "--quiet"]) == 1
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "manifest-grid.json").read_text())
+    assert err == f"error: {manifest['error']}\n"
+    assert manifest["error"].startswith("non-finite ")
+    assert manifest["processes"] == 2
+    assert manifest["workers_peak_rss_mb"] > 0
+
+
+# ``match`` on 2 cores, with any input cut into chunks and any collection
+# encoded in them, in a process that has first reaped a child that touched
+# argv[1] MiB. Prints the exit code, the manifest's ``processes`` and
+# ``workers_peak_rss_mb``, and the largest peak of the reaped children.
+FORKED_RUN = """
+import json, os, resource, sys
+from pathlib import Path
+import numpy as np
+from proofmatch import cli, decoding, forkmap
+forkmap._WORKERS = 2
+cli._MIN_CHUNK_BYTES = decoding._MIN_FORK_TOKENS = 1
+touched, out, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+if touched:
+    pid = os.fork()
+    if pid == 0:
+        np.ones(touched << 17)  # 8 bytes a cell
+        os._exit(0)
+    os.waitpid(pid, 0)
+code = cli.main([*argv, "--out-dir", out, "--quiet"])
+manifest = json.loads((Path(out) / f"manifest-{argv[0]}.json").read_text())
+children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(json.dumps([code, manifest["processes"], manifest["workers_peak_rss_mb"],
+                  children]))
+"""
+
+
+def forked_runs(tmp_path, corpus_file) -> dict[str, list[str]]:
+    """The arguments of an ingest, a grid and an eval that fork 2 processes
+    under ``FORKED_RUN``."""
+    raw = tmp_path / "raw.tsv"
+    write_raw(raw, [raw_line(f"p{i}") for i in range(20)])
+    model = tmp_path / "model.pmm"
+    save_model(init_model(build_vocab(read_corpus(corpus_file)),
+                          EncoderConfig(d=4), 0), model)
+    files = [str(corpus_file)] * 3
+    return {"ingest": ["ingest", str(raw)],
+            "grid": ["grid", *files, "--levels", "conservation,full",
+                     "--dim", "8", "--batch-size", "5", "--epochs", "2",
+                     "--eval-every", "1"],
+            "eval": ["eval", str(model), files[0]]}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.parametrize("command", ["ingest", "grid", "eval"])
+def test_workers_peak_is_the_peak_of_the_workers_reaped(tmp_path, corpus_file,
+                                                        command):
+    argv = forked_runs(tmp_path, corpus_file)[command]
+    run = run_python(FORKED_RUN, 0, tmp_path / "out", *argv)
+    assert run.returncode == 0, run.stderr
+    code, processes, peak, children = json.loads(run.stdout)
+    assert (code, processes) == (0, 2)
+    assert abs(peak - children) <= 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_workers_peak_leaves_out_children_reaped_before(tmp_path, corpus_file):
+    argv = forked_runs(tmp_path, corpus_file)["grid"]
+    run = run_python(FORKED_RUN, 400, tmp_path / "out", *argv)
+    assert run.returncode == 0, run.stderr
+    code, processes, peak, children = json.loads(run.stdout)
+    assert (code, processes) == (0, 2)
+    assert peak < 400 <= children
 
 
 def test_help_states_every_default(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofmatch.decoding as decoding
-from proofmatch import encoders
+from proofmatch import forkmap
 from proofmatch.decoding import (
     build_score_matrix,
     decode_global,
@@ -147,8 +147,8 @@ class TestForkedEncoding:
         serial = build_score_matrix(state, statements, proofs)
         monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
         for workers in (1, 2, 3):
-            monkeypatch.setattr(encoders, "_WORKERS", workers)
-            chunks = decoding.encode_chunks(state, docs)
+            monkeypatch.setattr(forkmap, "_WORKERS", workers)
+            chunks = decoding._encode_chunks(state, docs)
             assert len(chunks) == workers
             if workers > 1:  # the two copies are in different chunks
                 assert chunks[0].stop <= len(statements) - 1
@@ -161,14 +161,14 @@ class TestForkedEncoding:
                                                                monkeypatch):
         vocab, statements, proofs = self.collection()
         docs = [*statements, *proofs]
-        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        monkeypatch.setattr(forkmap, "_WORKERS", 2)
         pooled = init_model(vocab, EncoderConfig(d=8), 0)
-        assert decoding.encode_chunks(pooled, docs) == [slice(0, len(docs))]
+        assert decoding._encode_chunks(pooled, docs) == [slice(0, len(docs))]
         monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
-        assert len(decoding.encode_chunks(pooled, docs)) == 2
+        assert len(decoding._encode_chunks(pooled, docs)) == 2
         attentive = init_model(vocab, EncoderConfig(
             EncoderKind.SELF_ATTENTIVE, d=8, heads=2, d_k=4), 0)
-        assert decoding.encode_chunks(attentive, docs) == [slice(0, len(docs))]
+        assert decoding._encode_chunks(attentive, docs) == [slice(0, len(docs))]
 
     @pytest.mark.parametrize("empty", ["statement 0", "last proof"])
     def test_an_empty_document_raises_the_serial_error(self, monkeypatch,
@@ -182,7 +182,7 @@ class TestForkedEncoding:
         state = init_model(vocab, EncoderConfig(d=8), 0)
         monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
         for workers in (1, 2):
-            monkeypatch.setattr(encoders, "_WORKERS", workers)
+            monkeypatch.setattr(forkmap, "_WORKERS", workers)
             with pytest.raises(InvalidValue,
                                match="^cannot encode an empty document$"):
                 build_score_matrix(state, statements, proofs)
@@ -200,7 +200,7 @@ class TestForkedEncoding:
 
         monkeypatch.setattr(decoding, "encode_collection", die_in_a_worker)
         monkeypatch.setattr(decoding, "_MIN_FORK_TOKENS", 1)
-        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        monkeypatch.setattr(forkmap, "_WORKERS", 2)
         with pytest.raises(ProofmatchError, match="^an encode worker process "
                            "ended before returning its vectors$"):
             build_score_matrix(state, statements, proofs)

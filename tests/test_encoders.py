@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from proofmatch import encoders
+from proofmatch import encoders, forkmap
 
 from proofmatch.corpus import (Corpus, Font, PairRecord, math_token, read_corpus,
                                text_token, write_corpus)
@@ -463,7 +463,7 @@ class TestStepMemory:
         # at most d argmax positions, so the step's peak, the gradient and
         # its own temporaries (0.45-0.54 MB), is far below the documents'
         # gathered rows (3.1 MB), which caches once held.
-        monkeypatch.setattr(encoders, "_WORKERS", 1)  # one document at a time
+        monkeypatch.setattr(forkmap, "_WORKERS", 1)  # one document at a time
         rng = np.random.default_rng(4)
         tokens = [math_token(f"v{i}") for i in range(200)]
 

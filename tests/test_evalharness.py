@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from proofmatch import encoders, evalharness
+from proofmatch import evalharness, forkmap
 from proofmatch.cli import main
 from proofmatch.corpus import write_corpus
 from proofmatch.decoding import decode_local
@@ -176,7 +176,7 @@ class TestGrid:
         levels = [CONSERVATION, FULL]
         cells = []
         for workers in (1, 2):
-            monkeypatch.setattr(encoders, "_WORKERS", workers)
+            monkeypatch.setattr(forkmap, "_WORKERS", workers)
             assert processes(len(levels)) == workers
             cells.append(run_grid(corpus, corpus, corpus, levels, cfg,
                                   tiny_train_config(epochs=40), seed=1).cells)
@@ -185,7 +185,7 @@ class TestGrid:
 
     def test_a_dead_worker_is_one_error_line(self, tmp_path, monkeypatch,
                                              capsys):
-        monkeypatch.setattr(encoders, "_WORKERS", 2)
+        monkeypatch.setattr(forkmap, "_WORKERS", 2)
         caller = os.getpid()
 
         def die(*args, **kwargs):

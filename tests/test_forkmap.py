@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from proofmatch import encoders
+from proofmatch import forkmap
 from proofmatch.errors import InvalidValue, ProofmatchError
 from proofmatch.forkmap import fork_map, processes
 from conftest import assert_no_child_left
@@ -17,7 +17,7 @@ from conftest import assert_no_child_left
 @pytest.fixture
 def workers(monkeypatch):
     def set_workers(n: int) -> None:
-        monkeypatch.setattr(encoders, "_WORKERS", n)
+        monkeypatch.setattr(forkmap, "_WORKERS", n)
     return set_workers
 
 

@@ -93,3 +93,33 @@ def test_every_private_name_is_referenced():
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     tests = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     assert unreferenced_privates(modules, tests) == []
+
+
+def proofmatch_imports(source: str) -> set[str]:
+    """The ``proofmatch`` modules a module of the package imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "proofmatch":
+                names.add(node.module.partition(".")[2] or "proofmatch")
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[2] or alias.name
+                      for alias in node.names
+                      if alias.name.split(".")[0] == "proofmatch"}
+    return names
+
+
+def test_detects_a_proofmatch_import():
+    assert proofmatch_imports(
+        "import os\nfrom . import encoders\nfrom .errors import X\n"
+        "import proofmatch.corpus\nfrom proofmatch.cli import main\n"
+    ) == {"encoders", "errors", "corpus", "cli"}
+
+
+def test_forkmap_imports_only_errors():
+    # the map that any module may use reads the core count itself
+    source = (SRC / "forkmap.py").read_text(encoding="utf-8")
+    assert proofmatch_imports(source) == {"errors"}

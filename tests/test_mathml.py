@@ -67,6 +67,11 @@ class TestLinearize:
         with pytest.raises(MalformedXml):
             linearize_mathml("<math><apply><ci>x</ci></apply></math>")
 
+    def test_nesting_past_the_recursion_limit_raises(self):
+        deep = "<math>" + "<mrow>" * 3000 + "<mi>x</mi>" + "</mrow>" * 3000 + "</math>"
+        with pytest.raises(MalformedXml, match="^elements nested too deeply$"):
+            linearize_mathml(deep)
+
     @pytest.mark.parametrize("fragment,stray", [
         ("<math><mi>a</mi>b<mrow>c<mi>d</mi></mrow></math>", "b"),  # a tail
         ("<math><mrow>c<mi>d</mi></mrow></math>", "c"),  # text before a child

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proofmatch import decoding, encoders, training
+from proofmatch import decoding, encoders, forkmap, training
 from proofmatch.cli import main
 from proofmatch.corpus import Corpus, PairRecord, math_token, write_corpus
 from proofmatch.errors import InvalidValue
@@ -89,7 +89,7 @@ def serial_score_matrix(state, statements, proofs, ids=None):
 def workers(request, monkeypatch):
     """The encoder's worker count, 4 being more than this host may have;
     thread switches are made frequent so that interleavings vary."""
-    monkeypatch.setattr(encoders, "_WORKERS", request.param)
+    monkeypatch.setattr(forkmap, "_WORKERS", request.param)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -200,7 +200,7 @@ def test_map_runs_one_task_per_nonempty_balanced_chunk(monkeypatch, workers,
     docs = [[math_token(f"v{i}") for i in rng.integers(0, 30, size=t)]
             for t in lengths]
     ids = state.vocab.encode_docs(docs)
-    monkeypatch.setattr(encoders, "_WORKERS", workers)
+    monkeypatch.setattr(forkmap, "_WORKERS", workers)
     with ThreadPoolExecutor(workers) as real:
         pool = RecordingPool(real)
 
@@ -231,7 +231,7 @@ def test_map_runs_one_task_per_nonempty_balanced_chunk(monkeypatch, workers,
 
 
 def test_tasks_run_under_the_callers_error_state(monkeypatch):
-    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
     rng = np.random.default_rng(8)
     state = model(corpus(rng, 6, "t"))
     ids = state.vocab.encode_docs([p.statement for p in corpus(rng, 6, "e").pairs])
@@ -253,7 +253,7 @@ def test_pooled_step_peaks_as_the_serial_step(monkeypatch):
     state = model(train_c)
 
     def traced_peak(workers: int) -> int:
-        monkeypatch.setattr(encoders, "_WORKERS", workers)
+        monkeypatch.setattr(forkmap, "_WORKERS", workers)
         batch_loss_and_grads(state, train_c.pairs, local_loss)  # warm-up
         tracemalloc.start()
         try:
@@ -267,7 +267,7 @@ def test_pooled_step_peaks_as_the_serial_step(monkeypatch):
 
 
 def test_empty_document_raises_from_a_worker(monkeypatch):
-    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
     rng = np.random.default_rng(4)
     test_c = corpus(rng, 12, "e")
     state = model(test_c)
@@ -281,7 +281,7 @@ def test_empty_document_raises_from_a_worker(monkeypatch):
 
 def test_eval_reports_an_empty_document_in_one_line(tmp_path, monkeypatch,
                                                     capsys):
-    monkeypatch.setattr(encoders, "_WORKERS", 2)
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
     rng = np.random.default_rng(5)
     test_c = corpus(rng, 12, "e")
     state = model(test_c)
@@ -302,12 +302,12 @@ def test_eval_reports_an_empty_document_in_one_line(tmp_path, monkeypatch,
 # its workers, which encode on a pool of their own.
 POOL_THEN_FORK = """
 import numpy as np
-from proofmatch import CONSERVATION, FULL, encoders
+from proofmatch import CONSERVATION, FULL, forkmap
 from proofmatch.evalharness import run_grid
 from proofmatch.training import Objective, TrainConfig, batch_loss_and_grads, local_loss
 from test_pool import corpus, model, uses_pool
 
-encoders._WORKERS = 2
+forkmap._WORKERS = 2
 train_c = corpus(np.random.default_rng(6), 6, "t")
 state = model(train_c)
 batch_loss_and_grads(state, train_c.pairs, local_loss)

@@ -253,7 +253,7 @@ class TestUpdate:
         assert not np.array_equal(state.embeddings[sorted(used)],
                                   before[sorted(used)])
 
-    def test_clipping_shortens_the_step(self):
+    def test_clipping_shortens_the_step(self, monkeypatch):
         corpus = separable_corpus(4)
         state = self.model(corpus)
         before = state.copy()
@@ -263,8 +263,8 @@ class TestUpdate:
             before, [corpus.pairs[i] for i in order], local_loss)
         norm = grads.global_norm()
         # one epoch: the tail average is the state after its one step
-        cfg = quick_config(batch_size=4, epochs=1, eval_every=1, lr=1.0,
-                           clip_norm=norm / 4)
+        monkeypatch.setattr(TrainConfig, "clip_norm", norm / 4)
+        cfg = quick_config(batch_size=4, epochs=1, eval_every=1, lr=1.0)
         best, history = train(corpus, corpus, state, cfg)
         [step] = history.steps
         assert step.grad_norm == pytest.approx(norm, rel=1e-12)
