@@ -636,6 +636,8 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
     except (ProofmatchError, OSError) as exc:
         error, code = str(exc), 1
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        error, code = str(exc) or "out of memory", 1
     inputs = [getattr(args, a.dest) for a in tables[args.command].values()
               if not a.option_strings]
     try:

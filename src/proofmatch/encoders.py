@@ -17,10 +17,15 @@ step; the arithmetic is unchanged.
 
 A training step holds every document's cache (``ForwardCache``) from its
 forward pass until its backward, so the caches, not the arithmetic, set
-the step's memory. A cache keeps only what ``backward`` reads: each
-layer's input and its q, k, v, attention and head outputs (cut to R at
-the last layer under max pooling), and the pooled positions. The last
-layer's (T, d) output is not kept. A pooled encoder (no layers) gathers
+the step's memory. A cache keeps only what ``backward`` reads and cannot
+rebuild: each layer's q, k, v, attention and head outputs (cut to R at
+the last layer under max pooling), and the pooled positions. Neither the
+last layer's (T, d) output nor any layer's (T, d) input is kept:
+``backward`` rebuilds the inputs once per document from the ids and a
+reference to the embedding table (``ForwardCache.x0``), then x + concat @
+wo layer by layer, the operations ``forward`` ran on the same arrays, so
+bit for bit. With one layer that is a ``take`` and an add; each further
+layer adds a (T, d)·(d, d) product. A pooled encoder (no layers) gathers
 a document's rows with ``take`` and keeps none of them: under max pooling
 its cache is the ids and the d argmax positions, to which ``backward``
 scatters the pooled gradient; under mean pooling it is the ids, and
@@ -157,6 +162,9 @@ class Pooling(enum.Enum):
     MEAN = "mean"
 
 
+_U32_MAX = 2**32 - 1
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     kind: EncoderKind = EncoderKind.POOLED
@@ -167,10 +175,15 @@ class EncoderConfig:
     pooling: Pooling = Pooling.MAX
 
     def __post_init__(self):
-        # d, layers, heads and d_k are stored as unsigned checkpoint fields
+        shape = (f"d={self.d}, layers={self.layers}, heads={self.heads}, "
+                 f"d_k={self.d_k}")
         if self.d < 1 or min(self.layers, self.heads, self.d_k) < 0:
-            raise InvalidValue(f"bad encoder shape: d={self.d}, layers="
-                               f"{self.layers}, heads={self.heads}, d_k={self.d_k}")
+            raise InvalidValue(f"bad encoder shape: {shape}")
+        # d, layers, heads and d_k are unsigned 32-bit checkpoint fields: a
+        # larger shape could train, and then never be saved.
+        if max(self.d, self.layers, self.heads, self.d_k) > _U32_MAX:
+            raise InvalidValue(f"bad encoder shape: {shape}; a model file "
+                               f"stores each up to {_U32_MAX}")
         if self.kind is EncoderKind.SELF_ATTENTIVE and (
                 self.heads < 1 or self.d % self.heads or self.d_k < 1):
             raise InvalidValue(f"self-attention needs d={self.d} divisible by "
@@ -293,10 +306,10 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LayerCache:
-    """One layer's activations. Under max pooling the last layer keeps only
-    the pooled rows R = ``np.unique(pool_idx)`` of ``q``, ``attn`` and
+    """One layer's activations, without its input, which ``backward``
+    rebuilds (``_layer_inputs``). Under max pooling the last layer keeps
+    only the pooled rows R = ``np.unique(pool_idx)`` of ``q``, ``attn`` and
     ``concat``, the only rows of them that ``backward`` reads."""
-    x_in: np.ndarray          # (T, d)
     q: np.ndarray             # (H, T, d_k), or (H, |R|, d_k)
     k: np.ndarray             # (H, T, d_k)
     v: np.ndarray             # (H, T, d_v)
@@ -309,23 +322,34 @@ class ForwardCache:
     """What ``backward`` reads of one document's forward pass. Without
     layers that is the ids and, under max pooling, the argmax positions:
     the (T, d) gather is not kept. With layers it is also each layer's
-    cache; the last layer's (T, d) output is not kept, since backward
-    starts from the gradient of the pooled vector."""
+    cache and the model's embedding table, by reference; the last layer's
+    (T, d) output is not kept, since backward starts from the gradient of
+    the pooled vector."""
     ids: np.ndarray
-    x0: np.ndarray | None     # with layers: embeddings + positions
-    layers: list[LayerCache]  # layers[0].x_in is x0
+    embeddings: np.ndarray | None = None  # with layers: the model's, shared
+    layers: list[LayerCache] = field(default_factory=list)
     # Under max pooling: the argmax positions, and with layers R, the
     # distinct ones in ascending order
     pool_idx: np.ndarray | None = None
     pool_rows: np.ndarray | None = None
 
+    @property
+    def x0(self) -> np.ndarray | None:
+        """With layers, the first layer's input, embeddings + positions,
+        built anew on each read by the operations ``forward`` ran, so bit
+        for bit its values while the embeddings are unchanged."""
+        if self.embeddings is None:
+            return None
+        return (_embed(self.embeddings, self.ids)
+                + positional_encoding(len(self.ids), self.embeddings.shape[1]))
 
-def _embed(state: ModelState, ids: np.ndarray) -> np.ndarray:
+
+def _embed(embeddings: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The (T, d) embedding rows of a document's ids, gathered with
     ``take``."""
     if len(ids) == 0:
         raise InvalidValue("cannot encode an empty document")
-    return state.embeddings.take(ids, axis=0)
+    return embeddings.take(ids, axis=0)
 
 
 def encode(state: ModelState, ids: np.ndarray) -> np.ndarray:
@@ -334,7 +358,7 @@ def encode(state: ModelState, ids: np.ndarray) -> np.ndarray:
     the gathered rows directly: a column's max is its value at the argmax."""
     if state.layers:
         return forward(state, ids)[0]
-    x = _embed(state, ids)
+    x = _embed(state.embeddings, ids)
     return x.max(axis=0) if state.config.pooling is Pooling.MAX else x.mean(axis=0)
 
 
@@ -342,11 +366,8 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
     """Encode a document given as its token ids (``Vocabulary.encode_ids``),
     keeping the activations needed for backward."""
     cfg = state.config
-    x = _embed(state, ids)
-    x0 = None
-    caches: list[LayerCache] = []
-    if state.layers:
-        x = x0 = x + positional_encoding(len(ids), cfg.d)
+    cache = ForwardCache(ids, state.embeddings if state.layers else None)
+    x = cache.x0 if state.layers else _embed(state.embeddings, ids)
     for lp in state.layers:
         q = x @ lp.wq                          # (H, T, d_k)
         k = x @ lp.wk
@@ -356,18 +377,29 @@ def forward(state: ModelState, ids: np.ndarray) -> tuple[np.ndarray, ForwardCach
         attn = _softmax_rows(scores)
         heads = attn @ v                       # (H, T, d_v)
         concat = heads.transpose(1, 0, 2).reshape(x.shape[0], cfg.d)
-        caches.append(LayerCache(x, q, k, v, attn, concat))
+        cache.layers.append(LayerCache(q, k, v, attn, concat))
         x = x + concat @ lp.wo                 # residual connection
     if cfg.pooling is Pooling.MEAN:
-        return x.mean(axis=0), ForwardCache(ids, x0, caches)
-    pool_idx = np.argmax(x, axis=0)            # ties -> lowest position
-    rows = np.unique(pool_idx) if caches else None
-    if caches:
-        last = caches[-1]
+        return x.mean(axis=0), cache
+    cache.pool_idx = np.argmax(x, axis=0)      # ties -> lowest position
+    if cache.layers:
+        cache.pool_rows = rows = np.unique(cache.pool_idx)
+        last = cache.layers[-1]
         last.q, last.attn, last.concat = (last.q[:, rows], last.attn[:, rows],
                                           last.concat[rows])
-    return x[pool_idx, np.arange(cfg.d)], ForwardCache(ids, x0, caches,
-                                                       pool_idx, rows)
+    return x[cache.pool_idx, np.arange(cfg.d)], cache
+
+
+def _layer_inputs(state: ModelState, cache: ForwardCache) -> list[np.ndarray]:
+    """Each layer's (T, d) input, rebuilt by the operations ``forward`` ran
+    on the same arrays, so bit for bit: ``cache.x0``, then x + concat @ wo
+    through every layer but the last, whose concat rows are cached whole."""
+    if not state.layers:
+        return []
+    inputs = [cache.x0]
+    for lp, lc in zip(state.layers[:-1], cache.layers):
+        inputs.append(inputs[-1] + lc.concat @ lp.wo)
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +421,9 @@ def backward(state: ModelState, cache: ForwardCache,
              grad_vec: np.ndarray) -> DocGrads:
     """d(loss)/d(params) for one encoded document, given the gradient with
     respect to its pooled vector. It changes neither the model nor the
-    cache, so documents can run on the encoder pool."""
+    cache, so documents can run on the encoder pool. The model's
+    parameters, embeddings included, must be those ``forward`` read: the
+    layer inputs are rebuilt from them."""
     cfg = state.config
     columns = np.arange(cfg.d)
     if cfg.pooling is Pooling.MAX and not state.layers:
@@ -408,8 +442,10 @@ def backward(state: ModelState, cache: ForwardCache,
         dx = np.zeros((t_len, cfg.d))
         dx += grad_vec[None, :] / t_len
 
+    inputs = _layer_inputs(state, cache)
     layer_grads = []
     for lp, lc in zip(reversed(state.layers), reversed(cache.layers)):
+        x_in = inputs.pop()  # dropped from the list as its layer starts
         # x_out = x_in + concat @ wo, on ``rows``; earlier layers need all T.
         # The cache of q, attn and concat holds ``rows`` only (LayerCache).
         d_out = dx
@@ -429,8 +465,8 @@ def backward(state: ModelState, cache: ForwardCache,
         dx_in[rows] = d_out + (d_q @ lp.wq.transpose(0, 2, 1)).sum(0)
         dx_in += (d_k @ lp.wk.transpose(0, 2, 1)).sum(0)
         dx_in += (d_v @ lp.wv.transpose(0, 2, 1)).sum(0)
-        layer_grads.append(LayerParams(lc.x_in[rows].T @ d_q,
-                                       lc.x_in.T @ d_k, lc.x_in.T @ d_v, g_wo))
+        layer_grads.append(LayerParams(x_in[rows].T @ d_q,
+                                       x_in.T @ d_k, x_in.T @ d_v, g_wo))
         dx = dx_in
         rows = slice(None)
     index = (cache.ids[:, None] * cfg.d + columns).reshape(-1)

@@ -7,23 +7,41 @@ it reads every row of the last layer's cache even when max pooling gives
 gradient to a few of them. Under max pooling ``encoders.forward`` caches
 only the pooled rows of the last layer's q, attn and concat, so its cache
 feeds ``encoders.backward`` only; under mean pooling the two layouts are
-the same.
+the same. Its caches are types of its own that keep every layer's input,
+which ``encoders.forward`` does not keep but rebuilds in ``backward``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from proofmatch.encoders import (
     EncoderKind,
-    ForwardCache,
-    LayerCache,
     ModelState,
     Pooling,
     positional_encoding,
 )
+
+
+@dataclass
+class DenseLayerCache:
+    x_in: np.ndarray          # (T, d)
+    q: np.ndarray             # (H, T, d_k)
+    k: np.ndarray             # (H, T, d_k)
+    v: np.ndarray             # (H, T, d_v)
+    attn: np.ndarray          # (H, T, T)
+    concat: np.ndarray        # (T, d)
+
+
+@dataclass
+class DenseCache:
+    ids: np.ndarray
+    x0: np.ndarray
+    layers: list[DenseLayerCache]
+    pool_idx: np.ndarray | None
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -33,7 +51,7 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def forward_dense(state: ModelState,
-                  ids: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+                  ids: np.ndarray) -> tuple[np.ndarray, DenseCache]:
     cfg = state.config
     x = state.embeddings[ids].astype(np.float64, copy=False)
     if cfg.kind is EncoderKind.SELF_ATTENTIVE and state.layers:
@@ -46,7 +64,7 @@ def forward_dense(state: ModelState,
         v = x @ lp.wv
         attn = _softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_k))
         concat = (attn @ v).transpose(1, 0, 2).reshape(x.shape[0], cfg.d)
-        caches.append(LayerCache(x, q, k, v, attn, concat))
+        caches.append(DenseLayerCache(x, q, k, v, attn, concat))
         x = x + concat @ lp.wo
     if cfg.pooling is Pooling.MAX:
         pool_idx = np.argmax(x, axis=0)
@@ -54,10 +72,10 @@ def forward_dense(state: ModelState,
     else:
         pool_idx = None
         vec = x.mean(axis=0)
-    return vec, ForwardCache(ids, x0, caches, pool_idx)
+    return vec, DenseCache(ids, x0, caches, pool_idx)
 
 
-def backward_dense(state: ModelState, cache: ForwardCache,
+def backward_dense(state: ModelState, cache: DenseCache,
                    grad_vec: np.ndarray, grads: ModelState) -> None:
     """Add the document's parameter gradients to ``grads``; every layer's
     backward runs over all T rows."""

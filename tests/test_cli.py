@@ -648,6 +648,29 @@ class TestTrainEval:
         assert err == "error: non-finite scores in 1 of 100 cells\n"
         assert not (tmp_path / "e" / "eval.tsv").exists()
 
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 15.2 PiB for an array",
+         "Unable to allocate 15.2 PiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_an_allocation_failure_is_one_error_line(
+            self, tmp_path, corpus_file, capsys, monkeypatch, message, line):
+        # injected: a real request that large could be granted by an
+        # overcommitting kernel and then killed
+        import proofmatch.cli as cli
+
+        def refused(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "init_model", refused)
+        out = tmp_path / "t"
+        assert main(["train", str(corpus_file), str(corpus_file),
+                     "--out-dir", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert manifest["error"] == line
+        assert not (out / "model.pmm").exists()
+
 
 # Each bad value ends `match` in one error line, never a traceback.
 BAD_VALUES = {
@@ -721,6 +744,14 @@ BAD_VALUES = {
     "infinite_lr": ["train", "{corpus}", "{corpus}", "--lr", "inf"],
     "one_train_pair": ["train", "{one_pair}", "{corpus}"],
     "one_train_pair_in_grid": ["grid", "{one_pair}", "{corpus}", "{corpus}"],
+    # a pooled model ignores d_k, heads and layers, but its file stores them
+    "dk_past_checkpoint_field": ["train", "{corpus}", "{corpus}",
+                                 "--dk", "5000000000"],
+    "heads_past_checkpoint_field": ["train", "{corpus}", "{corpus}",
+                                    "--heads", "5000000000"],
+    "layers_past_checkpoint_field_in_grid": ["grid", "{corpus}", "{corpus}",
+                                             "{corpus}", "--layers",
+                                             "5000000000"],
 }
 
 # What the error line of a BAD_VALUES case must name.
@@ -749,6 +780,10 @@ NAMED_IN_ERROR = {
     "infinite_lr": ["lr", "inf"],
     "one_train_pair": ["at least 2 pairs"],
     "one_train_pair_in_grid": ["at least 2 pairs"],
+    "dk_past_checkpoint_field": ["d_k=5000000000", "4294967295"],
+    "heads_past_checkpoint_field": ["heads=5000000000", "4294967295"],
+    "layers_past_checkpoint_field_in_grid": ["layers=5000000000",
+                                             "4294967295"],
 }
 
 
@@ -834,7 +869,8 @@ def test_grid_levels_are_checked_before_the_corpora_are_read(
     ["train", "{corpus}", "{corpus}", "--dim", "0"],
     ["train", "{corpus}", "{corpus}", "--lr", "nan"],
     ["grid", "{corpus}", "{corpus}", "{corpus}", "--epochs", "0"],
-], ids=["train_dim", "train_lr", "grid_epochs"])
+    ["train", "{corpus}", "{corpus}", "--dk", "5000000000"],
+], ids=["train_dim", "train_lr", "grid_epochs", "train_dk"])
 def test_configs_are_checked_before_the_corpora_are_read(
         tmp_path, corpus_file, capsys, monkeypatch, argv):
     import proofmatch.cli as cli

@@ -424,17 +424,17 @@ def held_arrays(cache) -> dict[int, np.ndarray]:
 
 
 def read_by_backward(cache) -> dict[int, np.ndarray]:
-    """The arrays of a ``ForwardCache`` that ``backward`` reads besides the
-    ids: the layer caches, the pooled positions, and with layers ``x0``,
-    the first layer's input."""
-    return unique_arrays([cache.x0, cache.pool_idx, cache.pool_rows, *(
+    """The arrays that a ``ForwardCache`` holds for ``backward`` alone: the
+    layer caches and the pooled positions. Not the ids, not the shared
+    embedding table, and not ``x0``, which is rebuilt on each read."""
+    return unique_arrays([cache.pool_idx, cache.pool_rows, *(
         a for lc in cache.layers for a in vars(lc).values())])
 
 
 class TestStepMemory:
     """A training step keeps, per document, only the arrays ``backward``
-    reads: the embeddings and each layer's cache, not the last layer's
-    (T, d) output."""
+    reads and cannot rebuild: each layer's cache, not the layers' (T, d)
+    inputs nor the last layer's (T, d) output."""
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("pooling", list(Pooling))
@@ -447,19 +447,25 @@ class TestStepMemory:
         last = ref_cache.layers[-1]
         final = last.x_in + last.concat @ state.layers[-1].wo
         assert final.shape == (40, 8)
+        inputs = [lc.x_in for lc in ref_cache.layers]
         held = held_arrays(cache)
-        assert not any(a.shape == final.shape and np.array_equal(a, final)
-                       for a in held.values())
-        assert held.keys() - {id(cache.ids)} == read_by_backward(cache).keys()
-        assert cache.x0 is cache.layers[0].x_in
+        assert not any(a.shape == x.shape and np.array_equal(a, x)
+                       for a in held.values() for x in [final, *inputs])
+        assert cache.embeddings is state.embeddings  # shared, not copied
+        assert (held.keys() - {id(cache.ids), id(state.embeddings)}
+                == read_by_backward(cache).keys())
+        # backward's rebuild of each layer's input is forward's, bit for bit
+        assert cache.x0.tobytes() == inputs[0].tobytes()
+        rebuilt = encoders._layer_inputs(state, cache)
+        assert [x.tobytes() for x in rebuilt] == [x.tobytes() for x in inputs]
 
     @pytest.mark.parametrize("pooling", list(Pooling))
     def test_step_peak_is_the_caches_backward_reads(self, pooling,
                                                      monkeypatch):
         # 100 documents of 60 tokens at d=64. Self-attentive: each final
-        # (T, d) output kept until backward would add 30.7 KB a document,
-        # 18-23% over the arrays backward reads and the gradient; the
-        # step's own temporaries add 5-7%. Pooled: a cache is the ids and
+        # (T, d) output, or layer input, kept until backward would add
+        # 30.7 KB a document, 22-31% over the arrays backward reads and
+        # the gradient; the step's own temporaries add 6-9%. Pooled: a cache is the ids and
         # at most d argmax positions, so the step's peak, the gradient and
         # its own temporaries (0.45-0.54 MB), is far below the documents'
         # gathered rows (3.1 MB), which caches once held.
