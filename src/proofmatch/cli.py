@@ -1,12 +1,11 @@
 """Command-line front door: ingest, split, replace, vocab, train, eval, grid.
 
 Every run writes a manifest (resolved configuration, input checksums,
-version, wall-clock, peak memory, for the commands that encode documents
-the encoder's thread count, for ``train`` the best dev accuracy beside
-chance, and for a run that forked worker processes their number and
-peak memory, as ``forkmap.recording`` noted them) next to its outputs so
-any reported number can be reproduced and its time and memory explained
-from the manifest alone. A flat ``key = value`` config file can supply
+version, wall-clock, peak memory, for ``train`` the best dev accuracy
+beside chance, and the encoder threads and worker processes that ran, as
+``forkmap.recording`` noted them) next to its outputs so any reported
+number can be reproduced and its time and memory explained from the
+manifest alone. A flat ``key = value`` config file can supply
 defaults; explicit command-line flags win. ``ingest`` and ``replace`` run
 their input in line chunks on forked workers (``_chunked``).
 """
@@ -60,7 +59,6 @@ from .encoders import (
     init_model,
     load_model,
     save_model,
-    threads,
 )
 from .errors import InvalidValue, ProofmatchError
 from .evalharness import (
@@ -70,7 +68,7 @@ from .evalharness import (
     report_local,
     run_grid,
 )
-from .forkmap import Forks, fork_map, processes, recording
+from .forkmap import Workers, fork_map, processes, recording
 from .mathml import MalformedXml, linearize_mathml, token_table
 from .symbols import Level, ReplacementLevel, read_protected_set, replace_pairs
 from .training import TrainConfig, train, write_history
@@ -172,10 +170,9 @@ def _apply_config_defaults(args: argparse.Namespace,
         setattr(args, key, value)
 
 
-# What a command records on ``args`` as it runs, each a manifest key of its
-# own (null where the command did not set it) and not configuration: the
-# encoder's thread count, and ``train``'s best dev accuracy beside chance.
-_RECORDED = ("threads", "best_dev_accuracy", "chance")
+# What ``train`` records on ``args``, each a manifest key of its own (null
+# for other commands) and not configuration: best dev accuracy and chance.
+_RECORDED = ("best_dev_accuracy", "chance")
 
 
 def _peak_rss_mb(maxrss: int | None) -> float | None:
@@ -187,7 +184,7 @@ def _peak_rss_mb(maxrss: int | None) -> float | None:
 
 
 def _write_manifest(args: argparse.Namespace, inputs: list[Path],
-                    started: float, error: str | None, forks: Forks) -> None:
+                    started: float, error: str | None, ran: Workers) -> None:
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -195,8 +192,9 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
                    for k, v in sorted(vars(args).items())
                    if k != "func" and k not in _RECORDED},
         **{k: getattr(args, k, None) for k in _RECORDED},
-        "processes": forks.processes,
-        "workers_peak_rss_mb": _peak_rss_mb(forks.peak_rss),
+        "threads": ran.threads,
+        "processes": ran.processes,
+        "workers_peak_rss_mb": _peak_rss_mb(ran.peak_rss),
         "peak_rss_mb": _peak_rss_mb(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
@@ -418,7 +416,6 @@ def cmd_train(args) -> int:
     dev_c = _read_documents(args.dev_corpus, args.channel)
     vocab = build_vocab(train_c, args.min_freq)
     state = init_model(vocab, encoder, args.seed)
-    args.threads = threads(encoder)
     best, history = train(train_c, dev_c, state, train_config)
     model_path = args.out_dir / args.output
     save_model(best, model_path)
@@ -443,7 +440,6 @@ def cmd_eval(args) -> int:
     if args.k is not None and args.decode != "global":
         raise InvalidValue(f"--k {args.k} applies to --decode global only")
     state = load_model(args.model)
-    args.threads = threads(state.config)
     corpus = _read_documents(args.corpus, args.channel)
     m = build_score_matrix(state, [p.statement for p in corpus.pairs],
                            [p.proof for p in corpus.pairs])
@@ -484,7 +480,6 @@ def cmd_grid(args) -> int:
     train_c = _read_documents(args.train_corpus, args.channel)
     dev_c = _read_documents(args.dev_corpus, args.channel)
     test_c = _read_documents(args.test_corpus, args.channel)
-    args.threads = threads(encoder)
     protected = _load_protected(args)
     report = run_grid(train_c, dev_c, test_c, levels, encoder, train_config,
                       protected, seed=args.seed, min_freq=args.min_freq)
@@ -624,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, tables = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
-    error, forks = None, recording()
+    error, ran = None, recording()
     try:
         _apply_config_defaults(args, tables, argv)
         # before the work, so that an unusable --out-dir costs no training
@@ -642,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
               if not a.option_strings]
     try:
         # a failed run records its error too, wherever --out-dir is usable
-        _write_manifest(args, inputs, started, error, forks)
+        _write_manifest(args, inputs, started, error, ran)
     except OSError as exc:
         # say an unusable --out-dir, which a failed run already reported
         error, code = error or str(exc), 1

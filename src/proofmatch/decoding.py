@@ -43,7 +43,6 @@ from .encoders import (
     encode,
     map_documents,
     score_matrix,
-    threads,
 )
 from .errors import InvalidValue, ProofmatchError
 from .forkmap import fork_map, processes
@@ -89,11 +88,9 @@ _MIN_FORK_TOKENS = 1 << 17
 def _encode_chunks(state: ModelState, docs: list[list[Token]]) -> list[slice]:
     """The contiguous chunks of ``docs`` that ``build_score_matrix`` encodes,
     one per process: ``processes`` of the collection's tokens over
-    ``_MIN_FORK_TOKENS``, balanced by token count. A self-attentive
-    encoder's collection is one chunk, since it runs on the encoder's
-    thread pool."""
-    tokens = sum(map(len, docs))
-    parts = 1 if threads(state.config) > 1 else processes(tokens // _MIN_FORK_TOKENS)
+    ``_MIN_FORK_TOKENS``, balanced by token count; one chunk for a model
+    with attention layers, which runs on the encoder's thread pool."""
+    parts = 1 if state.layers else processes(sum(map(len, docs)) // _MIN_FORK_TOKENS)
     if parts < 2:
         return [slice(0, len(docs))]
     return balanced_chunks(np.fromiter(map(len, docs), np.int64, len(docs)), parts)

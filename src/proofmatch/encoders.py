@@ -19,19 +19,16 @@ A training step holds every document's cache (``ForwardCache``) from its
 forward pass until its backward, so the caches, not the arithmetic, set
 the step's memory. A cache keeps only what ``backward`` reads and cannot
 rebuild: each layer's q, k, v, attention and head outputs (cut to R at
-the last layer under max pooling), and the pooled positions. Neither the
-last layer's (T, d) output nor any layer's (T, d) input is kept:
-``backward`` rebuilds the inputs once per document from the ids and a
-reference to the embedding table (``ForwardCache.x0``), then x + concat @
-wo layer by layer, the operations ``forward`` ran on the same arrays, so
-bit for bit. With one layer that is a ``take`` and an add; each further
-layer adds a (T, d)·(d, d) product. A pooled encoder (no layers) gathers
-a document's rows with ``take`` and keeps none of them: under max pooling
-its cache is the ids and the d argmax positions, to which ``backward``
+the last layer under max pooling), and the pooled positions. No (T, d)
+layer input or output is kept: ``backward`` rebuilds the inputs bit for
+bit (``_layer_inputs``), a ``take`` and an add with one layer and a
+(T, d)·(d, d) product for each further layer. A pooled encoder (no
+layers) keeps none of a document's gathered rows: under max pooling its
+cache is the ids and the d argmax positions, to which ``backward``
 scatters the pooled gradient; under mean pooling it is the ids, and
 ``backward`` scatters grad/T to every cell. ``encode`` gives the pooled
-vector alone, bit for bit ``forward``'s, and builds no cache: a pooled
-encoder reduces the gathered rows with ``max`` or ``mean``. Evaluation
+vector alone, bit for bit ``forward``'s, and builds no cache (a pooled
+encoder reduces the gathered rows with ``max`` or ``mean``); evaluation
 (``decoding.encode_collection``) encodes with it.
 
 ``backward`` writes nothing: it returns one document's gradient products
@@ -40,16 +37,13 @@ embedding gradient is a flat index, element ``id·d + column`` of the
 embeddings, with one value each, added by one 1-D ``np.add.at``.
 Training maps ``forward`` and ``backward``, and
 ``decoding.encode_collection`` maps ``encode``, over a collection with
-``map_documents``, on a pool with one thread per usable core, created on
-first use. Each thread gets one task: a contiguous chunk of the
-documents, balanced by their work, whose results are read in document
-order. A training step hands its caches to the
-backward map and keeps none, so each cache is freed once its document's
-backward has run. The products are added on the calling thread, in
-document order, so every parameter gets the serial sequence of additions
-and results do not depend on the core count. Pooled encoders, and
-documents too short to pay for a hand-off to a thread, stay on the
-calling thread.
+``map_documents``. It runs a self-attentive collection worth a hand-off
+as one work-balanced chunk per thread of a pool, one thread per usable
+core, and anything else on the calling thread, and notes the threads it
+ran on in the current ``forkmap.recording``. A training step hands its
+caches to the backward map and keeps none, so each cache is freed once
+its backward has run. The products are added on the calling thread in
+document order, so results do not depend on the core count.
 
 The encoders read documents as int64 id arrays. ``Vocabulary.encode_ids``
 turns tokens into ids through a ``corpus.Memo`` that lives for one call:
@@ -516,39 +510,36 @@ def apply_gradients(state: ModelState, grads: ModelState, lr: float) -> None:
 # One thread per usable core (``forkmap._WORKERS``). A self-attentive
 # document spends its time in matmul and in ufunc loops over the attention
 # array, where numpy releases the GIL, so long documents run side by side.
-# A map stays serial when a document of its mean length takes fewer
-# multiply-adds per layer (``_layer_work``) than this: every numpy call on a
-# pool thread waits for the GIL, which costs more than a short document's
-# work. Pool time over serial time of ``batch_loss_and_grads`` on 30 pairs
-# of T tokens, one chunk per thread, 2 cores, with the work per document
-# and layer:
-#   d=64, 2 heads, d_k=32:  T=32 (0.66M) 1.72, T=64 (1.6M) 1.15-1.26,
-#                           T=96 (2.8M) 0.96-1.01, T=128 (4.2M) 0.78-0.86,
-#                           T=192 (7.9M) 0.68;
-#   d=128, 4 heads, d_k=32: T=16 (1.1M) 1.34-1.39, T=32 (2.4M) 1.13;
-#   d=8, 2 heads, d_k=3:    T=128 (0.26M) 1.09, T=192 (0.56M) 0.84.
-# The default shape's crossover lies between 1.6M and 2.8M.
-_MIN_POOL_WORK = 1 << 21
+# A pooled one does not pay for a hand-off: on 2 cores, d=64, a pooled
+# 60-pair ``batch_loss_and_grads`` took 2.8 ms serially and 3.5-4.2 ms on
+# 2 threads. A self-attentive map stays serial when a document of its mean
+# length costs less than this per layer (``_layer_work``): each numpy call
+# on a pool thread waits for the GIL, a fixed cost per document. Pool time
+# over serial time of ``batch_loss_and_grads`` on 30 pairs of T tokens, 2
+# cores, BLAS on one thread (least..most of 3 medians of 21), with the
+# cost per document and layer; the crossover lies between 6.4M and 7.5M:
+#   d=64, 2 heads, d_k=32:  T=32 (2.7M) 1.83-1.93, T=64 (3.9M) 1.36-1.76,
+#                           T=96 (5.5M) 1.09-1.28, T=112 (6.4M) 1.00-1.10,
+#                           T=128 (7.5M) 0.92-1.11, T=144 (8.7M) 0.88-1.07,
+#                           T=160 (9.9M) 0.88-1.00, T=192 (12.8M) 0.80-0.85;
+#   d=128, 4 heads, d_k=32: T=16 (3.2M) 1.67-1.98, T=32 (4.5M) 1.32-1.52,
+#                           T=64 (7.9M) 0.91-0.99;
+#   d=8, 2 heads, d_k=3:    T=128 (3.6M) 1.40-1.73, T=192 (5.5M) 1.02-1.18,
+#                           T=256 (8.2M) 0.91-1.03, T=320 (11.7M) 0.71-0.88,
+#                           T=384 (15.9M) 0.64-0.65.
+_MIN_POOL_WORK = 7_000_000
 
 
 def _layer_work(config: EncoderConfig, t_len):
-    """Multiply-adds of one attention layer's forward pass over ``t_len``
-    tokens, a number or an array of them: the projections, the scores and
-    the weighted values."""
-    d, hk = config.d, config.heads * config.d_k
-    return t_len * d * (2 * hk + 2 * d) + t_len * t_len * (hk + d)
-
-
-def threads(config: EncoderConfig) -> int:
-    """The number of threads that encode and backpropagate documents of
-    this encoder: one per usable core with attention layers, else 1, since
-    a pooled document is less work than its share of a hand-off to a
-    thread. On 2 cores at d=64, 2000 pooled statements took 16 ms serially
-    and 25 ms in one chunk on each of 2 threads, and a pooled 60-pair
-    ``batch_loss_and_grads`` 2.8 ms against 3.5-4.2 ms (medians of 30)."""
-    if config.kind is EncoderKind.SELF_ATTENTIVE and config.layers:
-        return forkmap._WORKERS
-    return 1
+    """One attention layer's serial time on ``t_len`` tokens (a number or
+    an array), in multiply-adds: those of the forward projections, scores
+    and weighted values, 40 per cell of the (H, T, T) attention array,
+    which the softmax walks element by element, and 2M per document for
+    its numpy calls. The weights fit the serial times of the table above;
+    by multiply-adds alone, d=128 at T=32 (2.4M) would outweigh d=8 at
+    T=320 (1.5M)."""
+    d, h, hk = config.d, config.heads, config.heads * config.d_k
+    return t_len * d * (2 * hk + 2 * d) + t_len * t_len * (hk + d + 40 * h) + 2_000_000
 
 
 @functools.cache
@@ -572,20 +563,24 @@ def map_documents(state: ModelState, ids: list[np.ndarray], fn, *iterables):
     drops each argument tuple as its call starts, and the caller's iterator
     drops each result once it has been read: a caller that keeps no other
     reference to an argument frees it once its document's call returns.
-    The map runs on the calling thread instead when the encoder has one
-    thread, there is one document, or the documents are too little work
-    (``_MIN_POOL_WORK``). ``fn`` must not write shared state. Tasks run
-    under the caller's numpy error state, which is per thread."""
-    cfg = state.config
-    workers = threads(cfg)
-    if (workers < 2 or len(ids) < 2
+    The map runs on the calling thread instead when the model has no
+    attention layers, there is one usable core or one document, or the
+    documents are too little work (``_MIN_POOL_WORK``). ``fn`` must not
+    write shared state. Tasks run under the caller's numpy error state,
+    which is per thread. The map notes the threads it runs on, one per
+    chunk or else 1, in the current ``forkmap.recording``."""
+    cfg, workers = state.config, forkmap._WORKERS
+    if (not state.layers or workers < 2 or len(ids) < 2
             or _layer_work(cfg, sum(map(len, ids)) / len(ids)) < _MIN_POOL_WORK):
+        forkmap.note(threads=1)
         return map(fn, itertools.repeat(state), *iterables)
     work = _layer_work(cfg, np.fromiter(map(len, ids), float, len(ids)))
+    chunks = balanced_chunks(work, workers)
+    forkmap.note(threads=len(chunks))
     args = list(zip(*iterables))
     pool, err = _executor(workers), np.geterr()
     return _in_order([pool.submit(_run_chunk, err, fn, state, deque(args[chunk]))
-                      for chunk in balanced_chunks(work, workers)])
+                      for chunk in chunks])
 
 
 def balanced_chunks(work: np.ndarray, parts: int) -> list[slice]:

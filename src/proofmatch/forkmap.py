@@ -15,6 +15,7 @@ their workers run; the encoding map has it run task 0, which saves one
 fork. Nothing forks where ``os.fork`` does not exist, or inside
 a worker that a map forked: there the tasks run one after another in the
 calling process.
+A forked worker sends back its results and what it ran (``Workers``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 from .errors import ProofmatchError
 
-# The usable cores: the most processes a map runs on, and the threads of a
-# self-attentive encoder's pool (``encoders.threads``).
+# The usable cores: the most processes a map runs on, and the threads of
+# the encoder's pool (``encoders.map_documents``).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -36,25 +37,34 @@ _forked = False
 
 
 @dataclass
-class Forks:
-    """The maps that forked since a ``recording`` began: the most processes
-    that ran one map's tasks, the caller included where it ran some, and
-    their forked workers' largest peak resident set (``ru_maxrss``), each
-    None while no map has forked."""
+class Workers:
+    """The workers that ran since a ``recording`` began, each None until one
+    ran: the most processes of one forked map, the caller included where it
+    ran tasks, the forked workers' largest peak resident set (``ru_maxrss``)
+    and the most threads of one encoder map, the calling thread alone as 1."""
 
     processes: int | None = None
     peak_rss: int | None = None
+    threads: int | None = None
 
 
-_forks = Forks()
+_workers = Workers()
 
 
-def recording() -> Forks:
-    """A fresh ``Forks``, in which each map that forks from now on notes
-    itself: the command-line manifests report one per command."""
-    global _forks
-    _forks = Forks()
-    return _forks
+def recording() -> Workers:
+    """A fresh ``Workers``, in which each map from now on notes its workers:
+    the command-line manifests report one per command."""
+    global _workers
+    _workers = Workers()
+    return _workers
+
+
+def note(**counts: int | None) -> None:
+    """Raise each named field of the current ``recording`` to its count,
+    where that is larger; a None count changes nothing."""
+    for name, count in counts.items():
+        if count is not None:
+            setattr(_workers, name, max(getattr(_workers, name) or 0, count))
 
 
 def processes(tasks: int) -> int:
@@ -74,17 +84,16 @@ def fork_map(task, n: int, worker: str, result: str, *,
     replacement levels, run side by side. With ``caller`` the calling
     process is process 0 and the forked workers the others; without it the
     caller only waits. ``task`` and what it reads reach the workers by the
-    fork, unpickled (pickling the benchmark's 553/186/184-pair
-    train/dev/test split takes about 16 ms, and unpickling it 15 ms). A
-    process stops at its first task that raises, and the first such task
-    in index order raises its error here, once every worker has been
-    reaped. A worker that ends without returning its results raises
+    fork, unpickled (``evalharness`` gives the cost this saves). A process
+    stops at its first task that raises, and the first such task in index
+    order raises its error here, once every worker has been reaped. A
+    worker that ends without returning its results raises
     ``ProofmatchError``: "``worker`` process ended before returning its
     ``result``", for example "a grid worker" and "row". If the caller's
     task 0 raises, which no other error can precede, or the caller is
     interrupted, the workers are killed and reaped before the error goes
-    on. The map notes ``p`` and each returning worker's peak in the last
-    ``recording``."""
+    on. The map notes ``p`` and each returning worker's ``Workers`` in the
+    current ``recording``."""
     procs = processes(n)
     if procs < 2:
         return list(map(task, range(n)))
@@ -95,7 +104,7 @@ def fork_map(task, n: int, worker: str, result: str, *,
         for share in shares[caller:]:
             pid, read_end = _fork(task, share)
             children[pid] = read_end
-        _forks.processes = max(_forks.processes or 0, procs)
+        note(processes=procs)
         if caller:
             own_values, own_error = _run(task, shares[0])
             if own_error is not None and not own_values:
@@ -104,7 +113,7 @@ def fork_map(task, n: int, worker: str, result: str, *,
         for pid in list(children):
             with children[pid] as fh:
                 try:  # unpickled as it is read, with no copy of the stream
-                    sent, peak = pickle.load(fh), pickle.load(fh)
+                    sent, ran = pickle.load(fh), pickle.load(fh)
                 except (EOFError, pickle.UnpicklingError):  # cut short
                     sent = None
             _, status = os.waitpid(pid, 0)
@@ -113,7 +122,7 @@ def fork_map(task, n: int, worker: str, result: str, *,
                 sent = [], ProofmatchError(f"{worker} process ended before "
                                            f"returning its {result}")
             else:
-                _forks.peak_rss = max(_forks.peak_rss or 0, peak)
+                note(**vars(ran))
             returned.append(sent)
     finally:
         for pid, fh in children.items():
@@ -162,20 +171,22 @@ def _fork(task, share: range):
 
 
 def _serve(task, share: range, write_fd: int) -> None:
-    """The worker's life: run ``share`` up to its first error, send the
-    values and that error (or None), then the worker's peak resident set,
-    which includes the sending, and leave through ``os._exit``, which runs
-    none of the caller's exit handlers. The exit status is 0 only once
-    everything has been sent."""
+    """The worker's life: run ``share`` up to its first error in a
+    ``recording`` of its own, send the values and that error (or None),
+    then the record with the worker's peak resident set, which includes
+    the sending, and leave through ``os._exit``, which runs none of the
+    caller's exit handlers. The exit status is 0 only once everything has
+    been sent."""
     import resource  # a Unix module, like os.fork
     global _forked
     _forked = True
     status = 1
     try:
+        ran = recording()
         with os.fdopen(write_fd, "wb") as out:
             pickle.dump(_run(task, share), out, pickle.HIGHEST_PROTOCOL)
-            pickle.dump(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-                        out, pickle.HIGHEST_PROTOCOL)
+            ran.peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            pickle.dump(ran, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)

@@ -407,43 +407,66 @@ class TestTrainEval:
 
     def test_manifest_records_encoder_threads(self, tmp_path, corpus_file,
                                               monkeypatch):
-        # one thread per usable core for attention layers, 1 for pooled;
-        # one grid process per usable core, at most one per level, and none
-        # recorded where the rows run in the calling process
+        # the most threads that one of the command's encoder maps ran on,
+        # in the calling process or in a forked grid worker: one per chunk
+        # on the encoder pool, 1 on the calling thread; grid workers, at
+        # most one per level, in ``processes``
+        import proofmatch.encoders as encoders
         monkeypatch.setattr(forkmap, "_WORKERS", 3)
         small = ["--dim", "8", "--heads", "2", "--dk", "4", "--batch-size",
                  "5", "--epochs", "1", "--quiet"]
         files = [str(corpus_file)] * 3
-        for encoder, want in (("selfattn", 3), ("pooled", 1)):
-            out = tmp_path / encoder
-            runs = [(["train", *files[:2], "--encoder", encoder, *small], None),
-                    (["eval", str(out / "model.pmm"), files[0], "--quiet"], None),
-                    (["grid", *files, "--encoder", encoder, "--levels", "full",
-                      *small], None),
-                    (["grid", *files, "--encoder", encoder, "--levels",
-                      "conservation,full", *small], 2)]
-            for argv, processes in runs:
+
+        def ran(encoder, out):
+            """Each run's manifest ``threads`` and ``processes``."""
+            runs = [["train", *files[:2], "--encoder", encoder, *small],
+                    ["eval", str(out / "model.pmm"), files[0], "--quiet"],
+                    ["grid", *files, "--encoder", encoder, "--levels", "full",
+                     *small],
+                    ["grid", *files, "--encoder", encoder, "--levels",
+                     "conservation,full", *small]]
+            got = []
+            for argv in runs:
                 assert main([*argv, "--out-dir", str(out)]) == 0
                 manifest = json.loads(
                     (out / f"manifest-{argv[0]}.json").read_text())
-                assert manifest["threads"] == want
-                assert manifest["processes"] == processes
                 assert "threads" not in manifest["config"]
                 assert "processes" not in manifest["config"]
+                got.append((manifest["threads"], manifest["processes"]))
+            return got
+
+        # documents under the pool's minimum work run on the calling thread
+        assert ran("selfattn", tmp_path / "short") == [
+            (1, None), (1, None), (1, None), (1, 2)]
+        assert ran("pooled", tmp_path / "pooled") == [
+            (1, None), (1, None), (1, None), (1, 2)]
+        monkeypatch.setattr(encoders, "_MIN_POOL_WORK", 0)
+        # the last grid's rows run in its 2 workers, which send back theirs
+        assert ran("selfattn", tmp_path / "long") == [
+            (3, None), (3, None), (3, None), (3, 2)]
+        # a pooled encoder has no attention layers, whatever the work
+        assert ran("pooled", tmp_path / "pooled") == [
+            (1, None), (1, None), (1, None), (1, 2)]
         out = tmp_path / "other"
         # an input under two chunks' minimum runs in the calling process
         for command in ("split", "ingest", "replace"):
             assert main([command, files[0], "--out-dir", str(out),
                          "--quiet"]) == 0
-        assert main(["eval", str(tmp_path / "missing.pmm"), files[0],
-                     "--out-dir", str(out), "--quiet"]) == 1
-        assert main(["grid", files[0], str(tmp_path / "missing.tsv"), files[0],
-                     "--out-dir", str(out), "--quiet"]) == 1
-        for command in ("split", "ingest", "replace", "eval", "grid"):
+        for command in ("split", "ingest", "replace"):
             manifest = json.loads(
                 (out / f"manifest-{command}.json").read_text())
-            assert manifest["threads"] is None
-            assert manifest["processes"] is None
+            assert (manifest["threads"], manifest["processes"]) == (None, None)
+        # failed before any map: no model, a model but no corpus, no corpus
+        for argv in (["eval", str(tmp_path / "missing.pmm"), files[0]],
+                     ["eval", str(tmp_path / "long" / "model.pmm"),
+                      str(tmp_path / "missing.tsv")],
+                     ["grid", files[0], str(tmp_path / "missing.tsv"),
+                      files[0]]):
+            assert main([*argv, "--out-dir", str(out), "--quiet"]) == 1
+            manifest = json.loads(
+                (out / f"manifest-{argv[0]}.json").read_text())
+            assert manifest["error"] is not None
+            assert (manifest["threads"], manifest["processes"]) == (None, None)
 
     def test_manifest_records_peak_memory_and_chance(self, tmp_path,
                                                      corpus_file, monkeypatch):

@@ -50,6 +50,24 @@ def test_processes_is_1_inside_a_worker(workers, caller):
 
 
 @pytest.mark.parametrize("caller", [False, True])
+def test_a_recording_holds_the_most_each_worker_noted(workers, caller):
+    # each forked worker sends back what it noted, a None count changes
+    # nothing, and a map that forks nothing notes no process
+    workers(3)
+    ran = forkmap.recording()
+    assert (ran.processes, ran.peak_rss, ran.threads) == (None, None, None)
+    fork_map(lambda i: forkmap.note(threads=[2, 5, 1, 4][i], peak_rss=None),
+             4, "a test worker", "value", caller=caller)
+    assert ran.processes == 3 and ran.threads == 5 and ran.peak_rss > 0
+    forkmap.note(threads=1)
+    assert forkmap.recording() is not ran and ran.threads == 5
+    workers(1)
+    fork_map(lambda i: forkmap.note(threads=i), 3, "a test worker", "value")
+    assert (forkmap._workers.processes, forkmap._workers.threads) == (None, 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("caller", [False, True])
 def test_the_first_error_in_index_order_is_raised(workers, caller):
     # process 0 runs tasks 0 and 3, process 1 tasks 1 and 4, process 2
     # tasks 2 and 5: task 3 fails first, task 1 later

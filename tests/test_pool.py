@@ -45,8 +45,8 @@ from proofmatch.training import (
 
 
 def corpus(rng: np.random.Generator, n_pairs: int, prefix: str,
-           lengths: tuple[int, int] = (100, 141)) -> Corpus:
-    """Pairs of 100-140 tokens (or ``lengths``, a half-open range) over
+           lengths: tuple[int, int] = (140, 181)) -> Corpus:
+    """Pairs of 140-180 tokens (or ``lengths``, a half-open range) over
     v0..v29, long enough for the pool."""
     def doc():
         return [math_token(f"v{i}")
@@ -201,6 +201,8 @@ def test_map_runs_one_task_per_nonempty_balanced_chunk(monkeypatch, workers,
             for t in lengths]
     ids = state.vocab.encode_docs(docs)
     monkeypatch.setattr(forkmap, "_WORKERS", workers)
+    # short documents too: the gate has a test of its own
+    monkeypatch.setattr(encoders, "_MIN_POOL_WORK", 0)
     with ThreadPoolExecutor(workers) as real:
         pool = RecordingPool(real)
 
@@ -228,6 +230,28 @@ def test_map_runs_one_task_per_nonempty_balanced_chunk(monkeypatch, workers,
     for t in range(pool.tasks):
         chunk = sum(w for w, u in zip(work, task_of) if u == t)
         assert chunk <= sum(work) / workers + max(work)
+
+
+@pytest.mark.parametrize("d,heads,d_k,t_len,pool", [
+    # pool over serial time 1.32-1.52, though 2.4M multiply-adds a layer
+    (128, 4, 32, 32, False),
+    (8, 2, 3, 192, False),   # 1.02-1.18
+    (8, 2, 3, 320, True),    # 0.71-0.88, though 1.5M multiply-adds a layer
+    # the benchmark's shape: its batches' mean lengths lie in 137-180
+    (64, 2, 32, 137, True),
+    (64, 2, 32, 180, True),
+])
+def test_the_pool_gate_at_timed_shapes(monkeypatch, d, heads, d_k, t_len, pool):
+    # the shapes of the table at ``encoders._MIN_POOL_WORK``
+    monkeypatch.setattr(forkmap, "_WORKERS", 2)
+    rng = np.random.default_rng(10)
+    docs = [[math_token(f"v{i}") for i in rng.integers(0, 30, size=t_len)]
+            for _ in range(60)]
+    state = init_model(build_vocab(Corpus([PairRecord("p", "a", [], docs[0],
+                                                      docs[1])])),
+                       EncoderConfig(EncoderKind.SELF_ATTENTIVE, d=d,
+                                     heads=heads, d_k=d_k), seed=4)
+    assert uses_pool(state, docs) == pool
 
 
 def test_tasks_run_under_the_callers_error_state(monkeypatch):
