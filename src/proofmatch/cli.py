@@ -197,7 +197,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path],
         "workers_peak_rss_mb": _peak_rss_mb(ran.peak_rss),
         "peak_rss_mb": _peak_rss_mb(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-        "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
+        "inputs": {str(p): _sha256(p) for p in inputs if p and p.is_file()},
         "error": error,
         "wall_clock_sec": round(time.time() - started, 3),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -403,9 +403,9 @@ def cmd_vocab(args) -> int:
 
 
 # A random ranking puts about one dev statement's own proof first, whatever
-# the dev size, and five or more in under 1% of evaluations: ``train``
-# warns when its best dev accuracy is below this many times chance
-# (1 / dev pairs).
+# the dev size, and five or more in under 1% of evaluations: on more than
+# this many dev pairs, ``train`` warns when its best dev accuracy is below
+# this many times chance (1 / dev pairs).
 NEAR_CHANCE = 5
 
 
@@ -429,7 +429,7 @@ def cmd_train(args) -> int:
     args.best_dev_accuracy, args.chance = acc, 1 / len(dev_c.pairs)
     _say(args, f"model -> {model_path} (dev accuracy {acc:.4f} "
                f"at epoch {epoch})")
-    if acc < NEAR_CHANCE * args.chance:
+    if len(dev_c.pairs) > NEAR_CHANCE and acc < NEAR_CHANCE * args.chance:
         print(f"warning: best dev accuracy {acc:.4f} is below {NEAR_CHANCE} "
               f"times chance ({args.chance:.4f}); the model may not have "
               "learned", file=sys.stderr)
@@ -633,8 +633,10 @@ def main(argv: list[str] | None = None) -> int:
         error, code = str(exc), 1
     except MemoryError as exc:  # numpy's names the allocation it refused
         error, code = str(exc) or "out of memory", 1
+    # the files whose contents change the outputs: the positional ones,
+    # --config and --protected (None where not given)
     inputs = [getattr(args, a.dest) for a in tables[args.command].values()
-              if not a.option_strings]
+              if a.type is Path and a.dest != "out_dir"]
     try:
         # a failed run records its error too, wherever --out-dir is usable
         _write_manifest(args, inputs, started, error, ran)

@@ -4,37 +4,50 @@ Four levels: conservation (identity), partial (a fraction of the shared
 symbols renamed to fresh names), full (all renamed), transposition (shared
 symbols deranged among themselves, or renamed as in full where that would
 move no base or merge two of the proof's symbols). Only symbols occurring
-in both the statement and the proof are touched; case variants of a letter
-are renamed as a pair, fonts are preserved, and double-struck letters,
-standard constants and an optional protected set of case-folded letters (a
-``frozenset[str]``) are exempt.
+in both the statement and the proof are touched. A candidate is a letter
+of ``_BASE``: Latin or Greek, whose two cases are one symbol, or a glyph
+variant (ϕ, ϵ, ...), lower case only. Fonts are preserved, and
+double-struck letters, standard constants and an optional protected set
+of bases (a ``frozenset[str]``) are exempt.
 
 ``replace_pairs`` keys its work by token value: one candidate table,
 built once per call from the pairs' distinct tokens, gives every
-document's candidates by a set intersection, and the rename is a dict
-lookup per token. Each call builds one renamed Token per (surface, font)
-and shares it between the pairs (see ``corpus`` for why shared tokens are
-faster), and conservation copies the proofs without looking at a token.
+document's candidates by a set intersection, and ``_renaming`` maps them
+to the tokens they become. Each call builds one renamed Token per
+(surface, font) and shares it between the pairs (see ``corpus`` for why
+shared tokens are faster), and conservation copies the proofs without
+looking at a token.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace as dc_replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import (Corpus, Font, FormatError, Memo, PairRecord, Token,
-                     TokenKind, in_file, math_token, numbered_lines,
-                     parse_token)
+from .corpus import (Corpus, Font, FormatError, PairRecord, Token, TokenKind,
+                     in_file, math_token, numbered_lines, parse_token)
 from .errors import InvalidValue, ProofmatchError, check_seed
 
 
+# The fresh names: 26 Latin and 24 Greek letters.
 _LATIN = "abcdefghijklmnopqrstuvwxyz"
 _GREEK = "αβγδεζηθικλμνξοπρστυφχψω"
+# Glyph variants of β θ φ π κ ρ ε σ (TeX's \phi is ϕ, \varphi φ): letters of
+# their own with no capital, never a fresh name. Look-alikes that casefold
+# to a letter (µ, K U+212A, Ω U+2126, ſ) are no letters.
+_VARIANTS = "ϐϑϕϖϰϱϵς"
+# Each candidate letter's surface to its lower-case base: a token is lower
+# case exactly when its surface is its base.
+_BASE = {**{c: c for c in _VARIANTS},
+         **{s: b for b in _LATIN + _GREEK for s in (b, b.upper())}}
+_CAPITAL = {b: s for s, b in _BASE.items() if s != b}
 
 # Standard constants never replaced: pi, and a literal math-kind "e" is
 # treated the same way.
@@ -42,31 +55,23 @@ CONSTANT_BASES = {"π", "e"}
 
 
 class SymbolKey(NamedTuple):
-    """Case-folded identity of a candidate variable, per font channel."""
+    """Lower-case base of a candidate variable, per font channel."""
 
     base: str
     font: Font = Font.NORMAL
 
 
-def _is_letter(base: str) -> bool:
-    return base in _LATIN or base in _GREEK
-
-
 def symbol_key(token: Token) -> SymbolKey | None:
     """Key of a candidate-variable token, or None.
 
-    A candidate is a math token whose surface is a single Latin or Greek
-    letter in any font except double-struck. Multi-letter math tokens
-    (sin, dim, Hom) are never candidates.
+    A candidate is a math token whose surface is one letter of ``_BASE`` in
+    any font except double-struck. Multi-letter math tokens (sin, dim, Hom)
+    are never candidates.
     """
     if token.kind is not TokenKind.MATH or token.font is Font.DOUBLE_STRUCK:
         return None
-    if len(token.surface) != 1:
-        return None
-    base = token.surface.casefold()
-    if not _is_letter(base):
-        return None
-    return SymbolKey(base, token.font)
+    base = _BASE.get(token.surface)
+    return None if base is None else SymbolKey(base, token.font)
 
 
 class Level(enum.Enum):
@@ -95,11 +100,11 @@ TRANSPOSITION = ReplacementLevel(Level.TRANSPOSITION)
 
 
 def read_protected_set(path) -> frozenset[str]:
-    """The case-folded letters a protected-set file lists, never renamed in
-    any case or font. One symbol per line, ``surface`` or ``surface#font``
-    in the corpus math-token syntax; # comments. The symbol must be a
-    candidate variable: one Latin or Greek letter, not double-struck. A bad
-    line raises ``FormatError`` naming the path."""
+    """The lower-case bases of the letters a protected-set file lists, never
+    renamed in any case or font. One symbol per line, ``surface`` or
+    ``surface#font`` in the corpus math-token syntax; # comments. The symbol
+    must be a candidate variable: one letter of ``_BASE``, not
+    double-struck. A bad line raises ``FormatError`` naming the path."""
     bases = set()
     with in_file(path):
         for lineno, line in numbered_lines(path):
@@ -150,11 +155,10 @@ def _shared(stmt: set[SymbolKey], proof: set[SymbolKey],
             if k.base not in CONSTANT_BASES and k.base not in protected}
 
 
-def _fresh_pool(forbidden: set[str], protected: frozenset[str],
-                rng: np.random.Generator) -> list[str]:
-    """Latin letters not used in the pair, then Greek letters minus the
-    constants, each block shuffled by the seeded generator."""
-    banned = forbidden | CONSTANT_BASES | protected
+def _fresh_pool(forbidden: set[str], rng: np.random.Generator) -> list[str]:
+    """Latin letters not forbidden, then Greek letters minus the constants,
+    each block shuffled by the seeded generator."""
+    banned = forbidden | CONSTANT_BASES
     latin = [c for c in _LATIN if c not in banned]
     greek = [c for c in _GREEK if c not in banned]
     latin = [latin[i] for i in rng.permutation(len(latin))]
@@ -162,19 +166,40 @@ def _fresh_pool(forbidden: set[str], protected: frozenset[str],
     return latin + greek
 
 
+def _renaming(toks: Iterable[Token], entries: dict[SymbolKey, SymbolKey],
+              token=math_token,
+              kept_targets: bool = False) -> dict[Token, Token | None]:
+    """Each of ``toks`` whose key ``entries`` renames, mapped to the token it
+    becomes, ``token(surface, font)`` of its target base in its own case and
+    font, or None for a capital whose target base (a glyph variant) has no
+    capital. With ``kept_targets`` no token is built for a key whose target
+    ``entries`` renames too: that token is no token the proof keeps."""
+    out = {}
+    for tok in toks:
+        key = symbol_key(tok)
+        if (target := entries.get(key)) is None:
+            continue
+        surface = (target.base if tok.surface == key.base
+                   else _CAPITAL.get(target.base))
+        if surface is None:
+            out[tok] = None
+        elif not (kept_targets and target in entries):
+            out[tok] = token(surface, tok.font)
+    return out
+
+
 def build_replacement_map(shared: set[SymbolKey],
                           level: ReplacementLevel,
-                          protected: frozenset[str] | None = None,
                           seed: int = 0, *,
                           forbidden: set[str],
                           proof: set[Token] = frozenset()) -> ReplacementMap:
     """Build the per-pair bijection for one replacement level.
 
-    ``forbidden`` holds symbol bases occurring anywhere in the pair, so
-    fresh names cannot collide with existing ones, and ``proof`` the
-    proof's tokens (its candidates suffice), so a transposition cannot
-    rename a token onto one the proof keeps. ``protected`` None protects
-    no letter.
+    ``forbidden`` is the one set of bases no fresh name may take: every
+    base occurring in the pair, the shared ones included, so fresh names
+    cannot collide with existing ones, and any protected letters.
+    ``proof`` holds the proof's tokens (its candidates suffice), so a
+    transposition cannot rename a token onto one the proof keeps.
     """
     check_seed(seed)
     keys = sorted(shared)  # by (base, font value): a Font is its value string
@@ -184,14 +209,15 @@ def build_replacement_map(shared: set[SymbolKey],
         return ReplacementMap(entries)
 
     rng = np.random.default_rng(seed)
-    taken = {k.base for k in keys}
     if level.level is Level.TRANSPOSITION:
-        sigma = _derangement(sorted(taken), rng)
+        sigma = _derangement(sorted({k.base for k in keys}), rng)
         # Fresh names instead where no derangement changes a base (all shared
-        # keys carry one base) or where it would merge two proof symbols.
+        # keys carry one base), where it would merge two proof symbols, or
+        # where a capital's new base has no capital.
         if sigma is not None:
             deranged = {k: SymbolKey(sigma[k.base], k.font) for k in keys}
-            if not _merges(deranged, proof):
+            new = _renaming(proof, deranged, kept_targets=True).values()
+            if None not in new and proof.isdisjoint(new):
                 return ReplacementMap(deranged)
 
     if level.level is Level.PARTIAL:
@@ -201,8 +227,7 @@ def build_replacement_map(shared: set[SymbolKey],
     else:  # FULL, or the TRANSPOSITION fallback
         targets_of = keys
 
-    names = [n for n in _fresh_pool(forbidden, protected or frozenset(), rng)
-             if n not in taken]
+    names = _fresh_pool(forbidden, rng)
     if len(names) < len(targets_of):
         raise ProofmatchError(
             f"need {len(targets_of)} fresh names, pool has {len(names)}")
@@ -222,37 +247,6 @@ def _derangement(bases: list[str],
         perm = [bases[i] for i in rng.permutation(len(bases))]
         if all(p != b for p, b in zip(perm, bases)):
             return dict(zip(bases, perm))
-
-
-def _renamed_surface(surface: str, key: SymbolKey, target: SymbolKey) -> str:
-    """The surface of a token of ``key`` renamed to ``target``, in its case."""
-    return target.base.upper() if surface != key.base else target.base
-
-
-def _merges(entries: dict[SymbolKey, SymbolKey], proof: set[Token]) -> bool:
-    """Whether ``entries`` renames a token of ``proof`` onto one it keeps:
-    one whose key ``entries`` does not rename."""
-    return any(entries[key] not in entries and math_token(
-        _renamed_surface(tok.surface, key, entries[key]), tok.font) in proof
-        for tok in proof if (key := symbol_key(tok)) in entries)
-
-
-def _rename(proof: list[Token], candidates: set[Token], table: _Table,
-            rmap: ReplacementMap,
-            renamed: dict[tuple[str, Font], Token]) -> list[Token]:
-    """``proof`` with each candidate token whose key ``rmap`` maps renamed.
-    The new token is ``renamed[surface, font]``, so all its occurrences
-    share one object."""
-    if not rmap.entries:
-        return list(proof)
-    rename = {}
-    for tok in candidates:
-        key = table[tok]
-        target = rmap.entries.get(key)
-        if target is not None:
-            rename[tok] = renamed[_renamed_surface(tok.surface, key, target),
-                                  tok.font]
-    return list(map(rename.get, proof, proof))
 
 
 def mix_seed(seed: int, salt: str) -> int:
@@ -289,15 +283,15 @@ def replace_pairs(pairs: list[PairRecord], level: ReplacementLevel,
         return [dc_replace(p, proof=list(p.proof)) for p in pairs]
     protected = protected or frozenset()
     table = _candidate_table([doc for p in pairs for doc in (p.statement, p.proof)])
-    renamed = Memo(lambda key: math_token(*key))
+    token = functools.cache(math_token)
     out = []
     for pair in pairs:
         stmt = _candidates(pair.statement, table)[1]
         proof_toks, proof = _candidates(pair.proof, table)
-        rmap = build_replacement_map(_shared(stmt, proof, protected), level,
-                                     protected, mix_seed(seed, pair.pair_id),
-                                     forbidden={k.base for k in stmt | proof},
-                                     proof=proof_toks)
-        out.append(dc_replace(pair, proof=_rename(pair.proof, proof_toks, table,
-                                                  rmap, renamed)))
+        rmap = build_replacement_map(
+            _shared(stmt, proof, protected), level, mix_seed(seed, pair.pair_id),
+            forbidden={k.base for k in stmt | proof} | protected, proof=proof_toks)
+        rename = _renaming(proof_toks, rmap.entries, token)
+        out.append(dc_replace(pair, proof=list(map(rename.get, pair.proof,
+                                                   pair.proof))))
     return out

@@ -225,8 +225,9 @@ def test_08_replacement_correctness():
             if not shared:
                 continue
             level = levels[trial % 3]
-            rmap = build_replacement_map(shared, level, protected, seed=trial,
-                                         forbidden={k.base for k in shared})
+            rmap = build_replacement_map(
+                shared, level, seed=trial,
+                forbidden={k.base for k in shared} | protected)
             targets = list(rmap.entries.values())
             # bijection: distinct sources map to distinct targets
             assert len(set(targets)) == len(targets)

@@ -224,6 +224,25 @@ class TestReplaceVocab:
         assert (read_corpus(out / "replaced.tsv").pairs
                 == read_corpus(corpus_file).pairs)
 
+    def test_replace_manifest_checksums_the_option_files(self, tmp_path,
+                                                         corpus_file):
+        # --config and --protected change the outputs, so the manifest
+        # holds their checksums beside the corpus's, also for a protected
+        # file that the config file names
+        protected, config = tmp_path / "prot.txt", tmp_path / "run.cfg"
+        protected.write_text("P\nσ\n", encoding="utf-8")
+        sha = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
+        for text, flags in [("level = transposition\n",
+                             ["--protected", str(protected)]),
+                            (f"protected = {protected}\n", [])]:
+            config.write_text(text, encoding="utf-8")
+            out = tmp_path / "r"
+            assert main(["replace", str(corpus_file), "--config", str(config),
+                         *flags, "--out-dir", str(out), "--quiet"]) == 0
+            manifest = json.loads((out / "manifest-replace.json").read_text())
+            assert manifest["inputs"] == {
+                str(p): sha(p) for p in (corpus_file, config, protected)}
+
     def test_vocab_file(self, tmp_path, corpus_file):
         out = tmp_path / "v"
         assert main(["vocab", str(corpus_file), "--out-dir", str(out),
@@ -341,6 +360,20 @@ class TestTrainEval:
                             r"5 times chance \(0\.1000\); the model may not "
                             r"have learned\n", err)
 
+    def test_small_dev_set_never_warns(self, tmp_path, capsys):
+        # on 5 or fewer dev pairs even accuracy 1 is not 5 times chance:
+        # the check would say nothing, so no warning is printed
+        corpus = tmp_path / "c.tsv"
+        write_corpus(separable_corpus(4), corpus)
+        out = tmp_path / "o"
+        assert main(["train", str(corpus), str(corpus), "--dim", "16",
+                     "--batch-size", "4", "--epochs", "60", "--eval-every",
+                     "20", "--out-dir", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert manifest["best_dev_accuracy"] == 1.0
+        assert manifest["chance"] == 0.25
+        assert capsys.readouterr().err == ""
+
     def test_the_largest_seed_is_kept_as_given(self, tmp_path, corpus_file):
         # the checkpoint's uint64 seed field holds it, so no seed is
         # truncated on its way into model.pmm
@@ -377,7 +410,8 @@ class TestTrainEval:
                          "--out-dir", str(out), "--quiet"]) == 0
             manifest = json.loads((out / f"manifest-{command}.json").read_text())
             assert manifest["command"] == command
-            # the inputs are exactly the positional files
+            # no file-valued option is given: the inputs are the
+            # positional files
             assert manifest["inputs"] == {
                 str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in inputs}

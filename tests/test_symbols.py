@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -70,6 +72,18 @@ class TestSymbolKey:
 
     def test_greek_candidate(self):
         assert symbol_key(math_token("λ")) == SymbolKey("λ")
+
+    def test_candidate_set_is_listed_exactly(self):
+        # every one-character surface: the Latin and Greek letters in both
+        # cases and the lower-case-only glyph variants, nothing else (no
+        # micro sign, Kelvin or ohm sign, long s, or capital theta symbol)
+        variants = "ϐϑϕϖϰϱϵς"
+        letters = LATIN + GREEK
+        candidates = {c for c in map(chr, range(sys.maxunicode + 1))
+                      if not c.isspace() and symbol_key(math_token(c))}
+        assert candidates == set(letters + letters.upper() + variants)
+        assert all(symbol_key(math_token(c)) == SymbolKey(c) for c in variants)
+        assert symbol_key(math_token("Φ")) == SymbolKey("φ")
 
     def test_order_is_base_then_font_value(self):
         # build_replacement_map sorts keys by value; this is the order
@@ -193,6 +207,26 @@ class TestApply:
         pair = pair_with(["x"], ["a"], extra_proof=[text_token("so")])
         for level in (CONSERVATION, PARTIAL, FULL, TRANSPOSITION):
             assert replace_pair(pair, level).proof == pair.proof
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("level", [FULL, TRANSPOSITION],
+                             ids=lambda lv: lv.level.value)
+    def test_glyph_variant_is_a_letter_of_its_own(self, level, seed):
+        # TeX's \phi (ϕ) is no capital φ: ϕ, Φ and x are three shared
+        # symbols, each renamed, and they stay three
+        before = ["ϕ", "Φ", "x"]
+        pair = pair_with(before, before)
+        out = surfaces(replace_pair(pair, level, seed=seed).proof)[:3]
+        assert len(set(out)) == 3 and all(a != b for a, b in zip(before, out))
+
+    def test_capital_is_never_sent_to_a_variant(self):
+        # the only derangement sends a to ϕ, which has no capital for A:
+        # the pair is renamed to fresh names instead, and the proof's own
+        # Φ stays apart from A's new name
+        pair = pair_with(["a", "ϕ"], ["A", "a", "ϕ", "Φ"])
+        out = surfaces(replace_pair(pair, TRANSPOSITION).proof)[:4]
+        assert out[0] == out[1].upper() and out[3] == "Φ"
+        assert len(set(out)) == 4 and not set(out[:3]) & {"a", "ϕ", "φ"}
 
     def test_inverse_composition(self):
         # a two-base transposition is its own inverse
@@ -346,7 +380,9 @@ class TestProtectedSetFile:
 
 # Case variants in several fonts, double-struck letters, the constants,
 # multi-letter and non-letter math, and text that looks like a letter.
-LETTERS = "abxyABXYλΛπΠeE"
+# The glyph variants ϕ ϵ ς and the look-alikes µ (micro sign) and K
+# (Kelvin sign) beside the letters they resemble.
+LETTERS = "abxyABXYλΛπΠeEϕΦφϵςµ\u212a"
 FONTS = [Font.NORMAL, Font.BOLD, Font.SCRIPT, Font.DOUBLE_STRUCK]
 symbols = st.one_of(
     st.builds(math_token, st.sampled_from(LETTERS), st.sampled_from(FONTS)),
@@ -378,6 +414,14 @@ def test_replace_pair_matches_per_occurrence_reference(
 # bold z to bold x would make two proof symbols one
 @example([math_token("x"), math_token("z", Font.BOLD)],
          [math_token("x"), math_token("z", Font.BOLD), math_token("x", Font.BOLD)],
+         None, 0)
+# a glyph variant beside its letter's capital: two symbols, never one
+@example([math_token("ϕ"), math_token("Φ"), math_token("x")],
+         [math_token("ϕ"), math_token("Φ"), math_token("x")], None, 0)
+# a capital whose letter only a glyph variant could take: A, sent with a to
+# ϕ, would become Φ, which the proof keeps
+@example([math_token("a"), math_token("ϕ")],
+         [math_token("A"), math_token("a"), math_token("ϕ"), math_token("Φ")],
          None, 0)
 def test_proof_tokens_are_equal_after_replacement_iff_equal_before(
         level, statement, proof, protected, seed):
