@@ -61,7 +61,12 @@ added to every score could change no output and would get no gradient.
 Model files are a versioned binary container: magic ``PMM1``, version,
 vocabulary, config, seed, the row-major little-endian float32 tensors in
 ``_param_table`` order, a float32 slot that version 1 reserves (written as
-0, and ignored when it is finite), and a trailing SHA-256 checksum.
+0, and ignored when it is finite), and a trailing SHA-256 checksum. Each
+fixed record is one ``struct.Struct`` that both sides use, and neither
+copies the body: ``save_model`` writes each record to the file and to a
+running checksum as it makes it, and ``load_model`` parses a view of the
+bytes it read. What a file cannot store, or no vocabulary holds, is
+refused when a ``Vocabulary`` is made.
 """
 
 from __future__ import annotations
@@ -93,6 +98,10 @@ class ModelFormatError(ProofmatchError):
 # Vocabulary
 
 UNK_ID = 0
+# A model file stores min_freq and the encoder's shape as uint32 fields and
+# a surface's byte length as a uint16.
+_U32_MAX = 2**32 - 1
+_SURFACE_MAX = 2**16 - 1
 
 
 @dataclass
@@ -107,6 +116,22 @@ class Vocabulary:
 
     def __post_init__(self):
         self.id_of = {t: i for i, t in enumerate(self.tokens) if t is not None}
+        # Refused here, so that a vocabulary no model file can store trains
+        # nothing, and a file that is not a vocabulary does not load.
+        if not self.tokens or self.tokens[0] is not None \
+                or len(self.id_of) != len(self.tokens) - 1:
+            raise InvalidValue("a vocabulary needs one UNK entry, at id 0, "
+                               "and each token once")
+        if not 1 <= self.min_freq <= _U32_MAX:
+            raise InvalidValue(f"min_freq must be >= 1 and <= {_U32_MAX}, "
+                               f"not {self.min_freq}")
+        # A surface of n characters has at most 4n UTF-8 bytes.
+        for surface in (t.surface for t in self.id_of
+                        if len(t.surface) > _SURFACE_MAX // 4):
+            if (size := len(surface.encode("utf-8"))) > _SURFACE_MAX:
+                raise InvalidValue(f"a token surface of {size} UTF-8 bytes "
+                                   f"({surface[:20]!r}...); a model file "
+                                   f"stores up to {_SURFACE_MAX}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -131,8 +156,6 @@ def build_vocab(corpus: Corpus,
     first occurrence asc); everything else maps to UNK at encode time."""
     if not corpus.pairs:
         raise InvalidValue("cannot build a vocabulary from an empty corpus")
-    if min_freq < 1:
-        raise InvalidValue("min_freq must be >= 1")
     freq: Counter[Token] = Counter()  # keys in order of first occurrence
     for pair in corpus.pairs:
         freq.update(pair.statement)
@@ -154,9 +177,6 @@ class EncoderKind(enum.Enum):
 class Pooling(enum.Enum):
     MAX = "max"
     MEAN = "mean"
-
-
-_U32_MAX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -614,6 +634,13 @@ def _in_order(tasks: list):
 
 _MAGIC = b"PMM1"
 _VERSION = 1
+# The fixed records of the format: the header, a vocabulary entry (then its
+# surface), the config and seed, a tensor's rank (then ``_dims`` and values).
+_HEADER = struct.Struct("<4sIII")
+_ENTRY = struct.Struct("<BBH")
+_CONFIG = struct.Struct("<BIIIIBBQ")
+_RANK = struct.Struct("<B")
+_SLOT = struct.Struct("<f")
 # Each coded field's values, indexed by their code; None marks a retired
 # code. Code 0 was an untrainable TF-IDF kind; it is no longer accepted.
 _KINDS = (None, EncoderKind.POOLED, EncoderKind.SELF_ATTENTIVE)
@@ -626,58 +653,52 @@ _POSITION_CODE = 1
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _pack_tensor(arr: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(arr, dtype="<f4")
-    return struct.pack("<B", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape) \
-        + a.tobytes()
+def _dims(ndim: int) -> struct.Struct:
+    """The shape record of a tensor of rank ``ndim``: a uint32 per axis."""
+    return struct.Struct(f"<{ndim}I")
 
 
-def _unpack_tensor(buf: memoryview, off: int) -> tuple[np.ndarray, int]:
-    ndim = struct.unpack_from("<B", buf, off)[0]
-    off += 1
-    shape = struct.unpack_from(f"<{ndim}I", buf, off)
-    off += 4 * ndim
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-    off += 4 * count
-    return arr.reshape(shape).astype(np.float64), off
+def _in_f32_range(arr: np.ndarray) -> bool:
+    return -_F32_MAX <= arr.min() and arr.max() <= _F32_MAX  # NaN is not
+
+
+def _entry(tok: Token | None) -> bytes:
+    if tok is None:  # UNK
+        return _ENTRY.pack(255, 0, 0)
+    data = tok.surface.encode("utf-8")
+    kind, font = _TOKEN_KINDS.index(tok.kind), _FONTS.index(tok.font)
+    return _ENTRY.pack(kind, font, len(data)) + data
 
 
 def save_model(state: ModelState, path) -> None:
-    chunks = [_MAGIC, struct.pack("<I", _VERSION)]
-    vocab = state.vocab
-    chunks.append(struct.pack("<II", len(vocab), vocab.min_freq))
-    for tok in vocab.tokens:
-        if tok is None:  # UNK sentinel
-            chunks.append(struct.pack("<BBH", 255, 0, 0))
-            continue
-        data = tok.surface.encode("utf-8")
-        chunks.append(struct.pack("<BBH", _TOKEN_KINDS.index(tok.kind),
-                                  _FONTS.index(tok.font), len(data)))
-        chunks.append(data)
-    cfg = state.config
-    chunks.append(struct.pack("<BIIIIBB", _KINDS.index(cfg.kind), cfg.d,
-                              cfg.layers, cfg.heads, cfg.d_k,
-                              _POOLS.index(cfg.pooling), _POSITION_CODE))
+    vocab, cfg = state.vocab, state.config
     check_seed(state.rng_seed)
-    chunks.append(struct.pack("<Q", state.rng_seed))
     for (name, _), arr in zip(_param_table(len(vocab), cfg),
                               state.param_arrays(), strict=True):
-        # NaN fails the comparison too
-        if not (np.abs(arr) <= _F32_MAX).all():
+        if not _in_f32_range(arr):
             raise ModelFormatError(f"tensor {name} has values outside float32's "
                                    "finite range")
-        chunks.append(_pack_tensor(arr))
-    chunks.append(struct.pack("<f", 0.0))  # the reserved slot
-    body = b"".join(chunks)
     # Write a temporary file beside the target and rename it over the
     # target, so an interrupted save leaves the previous checkpoint intact.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    checksum = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body)
-            fh.write(hashlib.sha256(body).digest())
+            def put(data) -> None:
+                fh.write(data)
+                checksum.update(data)
+            put(_HEADER.pack(_MAGIC, _VERSION, len(vocab), vocab.min_freq))
+            put(b"".join(map(_entry, vocab.tokens)))
+            put(_CONFIG.pack(_KINDS.index(cfg.kind), cfg.d, cfg.layers, cfg.heads,
+                             cfg.d_k, _POOLS.index(cfg.pooling), _POSITION_CODE,
+                             state.rng_seed))
+            for arr in state.param_arrays():
+                values = np.ascontiguousarray(arr, dtype="<f4")
+                put(_RANK.pack(values.ndim) + _dims(values.ndim).pack(*values.shape))
+                put(values)
+            put(_SLOT.pack(0.0))
+            fh.write(checksum.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -688,15 +709,16 @@ def save_model(state: ModelState, path) -> None:
 
 def load_model(path) -> ModelState:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 36 or blob[:4] != _MAGIC:
+        blob = memoryview(fh.read())
+    if len(blob) < len(_MAGIC) + 32 or blob[:len(_MAGIC)] != _MAGIC:
         raise ModelFormatError("bad magic or truncated model file")
-    body, checksum = blob[:-32], blob[-32:]
+    body, checksum = blob[:-32], blob[-32:]  # the body's SHA-256 follows it
     if hashlib.sha256(body).digest() != checksum:
         raise ModelFormatError("checksum mismatch")
     try:
-        state, off = _read_body(memoryview(body))
-    except (struct.error, ValueError) as exc:  # short body, bad UTF-8 or config
+        state, off = _read_body(body)
+    # a short body, bad UTF-8 or config, or a tensor past the address space
+    except (struct.error, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model body: {exc}") from exc
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} bytes after the model body")
@@ -712,46 +734,44 @@ def _decode(values: tuple, code: int, what: str):
 
 def _read_body(buf: memoryview) -> tuple[ModelState, int]:
     """Parse a checksummed body; returns the model and the end offset."""
-    off = 4
-    version = struct.unpack_from("<I", buf, off)[0]
-    off += 4
+    _, version, n_tokens, min_freq = _HEADER.unpack_from(buf)
     if version != _VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
-    n_tokens, min_freq = struct.unpack_from("<II", buf, off)
-    off += 8
+    off = _HEADER.size
     tokens: list[Token | None] = []
     for _ in range(n_tokens):
-        kind_c, font_c, length = struct.unpack_from("<BBH", buf, off)
-        off += 4
-        if kind_c == 255:
+        kind_c, font_c, length = _ENTRY.unpack_from(buf, off)
+        off += _ENTRY.size
+        if kind_c == 255:  # UNK
             tokens.append(None)
             continue
-        surface = bytes(buf[off:off + length]).decode("utf-8")
+        surface = str(buf[off:off + length], "utf-8")
         off += length
         tokens.append(Token(_decode(_TOKEN_KINDS, kind_c, "token kind"),
                             surface, _decode(_FONTS, font_c, "font")))
     vocab = Vocabulary(tokens, min_freq)
-    kind_c, d, layers_n, heads, d_k, pool_c, pos_c = struct.unpack_from(
-        "<BIIIIBB", buf, off)
-    off += 19
+    kind_c, d, layers_n, heads, d_k, pool_c, pos_c, seed = \
+        _CONFIG.unpack_from(buf, off)
+    off += _CONFIG.size
     if pos_c != _POSITION_CODE:
         raise ModelFormatError(f"unknown position code {pos_c}")
     cfg = EncoderConfig(_decode(_KINDS, kind_c, "encoder"), d, layers_n,
                         heads, d_k, _decode(_POOLS, pool_c, "pooling"))
-    seed = struct.unpack_from("<Q", buf, off)[0]
-    off += 8
     arrays = []
     # The table is walked as it is read: a corrupt layer count stops at the
     # first tensor that is not there, not after building its whole table.
     for name, shape in _param_table(n_tokens, cfg):
-        arr, off = _unpack_tensor(buf, off)
-        if arr.shape != shape:
+        dims = _dims(_RANK.unpack_from(buf, off)[0])
+        if dims.unpack_from(buf, off + _RANK.size) != shape:
             raise ModelFormatError("tensor shapes do not match the model config")
-        if not np.isfinite(arr).all():
+        off += _RANK.size + dims.size
+        arr = np.frombuffer(buf, "<f4", math.prod(shape), off).reshape(shape)
+        if not _in_f32_range(arr):
             raise ModelFormatError(f"non-finite values in tensor {name}")
-        arrays.append(arr)
+        arrays.append(arr.astype(np.float64))
+        off += arr.nbytes
     # Older files hold the score head's former bias here. A constant added
     # to every score changes no decoded output, so a finite one is dropped.
-    if not math.isfinite(struct.unpack_from("<f", buf, off)[0]):
+    if not math.isfinite(_SLOT.unpack_from(buf, off)[0]):
         raise ModelFormatError("non-finite value in the reserved slot")
-    return _assemble(vocab, cfg, arrays, seed), off + 4
+    return _assemble(vocab, cfg, arrays, seed), off + _SLOT.size

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -188,6 +190,26 @@ def save_marker_as(state: ModelState, path, value: float) -> None:
     marker = np.float32(MARKER).tobytes()
     assert body.count(marker) == 1
     body = body.replace(marker, np.float32(value).tobytes())
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+# Vocabulary entries of a model file: a kind, font and byte-length record,
+# then the UTF-8 surface.
+UNK_ENTRY = struct.pack("<BBH", 255, 0, 0)
+TEXT_A_ENTRY = struct.pack("<BBH", 0, 0, 1) + b"a"  # t:a
+
+
+def write_pooled_model(path, entries: list[bytes], d: int = 4) -> None:
+    """A signed PMM1 file of a pooled max model with these vocabulary
+    entries and zero tensors, written without ``Vocabulary``'s checks."""
+    def tensor(*shape):
+        return (struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+                + bytes(4 * math.prod(shape)))
+
+    body = (struct.pack("<4sIII", b"PMM1", 1, len(entries), 1)
+            + b"".join(entries)
+            + struct.pack("<BIIIIBBQ", 1, d, 1, 2, 32, 0, 1, 0)
+            + tensor(len(entries), d) + tensor(d, d) + struct.pack("<f", 0))
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 

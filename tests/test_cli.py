@@ -31,9 +31,9 @@ from proofmatch.evalharness import assignment_distribution
 from proofmatch.mathml import linearize_mathml
 from proofmatch.symbols import Level, ReplacementLevel
 from proofmatch.training import TrainConfig, TrainHistory
-from conftest import (MARKER, assert_no_child_left, letter_corpus,
-                      repeated_token_pair, save_marker_as, separable_corpus,
-                      topic_corpus)
+from conftest import (MARKER, TEXT_A_ENTRY, UNK_ENTRY, assert_no_child_left,
+                      letter_corpus, repeated_token_pair, save_marker_as,
+                      separable_corpus, topic_corpus, write_pooled_model)
 
 
 def raw_line(pair_id, n_statement=25, n_proof=25, mathml=None):
@@ -728,6 +728,30 @@ class TestTrainEval:
         assert manifest["error"] == line
         assert not (out / "model.pmm").exists()
 
+    @pytest.mark.parametrize("case", ["surface", "min_freq"])
+    def test_a_vocabulary_no_model_file_stores_fails_before_training(
+            self, tmp_path, corpus_file, capsys, monkeypatch, case):
+        import proofmatch.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", never)
+        train_file, flags = corpus_file, ["--min-freq", "4294967296"]
+        if case == "surface":
+            train_file, flags = tmp_path / "long.tsv", []
+            train_file.write_bytes(long_word(corpus_file))
+        out = tmp_path / "t"
+        assert main(["train", str(train_file), str(corpus_file),
+                     "--out-dir", str(out), "--quiet", *flags]) == 1
+        err = capsys.readouterr().err
+        manifest = json.loads((out / "manifest-train.json").read_text())
+        assert err == f"error: {manifest['error']}\n"
+        assert case in manifest["error"]
+        assert ("4294967296" if case == "min_freq" else
+                "70000 UTF-8 bytes") in manifest["error"]
+        assert list(out.iterdir()) == [out / "manifest-train.json"]
+
 
 # Each bad value ends `match` in one error line, never a traceback.
 BAD_VALUES = {
@@ -809,6 +833,16 @@ BAD_VALUES = {
     "layers_past_checkpoint_field_in_grid": ["grid", "{corpus}", "{corpus}",
                                              "{corpus}", "--layers",
                                              "5000000000"],
+    "min_freq_past_checkpoint_field_in_vocab": ["vocab", "{corpus}",
+                                                "--min-freq", "4294967296"],
+    "min_freq_past_checkpoint_field_in_grid": ["grid", "{corpus}", "{corpus}",
+                                               "{corpus}", "--min-freq",
+                                               "4294967296"],
+    "surface_past_checkpoint_field_in_vocab": ["vocab", "{long_word}"],
+    "surface_past_checkpoint_field_in_grid": ["grid", "{long_word}",
+                                              "{corpus}", "{corpus}"],
+    "unk_not_first_in_model": ["eval", "{unk_not_first}", "{corpus}"],
+    "no_vocabulary_in_model": ["eval", "{no_vocabulary}", "{corpus}"],
 }
 
 # What the error line of a BAD_VALUES case must name.
@@ -841,7 +875,21 @@ NAMED_IN_ERROR = {
     "heads_past_checkpoint_field": ["heads=5000000000", "4294967295"],
     "layers_past_checkpoint_field_in_grid": ["layers=5000000000",
                                              "4294967295"],
+    **{f"min_freq_past_checkpoint_field_in_{command}": ["min_freq",
+                                                        "4294967296"]
+       for command in ("vocab", "grid")},
+    **{f"surface_past_checkpoint_field_in_{command}": ["70000 UTF-8 bytes",
+                                                       "65535"]
+       for command in ("vocab", "grid")},
+    "unk_not_first_in_model": ["malformed model body", "UNK entry, at id 0"],
+    "no_vocabulary_in_model": ["malformed model body", "UNK entry, at id 0"],
 }
+
+
+def long_word(corpus_file) -> bytes:
+    """The corpus with a 70000-byte word added to its first proof."""
+    return corpus_file.read_bytes().replace(
+        b"\n", b" t:" + b"x" * 70000 + b"\n", 1)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
@@ -862,9 +910,14 @@ def test_bad_value_is_one_error_line(tmp_path, corpus_file, capsys, case):
                        ("typo", b"ratios = 0.5,0.25,0.25\nepohcs = 3\n"),
                        ("optimizer", b"optimizer = sgd\n"),
                        ("not_bool", b"epochs = 3\nquiet = ture\n"),
-                       ("four_fields", b"p1\ta1\tt:x\tt:y\n")):
+                       ("four_fields", b"p1\ta1\tt:x\tt:y\n"),
+                       ("long_word", long_word(corpus_file))):
         files[name] = tmp_path / name
         files[name].write_bytes(data)
+    for name, entries in (("unk_not_first", [TEXT_A_ENTRY, UNK_ENTRY]),
+                          ("no_vocabulary", [])):
+        files[name] = tmp_path / name
+        write_pooled_model(files[name], entries)
     command, *rest = [arg.format(**files) for arg in BAD_VALUES[case]]
     # a case's own --out-dir comes later and wins
     assert main([command, "--out-dir", str(tmp_path / "o"), *rest]) == 1

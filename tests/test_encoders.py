@@ -1,12 +1,12 @@
 import errno
 import hashlib
 import functools
+import io
 import math
 import re
 import struct
 import tempfile
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +41,9 @@ from proofmatch.decoding import encode_collection
 from proofmatch.errors import InvalidValue
 from proofmatch.training import batch_loss_and_grads, local_loss
 from attention_reference import backward_dense, forward_dense
-from conftest import (MARKER, letter_corpus, random_corpus, rebuilt_tokens,
-                      save_marker_as)
+from conftest import (MARKER, TEXT_A_ENTRY, UNK_ENTRY, letter_corpus,
+                      random_corpus, rebuilt_tokens, save_marker_as,
+                      write_pooled_model)
 
 
 def one_pair_corpus(tokens):
@@ -83,6 +84,35 @@ class TestVocabulary:
         vocab = Vocabulary([None, a, b])
         assert vocab.id_of == {a: 1, b: 2}
         assert vocab.min_freq == 1
+
+    @pytest.mark.parametrize("tokens", [
+        [], [text_token("a"), None], [None, None, text_token("a")],
+        [None, text_token("a"), math_token("b"), text_token("a")],
+    ], ids=["empty", "unk_not_first", "two_unk", "token_twice"])
+    def test_one_unk_entry_at_id_0_and_each_token_once(self, tokens):
+        with pytest.raises(InvalidValue, match="^a vocabulary needs one UNK "
+                           "entry, at id 0, and each token once$"):
+            Vocabulary(tokens)
+
+    @pytest.mark.parametrize("min_freq", [0, -1, 2**32])
+    def test_min_freq_outside_the_uint32_field(self, min_freq):
+        with pytest.raises(InvalidValue, match=f"^min_freq must be >= 1 and "
+                           f"<= 4294967295, not {min_freq}$"):
+            build_vocab(one_pair_corpus([text_token("a")]), min_freq)
+
+    def test_a_surface_past_the_uint16_length_field(self, tmp_path):
+        # 16384 four-byte characters are 65536 UTF-8 bytes; one fewer fits
+        wide, fits = "\U0001d538" * 16384, "a" * 65535
+        with pytest.raises(InvalidValue, match=r"^a token surface of 65536 UTF-8 "
+                           r"bytes \('\U0001d538{20}'\.\.\.\); a model file "
+                           "stores up to 65535$"):
+            Vocabulary([None, text_token("a"), math_token(wide)])
+        vocab = Vocabulary([None, text_token(fits), math_token(wide[1:]),
+                            math_token("b")], min_freq=2**32 - 1)
+        save_model(init_model(vocab, EncoderConfig(d=2)), tmp_path / "m.pmm")
+        loaded = load_model(tmp_path / "m.pmm").vocab
+        assert loaded.tokens == vocab.tokens
+        assert loaded.min_freq == 2**32 - 1
 
     def test_empty_corpus(self):
         with pytest.raises(InvalidValue,
@@ -687,15 +717,25 @@ class TestSerialization:
         path = tmp_path / "m.pmm"
         save_model(small_state(seed=1), path)
         before = path.read_bytes()
+        failed_at = []
 
-        def full_disk(_body):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        class FullDisk(io.FileIO):
+            """A file on a disk that fills up halfway through the save: it
+            takes the bytes that fit, then fails with ENOSPC."""
 
-        # the checksum is written after the body, so this fails mid-file
-        monkeypatch.setattr(encoders, "hashlib",
-                            types.SimpleNamespace(sha256=full_disk))
-        with pytest.raises(OSError):
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                room = len(before) // 2 - self.tell()
+                if len(data) > room:
+                    super().write(data[:room])
+                    failed_at.append(self.tell())
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(encoders, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
             save_model(small_state(seed=2), path)
+        assert failed_at == [len(before) // 2]
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.pmm"]
 
@@ -788,6 +828,59 @@ class TestCheckpointBytes:
         path = tmp_path / "m.pmm"
         save_model(arange_state(kind, layers), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestCheckpointMemory:
+    """``save_model`` writes each record as it is made, so beyond the model
+    it holds about one tensor's float32 values: its peak is about the
+    file's size (0.90-1.02 times here; a joined body and its tensors'
+    copies held 2.97-3.77 times). ``load_model`` parses the bytes it read
+    in place, so beyond the model it returns it holds about the file
+    (1.00-1.02 times; a copy of the body and a full-size finiteness array
+    held 2.05-2.23 times)."""
+
+    TABLES = pytest.mark.parametrize("n_tokens,d", [(3000, 32), (6000, 64),
+                                                    (12000, 64)])
+
+    @staticmethod
+    def saved(path, kind, n_tokens, d) -> ModelState:
+        vocab = Vocabulary([None, *(math_token(f"v{i}")
+                                    for i in range(n_tokens - 1))])
+        state = init_model(vocab, EncoderConfig(kind, d=d, layers=2, heads=2,
+                                                d_k=d // 2))
+        save_model(state, path)  # first-call costs
+        load_model(path)
+        return state
+
+    @TABLES
+    @pytest.mark.parametrize("kind", list(EncoderKind))
+    def test_save_peak_is_about_the_file(self, tmp_path, kind, n_tokens, d):
+        path = tmp_path / "m.pmm"
+        state = self.saved(path, kind, n_tokens, d)
+        tracemalloc.start()
+        try:
+            save_model(state, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
+
+    @TABLES
+    @pytest.mark.parametrize("kind", list(EncoderKind))
+    def test_load_peak_is_the_model_and_the_file(self, tmp_path, kind,
+                                                 n_tokens, d):
+        path = tmp_path / "m.pmm"
+        tokens = self.saved(path, kind, n_tokens, d).vocab.tokens
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.vocab.tokens == tokens
+        # what it returns: the float64 parameters and the vocabulary
+        assert returned > sum(a.nbytes for a in loaded.param_arrays())
+        assert peak - returned < 1.1 * path.stat().st_size
 
 
 @functools.cache
@@ -886,6 +979,34 @@ class TestMalformedBody:
         path = tmp_path / "m.pmm"
         path.write_bytes(resigned(bytes(bad)))
         with pytest.raises(ModelFormatError, match=f"unknown position code {code}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("entries", [
+        [TEXT_A_ENTRY, UNK_ENTRY], [], [UNK_ENTRY, TEXT_A_ENTRY, TEXT_A_ENTRY],
+        [UNK_ENTRY, UNK_ENTRY, TEXT_A_ENTRY],
+    ], ids=["unk_not_first", "no_entries", "token_twice", "two_unk"])
+    def test_a_vocabulary_without_one_unk_at_0_and_each_token_once(
+            self, tmp_path, entries):
+        path = tmp_path / "m.pmm"
+        write_pooled_model(path, [UNK_ENTRY, TEXT_A_ENTRY])
+        assert load_model(path).vocab.tokens == [None, text_token("a")]
+        write_pooled_model(path, entries)
+        with pytest.raises(ModelFormatError, match="^malformed model body: a "
+                           "vocabulary needs one UNK entry, at id 0, and "
+                           "each token once$"):
+            load_model(path)
+
+    def test_a_tensor_past_the_address_space(self, tmp_path):
+        # d = heads = 2**16 and d_k = 2**32 - 1: layer 0's wq would hold
+        # about 2**64 values, more than a buffer can be asked for
+        d, d_k = 2**16, 2**32 - 1
+        body = (struct.pack("<4sIII", b"PMM1", 1, 1, 1) + UNK_ENTRY
+                + struct.pack("<BIIIIBBQ", 2, d, 1, d, d_k, 0, 1, 0)
+                + struct.pack("<B2I", 2, 1, d) + bytes(4 * d)
+                + struct.pack("<B3I", 3, d, d, d_k))
+        path = tmp_path / "m.pmm"
+        path.write_bytes(resigned(body))
+        with pytest.raises(ModelFormatError, match="^malformed model body: "):
             load_model(path)
 
     def test_unknown_token_kind_and_trailing_bytes(self, tmp_path):
